@@ -317,7 +317,7 @@ void traced_chaos_episode(benchtools::ObsSession& session,
                       cfg, fleet::uniform_system(
                                policies::make_greedy_match_system));
   env.set_tracer(&session.tracer);
-  fleet::FailoverRouter router(std::make_unique<fleet::WarmAwareRouter>());
+  fleet::WarmAwareRouter router;
   const fleet::FleetSummary fs = env.run(trace, router);
   MLCR_CHECK_MSG(fs.node_crashes == 1 && fs.node_recoveries == 1,
                  "traced chaos episode must exercise the crash window");
@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> node_counts = {1, 8};
   const std::vector<double> fault_rates = {0.0, 0.05, 0.2};
 
-  std::cout << "=== chaos recovery: Failover(Warm-Aware) routing, cluster "
+  std::cout << "=== chaos recovery: Warm-Aware routing with failover, cluster "
             << "budget " << util::Table::num(cluster_mb, 0)
             << " MB, retries x3, " << options.reps << " reps ===\n";
 
@@ -387,8 +387,7 @@ int main(int argc, char** argv) {
           fleet::FleetEnv env(suite.bench.functions, suite.bench.catalog,
                               suite.cost, fleet_cfg,
                               fleet::uniform_system(system.make));
-          fleet::FailoverRouter router(
-              std::make_unique<fleet::WarmAwareRouter>());
+          fleet::WarmAwareRouter router;
           results[r] = env.run(trace, router);
         };
         if (options.threads == 1) {
@@ -449,8 +448,7 @@ int main(int argc, char** argv) {
   health_encoder.encode_health = true;
   const auto blind_router = [] {
     return std::unique_ptr<fleet::Router>(
-        std::make_unique<fleet::FailoverRouter>(
-            std::make_unique<fleet::WarmAwareRouter>()));
+        std::make_unique<fleet::WarmAwareRouter>());
   };
   const auto health_router = [] {
     return std::unique_ptr<fleet::Router>(
@@ -493,8 +491,8 @@ int main(int argc, char** argv) {
 
   // The acceptance bar: at equal capacity, on paired traces and identical
   // sampled domain windows, health-aware recovery must lose strictly fewer
-  // invocations than the health-blind baseline — on both systems. The
-  // blind failover wrapper dumps load back onto a just-recovered rack the
+  // invocations than the health-blind baseline — on both systems. Blind
+  // failover dumps load back onto a just-recovered rack the
   // moment it is up, exactly where a correlated plan's next window lands;
   // the EWMA keeps load off until the failure estimate decays.
   MLCR_CHECK_MSG(health.dropped < blind.dropped,

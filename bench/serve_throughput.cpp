@@ -1,19 +1,20 @@
 // Serving front-end throughput (DESIGN.md §11): how fast the concurrent
-// scheduler service makes routing decisions over the sharded fleet index,
+// scheduler service makes routing decisions over its locked fleet index,
 // and how fast the full ingest -> route -> dispatch path serves requests.
 //
-// Phase 1 (route-only): worker threads hammer RoutePolicy::route() against a
-// pre-seeded ShardedFleetIndex — no dispatch, no queues — sweeping thread
-// count x shard count. This isolates the read path the sharding exists for:
-// at 1 shard every reader serializes on one shared_mutex, at 8 shards reads
-// spread across locks. The headline events_per_sec is the Least-Outstanding
-// decision rate at the widest cell (max threads, max shards).
+// Phase 1 (route-only): worker threads hammer RoutePolicy::route() for each
+// standard policy against a pre-seeded index — no dispatch, no queues — at
+// min(4, hardware threads) threads. Every index-reading policy takes the
+// index's one shared lock per decision. The headline events_per_sec is the
+// Least-Outstanding decision rate.
 //
 // Phase 2 (full service): producer threads submit() into a started
 // SchedulerService over a 64-node greedy-match fleet on the wall clock,
 // retrying rejected pushes, and the end-to-end served rate is reported. The
 // telemetry plane (DESIGN.md §13) rides along in metrics-only mode, and its
-// route/e2e latency percentiles land in the JSON metrics block.
+// route/e2e latency percentiles land in the JSON metrics block. Workers and
+// producers share the same thread cap (2 producers, the rest workers); on
+// fewer than 3 hardware threads they outnumber them, and the bench says so.
 //
 // Phase 3 (deterministic replay): the same workload through run_replay on a
 // SimClock with the full telemetry plane attached — Chrome trace with
@@ -21,9 +22,9 @@
 // (--snapshots). Byte-identical across runs; CI's serve-telemetry-smoke job
 // runs it with --replay-only, which skips the wall-clock phases entirely.
 //
-// With --json the headline cell plus per-policy, service, and replay rates
-// are written in the stable bench schema for tools/benchdiff / CI
-// perf-smoke.
+// With --json the headline plus per-policy, service, and replay rates are
+// written in the stable bench schema for tools/benchdiff / CI perf-smoke.
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstddef>
@@ -82,13 +83,10 @@ void prewarm(fleet::FleetEnv& fleet, const sim::Trace& trace) {
   }
 }
 
-/// Fresh index over the (pre-warmed) fleet at the given shard count.
-serve::ShardedFleetIndex make_index(fleet::FleetEnv& fleet, std::size_t shards,
-                                    bool track_warm) {
-  serve::ShardedFleetIndex index(fleet.node_count(), shards, track_warm);
+/// Load every node of the (pre-warmed) fleet into `index`.
+void seed_index(serve::ShardedFleetIndex& index, fleet::FleetEnv& fleet) {
   for (std::size_t n = 0; n < fleet.node_count(); ++n)
     index.update(n, fleet.node_env(n));
-  return index;
 }
 
 /// Run `decisions` route() calls split across `threads` threads against a
@@ -146,28 +144,26 @@ int main(int argc, char** argv) {
   const auto options = benchtools::BenchOptions::parse(argc, argv);
   const benchtools::Suite suite;
 
-  // Workload scales with --reps (default 7 -> 280k decisions per cell).
+  // Workload scales with --reps (default 7 -> 280k decisions per policy).
   const std::size_t decisions = 40000 * options.reps;
   const std::size_t requests = 2000 * options.reps;
   util::Rng trace_rng(1000);
   const sim::Trace trace =
       fstartbench::make_overall_workload(suite.bench, 4096, trace_rng);
 
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  const std::vector<std::size_t> shard_counts = {1, 4, 8};
-  const std::size_t max_threads = thread_counts.back();
-  const std::size_t max_shards = shard_counts.back();
+  const std::size_t hardware =
+      std::max(1U, std::thread::hardware_concurrency());
+  const std::size_t threads = std::min<std::size_t>(4, hardware);
 
+  constexpr std::size_t kProducers = 2;
   serve::ServeConfig serve_cfg;
-  serve_cfg.workers = 4;
-  serve_cfg.shards = max_shards;
+  // Workers and producers together fit in `threads` where they can.
+  serve_cfg.workers = threads > kProducers ? threads - kProducers : 1;
+  serve_cfg.shards = 8;  // dispatch stripes
   serve_cfg.queue_capacity = 8192;
   serve_cfg.batch = 32;
-  constexpr std::size_t kProducers = 2;
 
   double headline_per_sec = 0.0;
-  double route_1t_max_shards = 0.0;
-  double route_maxt_1shard = 0.0;
   std::vector<std::pair<std::string, double>> policy_rates;
   double svc_per_sec = 0.0;
   serve::ServeSummary summary;
@@ -177,53 +173,31 @@ int main(int argc, char** argv) {
     fleet::FleetEnv fleet = make_fleet(suite);
     prewarm(fleet, trace);
 
-    // --- Phase 1: route-only grid, Least-Outstanding ------------------
+    // --- Phase 1: every standard policy, route only --------------------
     std::cout << "=== serve route-only throughput: " << kNodes << " nodes, "
-              << decisions << " Least-Outstanding decisions per cell ===\n";
-    util::Table grid({"threads", "1 shard (dec/s)", "4 shards (dec/s)",
-                      "8 shards (dec/s)"});
-    serve::LeastOutstandingPolicy lo;
-    lo.on_episode_start(kNodes);
-    {  // warm-up pass so first-touch noise lands outside the timed cells
-      serve::ShardedFleetIndex warm = make_index(fleet, 1, false);
-      (void)measure_route(lo, warm, suite.bench.functions, trace, 1,
+              << threads << " threads, " << decisions
+              << " decisions per policy ===\n";
+    serve::ShardedFleetIndex plain(kNodes, /*track_warm=*/false);
+    serve::ShardedFleetIndex warm(kNodes, /*track_warm=*/true);
+    seed_index(plain, fleet);
+    seed_index(warm, fleet);
+    {  // warm-up pass so first-touch noise lands outside the timed runs
+      serve::LeastOutstandingPolicy lo;
+      lo.on_episode_start(kNodes);
+      (void)measure_route(lo, plain, suite.bench.functions, trace, 1,
                           decisions / 4);
     }
-    for (const std::size_t threads : thread_counts) {
-      std::vector<std::string> cells = {std::to_string(threads)};
-      for (const std::size_t shards : shard_counts) {
-        const serve::ShardedFleetIndex index =
-            make_index(fleet, shards, false);
-        const double per_sec = measure_route(lo, index, suite.bench.functions,
-                                             trace, threads, decisions);
-        cells.push_back(util::Table::num(per_sec, 0));
-        if (threads == max_threads && shards == max_shards)
-          headline_per_sec = per_sec;
-        if (threads == 1 && shards == max_shards)
-          route_1t_max_shards = per_sec;
-        if (threads == max_threads && shards == 1)
-          route_maxt_1shard = per_sec;
-      }
-      grid.add_row(std::move(cells));
-    }
-    grid.print(std::cout);
-
-    // --- Phase 1b: every standard policy at the widest cell -----------
-    std::cout << "\n=== per-policy decision rate (" << max_threads
-              << " threads, " << max_shards << " shards) ===\n";
     util::Table per_policy({"policy", "decisions/sec"});
-    const serve::ShardedFleetIndex plain =
-        make_index(fleet, max_shards, false);
-    const serve::ShardedFleetIndex warm = make_index(fleet, max_shards, true);
     for (const serve::PolicySpec& spec : serve::standard_policies()) {
       const std::unique_ptr<serve::RoutePolicy> policy = spec.make();
       policy->on_episode_start(kNodes);
       const auto& index = policy->needs_warm_index() ? warm : plain;
       const double per_sec = measure_route(*policy, index,
                                            suite.bench.functions, trace,
-                                           max_threads, decisions);
+                                           threads, decisions);
       policy_rates.emplace_back(spec.name, per_sec);
       per_policy.add_row({spec.name, util::Table::num(per_sec, 0)});
+      if (spec.name == "Least-Outstanding") headline_per_sec = per_sec;
     }
     per_policy.print(std::cout);
 
@@ -267,7 +241,12 @@ int main(int argc, char** argv) {
 
     std::cout << "\n=== full service path: " << requests << " requests, "
               << serve_cfg.workers << " workers, " << kProducers
-              << " producers ===\n"
+              << " producers ===\n";
+    if (serve_cfg.workers + kProducers > hardware)
+      std::cout << "(" << serve_cfg.workers + kProducers
+                << " threads oversubscribe " << hardware
+                << " hardware threads)\n";
+    std::cout
               << "served " << summary.stats.routed << " ("
               << util::Table::num(svc_per_sec, 0) << " req/s), rejected "
               << summary.stats.rejected << ", lost " << summary.stats.lost
@@ -279,8 +258,8 @@ int main(int argc, char** argv) {
               << util::Table::num(live_slo.queue_depth_max, 0) << "\n";
 
     std::cout << "\nheadline: " << util::Table::num(headline_per_sec, 0)
-              << " routing decisions/sec at " << max_threads << " threads, "
-              << max_shards << " shards\n";
+              << " Least-Outstanding decisions/sec at " << threads
+              << " threads\n";
   }
 
   // --- Phase 3: deterministic replay with the full telemetry plane ----
@@ -323,8 +302,8 @@ int main(int argc, char** argv) {
   if (!options.json_path.empty()) {
     benchtools::BenchJson out("serve_throughput");
     out.config("nodes", kNodes);
-    out.config("threads", max_threads);
-    out.config("shards", max_shards);
+    out.config("threads", threads);
+    out.config("shards", serve_cfg.shards);
     out.config("route_decisions", decisions);
     out.config("service_requests", requests);
     out.config("policy", std::string("Least-Outstanding"));
@@ -337,8 +316,6 @@ int main(int argc, char** argv) {
       out.wall_ms(1000.0 * static_cast<double>(decisions) /
                   (headline_per_sec > 0.0 ? headline_per_sec : 1.0));
       out.events_per_sec(headline_per_sec);
-      out.metric("route_1t_8shard_per_sec", route_1t_max_shards);
-      out.metric("route_8t_1shard_per_sec", route_maxt_1shard);
       for (const auto& [name, per_sec] : policy_rates) {
         std::string key = "route_" + name + "_per_sec";
         for (char& c : key) {

@@ -1,12 +1,11 @@
 #include "fleet/fleet_env.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 #include <set>
 #include <utility>
 
 #include "faults/injector.hpp"
+#include "fleet/event_core.hpp"
 #include "fleet/router.hpp"
 #include "obs/tracer.hpp"
 #include "util/audit.hpp"
@@ -256,6 +255,30 @@ void FleetEnv::dispatch(const sim::Invocation& inv, std::size_t target,
                      static_cast<double>(node.env->busy_count()));
 }
 
+bool FleetEnv::record_placement(const sim::Invocation& inv, std::size_t pick,
+                                const Placement& placed, bool traced,
+                                std::size_t& lost, std::size_t& rerouted) {
+  if (placed.lost) {
+    ++lost;
+    if (traced)
+      tracer_->instant(obs::Tracer::kSimPid, static_cast<std::uint32_t>(pick),
+                       obs::to_micros(inv.arrival_s), "invocation_lost",
+                       "fault",
+                       {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+    return false;
+  }
+  if (placed.rerouted) {
+    ++rerouted;
+    if (traced)
+      tracer_->instant(
+          obs::Tracer::kSimPid, static_cast<std::uint32_t>(placed.node),
+          obs::to_micros(inv.arrival_s), "reroute", "fault",
+          {obs::narg("node", static_cast<std::int64_t>(placed.node)),
+           obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+  }
+  return true;
+}
+
 FleetSummary FleetEnv::finish_run(
     [[maybe_unused]] const sim::Trace& trace, Router& router,
     std::size_t next_fault, std::size_t lost, std::size_t rerouted,
@@ -308,114 +331,59 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
   for (std::size_t i = 0; i < nodes_.size(); ++i)
     index_->set_routable(i, node_routable(i));
 
-  // The event core. One lazily-invalidated heap entry per node holds the
-  // node's next self-scheduled event (completion or TTL expiry); entries
-  // are stamped with a per-node version and stale ones are discarded on
-  // pop, so a node touch is O(log nodes) instead of a heap rebuild. Fault
-  // events stay in the pre-sorted fault_events_ list and are merged by
-  // time; at equal times faults fire before node advances — the order the
-  // lockstep loop establishes (crash()'s internal drain makes same-time
-  // completion-vs-crash races identical either way; see DESIGN.md §10).
-  struct AdvanceEntry {
-    double time;
-    std::size_t node;
-    std::uint64_t version;
-  };
-  struct AdvanceLater {
-    bool operator()(const AdvanceEntry& a, const AdvanceEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;  // min-heap on time
-      return a.node > b.node;                        // deterministic ties
-    }
-  };
-  std::priority_queue<AdvanceEntry, std::vector<AdvanceEntry>, AdvanceLater>
-      heap;
-  std::vector<std::uint64_t> versions(nodes_.size(), 0);
-
-  // Re-derive a node's index contribution and heap entry after any event
-  // that touches it.
+  // The event core (fleet/event_core.hpp) merges the nodes' self-scheduled
+  // events with the pre-sorted fault list; at equal times faults fire
+  // before node advances — the order the lockstep loop establishes
+  // (crash()'s internal drain makes same-time completion-vs-crash races
+  // identical either way; see DESIGN.md §10).
+  EventCore events(nodes_.size(), fault_events_);
+  // Re-derive a node's index contribution and event-core entry after any
+  // event that touches it.
   const auto touch = [&](std::size_t n) {
     index_->update(n, *nodes_[n].env);
-    ++versions[n];
-    if (const auto next = nodes_[n].env->next_event_time())
-      heap.push({*next, n, versions[n]});
+    events.reschedule(n, nodes_[n].env->next_event_time());
   };
   for (std::size_t i = 0; i < nodes_.size(); ++i) touch(i);
 
-  std::size_t next_fault = 0;
   std::size_t lost = 0;
   std::size_t rerouted = 0;
   std::size_t domain_crashes = 0;
   std::size_t spares_activated = 0;
-  constexpr double kNever = std::numeric_limits<double>::infinity();
 
-  // Fire every event due at or before `t`, earliest first, so routing sees
-  // exactly the fleet state the lockstep loop would have built at `t`.
-  const auto drain_until = [&](double t) {
-    for (;;) {
-      while (!heap.empty() &&
-             heap.top().version != versions[heap.top().node])
-        heap.pop();
-      const double fault_at = next_fault < fault_events_.size()
-                                  ? fault_events_[next_fault].time
-                                  : kNever;
-      const double advance_at = heap.empty() ? kNever : heap.top().time;
-      if (std::min(fault_at, advance_at) > t) return;
-      if (fault_at <= advance_at) {
-        const FaultEvent& ev = fault_events_[next_fault++];
-        const auto spare = fire_fault_event(ev, /*clamp=*/false,
+  for (const sim::Invocation& inv : trace.invocations()) {
+    // Fire every event due at or before the arrival, earliest first, so
+    // routing sees exactly the fleet state the lockstep loop would have
+    // built by then.
+    while (const auto ev = events.pop_due(inv.arrival_s)) {
+      if (ev->fault != nullptr) {
+        const auto spare = fire_fault_event(*ev->fault, /*clamp=*/false,
                                             domain_crashes, spares_activated,
                                             traced);
-        touch(ev.node);
+        touch(ev->node);
         if (spare) {
           index_->set_routable(*spare, true);
           touch(*spare);
         }
       } else {
-        const AdvanceEntry e = heap.top();
-        heap.pop();
-        // Advance only to the event's own time, never to t: a later fault
-        // on the same node must not be jumped over, and advance_to
-        // composes, so stopping early is state-identical.
-        nodes_[e.node].env->advance_to(e.time);
-        touch(e.node);
+        // Advance only to the event's own time, never to the arrival: a
+        // later fault on the same node must not be jumped over, and
+        // advance_to composes, so stopping early is state-identical.
+        nodes_[ev->node].env->advance_to(ev->time);
+        touch(ev->node);
       }
     }
-  };
 
-  for (const sim::Invocation& inv : trace.invocations()) {
-    drain_until(inv.arrival_s);
-
-    std::size_t target = router.route(*this, inv);
-    MLCR_CHECK_MSG(target < routable_count_, "router picked an invalid node");
-    if (!node_up(target)) {
-      // Deterministic failover: least outstanding work among healthy nodes,
-      // lowest index on ties. With every node down the invocation is lost.
-      const auto best = index_->least_outstanding_healthy();
-      if (!best) {
-        ++lost;
-        if (traced)
-          tracer_->instant(
-              obs::Tracer::kSimPid, static_cast<std::uint32_t>(target),
-              obs::to_micros(inv.arrival_s), "invocation_lost", "fault",
-              {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-        continue;
-      }
-      target = *best;
-      ++rerouted;
-      if (traced)
-        tracer_->instant(
-            obs::Tracer::kSimPid, static_cast<std::uint32_t>(target),
-            obs::to_micros(inv.arrival_s), "reroute", "fault",
-            {obs::narg("node", static_cast<std::int64_t>(target)),
-             obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-    }
-    dispatch(inv, target, traced, router_name);
-    touch(target);
+    const std::size_t pick = router.route(*this, inv);
+    MLCR_CHECK_MSG(pick < routable_count_, "router picked an invalid node");
+    const Placement placed = fail_over(*index_, pick);
+    if (!record_placement(inv, pick, placed, traced, lost, rerouted)) continue;
+    dispatch(inv, placed.node, traced, router_name);
+    touch(placed.node);
   }
 
   index_.reset();
-  return finish_run(trace, router, next_fault, lost, rerouted, domain_crashes,
-                    spares_activated, injectors);
+  return finish_run(trace, router, events.next_fault(), lost, rerouted,
+                    domain_crashes, spares_activated, injectors);
 }
 
 FleetSummary FleetEnv::run_lockstep(const sim::Trace& trace, Router& router) {
@@ -443,12 +411,13 @@ FleetSummary FleetEnv::run_lockstep(const sim::Trace& trace, Router& router) {
     // TTL expiry up to "now" even on nodes that received no recent traffic.
     for (Node& node : nodes_) node.env->advance_idle(inv.arrival_s);
 
-    std::size_t target = router.route(*this, inv);
-    MLCR_CHECK_MSG(target < routable_count_, "router picked an invalid node");
-    if (!node_up(target)) {
-      // Deterministic failover: least outstanding work among healthy
-      // routable nodes, lowest index on ties. With every routable node down
-      // the invocation is lost.
+    const std::size_t pick = router.route(*this, inv);
+    MLCR_CHECK_MSG(pick < routable_count_, "router picked an invalid node");
+    Placement placed{pick, false, false};
+    if (!node_up(pick)) {
+      // The failover rule as a scan — the reference fail_over()'s index
+      // path is pinned against: least outstanding work among healthy
+      // routable nodes, lowest index on ties; lost with every one down.
       std::size_t best = routable_count_;
       for (std::size_t i = 0; i < routable_count_; ++i) {
         if (!node_up(i)) continue;
@@ -456,25 +425,11 @@ FleetSummary FleetEnv::run_lockstep(const sim::Trace& trace, Router& router) {
             nodes_[i].env->busy_count() < nodes_[best].env->busy_count())
           best = i;
       }
-      if (best == routable_count_) {
-        ++lost;
-        if (traced)
-          tracer_->instant(
-              obs::Tracer::kSimPid, static_cast<std::uint32_t>(target),
-              obs::to_micros(inv.arrival_s), "invocation_lost", "fault",
-              {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-        continue;
-      }
-      target = best;
-      ++rerouted;
-      if (traced)
-        tracer_->instant(
-            obs::Tracer::kSimPid, static_cast<std::uint32_t>(target),
-            obs::to_micros(inv.arrival_s), "reroute", "fault",
-            {obs::narg("node", static_cast<std::int64_t>(target)),
-             obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+      placed = best == routable_count_ ? Placement{pick, false, true}
+                                       : Placement{best, true, false};
     }
-    dispatch(inv, target, traced, router_name);
+    if (!record_placement(inv, pick, placed, traced, lost, rerouted)) continue;
+    dispatch(inv, placed.node, traced, router_name);
   }
 
   return finish_run(trace, router, next_fault, lost, rerouted, domain_crashes,

@@ -35,6 +35,7 @@ class Tracer;
 namespace mlcr::fleet {
 
 class Router;
+struct Placement;
 
 struct FleetConfig {
   /// Number of worker nodes in the initial routable set.
@@ -97,7 +98,7 @@ class FleetEnv {
   }
   [[nodiscard]] const sim::ClusterEnv& node(std::size_t i) const;
   /// False while node `i` is inside a crash window (routers must not place
-  /// work there; FailoverRouter and run()'s re-route path consult this).
+  /// work there; run()'s failover moves work aimed at it, see fail_over).
   [[nodiscard]] bool node_up(std::size_t i) const;
 
   /// Mutable access to node `i`'s environment / scheduler for the serving
@@ -132,11 +133,11 @@ class FleetEnv {
   /// all nodes.
   ///
   /// Event-driven (DESIGN.md §10): instead of advancing every node to every
-  /// arrival, run() drains a time-ordered event core — per-node
-  /// next-event heap entries (completions, TTL expiries) merged with the
-  /// pre-sorted crash/recover list — so each event costs O(log nodes), and
-  /// maintains a FleetIndex so state-aware routers read fleet-wide load and
-  /// warm-pool views without rescanning nodes_. Bit-identical to
+  /// arrival, run() drains an EventCore — per-node next-event heap entries
+  /// (completions, TTL expiries) merged with the pre-sorted crash/recover
+  /// list — so each event costs O(log nodes), and maintains a FleetIndex so
+  /// state-aware routers and the failover rule (fail_over) read fleet-wide
+  /// load and warm-pool views without rescanning nodes_. Bit-identical to
   /// run_lockstep() (asserted in tests/fleet): between arrivals nodes only
   /// interact through routing, and ClusterEnv::advance_to composes, so
   /// advancing a node event-by-event reproduces the lockstep state.
@@ -186,9 +187,9 @@ class FleetEnv {
     bool domain_lead = false;
   };
 
-  /// The pre-sorted crash/recover transitions of the current plan. The
-  /// serving layer merges this list into its own episode loop so live
-  /// serving and run_replay() fire faults in the same order (DESIGN.md §14).
+  /// The pre-sorted crash/recover transitions of the current plan. run()
+  /// and the serving layer's run_replay() both feed it to an EventCore, so
+  /// they fire faults in the same order (DESIGN.md §14).
   [[nodiscard]] const std::vector<FaultEvent>& fault_events() const noexcept {
     return fault_events_;
   }
@@ -236,6 +237,13 @@ class FleetEnv {
   /// (with the route instant / outstanding counter when traced).
   void dispatch(const sim::Invocation& inv, std::size_t target, bool traced,
                 const std::string& router_name);
+
+  /// Count and trace where an invocation the router aimed at `pick` went
+  /// (`placed`: fail_over's answer, or run_lockstep's reference scan).
+  /// False when it was lost.
+  bool record_placement(const sim::Invocation& inv, std::size_t pick,
+                        const Placement& placed, bool traced,
+                        std::size_t& lost, std::size_t& rerouted);
 
   /// Apply one fault event to its node: crash (partial-aware, counting and
   /// tracing the domain event on the lead window, admitting a spare) or

@@ -106,22 +106,10 @@ std::optional<std::size_t> FleetIndex::least_outstanding_healthy() const {
   return load_healthy_.begin()->second;
 }
 
-std::optional<std::pair<std::size_t, std::size_t>>
-FleetIndex::least_outstanding_entry() const {
-  if (load_all_.empty()) return std::nullopt;
-  return *load_all_.begin();
-}
-
-std::optional<std::pair<std::size_t, std::size_t>>
-FleetIndex::least_outstanding_healthy_entry() const {
-  if (load_healthy_.empty()) return std::nullopt;
-  return *load_healthy_.begin();
-}
-
 FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {
   MLCR_CHECK(node < nodes_.size());
   const NodeEntry& entry = nodes_[node];
-  return {entry.busy, entry.up, entry.free_mb, entry.in_load, entry.routable};
+  return {entry.busy, entry.up, entry.free_mb};
 }
 
 const std::map<std::size_t, std::size_t>* FleetIndex::nodes_matching(

@@ -1,8 +1,9 @@
 // Incrementally maintained fleet-wide routing state (DESIGN.md §10). The
 // event-driven FleetEnv::run keeps one FleetIndex current so routers that
 // need cluster-wide views — least-outstanding load, warm-pool match lookup,
-// the failover scan — read it in O(log nodes) instead of rescanning every
-// node per invocation.
+// the failover rule — read it in O(log nodes) instead of rescanning every
+// node per invocation. The serving layer keeps one too, behind a lock
+// (serve::ShardedFleetIndex), and routes through the same functions.
 //
 // Two structures:
 //   Load index  — ordered (busy_count, node) sets over all nodes and over
@@ -61,28 +62,16 @@ class FleetIndex {
   [[nodiscard]] std::size_t least_outstanding() const;
 
   /// Same, restricted to healthy routable nodes; nullopt when the whole
-  /// routable fleet is down. The contract of FailoverRouter and run()'s
-  /// reroute path.
+  /// routable fleet is down. Read by the failover rule, fleet::fail_over.
   [[nodiscard]] std::optional<std::size_t> least_outstanding_healthy() const;
 
-  /// The minimum (busy, node) load entry itself, or nullopt before any
-  /// update(). The serving layer's ShardedFleetIndex merges these across
-  /// shards: the lexicographic minimum over shard minima is exactly the
-  /// global least_outstanding() pick.
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
-  least_outstanding_entry() const;
-  [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
-  least_outstanding_healthy_entry() const;
-
   /// Per-node snapshot of the last update(): in-flight executions, health,
-  /// and free pool memory — the inputs of the warm-aware tie-break, exposed
-  /// so index-only readers (the serving layer) never touch the env.
+  /// and free pool memory — the inputs of the warm-aware tie-break and the
+  /// failover check, so routing reads only the index, never an env.
   struct NodeLoad {
     std::size_t busy = 0;
     bool up = true;
     double free_mb = 0.0;
-    bool seen = false;      ///< false before the node's first update()
-    bool routable = true;   ///< false for spares awaiting activation
   };
   [[nodiscard]] NodeLoad node_load(std::size_t node) const;
 

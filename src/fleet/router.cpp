@@ -29,25 +29,43 @@ namespace {
   return best;
 }
 
-/// Healthy routable node with the fewest in-flight executions (lowest index
-/// on ties); nullopt when the whole routable fleet is down. The failover
-/// contract of FailoverRouter and FleetEnv::run()'s reroute path.
-[[nodiscard]] std::optional<std::size_t> least_outstanding_healthy_node(
-    const FleetEnv& fleet) {
-  if (const FleetIndex* index = fleet.index())
-    return index->least_outstanding_healthy();
-  std::size_t best = fleet.routable_count();
-  for (std::size_t i = 0; i < fleet.routable_count(); ++i) {
-    if (!fleet.node_up(i)) continue;
-    if (best == fleet.routable_count() ||
-        fleet.node(i).busy_count() < fleet.node(best).busy_count())
-      best = i;
+}  // namespace
+
+std::size_t warm_aware_node(const FleetIndex& index,
+                            const containers::ImageSpec& image) {
+  // The warm index maps a level key to the nodes holding a match at >= that
+  // level, so the best level is the first non-empty lookup from L3 down. At
+  // that level every candidate's best match is exactly the level (a better
+  // one would have answered the higher lookup), so the (busy, free memory,
+  // index) tie-break reproduces WarmAwareRouter's scan bit for bit.
+  for (const containers::MatchLevel level :
+       {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
+        containers::MatchLevel::kL1}) {
+    const auto* candidates = index.nodes_matching(image, level);
+    if (candidates == nullptr) continue;
+    auto it = candidates->begin();
+    std::size_t best = it->first;
+    FleetIndex::NodeLoad best_load = index.node_load(best);
+    for (++it; it != candidates->end(); ++it) {
+      const FleetIndex::NodeLoad load = index.node_load(it->first);
+      if (load.busy < best_load.busy ||
+          (load.busy == best_load.busy && load.free_mb > best_load.free_mb)) {
+        best = it->first;
+        best_load = load;
+      }
+    }
+    return best;
   }
-  if (best == fleet.routable_count()) return std::nullopt;
-  return best;
+  // Fleet-wide cold start: place it where the least work is outstanding.
+  return index.least_outstanding();
 }
 
-}  // namespace
+Placement fail_over(const FleetIndex& index, std::size_t target) {
+  if (index.node_load(target).up) return {target, false, false};
+  const std::optional<std::size_t> best = index.least_outstanding_healthy();
+  if (!best) return {target, false, true};
+  return {*best, true, false};
+}
 
 std::uint64_t affinity_key(const containers::ImageSpec& image) noexcept {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL;
@@ -149,37 +167,9 @@ std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
   const auto& fn_image = fleet.functions().get(inv.function).image;
 
-  // Index fast path: the warm index maps a level key to the nodes holding a
-  // match at >= that level, so the best level is the first non-empty lookup
-  // from L3 down. At that level every candidate's best match is exactly the
-  // level (a better one would have answered the higher lookup), so the
-  // (busy, free memory, index) tie-break below reproduces the scan's choice
-  // bit for bit.
   const FleetIndex* index = fleet.index();
-  if (index != nullptr && index->tracks_warm()) {
-    for (const containers::MatchLevel level :
-         {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
-          containers::MatchLevel::kL1}) {
-      const auto* candidates = index->nodes_matching(fn_image, level);
-      if (candidates == nullptr) continue;
-      std::size_t best = fleet.node_count();
-      for (const auto& [node, count] : *candidates) {
-        (void)count;
-        if (best == fleet.node_count()) {
-          best = node;
-          continue;
-        }
-        const sim::ClusterEnv& env = fleet.node(node);
-        const sim::ClusterEnv& best_env = fleet.node(best);
-        if (env.busy_count() < best_env.busy_count() ||
-            (env.busy_count() == best_env.busy_count() &&
-             env.pool().free_mb() > best_env.pool().free_mb()))
-          best = node;
-      }
-      return best;
-    }
-    return least_outstanding_node(fleet);
-  }
+  if (index != nullptr && index->tracks_warm())
+    return warm_aware_node(*index, fn_image);
 
   std::size_t best_node = fleet.node_count();
   containers::MatchLevel best_level = containers::MatchLevel::kNoMatch;
@@ -211,34 +201,6 @@ std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
   if (best_node != fleet.node_count()) return best_node;
   // Fleet-wide cold start: place it where the least work is outstanding.
   return least_outstanding_node(fleet);
-}
-
-FailoverRouter::FailoverRouter(std::unique_ptr<Router> inner)
-    : inner_(std::move(inner)) {
-  MLCR_CHECK(inner_ != nullptr);
-}
-
-void FailoverRouter::on_episode_start(const FleetEnv& fleet) {
-  inner_->on_episode_start(fleet);
-}
-
-std::size_t FailoverRouter::route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) {
-  const std::size_t target = inner_->route(fleet, inv);
-  MLCR_CHECK_MSG(target < fleet.routable_count(),
-                 "inner router picked an invalid node");
-  if (fleet.node_up(target)) return target;
-  // Every node down: return the inner choice; FleetEnv::run() counts the
-  // invocation as lost.
-  return least_outstanding_healthy_node(fleet).value_or(target);
-}
-
-bool FailoverRouter::needs_warm_index() const {
-  return inner_->needs_warm_index();
-}
-
-std::string FailoverRouter::name() const {
-  return "Failover(" + inner_->name() + ")";
 }
 
 HealthAwareRouter::HealthAwareRouter(std::unique_ptr<Router> inner,
@@ -323,15 +285,6 @@ std::vector<RouterSpec> standard_routers(std::uint64_t seed) {
   routers.push_back(
       {"Warm-Aware", [] { return std::make_unique<WarmAwareRouter>(); }});
   return routers;
-}
-
-RouterSpec with_failover(RouterSpec spec) {
-  RouterSpec wrapped;
-  wrapped.name = "Failover(" + spec.name + ")";
-  wrapped.make = [make = std::move(spec.make)] {
-    return std::make_unique<FailoverRouter>(make());
-  };
-  return wrapped;
 }
 
 RouterSpec with_health_aware(RouterSpec spec, double alpha, double threshold) {

@@ -34,6 +34,7 @@ class ImageSpec;
 namespace mlcr::fleet {
 
 class FleetEnv;
+class FleetIndex;
 
 /// Hash of the OS + language package lists of an image: the affinity key of
 /// ConsistentHashRouter. The runtime level is deliberately excluded so that
@@ -59,6 +60,28 @@ struct HashRingPoint {
 /// sorted ring.
 [[nodiscard]] std::size_t hash_ring_pick(
     const std::vector<HashRingPoint>& ring, std::uint64_t key);
+
+/// Warm-Aware placement over the index: the node holding the best Table-I
+/// match for `image` (L3 down to L1); ties break to fewer in-flight
+/// executions, then more free pool memory, then the lowest index; with no
+/// match anywhere (a fleet-wide cold start), index.least_outstanding(). The
+/// one implementation behind WarmAwareRouter's index path and
+/// serve::WarmAwarePolicy. Requires index.tracks_warm().
+[[nodiscard]] std::size_t warm_aware_node(const FleetIndex& index,
+                                          const containers::ImageSpec& image);
+
+/// Where a request a policy aimed at some node actually goes.
+struct Placement {
+  std::size_t node = 0;   ///< the serving node (the policy's pick when lost)
+  bool rerouted = false;  ///< the pick was down; `node` took over
+  bool lost = false;      ///< the pick was down and no healthy node remains
+};
+
+/// The failover rule, shared by FleetEnv::run and the serving plane: keep
+/// `target` while it is up; otherwise move to the healthy routable node with
+/// the fewest in-flight executions (lowest index on ties); lost when the
+/// whole routable fleet is down.
+[[nodiscard]] Placement fail_over(const FleetIndex& index, std::size_t target);
 
 class Router {
  public:
@@ -144,33 +167,14 @@ class ConsistentHashRouter final : public Router {
 /// invocation's image and routes there. Ties break to the node with fewer
 /// in-flight executions, then more free pool memory, then the lowest index.
 /// When no node holds any match (a fleet-wide cold start), falls back to
-/// least-outstanding placement.
+/// least-outstanding placement. With FleetEnv's index it calls
+/// warm_aware_node; the scan is the reference run_lockstep uses.
 class WarmAwareRouter final : public Router {
  public:
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
                                   const sim::Invocation& inv) override;
   [[nodiscard]] bool needs_warm_index() const override { return true; }
   [[nodiscard]] std::string name() const override { return "Warm-Aware"; }
-};
-
-/// Wraps any router with crash awareness: when the inner policy picks a
-/// node that is down, the invocation moves to the healthy node with the
-/// fewest in-flight executions (lowest index on ties). When every node is
-/// down the inner choice is returned unchanged and FleetEnv::run() counts
-/// the invocation as lost. The inner router still observes every request,
-/// so its per-episode state (round-robin cursor, hash ring) stays intact.
-class FailoverRouter final : public Router {
- public:
-  explicit FailoverRouter(std::unique_ptr<Router> inner);
-
-  void on_episode_start(const FleetEnv& fleet) override;
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
-  [[nodiscard]] bool needs_warm_index() const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  std::unique_ptr<Router> inner_;
 };
 
 /// Health-aware recovery baseline (DESIGN.md §14): wraps any router with a
@@ -215,9 +219,6 @@ struct RouterSpec {
 
 /// The five standard policies. `seed` feeds the random router.
 [[nodiscard]] std::vector<RouterSpec> standard_routers(std::uint64_t seed = 1);
-
-/// Wrap a RouterSpec so every produced instance is failover-aware.
-[[nodiscard]] RouterSpec with_failover(RouterSpec spec);
 
 /// Wrap a RouterSpec so every produced instance is health-aware (EWMA
 /// failure tracking; see HealthAwareRouter).

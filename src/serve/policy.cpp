@@ -41,8 +41,8 @@ std::size_t LeastOutstandingPolicy::route(const ShardedFleetIndex& index,
                                           const sim::Invocation& inv) {
   (void)functions;
   (void)inv;
-  MLCR_CHECK_MSG(index.node_count() > 0, "route() over an empty fleet");
-  return index.least_outstanding();
+  return index.read(
+      [](const fleet::FleetIndex& fleet) { return fleet.least_outstanding(); });
 }
 
 HashAffinityPolicy::HashAffinityPolicy(std::size_t virtual_nodes)
@@ -66,33 +66,10 @@ std::size_t HashAffinityPolicy::route(const ShardedFleetIndex& index,
 std::size_t WarmAwarePolicy::route(const ShardedFleetIndex& index,
                                    const sim::FunctionTable& functions,
                                    const sim::Invocation& inv) {
-  MLCR_CHECK_MSG(index.node_count() > 0, "route() over an empty fleet");
-  const auto& fn_image = functions.get(inv.function).image;
-  // Best level first: at the first non-empty lookup every candidate's best
-  // match is exactly that level (a better one would have answered the
-  // higher lookup), so the (busy, free memory, index) tie-break reproduces
-  // fleet::WarmAwareRouter's index-path choice bit for bit.
-  for (const containers::MatchLevel level :
-       {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
-        containers::MatchLevel::kL1}) {
-    const std::vector<std::size_t> candidates =
-        index.nodes_matching(fn_image, level);
-    if (candidates.empty()) continue;
-    std::size_t best = candidates.front();
-    fleet::FleetIndex::NodeLoad best_load = index.node_load(best);
-    for (std::size_t i = 1; i < candidates.size(); ++i) {
-      const std::size_t node = candidates[i];
-      const fleet::FleetIndex::NodeLoad load = index.node_load(node);
-      if (load.busy < best_load.busy ||
-          (load.busy == best_load.busy && load.free_mb > best_load.free_mb)) {
-        best = node;
-        best_load = load;
-      }
-    }
-    return best;
-  }
-  // Fleet-wide cold start: place it where the least work is outstanding.
-  return index.least_outstanding();
+  const auto& image = functions.get(inv.function).image;
+  return index.read([&](const fleet::FleetIndex& fleet) {
+    return fleet::warm_aware_node(fleet, image);
+  });
 }
 
 std::vector<PolicySpec> standard_policies(std::uint64_t seed) {

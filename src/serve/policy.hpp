@@ -1,9 +1,11 @@
 // Routing policies for the concurrent scheduler service. Each is the
-// serving-side twin of a fleet::Router, reading the ShardedFleetIndex
-// instead of the FleetEnv: route() must be safe to call from many worker
-// threads at once (stateful policies guard their own state), and over an
-// up-to-date index every policy picks the same node its fleet twin would —
-// the bit-identity the deterministic-replay tests pin.
+// serving-side host of a fleet::Router policy: it reads the service's
+// locked index instead of the FleetEnv, and the index-reading policies call
+// the fleet's own code (FleetIndex::least_outstanding, fleet::
+// warm_aware_node), so over an up-to-date index every policy picks the same
+// node its fleet router would — the bit-identity the deterministic-replay
+// tests pin. route() must be safe to call from many worker threads at once
+// (stateful policies guard their own state).
 #pragma once
 
 #include <atomic>
@@ -77,8 +79,8 @@ class RoundRobinPolicy final : public RoutePolicy {
   std::atomic<std::size_t> next_{0};
 };
 
-/// Node with the fewest in-flight executions (lowest index on ties), merged
-/// over the shard minima.
+/// Node with the fewest in-flight executions (lowest index on ties):
+/// FleetIndex::least_outstanding under the index's shared lock.
 class LeastOutstandingPolicy final : public RoutePolicy {
  public:
   [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
@@ -108,10 +110,9 @@ class HashAffinityPolicy final : public RoutePolicy {
   std::vector<fleet::HashRingPoint> ring_;  ///< rebuilt per episode
 };
 
-/// Best Table-I match across the fleet via the warm index (L3 down to L1),
-/// ties broken by (fewest busy, most free memory, lowest index) from the
-/// index's load entries; least-outstanding fallback on a fleet-wide cold
-/// start. Matches fleet::WarmAwareRouter's index path decision for decision.
+/// Best Table-I match across the fleet: fleet::warm_aware_node — the same
+/// code as fleet::WarmAwareRouter's index path — under the index's shared
+/// lock.
 class WarmAwarePolicy final : public RoutePolicy {
  public:
   [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,

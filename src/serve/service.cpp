@@ -1,11 +1,10 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 #include <utility>
 
 #include "core/mlcr.hpp"
+#include "fleet/event_core.hpp"
 #include "policies/runner.hpp"
 #include "serve/telemetry.hpp"
 #include "util/check.hpp"
@@ -22,7 +21,8 @@ SchedulerService::SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
       config_(config) {
   MLCR_CHECK(policy_ != nullptr);
   MLCR_CHECK_MSG(config_.workers > 0, "the service needs at least one worker");
-  MLCR_CHECK_MSG(config_.shards > 0, "the service needs at least one shard");
+  MLCR_CHECK_MSG(config_.shards > 0,
+                 "the service needs at least one dispatch stripe");
   MLCR_CHECK_MSG(config_.batch > 0, "batch must drain at least one request");
   MLCR_CHECK_MSG(config_.queue_capacity > 0, "queues need room for one item");
   MLCR_CHECK_MSG(
@@ -73,7 +73,7 @@ void SchedulerService::begin_episode() {
   // are reachable through the index's failover/least-outstanding queries.
   policy_->on_episode_start(fleet_.routable_count());
 
-  index_ = std::make_unique<ShardedFleetIndex>(nodes, config_.shards,
+  index_ = std::make_unique<ShardedFleetIndex>(nodes,
                                                policy_->needs_warm_index());
   for (std::size_t i = 0; i < nodes; ++i) {
     index_->update(i, fleet_.node_env(i));
@@ -85,7 +85,7 @@ void SchedulerService::begin_episode() {
     queues_.push_back(
         std::make_unique<BoundedQueue<Request>>(config_.queue_capacity));
   shard_mutexes_.clear();
-  for (std::size_t s = 0; s < index_->shard_count(); ++s)
+  for (std::size_t s = 0; s < std::min(config_.shards, nodes); ++s)
     shard_mutexes_.push_back(std::make_unique<std::mutex>());
 
   submit_cursor_.store(0, std::memory_order_relaxed);
@@ -267,25 +267,26 @@ bool SchedulerService::apply_crash(std::size_t node, bool partial) {
   MLCR_CHECK_MSG(node < fleet_.node_count(),
                  "apply_crash() on unknown node " << node);
   std::optional<std::size_t> spare;
-  double at = 0.0;
   {
-    const std::size_t shard = index_->shard_of(node);
-    std::lock_guard lock(*shard_mutexes_[shard]);
+    const std::size_t stripe = stripe_of(node);
+    std::lock_guard lock(*shard_mutexes_[stripe]);
     const util::LockRankScope lock_rank(
-        util::lock_ranks::service_shard(shard), "service shard mutex");
-    sim::ClusterEnv& env = fleet_.node_env(node);
+        util::lock_ranks::service_shard(stripe), "service stripe mutex");
+    const sim::ClusterEnv& env = fleet_.node_env(node);
     if (env.down()) return false;
-    at = std::max(clock_.now_s(), env.now());
-    env.crash(at, partial);
-    index_->update(node, env);
-    node_crashes_.fetch_add(1, std::memory_order_relaxed);
-    if (partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_node_crash(node, partial, at);
+    crash_node(node, std::max(clock_.now_s(), env.now()), partial);
     spare = fleet_.activate_spare();
   }
-  // Outside the crashed node's shard lock: the spare's shard may rank below
-  // it, and the ascending-order discipline forbids acquiring backwards.
-  if (spare) admit_spare(*spare);
+  // Outside the crashed node's stripe lock: the spare's stripe may rank
+  // below it, and the ascending-order discipline forbids acquiring
+  // backwards.
+  if (spare) {
+    const std::size_t stripe = stripe_of(*spare);
+    std::lock_guard lock(*shard_mutexes_[stripe]);
+    const util::LockRankScope lock_rank(
+        util::lock_ranks::service_shard(stripe), "service stripe mutex");
+    admit_spare(*spare, clock_.now_s());
+  }
   return true;
 }
 
@@ -293,17 +294,13 @@ bool SchedulerService::apply_recover(std::size_t node) {
   MLCR_CHECK_MSG(in_episode_, "apply_recover() outside an episode");
   MLCR_CHECK_MSG(node < fleet_.node_count(),
                  "apply_recover() on unknown node " << node);
-  const std::size_t shard = index_->shard_of(node);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
-  sim::ClusterEnv& env = fleet_.node_env(node);
+  const std::size_t stripe = stripe_of(node);
+  std::lock_guard lock(*shard_mutexes_[stripe]);
+  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(stripe),
+                                      "service stripe mutex");
+  const sim::ClusterEnv& env = fleet_.node_env(node);
   if (!env.down()) return false;
-  const double at = std::max(clock_.now_s(), env.now());
-  env.recover(at);
-  index_->update(node, env);
-  node_recoveries_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr) telemetry_->on_node_recover(node, at);
+  recover_node(node, std::max(clock_.now_s(), env.now()));
   return true;
 }
 
@@ -331,91 +328,92 @@ std::size_t SchedulerService::apply_domain_crash(std::size_t domain_id,
   return crashed;
 }
 
-void SchedulerService::admit_spare(std::size_t spare) {
-  const std::size_t shard = index_->shard_of(spare);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+void SchedulerService::crash_node(std::size_t node, double at, bool partial) {
+  sim::ClusterEnv& env = fleet_.node_env(node);
+  env.crash(at, partial);
+  index_->update(node, env);
+  node_crashes_.fetch_add(1, std::memory_order_relaxed);
+  if (partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
+  if (telemetry_ != nullptr) telemetry_->on_node_crash(node, partial, at);
+}
+
+void SchedulerService::recover_node(std::size_t node, double at) {
+  sim::ClusterEnv& env = fleet_.node_env(node);
+  env.recover(at);
+  index_->update(node, env);
+  node_recoveries_.fetch_add(1, std::memory_order_relaxed);
+  if (telemetry_ != nullptr) telemetry_->on_node_recover(node, at);
+}
+
+void SchedulerService::admit_spare(std::size_t spare, double at) {
   index_->update(spare, fleet_.node_env(spare));
   index_->set_routable(spare, true);
   spares_activated_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr)
-    telemetry_->on_spare_activated(spare, clock_.now_s());
+  if (telemetry_ != nullptr) telemetry_->on_spare_activated(spare, at);
 }
 
 std::optional<std::size_t> SchedulerService::apply_fault_event(
     const fleet::FleetEnv::FaultEvent& ev, bool clamp) {
-  sim::ClusterEnv& env = fleet_.node_env(ev.node);
+  const sim::ClusterEnv& env = fleet_.node_env(ev.node);
   const double at = clamp ? std::max(ev.time, env.now()) : ev.time;
   if (ev.is_recovery) {
-    if (clamp && !env.down()) return std::nullopt;
-    env.recover(at);
-    index_->update(ev.node, env);
-    node_recoveries_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_node_recover(ev.node, at);
+    if (!clamp || env.down()) recover_node(ev.node, at);
     return std::nullopt;
   }
-  env.crash(at, ev.partial);
-  index_->update(ev.node, env);
-  node_crashes_.fetch_add(1, std::memory_order_relaxed);
-  if (ev.partial) partial_crashes_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr) telemetry_->on_node_crash(ev.node, ev.partial, at);
+  crash_node(ev.node, at, ev.partial);
   if (ev.domain_lead) {
     domain_crashes_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry_ != nullptr)
       telemetry_->on_domain_crash(ev.domain, ev.partial, at);
   }
   const std::optional<std::size_t> spare = fleet_.activate_spare();
-  if (spare) {
-    index_->update(*spare, fleet_.node_env(*spare));
-    index_->set_routable(*spare, true);
-    spares_activated_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_spare_activated(*spare, at);
-  }
+  if (spare) admit_spare(*spare, at);
   return spare;
 }
 
-SchedulerService::RouteOutcome SchedulerService::pick_target(
+fleet::Placement SchedulerService::pick_target(
     const sim::Invocation& inv) const {
-  RouteOutcome out;
-  out.node = policy_->route(*index_, fleet_.functions(), inv);
-  MLCR_CHECK_MSG(out.node < fleet_.node_count(),
-                 "policy picked an invalid node");
-  if (!index_->node_load(out.node).up) {
-    // Deterministic failover, as in FleetEnv::run: least outstanding work
-    // among healthy nodes, lowest index on ties.
-    const auto best = index_->least_outstanding_healthy();
-    if (!best) {
-      out.lost = true;
-      return out;
-    }
-    out.node = *best;
-    out.rerouted = true;
-  }
-  return out;
+  const std::size_t pick = policy_->route(*index_, fleet_.functions(), inv);
+  MLCR_CHECK_MSG(pick < fleet_.node_count(), "policy picked an invalid node");
+  return index_->read([pick](const fleet::FleetIndex& index) {
+    return fleet::fail_over(index, pick);
+  });
 }
 
 std::optional<std::size_t> SchedulerService::serve_one(const Request& req) {
-  const RouteOutcome route = pick_target(req.inv);
-  if (route.lost) {
-    lost_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
-    return std::nullopt;
+  fleet::Placement route = pick_target(req.inv);
+  bool rerouted = route.rerouted;
+  for (;;) {
+    if (route.lost) {
+      lost_.fetch_add(1, std::memory_order_relaxed);
+      if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
+      return std::nullopt;
+    }
+    if (telemetry_ != nullptr)
+      telemetry_->on_route(req.inv, route.node, rerouted, clock_.now_s());
+    if (dispatch_one(req, route.node, rerouted)) {
+      if (rerouted) rerouted_.fetch_add(1, std::memory_order_relaxed);
+      return route.node;
+    }
+    // The node crashed between routing and its stripe lock. The crash
+    // updated the index before releasing that lock, so the failover rule
+    // sees it down (or back up, if it has recovered since).
+    const std::size_t crashed = route.node;
+    route = index_->read([crashed](const fleet::FleetIndex& index) {
+      return fleet::fail_over(index, crashed);
+    });
+    rerouted = rerouted || route.rerouted;
   }
-  if (route.rerouted) rerouted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_ != nullptr)
-    telemetry_->on_route(req.inv, route.node, route.rerouted, clock_.now_s());
-  dispatch_one(req, route.node, route.rerouted);
-  return route.node;
 }
 
-void SchedulerService::dispatch_one(const Request& req, std::size_t target,
+bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
                                     bool rerouted) {
-  const std::size_t shard = index_->shard_of(target);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+  const std::size_t stripe = stripe_of(target);
+  std::lock_guard lock(*shard_mutexes_[stripe]);
+  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(stripe),
+                                      "service stripe mutex");
   sim::ClusterEnv& env = fleet_.node_env(target);
+  if (env.down()) return false;
   sim::Invocation inv = req.inv;
   // Concurrent ingestion can deliver a request after the node's clock moved
   // past its stamped arrival; clamping keeps offer()'s non-decreasing
@@ -433,6 +431,7 @@ void SchedulerService::dispatch_one(const Request& req, std::size_t target,
   if (telemetry_ != nullptr)
     telemetry_->on_dispatch(req.inv, target, req.degraded, rerouted, result,
                             clock_.now_s());
+  return true;
 }
 
 void SchedulerService::note_wave(std::size_t width) {
@@ -443,8 +442,8 @@ void SchedulerService::note_wave(std::size_t width) {
   }
 }
 
-std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
-                                            std::size_t begin) {
+std::size_t SchedulerService::dispatch_wave(
+    std::vector<const Request*>& pending, std::size_t begin) {
   // Phase 1 — route. Every wave member must target a *distinct* node:
   // ClusterEnv requires offer -> step before the next offer on a node, and
   // a wave steps only after the batched forward. The whole wave routes
@@ -459,9 +458,9 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
   std::vector<Entry> wave;
   wave.reserve(config_.batch);
   std::size_t next = begin;
-  while (next < batch.size() && wave.size() < config_.batch) {
-    const Request& req = batch[next];
-    const RouteOutcome route = pick_target(req.inv);
+  while (next < pending.size() && wave.size() < config_.batch) {
+    const Request& req = *pending[next];
+    const fleet::Placement route = pick_target(req.inv);
     if (route.lost) {
       lost_.fetch_add(1, std::memory_order_relaxed);
       if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
@@ -481,23 +480,39 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
   }
   if (wave.empty()) return next;
 
-  // Phase 2 — lock the touched shards' dispatch mutexes in ascending shard
+  // Phase 2 — lock the touched stripes' dispatch mutexes in ascending
   // order (deduped), so concurrent workers can never deadlock.
-  std::vector<std::size_t> shards;
-  shards.reserve(wave.size());
-  for (const Entry& entry : wave)
-    shards.push_back(index_->shard_of(entry.target));
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
+  std::vector<std::size_t> stripes;
+  stripes.reserve(wave.size());
+  for (const Entry& entry : wave) stripes.push_back(stripe_of(entry.target));
+  std::sort(stripes.begin(), stripes.end());
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards.size());
+  locks.reserve(stripes.size());
   std::vector<util::LockRankScope> lock_ranks;
-  lock_ranks.reserve(shards.size());
-  for (const std::size_t shard : shards) {
-    locks.emplace_back(*shard_mutexes_[shard]);
-    lock_ranks.emplace_back(util::lock_ranks::service_shard(shard),
-                            "service shard mutex");
+  lock_ranks.reserve(stripes.size());
+  for (const std::size_t stripe : stripes) {
+    locks.emplace_back(*shard_mutexes_[stripe]);
+    lock_ranks.emplace_back(util::lock_ranks::service_shard(stripe),
+                            "service stripe mutex");
   }
+
+  // A member whose node crashed since it was routed leaves the wave: it
+  // goes back just before `next`, in order, and re-routes through the
+  // failover rule at the head of the next wave.
+  std::vector<const Request*> retry;
+  std::size_t kept = 0;
+  for (const Entry& entry : wave) {
+    if (fleet_.node_env(entry.target).down())
+      retry.push_back(entry.req);
+    else
+      wave[kept++] = entry;
+  }
+  wave.resize(kept);
+  next -= retry.size();
+  std::copy(retry.begin(), retry.end(),
+            pending.begin() + static_cast<std::ptrdiff_t>(next));
+  if (wave.empty()) return next;
 
   // Phase 3 — offer every wave member (clamped), then decide the
   // non-degraded ones in a single forward_batch under the inference mutex.
@@ -537,7 +552,7 @@ std::size_t SchedulerService::dispatch_wave(const std::vector<Request>& batch,
   }
 
   // Phase 4 — step every member and refresh its index entry before the
-  // shard locks drop.
+  // stripe locks drop.
   for (std::size_t i = 0; i < wave.size(); ++i) {
     const Entry& entry = wave[i];
     sim::ClusterEnv& env = fleet_.node_env(entry.target);
@@ -561,8 +576,11 @@ void SchedulerService::process_batch(const std::vector<Request>& batch) {
   if (batch.empty()) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (mlcr_mode_) {
+    std::vector<const Request*> pending;
+    pending.reserve(batch.size());
+    for (const Request& req : batch) pending.push_back(&req);
     std::size_t i = 0;
-    while (i < batch.size()) i = dispatch_wave(batch, i);
+    while (i < pending.size()) i = dispatch_wave(pending, i);
   } else {
     for (const Request& req : batch) (void)serve_one(req);
   }
@@ -577,10 +595,10 @@ void SchedulerService::janitor_step() {
   const std::size_t node =
       janitor_cursor_.fetch_add(1, std::memory_order_relaxed) %
       fleet_.node_count();
-  const std::size_t shard = index_->shard_of(node);
-  std::lock_guard lock(*shard_mutexes_[shard]);
-  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(shard),
-                                      "service shard mutex");
+  const std::size_t stripe = stripe_of(node);
+  std::lock_guard lock(*shard_mutexes_[stripe]);
+  const util::LockRankScope lock_rank(util::lock_ranks::service_shard(stripe),
+                                      "service stripe mutex");
   sim::ClusterEnv& env = fleet_.node_env(node);
   if (env.now() >= now) return;
   env.advance_idle(now);
@@ -594,54 +612,15 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
   MLCR_CHECK_MSG(pool_ == nullptr, "run_replay() while workers run");
   begin_episode();
 
-  // The event core of FleetEnv::run, replicated over the sharded index: one
-  // lazily-invalidated heap entry per node holds its next self-scheduled
-  // event (completion or TTL expiry); stale entries are discarded on pop.
-  // The plan's fault events stay in the fleet's pre-sorted list and are
-  // merged by time, firing before node advances at equal times — the order
-  // FleetEnv::run uses.
-  struct AdvanceEntry {
-    double time;
-    std::size_t node;
-    std::uint64_t version;
-  };
-  struct AdvanceLater {
-    bool operator()(const AdvanceEntry& a, const AdvanceEntry& b) const {
-      if (a.time != b.time) return a.time > b.time;  // min-heap on time
-      return a.node > b.node;                        // deterministic ties
-    }
-  };
-  std::priority_queue<AdvanceEntry, std::vector<AdvanceEntry>, AdvanceLater>
-      heap;
-  std::vector<std::uint64_t> versions(fleet_.node_count(), 0);
+  // The event core FleetEnv::run drives, over the same fault-event list:
+  // node advances and faults fire in the identical order.
+  fleet::EventCore events(fleet_.node_count(), fleet_.fault_events());
   const auto reschedule = [&](std::size_t node) {
-    ++versions[node];
-    if (const auto at = fleet_.node_env(node).next_event_time())
-      heap.push({*at, node, versions[node]});
+    events.reschedule(node, fleet_.node_env(node).next_event_time());
   };
   for (std::size_t i = 0; i < fleet_.node_count(); ++i) reschedule(i);
-
-  const auto drain = [&](double t, bool inclusive) {
-    for (;;) {
-      while (!heap.empty() && heap.top().version != versions[heap.top().node])
-        heap.pop();
-      if (heap.empty()) return;
-      if (inclusive ? heap.top().time > t : heap.top().time >= t) return;
-      const AdvanceEntry entry = heap.top();
-      heap.pop();
-      sim::ClusterEnv& env = fleet_.node_env(entry.node);
-      env.advance_to(entry.time);
-      index_->update(entry.node, env);
-      reschedule(entry.node);
-    }
-  };
-  const auto& fault_events = fleet_.fault_events();
-  std::size_t next_fault = 0;
-  // Fire one pre-planned transition: node advances strictly before it run
-  // first, then the event, then the touched nodes reschedule.
   const auto fire_fault = [&](const fleet::FleetEnv::FaultEvent& ev,
                               bool clamp) {
-    if (!clamp) drain(ev.time, /*inclusive=*/false);
     const std::optional<std::size_t> spare = apply_fault_event(ev, clamp);
     reschedule(ev.node);
     if (spare) reschedule(*spare);
@@ -652,14 +631,18 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
     MLCR_CHECK_MSG(inv.arrival_s >= last_arrival,
                    "replay traces must be sorted by arrival");
     last_arrival = inv.arrival_s;
-    while (next_fault < fault_events.size() &&
-           fault_events[next_fault].time <= inv.arrival_s) {
-      const fleet::FleetEnv::FaultEvent& ev = fault_events[next_fault++];
-      sim_clock->advance_to(ev.time);
-      fire_fault(ev, /*clamp=*/false);
+    while (const auto ev = events.pop_due(inv.arrival_s)) {
+      if (ev->fault != nullptr) {
+        sim_clock->advance_to(ev->time);
+        fire_fault(*ev->fault, /*clamp=*/false);
+        continue;
+      }
+      sim::ClusterEnv& env = fleet_.node_env(ev->node);
+      env.advance_to(ev->time);
+      index_->update(ev->node, env);
+      reschedule(ev->node);
     }
     sim_clock->advance_to(inv.arrival_s);
-    drain(inv.arrival_s, /*inclusive=*/true);
     submitted_.fetch_add(1, std::memory_order_relaxed);
     // Replay bypasses the queues, so the ingest hook fires here: queue slot
     // as submit() would round-robin it, depth 0 (nothing ever queues).
@@ -675,8 +658,9 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
   }
   // Episode tail: fire what remains of the plan (clamped to node clocks, as
   // FleetEnv::finish_run does) so crash/recovery counts match it.
-  for (; next_fault < fault_events.size(); ++next_fault) {
-    const fleet::FleetEnv::FaultEvent& ev = fault_events[next_fault];
+  const auto& fault_events = fleet_.fault_events();
+  for (std::size_t f = events.next_fault(); f < fault_events.size(); ++f) {
+    const fleet::FleetEnv::FaultEvent& ev = fault_events[f];
     if (ev.time > sim_clock->now_s()) sim_clock->advance_to(ev.time);
     fire_fault(ev, /*clamp=*/true);
   }

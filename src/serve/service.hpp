@@ -1,19 +1,22 @@
 // SchedulerService: the online serving front-end over an MLCR fleet
 // (DESIGN.md §11). Producers submit() invocations into bounded per-worker
 // queues; worker threads drain them in batches and dispatch each request to
-// a node picked by a RoutePolicy over the ShardedFleetIndex. The node's own
+// a node picked by a RoutePolicy over the service's locked FleetIndex, then
+// placed by the fleet's failover rule (fleet::fail_over). The node's own
 // scheduler (any SystemSpec, including MLCR) then makes the container-reuse
 // decision, exactly as in FleetEnv::run.
 //
 // Concurrency model (two-level locking):
-//   - routing reads only the sharded index (shared locks inside it) — never
-//     a node environment;
-//   - dispatch mutates node state under the service's per-shard std::mutex
-//     (node n -> shard n % shards), and refreshes the index entry before
-//     releasing it, so readers never observe a node mid-step;
-//   - lock order is service shard mutex -> index shard lock (inside
-//     update()) -> inference mutex, never reversed; multi-shard waves
-//     acquire shard mutexes in ascending shard order.
+//   - routing reads only the index (its shared lock) — never a node
+//     environment;
+//   - dispatch mutates node state under the service's dispatch-stripe
+//     std::mutex (node n -> stripe n % stripes), re-checks under it that the
+//     node is still up (a concurrent crash fails the request over), and
+//     refreshes the index entry before releasing it, so readers never
+//     observe a node mid-step;
+//   - lock order is stripe mutex -> inference mutex -> index lock, never
+//     reversed; multi-stripe waves acquire stripe mutexes in ascending
+//     order.
 //
 // Backpressure: a submit() that finds its queue at/above `degrade_depth` is
 // accepted *degraded* — it will be served with a forced cold start, skipping
@@ -33,7 +36,7 @@
 // from ONE admin thread (the spare-admission and fleet routable-set state is
 // not atomic; a single chaos driver concurrent with the workers is the
 // supported model, and what the TSan tests pin). Crash events admit cold
-// spares into the routable set via the sharded index, so recovery capacity
+// spares into the routable set via the index, so recovery capacity
 // appears on the failover path without restarting the episode.
 #pragma once
 
@@ -48,6 +51,7 @@
 #include "faults/injector.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/metrics.hpp"
+#include "fleet/router.hpp"
 #include "serve/clock.hpp"
 #include "serve/policy.hpp"
 #include "serve/queue.hpp"
@@ -65,7 +69,8 @@ class Telemetry;
 struct ServeConfig {
   /// Worker threads; each owns one ingestion queue (submit round-robins).
   std::size_t workers = 1;
-  /// Index/dispatch shards (clamped to the node count).
+  /// Dispatch-mutex stripes (clamped to the node count): node n's state is
+  /// guarded by stripe n % shards. The index is one lock either way.
   std::size_t shards = 1;
   /// Per-worker queue bound; a push into a full queue is rejected.
   std::size_t queue_capacity = 1024;
@@ -125,8 +130,8 @@ class SchedulerService {
   /// reported; a null telemetry pointer costs one predicted branch per site.
   void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Reset every node's streaming episode and scheduler, rebuild the sharded
-  /// index, create fresh queues, and zero the counters. Detects an MLCR
+  /// Reset every node's streaming episode and scheduler, rebuild the index,
+  /// create fresh queues, and zero the counters. Detects an MLCR
   /// fleet (all node schedulers are MlcrScheduler — mixed fleets are
   /// rejected) and switches dispatch to batched wave inference.
   void begin_episode();
@@ -150,14 +155,14 @@ class SchedulerService {
   [[nodiscard]] ServeSummary finish_episode();
 
   /// Deterministic replay: run `trace` through the full service path —
-  /// sharded index, routing policy, per-node schedulers — single-threadedly
-  /// in arrival order, advancing the SimClock and the nodes' event cores
-  /// exactly as FleetEnv::run does. With an up-to-date index every policy
-  /// matches its fleet-router twin decision for decision, so the returned
-  /// fleet summary equals FleetEnv::run's on a faultless plan (asserted in
-  /// tests/serve). On a faulted plan the fleet's fault-event list is merged
-  /// into the loop, firing before node advances at equal times. Requires a
-  /// SimClock. Runs its own episode.
+  /// index, routing policy, failover, per-node schedulers —
+  /// single-threadedly in arrival order, driving the SimClock and the same
+  /// fleet::EventCore FleetEnv::run drives (the fleet's fault-event list
+  /// merged in, faults before node advances at equal times). With an
+  /// up-to-date index every policy matches its fleet router decision for
+  /// decision, so the returned fleet summary equals FleetEnv::run's,
+  /// faulted plans included (asserted in tests/serve). Requires a SimClock.
+  /// Runs its own episode.
   [[nodiscard]] ServeSummary run_replay(const sim::Trace& trace);
 
   // Live chaos admin APIs (DESIGN.md §14). Thread-safe against the workers,
@@ -192,29 +197,26 @@ class SchedulerService {
     bool degraded = false;
   };
 
-  /// Routing decision for one request; `lost` when no healthy node exists.
-  struct RouteOutcome {
-    bool lost = false;
-    std::size_t node = 0;
-    bool rerouted = false;
-  };
-
-  [[nodiscard]] RouteOutcome pick_target(const sim::Invocation& inv) const;
+  /// The policy's pick, placed by the failover rule over the index.
+  [[nodiscard]] fleet::Placement pick_target(const sim::Invocation& inv) const;
 
   /// Route + dispatch one request (used by the non-MLCR path and replay).
   /// Returns the node served, or nullopt when the request was lost.
   std::optional<std::size_t> serve_one(const Request& req);
 
-  /// Offer/decide/step/observe on `target` under its shard mutex, then
-  /// refresh the index entry. Mirrors FleetEnv::dispatch. `rerouted` is
-  /// routing context forwarded to telemetry.
-  void dispatch_one(const Request& req, std::size_t target, bool rerouted);
+  /// Offer/decide/step/observe on `target` under its stripe mutex, then
+  /// refresh the index entry. Mirrors FleetEnv::dispatch. False, with
+  /// nothing dispatched, when `target` crashed after it was picked.
+  /// `rerouted` is routing context forwarded to telemetry.
+  bool dispatch_one(const Request& req, std::size_t target, bool rerouted);
 
-  /// Serve `batch[begin..]` up to one MLCR wave: route requests until a
+  /// Serve `pending[begin..]` up to one MLCR wave: route requests until a
   /// target node repeats or the wave reaches config_.batch, then offer all,
-  /// decide the whole wave in one forward_batch, and step each. Returns the
-  /// index of the first unserved request.
-  std::size_t dispatch_wave(const std::vector<Request>& batch,
+  /// decide the whole wave in one forward_batch, and step each. Members
+  /// whose node crashed after routing are written back just before the
+  /// returned position, so they re-route at the head of the next wave.
+  /// Returns the position of the first unserved request.
+  std::size_t dispatch_wave(std::vector<const Request*>& pending,
                             std::size_t begin);
 
   void process_batch(const std::vector<Request>& batch);
@@ -226,17 +228,23 @@ class SchedulerService {
   void worker_loop(std::size_t worker);
   void drain_queues_on_caller();
   void note_wave(std::size_t width);
+  [[nodiscard]] std::size_t stripe_of(std::size_t node) const noexcept {
+    return node % shard_mutexes_.size();
+  }
 
-  /// Admit `spare` into the routable set: flip its index entry routable and
-  /// refresh it under the spare's shard mutex. Called after the crashed
-  /// node's shard lock is released (ascending-order discipline: the spare's
-  /// shard may rank below the crashed node's).
-  void admit_spare(std::size_t spare);
+  // Fault transitions at time `at`, each refreshing the index and
+  // recording counters and telemetry. The caller holds the node's stripe
+  // mutex (the admin APIs; a spare's after the crashed node's is released,
+  // since its stripe may rank lower) or is the single-threaded replay.
+  void crash_node(std::size_t node, double at, bool partial);
+  void recover_node(std::size_t node, double at);
+  /// Admit `spare` into the routable set.
+  void admit_spare(std::size_t spare, double at);
 
-  /// Replay-path twin of FleetEnv::fire_fault_event: fire one pre-planned
-  /// transition (single-threaded; no shard mutexes). `clamp` is the
-  /// episode-tail mode — times clamp to the node clock and stale recoveries
-  /// are skipped. Returns the spare admitted by a crash, if any.
+  /// Replay-path counterpart of FleetEnv::fire_fault_event: fire one
+  /// pre-planned transition (single-threaded; no stripe mutexes). `clamp`
+  /// is the episode-tail mode — times clamp to the node clock and stale
+  /// recoveries are skipped. Returns the spare admitted by a crash, if any.
   std::optional<std::size_t> apply_fault_event(
       const fleet::FleetEnv::FaultEvent& ev, bool clamp);
 
@@ -257,6 +265,7 @@ class SchedulerService {
   std::vector<core::MlcrScheduler*> mlcr_;
   /// unique_ptr: queues/mutexes are neither movable nor copyable.
   std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
+  /// Dispatch stripes: node n's env is guarded by n % size().
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
   /// Serializes forward_batch on the shared agent across workers.
   std::mutex inference_mutex_;

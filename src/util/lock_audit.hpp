@@ -2,9 +2,9 @@
 // contract (DESIGN.md §12). The static half is simlint's lock-discipline
 // checker (tools/simlint/locks.hpp); both encode the same declared order:
 //
-//   service shard mutexes (ascending shard)  rank 1'000'000 + shard
+//   service dispatch stripes (ascending)     rank 1'000'000 + stripe
 //   inference mutex                          rank 2'000'000
-//   index shard locks                        rank 3'000'000 + shard
+//   fleet index lock                         rank 3'000'000
 //   telemetry window/trace mutex             rank 4'000'000
 //   metrics registry slot locks (leaves)     rank 5'000'000 + slot
 //
@@ -37,20 +37,16 @@ namespace lock_ranks {
 
 inline constexpr std::uint64_t kServiceShardBase = 1'000'000;
 inline constexpr std::uint64_t kInference = 2'000'000;
-inline constexpr std::uint64_t kIndexShardBase = 3'000'000;
+/// ShardedFleetIndex's one lock. Nothing in the serving path is acquired
+/// while it is held.
+inline constexpr std::uint64_t kIndex = 3'000'000;
 inline constexpr std::uint64_t kTelemetry = 4'000'000;
 inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
 
-/// Rank of SchedulerService's dispatch mutex for `shard` (ascending-index
+/// Rank of SchedulerService's dispatch-stripe mutex `shard` (ascending-index
 /// acquisition across a wave maps to ascending ranks).
 [[nodiscard]] constexpr std::uint64_t service_shard(std::size_t shard) {
   return kServiceShardBase + shard;
-}
-
-/// Rank of ShardedFleetIndex's per-shard lock. Nothing in the serving path
-/// is acquired while one is held.
-[[nodiscard]] constexpr std::uint64_t index_shard(std::size_t shard) {
-  return kIndexShardBase + shard;
 }
 
 /// Rank of ConcurrentMetricsRegistry's per-slot lock — the leaves: with the
@@ -78,9 +74,9 @@ class LockOrderValidator {
       MLCR_CHECK_MSG(h < rank, "lock-order audit: '"
                                    << name << "' (rank " << rank
                                    << ") acquired while holding rank " << h
-                                   << "; the declared order is service shard "
+                                   << "; the declared order is service stripe "
                                       "mutexes (ascending) < inference mutex "
-                                      "< index shard locks < telemetry mutex "
+                                      "< index lock < telemetry mutex "
                                       "< registry slot locks");
     }
     stack.push_back(rank);

@@ -99,31 +99,6 @@ TEST(FaultFleet, CrashWindowReroutesEveryInvocationWithZeroLoss) {
   EXPECT_GT(fs.total.cold_starts, 2U);
 }
 
-TEST(FaultFleet, FailoverRouterAvoidsDownNodesBeforeTheFleetMust) {
-  TinyWorld world;
-  fleet::FleetConfig cfg;
-  cfg.nodes = 2;
-  cfg.seed = 5;
-  cfg.faults.crashes.push_back({0, 22.0, 48.0});
-  fleet::FleetEnv env = make_fleet(world, cfg);
-  fleet::FailoverRouter router(std::make_unique<fleet::RoundRobinRouter>());
-  EXPECT_EQ(router.name(), "Failover(Round-Robin)");
-  const sim::Trace trace = steady_trace(world, 20, 5.0);
-  const fleet::FleetSummary fs = env.run(trace, router);
-
-  // The wrapper already routes around the crash, so the fleet's own
-  // last-resort failover never fires.
-  EXPECT_EQ(fs.rerouted, 0U);
-  EXPECT_EQ(fs.lost, 0U);
-  EXPECT_EQ(fs.total.invocations, trace.size());
-
-  const fleet::RouterSpec wrapped = fleet::with_failover(
-      {"Round-Robin",
-       [] { return std::make_unique<fleet::RoundRobinRouter>(); }});
-  EXPECT_EQ(wrapped.name, "Failover(Round-Robin)");
-  EXPECT_EQ(wrapped.make()->name(), "Failover(Round-Robin)");
-}
-
 TEST(FaultFleet, AllNodesDownLosesInvocationsButAccountsForThem) {
   TinyWorld world;
   fleet::FleetConfig cfg;
@@ -240,7 +215,7 @@ TEST(FaultFleet, DomainCrashCountsEventsAdmitsSparesAndKeepsAccounting) {
   TinyWorld world;
   fleet::FleetEnv env = make_fleet(world, rack_config());
   const sim::Trace trace = steady_trace(world, 40, 0.3);
-  fleet::FailoverRouter router(std::make_unique<fleet::WarmAwareRouter>());
+  fleet::WarmAwareRouter router;
 
   EXPECT_EQ(env.routable_count(), 6U);
   EXPECT_EQ(env.node_count(), 7U);
@@ -257,13 +232,16 @@ TEST(FaultFleet, DomainCrashCountsEventsAdmitsSparesAndKeepsAccounting) {
   EXPECT_EQ(fs.spares_activated, 1U);
   EXPECT_TRUE(env.node_routable(6));
   EXPECT_EQ(fs.total.invocations + fs.lost, trace.size());
+  // Warm-Aware keeps aiming at the rack's warm pools, so run()'s failover
+  // moves work off the down members.
+  EXPECT_GT(fs.rerouted, 0U);
   // The spare served traffic once admitted (half the fleet was down).
   ASSERT_EQ(fs.per_node.size(), 7U);
   EXPECT_GT(fs.per_node[6].invocations, 0U);
 
   // Repeated runs of the same faulted fleet are bit-identical.
   fleet::FleetEnv env2 = make_fleet(world, rack_config());
-  fleet::FailoverRouter router2(std::make_unique<fleet::WarmAwareRouter>());
+  fleet::WarmAwareRouter router2;
   const fleet::FleetSummary fs2 = env2.run(trace, router2);
   EXPECT_EQ(fs.total.invocations, fs2.total.invocations);
   EXPECT_EQ(fs.total.failed, fs2.total.failed);

@@ -10,6 +10,7 @@
 
 #include "faults/fault_plan.hpp"
 #include "fleet/fleet_env.hpp"
+#include "fleet/fleet_index.hpp"
 #include "fleet/router.hpp"
 #include "testing/fixtures.hpp"
 
@@ -186,16 +187,18 @@ TEST(Router, HealthAwareAvoidsRecoveredNodeLongerThanFailover) {
     auto env = make_crashy_fleet(world);
     return env.run(trace, *router);
   };
-  const auto failover = run(std::make_unique<fleet::FailoverRouter>(
-      std::make_unique<fleet::RoundRobinRouter>()));
+  // Bare Round-Robin: FleetEnv::run's failover rule moves what it aims at
+  // the down node, and nothing keeps load off the node once it is back.
+  const auto failover = run(std::make_unique<fleet::RoundRobinRouter>());
   // A slow EWMA (alpha 0.05) keeps node 0's failure estimate above the 0.3
   // threshold for ~15 routing decisions after it rejoins at t=7.
   const auto health = run(std::make_unique<fleet::HealthAwareRouter>(
       std::make_unique<fleet::RoundRobinRouter>(), /*alpha=*/0.05,
       /*threshold=*/0.3));
 
-  // Both wrappers steer around the down node, so nothing is lost and the
-  // fleet serves the full trace either way.
+  // Both steer around the down node, so nothing is lost and the fleet
+  // serves the full trace either way.
+  EXPECT_GT(failover.rerouted, 0U);
   EXPECT_EQ(failover.lost, 0U);
   EXPECT_EQ(health.lost, 0U);
   EXPECT_EQ(failover.total.invocations, health.total.invocations);
@@ -215,12 +218,42 @@ TEST(Router, HealthAwareAvoidsRecoveredNodeLongerThanFailover) {
 
 TEST(Router, WrapperSpecsComposeNames) {
   auto specs = fleet::standard_routers();
-  const auto failover = fleet::with_failover(specs[0]);
-  EXPECT_NE(failover.name.find("Failover("), std::string::npos);
-  EXPECT_EQ(failover.make()->name(), failover.name);
   const auto health = fleet::with_health_aware(specs[1], 0.05, 0.3);
   EXPECT_NE(health.name.find("Health-Aware("), std::string::npos);
   EXPECT_EQ(health.make()->name(), health.name);
+}
+
+TEST(Router, FailOverKeepsUpTargetsAndMovesToTheLeastLoadedHealthyNode) {
+  const TinyWorld world;
+  auto env = make_fleet(world, 3);
+  for (std::size_t n = 0; n < 3; ++n) env.node_env(n).reset_streaming();
+  // Node 1 runs one execution; node 0 goes down.
+  sim::ClusterEnv& busy = env.node_env(1);
+  const sim::Invocation inv = TinyWorld::inv(world.fn_py_flask, 0.0, 5.0);
+  busy.offer(inv);
+  (void)busy.step(sim::Action::cold());
+  env.node_env(0).crash(0.5);
+  fleet::FleetIndex index(3, /*track_warm=*/false);
+  for (std::size_t n = 0; n < 3; ++n) index.update(n, env.node(n));
+
+  const fleet::Placement kept = fleet::fail_over(index, 1);
+  EXPECT_EQ(kept.node, 1U);
+  EXPECT_FALSE(kept.rerouted);
+  EXPECT_FALSE(kept.lost);
+  const fleet::Placement moved = fleet::fail_over(index, 0);
+  EXPECT_EQ(moved.node, 2U);  // idle beats node 1's one execution
+  EXPECT_TRUE(moved.rerouted);
+  EXPECT_FALSE(moved.lost);
+
+  // Only routable nodes take over; with none healthy the request is lost.
+  index.set_routable(2, false);
+  EXPECT_EQ(fleet::fail_over(index, 0).node, 1U);
+  env.node_env(1).crash(0.6);
+  index.update(1, env.node(1));
+  const fleet::Placement lost = fleet::fail_over(index, 0);
+  EXPECT_TRUE(lost.lost);
+  EXPECT_FALSE(lost.rerouted);
+  EXPECT_EQ(lost.node, 0U);
 }
 
 TEST(Router, StandardRoutersExposeAllFivePolicies) {

@@ -2,6 +2,7 @@
 // correlated-domain fault schedule must match FleetEnv::run decision for
 // decision, two replays must be byte-identical through the whole telemetry
 // plane, the live chaos admin APIs must keep the service accounting exact,
+// a node crashing between routing and dispatch must fail the request over,
 // and a domain crash racing concurrent dispatch must stay data-race-free
 // (the TSan CI job runs this suite).
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/mlcr.hpp"
 #include "faults/fault_plan.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/router.hpp"
@@ -77,9 +79,10 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
   const sim::Trace trace = make_trace(world, 60, 0.2);
 
   fleet::FleetEnv reference_fleet = make_fleet(world, cost);
-  fleet::FailoverRouter router(std::make_unique<fleet::WarmAwareRouter>());
+  fleet::WarmAwareRouter router;
   const fleet::FleetSummary reference = reference_fleet.run(trace, router);
-  // The schedule must actually exercise the §14 paths.
+  // The schedule must actually exercise the §14 paths, failover included.
+  ASSERT_GT(reference.rerouted, 0U);
   ASSERT_GE(reference.node_crashes, 4U);
   ASSERT_EQ(reference.domain_crashes, 1U);
   ASSERT_GE(reference.partial_crashes, 2U);
@@ -93,9 +96,9 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
                            std::make_unique<WarmAwarePolicy>(), serve_cfg);
   const ServeSummary replay = service.run_replay(trace);
 
-  // WarmAwarePolicy is the serving twin of the Warm-Aware router; the
-  // service's own reroute path mirrors FailoverRouter. Fault accounting
-  // and every scheduling outcome must agree.
+  // WarmAwarePolicy runs the Warm-Aware router's index code, and both
+  // planes fail over through fleet::fail_over. Fault accounting and every
+  // scheduling outcome must agree.
   EXPECT_EQ(replay.fleet.total.invocations, reference.total.invocations);
   EXPECT_EQ(replay.fleet.total.cold_starts, reference.total.cold_starts);
   EXPECT_EQ(replay.fleet.total.warm_l1, reference.total.warm_l1);
@@ -106,6 +109,7 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
   EXPECT_DOUBLE_EQ(replay.fleet.total.total_latency_s,
                    reference.total.total_latency_s);
   EXPECT_EQ(replay.fleet.lost, reference.lost);
+  EXPECT_EQ(replay.fleet.rerouted, reference.rerouted);
   EXPECT_EQ(replay.fleet.node_crashes, reference.node_crashes);
   EXPECT_EQ(replay.fleet.node_recoveries, reference.node_recoveries);
   EXPECT_EQ(replay.fleet.domain_crashes, reference.domain_crashes);
@@ -226,12 +230,16 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   constexpr std::size_t kPerProducer = 300;
   const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
                                      world.fn_js, world.fn_other_os};
+  std::atomic<bool> started{false};
   std::atomic<bool> stop{false};
   // ONE admin thread drives crash/recover cycles over both racks while the
   // workers dispatch — the documented concurrency contract of the apply_*
   // APIs. Every iteration crashes a domain (admitting the spare on the
-  // first), recovers its members, and alternates partial crashes.
+  // first), recovers its members, and alternates partial crashes. The
+  // producers wait for it to start, so at least one round overlaps
+  // dispatch however the threads are scheduled.
   std::thread admin([&] {
+    started.store(true);
     std::size_t round = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const std::size_t domain = round % 2;
@@ -246,6 +254,7 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      while (!started.load()) std::this_thread::yield();
       for (std::size_t i = 0; i < kPerProducer; ++i) {
         sim::Invocation inv = TinyWorld::inv(
             fns[(p + i) % 4], 0.001 * static_cast<double>(i), 0.02);
@@ -265,6 +274,77 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
                 summary.stats.lost);
   EXPECT_GT(summary.stats.node_crashes, 0U);
   EXPECT_EQ(summary.fleet.spares_activated, 1U);
+}
+
+/// Routes seq 0 to node 0 and everything else to node 1, crashing node 0
+/// from inside the route() of seq 1 — after seq 0 joined the wave, before
+/// the wave locks its stripes: the interleaving a live admin thread makes.
+class CrashDuringWavePolicy final : public RoutePolicy {
+ public:
+  [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
+                                  const sim::FunctionTable& functions,
+                                  const sim::Invocation& inv) override {
+    (void)index;
+    (void)functions;
+    if (inv.seq == 1 && service != nullptr && !crashed_)
+      crashed_ = service->apply_crash(0);
+    return inv.seq == 0 ? 0 : 1;
+  }
+  [[nodiscard]] std::string name() const override {
+    return "Crash-During-Wave";
+  }
+
+  SchedulerService* service = nullptr;
+
+ private:
+  bool crashed_ = false;
+};
+
+TEST(ServeFaults, WaveMemberOnANodeThatCrashedAfterRoutingFailsOver) {
+  TinyWorld world;
+  const sim::StartupCostModel cost = world.cost_model();
+  core::MlcrConfig mlcr_cfg = core::make_default_mlcr_config(/*num_slots=*/4,
+                                                             /*embed_dim=*/16);
+  mlcr_cfg.dqn.network.ffn_dim = 32;
+  auto agent = std::make_shared<rl::DqnAgent>(mlcr_cfg.dqn, util::Rng(5));
+  fleet::FleetConfig fleet_cfg;
+  fleet_cfg.nodes = 3;
+  fleet_cfg.node_env.pool_capacity_mb = 2048.0;
+  fleet::FleetEnv fleet(world.functions, world.catalog, cost, fleet_cfg,
+                        fleet::uniform_system([&] {
+                          return core::make_mlcr_system(agent,
+                                                        mlcr_cfg.encoder);
+                        }));
+  SimClock clock;
+  ServeConfig serve_cfg;
+  serve_cfg.shards = 3;
+  serve_cfg.batch = 4;
+  auto policy = std::make_unique<CrashDuringWavePolicy>();
+  CrashDuringWavePolicy* crasher = policy.get();
+  SchedulerService service(fleet, clock, std::move(policy), serve_cfg);
+  crasher->service = &service;
+  service.begin_episode();
+  ASSERT_TRUE(service.mlcr_mode());
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim::Invocation inv = TinyWorld::inv(world.fn_py_flask, 0.0, 0.3);
+    inv.seq = i;
+    ASSERT_TRUE(service.submit(inv));
+  }
+  // Seq 0 leaves the first wave when its node turns out down under the
+  // stripe lock, and re-routes at the head of the second: the policy still
+  // names node 0, so the failover rule moves it to idle node 2.
+  EXPECT_EQ(service.pump_once(), 2U);
+  const ServeSummary summary = service.finish_episode();
+  EXPECT_EQ(summary.stats.node_crashes, 1U);
+  EXPECT_EQ(summary.stats.routed, 2U);
+  EXPECT_EQ(summary.stats.rerouted, 1U);
+  EXPECT_EQ(summary.stats.lost, 0U);
+  EXPECT_EQ(summary.stats.inference_calls, 2U);
+  ASSERT_EQ(summary.fleet.per_node.size(), 3U);
+  EXPECT_EQ(summary.fleet.per_node[0].invocations, 0U);
+  EXPECT_EQ(summary.fleet.per_node[1].invocations, 1U);
+  EXPECT_EQ(summary.fleet.per_node[2].invocations, 1U);
 }
 
 }  // namespace

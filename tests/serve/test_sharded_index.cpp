@@ -1,8 +1,6 @@
-// ShardedFleetIndex: every query must be an exact merge of per-shard
-// answers — pinned against a single FleetIndex oracle fed the same
-// updates — and the shard locking must hold up under concurrent readers
-// and writers
-// (the suite runs under TSan in CI).
+// ShardedFleetIndex: one FleetIndex behind one shared_mutex. read() must
+// forward the index's own errors, and the lock must hold up under
+// concurrent readers and writers (the suite runs under TSan in CI).
 #include "serve/sharded_index.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "fleet/fleet_index.hpp"
+#include "fleet/router.hpp"
 #include "policies/baselines.hpp"
 #include "testing/fixtures.hpp"
 #include "util/check.hpp"
@@ -22,103 +21,19 @@ namespace {
 
 using mlcr::testing::TinyWorld;
 
-TEST(ServeShardedIndex, ClampsShardsToNodeCount) {
-  const ShardedFleetIndex index(3, 16, false);
-  EXPECT_EQ(index.node_count(), 3U);
-  EXPECT_EQ(index.shard_count(), 3U);
-  EXPECT_EQ(index.shard_of(0), 0U);
-  EXPECT_EQ(index.shard_of(2), 2U);
-}
-
 TEST(ServeShardedIndex, RejectsWarmLookupWhenNotTracking) {
   TinyWorld world;
-  const ShardedFleetIndex index(2, 2, false);
-  EXPECT_THROW((void)index.nodes_matching(
-                   world.functions.get(world.fn_py_flask).image,
-                   containers::MatchLevel::kL1),
-               util::CheckError);
+  const ShardedFleetIndex index(2, false);
+  EXPECT_FALSE(index.tracks_warm());
+  const auto& image = world.functions.get(world.fn_py_flask).image;
+  const auto lookup = [&](const fleet::FleetIndex& fleet) {
+    return fleet.nodes_matching(image, containers::MatchLevel::kL1) != nullptr;
+  };
+  EXPECT_THROW((void)index.read(lookup), util::CheckError);
 }
 
-/// Drive four nodes through offers/steps/advances and assert, after every
-/// update, that the sharded index answers exactly like one plain FleetIndex
-/// fed the same updates.
-TEST(ServeShardedIndex, MatchesPlainFleetIndexOracle) {
-  TinyWorld world;
-  constexpr std::size_t kNodes = 4;
-  const sim::StartupCostModel cost = world.cost_model();
-  std::vector<std::unique_ptr<sim::ClusterEnv>> envs;
-  sim::EnvConfig env_cfg;
-  env_cfg.pool_capacity_mb = 2048.0;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    envs.push_back(std::make_unique<sim::ClusterEnv>(
-        world.functions, world.catalog, cost, env_cfg,
-        [] { return std::make_unique<containers::LruEviction>(); }));
-    envs.back()->reset_streaming();
-  }
-
-  fleet::FleetIndex oracle(kNodes, /*track_warm=*/true);
-  ShardedFleetIndex sharded(kNodes, /*shards=*/3, /*track_warm=*/true);
-  policies::GreedyMatchScheduler scheduler;
-
-  const auto check_agreement = [&] {
-    EXPECT_EQ(sharded.least_outstanding(), oracle.least_outstanding());
-    EXPECT_EQ(sharded.least_outstanding_healthy(),
-              oracle.least_outstanding_healthy());
-    for (std::size_t n = 0; n < kNodes; ++n) {
-      const auto a = sharded.node_load(n);
-      const auto b = oracle.node_load(n);
-      EXPECT_EQ(a.busy, b.busy);
-      EXPECT_EQ(a.up, b.up);
-      EXPECT_DOUBLE_EQ(a.free_mb, b.free_mb);
-    }
-    for (const auto level :
-         {containers::MatchLevel::kL1, containers::MatchLevel::kL2,
-          containers::MatchLevel::kL3}) {
-      for (const auto fn : {world.fn_py_flask, world.fn_py_numpy, world.fn_js,
-                            world.fn_other_os}) {
-        const auto& image = world.functions.get(fn).image;
-        std::vector<std::size_t> expected;
-        if (const auto* matches = oracle.nodes_matching(image, level)) {
-          for (const auto& [node, count] : *matches) {
-            (void)count;
-            expected.push_back(node);
-          }
-        }
-        EXPECT_EQ(sharded.nodes_matching(image, level), expected);
-      }
-    }
-  };
-
-  const auto touch = [&](std::size_t n) {
-    oracle.update(n, *envs[n]);
-    sharded.update(n, *envs[n]);
-  };
-  for (std::size_t n = 0; n < kNodes; ++n) touch(n);
-  check_agreement();
-
-  // Scatter invocations over the nodes, then let the work complete.
-  const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
-                                     world.fn_js, world.fn_other_os};
-  double t = 0.0;
-  for (std::size_t step = 0; step < 12; ++step) {
-    const std::size_t n = step % kNodes;
-    sim::ClusterEnv& env = *envs[n];
-    const sim::Invocation inv = TinyWorld::inv(fns[step % 4], t, 0.4);
-    env.offer(inv);
-    (void)env.step(scheduler.decide(env, inv));
-    touch(n);
-    check_agreement();
-    t += 0.1;
-  }
-  for (std::size_t n = 0; n < kNodes; ++n) {
-    envs[n]->advance_idle(t + 30.0);
-    touch(n);
-  }
-  check_agreement();
-}
-
-/// Writers mutate their own nodes' envs and update the index while readers
-/// hammer every query path — the shard locks must keep this race-free.
+/// Writers mutate their own nodes' envs and update the index while a reader
+/// hammers every query path — the index lock must keep this race-free.
 TEST(ServeShardedIndex, ConcurrentReadersAndWritersAreRaceFree) {
   TinyWorld world;
   constexpr std::size_t kNodes = 8;
@@ -134,7 +49,7 @@ TEST(ServeShardedIndex, ConcurrentReadersAndWritersAreRaceFree) {
         [] { return std::make_unique<containers::LruEviction>(); }));
     envs.back()->reset_streaming();
   }
-  ShardedFleetIndex index(kNodes, /*shards=*/3, /*track_warm=*/true);
+  ShardedFleetIndex index(kNodes, /*track_warm=*/true);
   for (std::size_t n = 0; n < kNodes; ++n) index.update(n, *envs[n]);
 
   std::vector<std::thread> threads;
@@ -159,17 +74,22 @@ TEST(ServeShardedIndex, ConcurrentReadersAndWritersAreRaceFree) {
   std::thread reader([&] {
     const auto& image = world.functions.get(world.fn_py_flask).image;
     while (!stop.load()) {
-      const std::size_t best = index.least_outstanding();
+      const std::size_t best = index.read([&](const fleet::FleetIndex& f) {
+        (void)f.least_outstanding_healthy();
+        (void)f.nodes_matching(image, containers::MatchLevel::kL3);
+        (void)fleet::fail_over(f, f.least_outstanding());
+        return fleet::warm_aware_node(f, image);
+      });
       EXPECT_LT(best, kNodes);
-      (void)index.least_outstanding_healthy();
-      (void)index.node_load(best);
-      (void)index.nodes_matching(image, containers::MatchLevel::kL3);
     }
   });
   for (std::size_t w = 0; w < kWriters; ++w) threads[w].join();
   stop.store(true);
   reader.join();
-  EXPECT_LT(index.least_outstanding(), kNodes);
+  EXPECT_LT(index.read([](const fleet::FleetIndex& f) {
+              return f.least_outstanding();
+            }),
+            kNodes);
 }
 
 }  // namespace

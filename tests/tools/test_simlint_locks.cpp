@@ -36,7 +36,8 @@ TEST(SimlintLocks, DeclaredTableMatchesTheRuntimeRankOrder) {
   EXPECT_FALSE(table[0].leaf);
   EXPECT_EQ(table[1].key, "inference_mutex_");
   EXPECT_FALSE(table[1].indexed);
-  EXPECT_EQ(table[2].key, "Shard::mutex");
+  EXPECT_EQ(table[2].key, "index_mutex_");
+  EXPECT_FALSE(table[2].indexed);
   EXPECT_TRUE(table[2].leaf);
   EXPECT_EQ(table[3].key, "telemetry_mutex_");
   EXPECT_FALSE(table[3].indexed);
@@ -45,16 +46,15 @@ TEST(SimlintLocks, DeclaredTableMatchesTheRuntimeRankOrder) {
   EXPECT_FALSE(table[4].indexed);
   EXPECT_TRUE(table[4].leaf);
   // Static ranks ascend in the same order as the runtime rank bands
-  // (service shards < inference < index shards < telemetry < registry
-  // slots) — the two halves of the concurrency contract must never drift
+  // (service stripes < inference < index < telemetry < registry slots) —
+  // the two halves of the concurrency contract must never drift
   // apart.
   for (std::size_t i = 1; i < table.size(); ++i)
     EXPECT_LT(table[i - 1].rank, table[i].rank) << table[i].key;
   EXPECT_LT(util::lock_ranks::service_shard(1'000),
             util::lock_ranks::kInference);
-  EXPECT_LT(util::lock_ranks::kInference, util::lock_ranks::index_shard(0));
-  EXPECT_LT(util::lock_ranks::index_shard(999'999),
-            util::lock_ranks::kTelemetry);
+  EXPECT_LT(util::lock_ranks::kInference, util::lock_ranks::kIndex);
+  EXPECT_LT(util::lock_ranks::kIndex, util::lock_ranks::kTelemetry);
   EXPECT_LT(util::lock_ranks::kTelemetry, util::lock_ranks::registry_slot(0));
 }
 

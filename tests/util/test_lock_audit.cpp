@@ -27,7 +27,7 @@ TEST_F(LockAuditTest, AscendingAcquisitionIsLegal) {
   LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
   LockOrderValidator::acquired(lock_ranks::service_shard(3), "shard 3");
   LockOrderValidator::acquired(lock_ranks::kInference, "inference");
-  LockOrderValidator::acquired(lock_ranks::index_shard(1), "index 1");
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
   EXPECT_EQ(LockOrderValidator::held_count(), 4U);
 }
 
@@ -49,7 +49,7 @@ TEST_F(LockAuditTest, DoubleAcquisitionThrowsWithADistinctMessage) {
 }
 
 TEST_F(LockAuditTest, InversionMessageNamesTheDeclaredOrder) {
-  LockOrderValidator::acquired(lock_ranks::index_shard(0), "index 0");
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
   try {
     LockOrderValidator::acquired(lock_ranks::kInference, "inference");
     FAIL() << "inversion must throw";
@@ -92,7 +92,7 @@ TEST_F(LockAuditTest, ReacquisitionAfterReleaseIsLegal) {
 }
 
 TEST_F(LockAuditTest, HeldStacksAreThreadLocal) {
-  LockOrderValidator::acquired(lock_ranks::index_shard(4), "index 4");
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
   // Another thread starts empty: acquiring a rank far below what this
   // thread holds is legal there.
   std::thread other([] {
@@ -106,11 +106,11 @@ TEST_F(LockAuditTest, HeldStacksAreThreadLocal) {
 }
 
 TEST_F(LockAuditTest, RankBandsKeepTheThreeFamiliesDisjoint) {
-  // A service fleet would need a million shards to collide with the
+  // A service would need a million dispatch stripes to collide with the
   // inference rank; treat the bands as the contract.
   EXPECT_LT(lock_ranks::service_shard(999'999), lock_ranks::kInference);
-  EXPECT_LT(lock_ranks::kInference, lock_ranks::index_shard(0));
-  EXPECT_LT(lock_ranks::index_shard(0), lock_ranks::index_shard(1));
+  EXPECT_LT(lock_ranks::kInference, lock_ranks::kIndex);
+  EXPECT_LT(lock_ranks::kIndex, lock_ranks::kTelemetry);
 }
 
 TEST_F(LockAuditTest, LockRankScopeMatchesTheBuildMode) {

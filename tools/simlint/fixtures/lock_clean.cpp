@@ -6,10 +6,6 @@
 #include <shared_mutex>
 #include <vector>
 
-struct Shard {
-  mutable std::shared_mutex mutex;
-};
-
 class GoodService {
  public:
   // Ascending ranks: shard mutex (10), then inference mutex (20).
@@ -30,11 +26,13 @@ class GoodService {
     std::lock_guard inference_lock(inference_mutex_);
   }
 
-  // Leaf locks held one at a time, released before the next iteration.
-  void query() const {
-    for (const auto& shard : shards_) {
-      std::shared_lock lock(shard->mutex);
-    }
+  // The index lock taken alone, as ShardedFleetIndex::read() does.
+  void query() const { std::shared_lock lock(index_mutex_); }
+
+  // Dispatch refreshes the index under the stripe mutex: ascending ranks.
+  void refresh(std::size_t s) {
+    std::lock_guard lock(*shard_mutexes_[s]);
+    std::unique_lock index_lock(index_mutex_);
   }
 
   // Ascending literal indexes within the family are legal.
@@ -50,6 +48,6 @@ class GoodService {
 
  private:
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::shared_mutex index_mutex_;
   std::mutex inference_mutex_;
 };

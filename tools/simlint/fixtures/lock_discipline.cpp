@@ -6,10 +6,6 @@
 #include <shared_mutex>
 #include <vector>
 
-struct Shard {
-  mutable std::shared_mutex mutex;
-};
-
 class BadService {
  public:
   // Rank inversion: the inference mutex (rank 20) may only be taken after
@@ -40,9 +36,9 @@ class BadService {
       locks.emplace_back(*shard_mutexes_[s]);  // VIOLATION lock-loop
   }
 
-  // Index shard locks are leaves: nothing may be acquired under one.
-  void under_leaf(Shard& shard) {
-    std::shared_lock lock(shard.mutex);
+  // The index lock is a leaf: nothing may be acquired under it.
+  void under_leaf() {
+    std::shared_lock lock(index_mutex_);
     std::lock_guard inference_lock(inference_mutex_);  // VIOLATION lock-order
   }
 
@@ -55,4 +51,5 @@ class BadService {
  private:
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
   std::mutex inference_mutex_;
+  std::shared_mutex index_mutex_;
 };

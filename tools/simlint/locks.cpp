@@ -53,7 +53,7 @@ const std::vector<MutexRankInfo>& lock_order_table() {
   static const std::vector<MutexRankInfo> kTable = {
       {"shard_mutexes_", 10, /*indexed=*/true, /*leaf=*/false},
       {"inference_mutex_", 20, /*indexed=*/false, /*leaf=*/false},
-      {"Shard::mutex", 30, /*indexed=*/false, /*leaf=*/true},
+      {"index_mutex_", 30, /*indexed=*/false, /*leaf=*/true},
       {"telemetry_mutex_", 40, /*indexed=*/false, /*leaf=*/false},
       {"slot_mutex_", 50, /*indexed=*/false, /*leaf=*/true},
   };
@@ -101,7 +101,6 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
     std::string joined;
     std::string prev_ident;
     std::string member;
-    std::string receiver;
     bool any_ident = false;
     for (std::size_t i = b; i < e && i < n; ++i) {
       joined += toks[i].text;
@@ -128,21 +127,6 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
         prev_ident = toks[i].text;
       } else if ((toks[i].text == "." || toks[i].text == "->") &&
                  i + 1 < e && is_ident(i + 1)) {
-        // Receiver of the member access: the identifier just before the
-        // operator, skipping a balanced subscript (`shards_[s]->mutex`).
-        std::size_t r = i;
-        while (r > b && text(r - 1) == "]") {
-          int d2 = 0;
-          while (r > b) {
-            --r;
-            if (text(r) == "]") ++d2;
-            if (text(r) == "[") {
-              --d2;
-              if (d2 == 0) break;
-            }
-          }
-        }
-        if (r > b && is_ident(r - 1)) receiver = toks[r - 1].text;
         member = toks[i + 1].text;
       }
     }
@@ -153,14 +137,6 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
       if (!row.indexed && row.key == name) {
         ref.info = &row;
         ref.key = name;
-        return ref;
-      }
-    }
-    if (name == "mutex" && receiver.find("shard") != std::string::npos) {
-      for (const MutexRankInfo& row : lock_order_table()) {
-        if (row.key != "Shard::mutex") continue;
-        ref.info = &row;
-        ref.key = row.key;
         return ref;
       }
     }
@@ -233,7 +209,7 @@ std::vector<Violation> check_lock_discipline(const std::vector<Token>& all,
                    std::to_string(l.ref.info->rank) + ", line " +
                    std::to_string(l.line) +
                    "); the declared order is shard_mutexes_[i asc] < "
-                   "inference_mutex_ < Shard::mutex < telemetry_mutex_ < "
+                   "inference_mutex_ < index_mutex_ < telemetry_mutex_ < "
                    "slot_mutex_");
           break;
         }

@@ -9,10 +9,10 @@
 // locking model for the serving layer:
 //
 //   shard_mutexes_[i] < shard_mutexes_[j] (i < j) < inference_mutex_
-//                                                 < Shard::mutex (leaf)
+//                                                 < index_mutex_ (leaf)
 //
-// Index shard locks are *leaves*: acquiring anything while one is held is an
-// ordering violation. Mutexes the table does not name carry no rank — they
+// The fleet index lock is a *leaf*: acquiring anything while it is held is
+// an ordering violation. Mutexes the table does not name carry no rank — they
 // are still covered by the double-acquisition and bare-call rules, so the
 // checker runs over the whole tree (src/, tests/, bench/, examples/), not
 // just src/serve.
