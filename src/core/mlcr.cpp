@@ -56,65 +56,6 @@ sim::Action MlcrScheduler::decide(const sim::ClusterEnv& env,
   return encoder_.to_sim_action(state, action);
 }
 
-std::vector<sim::Action> MlcrScheduler::decide_batch(
-    const std::vector<MlcrScheduler*>& schedulers,
-    const std::vector<const sim::ClusterEnv*>& envs,
-    const std::vector<const sim::Invocation*>& invs) {
-  const std::size_t batch = schedulers.size();
-  MLCR_CHECK(envs.size() == batch && invs.size() == batch);
-  if (batch == 0) return {};
-  // One shared model per batch: the batched forward is a single matrix pass
-  // over the stacked states, which only makes sense (and is only
-  // bit-identical per entry) when every scheduler queries the same weights.
-  for (const MlcrScheduler* s : schedulers) {
-    MLCR_CHECK(s != nullptr);
-    MLCR_CHECK_MSG(s->agent_ == schedulers.front()->agent_,
-                   "decide_batch() requires one shared agent");
-  }
-
-  // Phase 1: encode each entry exactly as its scheduler's decide() would,
-  // including the per-scheduler prev-arrival update.
-  std::vector<EncodedState> states;
-  states.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    MlcrScheduler& sched = *schedulers[i];
-    const sim::Invocation& inv = *invs[i];
-    const double prev = sched.has_prev_ ? sched.prev_arrival_s_ : inv.arrival_s;
-    states.push_back(sched.encoder_.encode(*envs[i], inv, prev));
-    sched.prev_arrival_s_ = inv.arrival_s;
-    sched.has_prev_ = true;
-  }
-
-  // Phase 2: one forward_batch pass for the whole wave.
-  std::vector<const nn::Tensor*> tokens(batch);
-  std::vector<const rl::ActionMask*> masks(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    tokens[i] = &states[i].tokens;
-    masks[i] = &states[i].mask;
-  }
-  const std::vector<std::size_t> actions =
-      schedulers.front()->agent_->greedy_actions(tokens, masks);
-  MLCR_CHECK(actions.size() == batch);
-
-  // Phase 3: per-entry tracer marker + action decode, as in decide().
-  std::vector<sim::Action> out;
-  out.reserve(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    const sim::ClusterEnv& env = *envs[i];
-    const sim::Invocation& inv = *invs[i];
-    obs::Tracer* tracer = env.tracer();
-    if (tracer != nullptr && tracer->enabled()) {
-      tracer->instant(obs::Tracer::kSimPid, env.trace_track(),
-                      obs::to_micros(inv.arrival_s), "dqn_inference", "rl",
-                      {obs::narg("action", static_cast<std::int64_t>(
-                                               actions[i])),
-                       obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-    }
-    out.push_back(schedulers[i]->encoder_.to_sim_action(states[i], actions[i]));
-  }
-  return out;
-}
-
 policies::SystemSpec make_mlcr_system(std::shared_ptr<rl::DqnAgent> agent,
                                       const StateEncoderConfig& encoder) {
   return policies::SystemSpec{

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/state_encoder.hpp"
 #include "policies/baselines.hpp"
@@ -35,20 +34,6 @@ class MlcrScheduler final : public policies::Scheduler {
   [[nodiscard]] sim::Action decide(const sim::ClusterEnv& env,
                                    const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "MLCR"; }
-
-  /// Batched serving path: decide one invocation on each of B *distinct*
-  /// environments through a single QNetwork::forward_batch pass. Entry i is
-  /// bit-identical to schedulers[i]->decide(*envs[i], *invs[i]) — encoding
-  /// reads only that entry's env, the batched forward is per-state
-  /// bit-identical (DqnAgent::greedy_actions), and each scheduler's
-  /// prev-arrival state advances exactly as its own decide() would — which
-  /// is what lets the scheduler service drain a whole wave of requests per
-  /// inference call without changing any routing decision. All schedulers
-  /// must share one agent (the service batches per shared model).
-  [[nodiscard]] static std::vector<sim::Action> decide_batch(
-      const std::vector<MlcrScheduler*>& schedulers,
-      const std::vector<const sim::ClusterEnv*>& envs,
-      const std::vector<const sim::Invocation*>& invs);
 
   [[nodiscard]] rl::DqnAgent& agent() noexcept { return *agent_; }
   [[nodiscard]] const StateEncoder& encoder() const noexcept {

@@ -48,15 +48,15 @@ void SchedulerService::begin_episode() {
   MLCR_CHECK_MSG(pool_ == nullptr, "begin_episode() while workers run");
   const std::size_t nodes = fleet_.node_count();
 
-  // MLCR detection: batched wave dispatch only makes sense when every node
-  // consults the same DQN; a fleet mixing MLCR and heuristic nodes has no
-  // coherent batching story, so reject it outright.
-  mlcr_.assign(nodes, nullptr);
+  // MLCR detection: MLCR nodes share one DqnAgent, whose forward pass
+  // writes layer caches, so dispatch serializes their decide() calls under
+  // the inference mutex. Fleets mixing MLCR and heuristic nodes are
+  // rejected.
   std::size_t mlcr_nodes = 0;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    mlcr_[i] = dynamic_cast<core::MlcrScheduler*>(&fleet_.node_scheduler(i));
-    if (mlcr_[i] != nullptr) ++mlcr_nodes;
-  }
+  for (std::size_t i = 0; i < nodes; ++i)
+    if (dynamic_cast<const core::MlcrScheduler*>(&fleet_.node_scheduler(i)) !=
+        nullptr)
+      ++mlcr_nodes;
   MLCR_CHECK_MSG(mlcr_nodes == 0 || mlcr_nodes == nodes,
                  "fleets mixing MLCR and non-MLCR nodes are unsupported");
   mlcr_mode_ = mlcr_nodes == nodes;
@@ -92,7 +92,7 @@ void SchedulerService::begin_episode() {
   janitor_cursor_.store(0, std::memory_order_relaxed);
   for (auto* counter :
        {&submitted_, &routed_, &rejected_, &degraded_, &lost_, &rerouted_,
-        &batches_, &inference_calls_, &max_wave_, &node_crashes_,
+        &batches_, &inference_calls_, &node_crashes_,
         &node_recoveries_, &domain_crashes_, &partial_crashes_,
         &spares_activated_})
     counter->store(0, std::memory_order_relaxed);
@@ -156,18 +156,6 @@ void SchedulerService::worker_loop(std::size_t worker) {
   }
 }
 
-void SchedulerService::drain_queues_on_caller() {
-  std::vector<Request> batch;
-  batch.reserve(config_.batch);
-  for (auto& queue : queues_) {
-    for (;;) {
-      batch.clear();
-      if (queue->drain_nowait(batch, config_.batch) == 0) break;
-      process_batch(batch);
-    }
-  }
-}
-
 ServeSummary SchedulerService::finish_episode() {
   MLCR_CHECK_MSG(in_episode_, "finish_episode() outside an episode");
   for (auto& queue : queues_) queue->close();
@@ -178,7 +166,7 @@ ServeSummary SchedulerService::finish_episode() {
   } else {
     // Pump-driven episode: serve whatever is still queued, as a worker
     // draining after close() would.
-    drain_queues_on_caller();
+    (void)pump_once();
   }
 
   // Any node still inside a crash window recovers before the episode closes
@@ -248,7 +236,7 @@ ServeStats SchedulerService::stats() const {
   s.rerouted = rerouted_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.inference_calls = inference_calls_.load(std::memory_order_relaxed);
-  s.max_wave = max_wave_.load(std::memory_order_relaxed);
+  s.max_wave = s.inference_calls > 0 ? 1 : 0;
   s.node_crashes = node_crashes_.load(std::memory_order_relaxed);
   s.node_recoveries = node_recoveries_.load(std::memory_order_relaxed);
   s.domain_crashes = domain_crashes_.load(std::memory_order_relaxed);
@@ -421,8 +409,17 @@ bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
   if (inv.arrival_s < env.now()) inv.arrival_s = env.now();
   env.offer(inv);
   policies::Scheduler& scheduler = fleet_.node_scheduler(target);
-  const sim::Action action =
-      req.degraded ? sim::Action::cold() : scheduler.decide(env, inv);
+  sim::Action action = sim::Action::cold();
+  if (!req.degraded && mlcr_mode_) {
+    // Released before the index update: stripe -> inference -> index.
+    std::lock_guard inference_lock(inference_mutex_);
+    const util::LockRankScope inference_rank(util::lock_ranks::kInference,
+                                             "inference mutex");
+    action = scheduler.decide(env, inv);
+    inference_calls_.fetch_add(1, std::memory_order_relaxed);
+  } else if (!req.degraded) {
+    action = scheduler.decide(env, inv);
+  }
   const sim::StepResult result = env.step(action);
   if (!req.degraded) scheduler.on_step_result(env, result);
   index_->update(target, env);
@@ -434,156 +431,10 @@ bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
   return true;
 }
 
-void SchedulerService::note_wave(std::size_t width) {
-  inference_calls_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t prev = max_wave_.load(std::memory_order_relaxed);
-  while (prev < width && !max_wave_.compare_exchange_weak(
-                             prev, width, std::memory_order_relaxed)) {
-  }
-}
-
-std::size_t SchedulerService::dispatch_wave(
-    std::vector<const Request*>& pending, std::size_t begin) {
-  // Phase 1 — route. Every wave member must target a *distinct* node:
-  // ClusterEnv requires offer -> step before the next offer on a node, and
-  // a wave steps only after the batched forward. The whole wave routes
-  // against the wave-start index (the documented batched-serving
-  // semantics); a repeated target closes the wave and that request
-  // re-routes at the head of the next one.
-  struct Entry {
-    const Request* req;
-    std::size_t target;
-    bool rerouted;
-  };
-  std::vector<Entry> wave;
-  wave.reserve(config_.batch);
-  std::size_t next = begin;
-  while (next < pending.size() && wave.size() < config_.batch) {
-    const Request& req = *pending[next];
-    const fleet::Placement route = pick_target(req.inv);
-    if (route.lost) {
-      lost_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
-      ++next;
-      continue;
-    }
-    const bool repeat =
-        std::any_of(wave.begin(), wave.end(), [&](const Entry& e) {
-          return e.target == route.node;
-        });
-    if (repeat) break;
-    if (telemetry_ != nullptr)
-      telemetry_->on_route(req.inv, route.node, route.rerouted,
-                           clock_.now_s());
-    wave.push_back({&req, route.node, route.rerouted});
-    ++next;
-  }
-  if (wave.empty()) return next;
-
-  // Phase 2 — lock the touched stripes' dispatch mutexes in ascending
-  // order (deduped), so concurrent workers can never deadlock.
-  std::vector<std::size_t> stripes;
-  stripes.reserve(wave.size());
-  for (const Entry& entry : wave) stripes.push_back(stripe_of(entry.target));
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(stripes.size());
-  std::vector<util::LockRankScope> lock_ranks;
-  lock_ranks.reserve(stripes.size());
-  for (const std::size_t stripe : stripes) {
-    locks.emplace_back(*shard_mutexes_[stripe]);
-    lock_ranks.emplace_back(util::lock_ranks::service_shard(stripe),
-                            "service stripe mutex");
-  }
-
-  // A member whose node crashed since it was routed leaves the wave: it
-  // goes back just before `next`, in order, and re-routes through the
-  // failover rule at the head of the next wave.
-  std::vector<const Request*> retry;
-  std::size_t kept = 0;
-  for (const Entry& entry : wave) {
-    if (fleet_.node_env(entry.target).down())
-      retry.push_back(entry.req);
-    else
-      wave[kept++] = entry;
-  }
-  wave.resize(kept);
-  next -= retry.size();
-  std::copy(retry.begin(), retry.end(),
-            pending.begin() + static_cast<std::ptrdiff_t>(next));
-  if (wave.empty()) return next;
-
-  // Phase 3 — offer every wave member (clamped), then decide the
-  // non-degraded ones in a single forward_batch under the inference mutex.
-  std::vector<sim::Invocation> offered;
-  offered.reserve(wave.size());
-  for (const Entry& entry : wave) {
-    sim::ClusterEnv& env = fleet_.node_env(entry.target);
-    sim::Invocation inv = entry.req->inv;
-    if (inv.arrival_s < env.now()) inv.arrival_s = env.now();
-    env.offer(inv);
-    offered.push_back(inv);
-  }
-  std::vector<sim::Action> actions(wave.size(), sim::Action::cold());
-  std::vector<std::size_t> ask;
-  ask.reserve(wave.size());
-  for (std::size_t i = 0; i < wave.size(); ++i)
-    if (!wave[i].req->degraded) ask.push_back(i);
-  if (!ask.empty()) {
-    std::vector<core::MlcrScheduler*> schedulers;
-    std::vector<const sim::ClusterEnv*> envs;
-    std::vector<const sim::Invocation*> invs;
-    schedulers.reserve(ask.size());
-    envs.reserve(ask.size());
-    invs.reserve(ask.size());
-    for (const std::size_t i : ask) {
-      schedulers.push_back(mlcr_[wave[i].target]);
-      envs.push_back(&fleet_.node_env(wave[i].target));
-      invs.push_back(&offered[i]);
-    }
-    std::lock_guard inference_lock(inference_mutex_);
-    const util::LockRankScope inference_rank(util::lock_ranks::kInference,
-                                             "inference mutex");
-    const std::vector<sim::Action> decided =
-        core::MlcrScheduler::decide_batch(schedulers, envs, invs);
-    for (std::size_t j = 0; j < ask.size(); ++j) actions[ask[j]] = decided[j];
-    note_wave(ask.size());
-  }
-
-  // Phase 4 — step every member and refresh its index entry before the
-  // stripe locks drop.
-  for (std::size_t i = 0; i < wave.size(); ++i) {
-    const Entry& entry = wave[i];
-    sim::ClusterEnv& env = fleet_.node_env(entry.target);
-    const sim::StepResult result = env.step(actions[i]);
-    if (!entry.req->degraded)
-      fleet_.node_scheduler(entry.target).on_step_result(env, result);
-    index_->update(entry.target, env);
-    routed_.fetch_add(1, std::memory_order_relaxed);
-    if (entry.req->degraded)
-      degraded_.fetch_add(1, std::memory_order_relaxed);
-    if (entry.rerouted) rerouted_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_ != nullptr)
-      telemetry_->on_dispatch(entry.req->inv, entry.target,
-                              entry.req->degraded, entry.rerouted, result,
-                              clock_.now_s());
-  }
-  return next;
-}
-
 void SchedulerService::process_batch(const std::vector<Request>& batch) {
   if (batch.empty()) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
-  if (mlcr_mode_) {
-    std::vector<const Request*> pending;
-    pending.reserve(batch.size());
-    for (const Request& req : batch) pending.push_back(&req);
-    std::size_t i = 0;
-    while (i < pending.size()) i = dispatch_wave(pending, i);
-  } else {
-    for (const Request& req : batch) (void)serve_one(req);
-  }
+  for (const Request& req : batch) (void)serve_one(req);
   janitor_step();
 }
 
@@ -649,7 +500,7 @@ ServeSummary SchedulerService::run_replay(const sim::Trace& trace) {
     if (telemetry_ != nullptr)
       telemetry_->on_submit(inv, inv.seq % config_.workers, 0, false, true,
                             inv.arrival_s);
-    // Strictly sequential dispatch — MLCR decides per request, exactly as
+    // The live path's serve_one, one request at a time in arrival order, as
     // FleetEnv::dispatch does, so the replay is bit-identical to run().
     if (const auto target = serve_one({inv, false})) reschedule(*target);
     // No janitor runs in replay; advance the SLO windows off the SimClock

@@ -14,9 +14,11 @@
 //     node is still up (a concurrent crash fails the request over), and
 //     refreshes the index entry before releasing it, so readers never
 //     observe a node mid-step;
+//   - on an MLCR fleet every node shares one DqnAgent, so decide() runs
+//     under the inference mutex, taken inside the stripe mutex and released
+//     before the index update;
 //   - lock order is stripe mutex -> inference mutex -> index lock, never
-//     reversed; multi-stripe waves acquire stripe mutexes in ascending
-//     order.
+//     reversed; no path holds two stripe mutexes at once.
 //
 // Backpressure: a submit() that finds its queue at/above `degrade_depth` is
 // accepted *degraded* — it will be served with a forced cold start, skipping
@@ -58,10 +60,6 @@
 #include "serve/sharded_index.hpp"
 #include "util/thread_pool.hpp"
 
-namespace mlcr::core {
-class MlcrScheduler;
-}
-
 namespace mlcr::serve {
 
 class Telemetry;
@@ -77,8 +75,7 @@ struct ServeConfig {
   /// Queue depth at/above which an accepted request is served degraded
   /// (forced cold start, scheduler bypassed). 0 disables degradation.
   std::size_t degrade_depth = 0;
-  /// Max requests drained per worker wake-up — and, on an MLCR fleet, the
-  /// max wave width batched through one QNetwork::forward_batch call.
+  /// Max requests drained per worker wake-up (or per pump_once() step).
   std::size_t batch = 8;
 };
 
@@ -91,8 +88,9 @@ struct ServeStats {
   std::size_t lost = 0;       ///< accepted but no healthy node remained
   std::size_t rerouted = 0;   ///< target node down -> deterministic failover
   std::size_t batches = 0;    ///< consumer drains that served >= 1 request
-  std::size_t inference_calls = 0;  ///< MLCR decide_batch invocations
-  std::size_t max_wave = 0;         ///< widest single decide_batch
+  std::size_t inference_calls = 0;  ///< MLCR decide() calls (one per request)
+  /// Requests per MLCR inference call: 1 once any MLCR decision ran, else 0.
+  std::size_t max_wave = 0;
 
   // Fault-plane accounting (DESIGN.md §14); all 0 on a faultless episode.
   std::size_t node_crashes = 0;     ///< crash events fired (partial included)
@@ -133,7 +131,8 @@ class SchedulerService {
   /// Reset every node's streaming episode and scheduler, rebuild the index,
   /// create fresh queues, and zero the counters. Detects an MLCR
   /// fleet (all node schedulers are MlcrScheduler — mixed fleets are
-  /// rejected) and switches dispatch to batched wave inference.
+  /// rejected), whose decide() calls dispatch serializes on the shared
+  /// agent.
   void begin_episode();
 
   /// Spawn the worker threads (requires begin_episode()).
@@ -200,24 +199,16 @@ class SchedulerService {
   /// The policy's pick, placed by the failover rule over the index.
   [[nodiscard]] fleet::Placement pick_target(const sim::Invocation& inv) const;
 
-  /// Route + dispatch one request (used by the non-MLCR path and replay).
-  /// Returns the node served, or nullopt when the request was lost.
+  /// Route + dispatch one request. Returns the node served, or nullopt when
+  /// the request was lost.
   std::optional<std::size_t> serve_one(const Request& req);
 
   /// Offer/decide/step/observe on `target` under its stripe mutex, then
-  /// refresh the index entry. Mirrors FleetEnv::dispatch. False, with
-  /// nothing dispatched, when `target` crashed after it was picked.
-  /// `rerouted` is routing context forwarded to telemetry.
+  /// refresh the index entry. Mirrors FleetEnv::dispatch; an MLCR decide()
+  /// also holds the inference mutex. False, with nothing dispatched, when
+  /// `target` crashed after it was picked. `rerouted` is routing context
+  /// forwarded to telemetry.
   bool dispatch_one(const Request& req, std::size_t target, bool rerouted);
-
-  /// Serve `pending[begin..]` up to one MLCR wave: route requests until a
-  /// target node repeats or the wave reaches config_.batch, then offer all,
-  /// decide the whole wave in one forward_batch, and step each. Members
-  /// whose node crashed after routing are written back just before the
-  /// returned position, so they re-route at the head of the next wave.
-  /// Returns the position of the first unserved request.
-  std::size_t dispatch_wave(std::vector<const Request*>& pending,
-                            std::size_t begin);
 
   void process_batch(const std::vector<Request>& batch);
 
@@ -226,8 +217,6 @@ class SchedulerService {
   void janitor_step();
 
   void worker_loop(std::size_t worker);
-  void drain_queues_on_caller();
-  void note_wave(std::size_t width);
   [[nodiscard]] std::size_t stripe_of(std::size_t node) const noexcept {
     return node % shard_mutexes_.size();
   }
@@ -261,13 +250,11 @@ class SchedulerService {
   /// here because the service, not FleetEnv::run, drives the episode. The
   /// envs borrow them, so they detach at finish_episode().
   std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
-  /// Per node: its scheduler as MlcrScheduler, set only in MLCR mode.
-  std::vector<core::MlcrScheduler*> mlcr_;
   /// unique_ptr: queues/mutexes are neither movable nor copyable.
   std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
   /// Dispatch stripes: node n's env is guarded by n % size().
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
-  /// Serializes forward_batch on the shared agent across workers.
+  /// Serializes MLCR decide() on the shared agent across workers.
   std::mutex inference_mutex_;
 
   std::unique_ptr<util::ThreadPool> pool_;
@@ -283,7 +270,6 @@ class SchedulerService {
   std::atomic<std::size_t> rerouted_{0};
   std::atomic<std::size_t> batches_{0};
   std::atomic<std::size_t> inference_calls_{0};
-  std::atomic<std::size_t> max_wave_{0};
   std::atomic<std::size_t> node_crashes_{0};
   std::atomic<std::size_t> node_recoveries_{0};
   std::atomic<std::size_t> domain_crashes_{0};

@@ -12,8 +12,10 @@
 // carry a rank strictly greater than everything the thread already holds —
 // equal is a double-acquisition, smaller is an ordering inversion; either
 // throws util::CheckError via MLCR_CHECK_MSG so tests can assert on it.
-// Releases may happen in any order (dispatch_wave's guard vector is
-// destroyed front-to-back), so released() erases by value, not by popping.
+// Releases may happen in any order (a guard vector is destroyed
+// front-to-back, releasing in acquisition order), so released() erases by
+// value, not by popping. No production path holds two stripe mutexes at
+// once; the rule keeps the validator exact if one ever does.
 //
 // The validator methods are always compiled — tests drive them directly —
 // but instrumentation call sites go through LockRankScope, whose body
@@ -44,7 +46,7 @@ inline constexpr std::uint64_t kTelemetry = 4'000'000;
 inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
 
 /// Rank of SchedulerService's dispatch-stripe mutex `shard` (ascending-index
-/// acquisition across a wave maps to ascending ranks).
+/// acquisition maps to ascending ranks).
 [[nodiscard]] constexpr std::uint64_t service_shard(std::size_t shard) {
   return kServiceShardBase + shard;
 }

@@ -59,8 +59,8 @@ TEST_F(LockAuditTest, InversionMessageNamesTheDeclaredOrder) {
 }
 
 TEST_F(LockAuditTest, OutOfLifoReleaseIsLegal) {
-  // dispatch_wave's guard vector destroys front-to-back: releases arrive in
-  // acquisition order, not reverse order.
+  // A guard vector destroys front-to-back: releases arrive in acquisition
+  // order, not reverse order.
   LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
   LockOrderValidator::acquired(lock_ranks::service_shard(1), "shard 1");
   LockOrderValidator::acquired(lock_ranks::service_shard(2), "shard 2");
