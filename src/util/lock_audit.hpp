@@ -1,17 +1,18 @@
-// Runtime lock-order validator — the dynamic half of the concurrency
-// contract (DESIGN.md §12). The static half is simlint's lock-discipline
-// checker (tools/simlint/locks.hpp); both encode the same declared order:
+// Runtime lock-order validator — the one statement and check of the lock
+// order (DESIGN.md §12). simlint does not model lock order; its only lock
+// rule, `bare-lock`, bans .lock()/.unlock() calls that bypass RAII guards.
 //
 //   service dispatch stripes (ascending)     rank 1'000'000 + stripe
 //   inference mutex                          rank 2'000'000
-//   fleet index lock                         rank 3'000'000
+//   fleet index lock (leaf)                  rank 3'000'000
 //   telemetry window/trace mutex             rank 4'000'000
 //   metrics registry slot locks (leaves)     rank 5'000'000 + slot
 //
 // Every thread keeps a thread-local stack of held ranks. An acquisition must
 // carry a rank strictly greater than everything the thread already holds —
-// equal is a double-acquisition, smaller is an ordering inversion; either
-// throws util::CheckError via MLCR_CHECK_MSG so tests can assert on it.
+// equal is a double-acquisition, smaller is an ordering inversion — and
+// nothing may be acquired while a leaf is held; each throws
+// util::CheckError via MLCR_CHECK_MSG so tests can assert on it.
 // Releases may happen in any order (a guard vector is destroyed
 // front-to-back, releasing in acquisition order), so released() erases by
 // value, not by popping. No production path holds two stripe mutexes at
@@ -39,8 +40,8 @@ namespace lock_ranks {
 
 inline constexpr std::uint64_t kServiceShardBase = 1'000'000;
 inline constexpr std::uint64_t kInference = 2'000'000;
-/// ShardedFleetIndex's one lock. Nothing in the serving path is acquired
-/// while it is held.
+/// ShardedFleetIndex's one lock, a leaf: nothing is acquired while it is
+/// held.
 inline constexpr std::uint64_t kIndex = 3'000'000;
 inline constexpr std::uint64_t kTelemetry = 4'000'000;
 inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
@@ -51,12 +52,18 @@ inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
   return kServiceShardBase + shard;
 }
 
-/// Rank of ConcurrentMetricsRegistry's per-slot lock — the leaves: with the
-/// top rank band, acquiring anything on top of one is an inversion by
-/// construction. The telemetry mutex (kTelemetry) sits just below so the
-/// snapshot path may merge slots while holding it.
+/// Rank of ConcurrentMetricsRegistry's per-slot lock, a leaf: the snapshot
+/// path takes slots one at a time. The telemetry mutex (kTelemetry) sits
+/// just below so the snapshot path may merge slots while holding it.
 [[nodiscard]] constexpr std::uint64_t registry_slot(std::size_t slot) {
   return kRegistrySlotBase + slot;
+}
+
+/// Leaves must be the innermost lock a thread holds: the index lock and
+/// every registry slot lock. Ascending rank alone would allow telemetry
+/// under the index lock, or a higher slot under a lower one.
+[[nodiscard]] constexpr bool is_leaf(std::uint64_t rank) {
+  return rank == kIndex || rank >= kRegistrySlotBase;
 }
 
 }  // namespace lock_ranks
@@ -66,7 +73,8 @@ inline constexpr std::uint64_t kRegistrySlotBase = 5'000'000;
 class LockOrderValidator {
  public:
   /// Record an acquisition. Throws CheckError if `rank` is not strictly
-  /// greater than every rank this thread already holds.
+  /// greater than every rank this thread already holds, or if it holds a
+  /// leaf.
   static void acquired(std::uint64_t rank, const char* name) {
     std::vector<std::uint64_t>& stack = held();
     for (const std::uint64_t h : stack) {
@@ -80,6 +88,12 @@ class LockOrderValidator {
                                       "mutexes (ascending) < inference mutex "
                                       "< index lock < telemetry mutex "
                                       "< registry slot locks");
+      MLCR_CHECK_MSG(!lock_ranks::is_leaf(h),
+                     "lock-order audit: '"
+                         << name << "' (rank " << rank
+                         << ") acquired while holding leaf rank " << h
+                         << "; nothing may be acquired under the index lock "
+                            "or a registry slot lock");
     }
     stack.push_back(rank);
   }

@@ -129,6 +129,36 @@ TEST(SimlintLayers, IncludesInCommentsStringsOrOutsideTheSetAreIgnored) {
   EXPECT_TRUE(check_layers(files).empty());
 }
 
+TEST(SimlintLayers, IncludesInBlockCommentsAndRawStringsAreIgnored) {
+  const std::vector<LayerFile> files = {
+      {"src/util/doc.hpp",
+       "#pragma once\n"
+       "/* moved out:\n"
+       "#include \"serve/high.hpp\"\n"
+       "*/\n"
+       "const char* kExample = R\"x(\n"
+       "#include \"serve/high.hpp\"\n"
+       ")\" still inside\n"
+       ")x\";\n"},
+      {"src/serve/high.hpp", "#pragma once\n"},
+  };
+  EXPECT_TRUE(check_layers(files).empty());
+}
+
+TEST(SimlintLayers, IncludeAfterADigitSeparatorStillCounts) {
+  const std::vector<LayerFile> files = {
+      {"src/util/big.hpp",
+       "#pragma once\n"
+       "constexpr long kBig = 1'000'000;\n"
+       "#include \"serve/high.hpp\"\n"},
+      {"src/serve/high.hpp", "#pragma once\n"},
+  };
+  const auto violations = check_layers(files);
+  ASSERT_EQ(violations.size(), 1U);
+  EXPECT_EQ(violations[0].rule, "layer-upward");
+  EXPECT_EQ(violations[0].line, 3U);
+}
+
 TEST(SimlintLayers, SameDirectoryIncludesResolveRelative) {
   // "detail.hpp" from src/serve/front.hpp resolves to src/serve/detail.hpp
   // (the includer's own directory), which is the same layer: no violation.

@@ -141,5 +141,28 @@ TEST_F(LockAuditTest, MovedFromScopeDoesNotDoubleRelease) {
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 }
 
+// The index lock and the registry slot locks are leaves. Ascending rank alone
+// would allow both acquisitions below, so only the leaf rule rejects them.
+TEST(LockAudit, NothingIsAcquiredUnderALeaf) {
+  LockOrderValidator::reset();
+  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
+  try {
+    LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
+    FAIL() << "telemetry under the index lock must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("leaf"), std::string::npos);
+  }
+  LockOrderValidator::released(lock_ranks::kIndex);
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(0), "slot 0");
+  EXPECT_THROW(
+      LockOrderValidator::acquired(lock_ranks::registry_slot(1), "slot 1"),
+      CheckError);
+  LockOrderValidator::released(lock_ranks::registry_slot(0));
+  LockOrderValidator::acquired(lock_ranks::registry_slot(1), "slot 1");
+  EXPECT_EQ(LockOrderValidator::held_count(), 2U);
+  LockOrderValidator::reset();
+}
+
 }  // namespace
 }  // namespace mlcr::util

@@ -1,7 +1,9 @@
 // Fixture for the fault-rng-stream rule. Linted with pretend path
 // "src/faults/fault_rng_stream.cpp" (in scope) and "src/core/..." (out of
-// scope, must stay quiet): util::Rng constructed from a literal seed in
-// fault-handling code decouples injected faults from the episode seed.
+// scope, must stay quiet): util::Rng constructed from a literal seed, or
+// default-constructed from the hidden default seed, in fault-handling code
+// decouples injected faults (and the sampled domain schedule) from the
+// episode seed, and the zero-correlation replay oracle no longer holds.
 namespace util {
 class Rng {
  public:
@@ -24,11 +26,21 @@ void bad_literal_seeds() {
   (void)braced;
 }
 
+void bad_adhoc_generators() {
+  util::Rng rng;       // VIOLATION fault-rng-stream
+  util::Rng braced{};  // VIOLATION fault-rng-stream
+  (void)rng;
+  (void)braced;
+}
+
 void good_derived_streams(util::Rng& master, const Episode& episode) {
-  // Splitting the caller's stream or forwarding a seed variable keeps fault
-  // injection a pure function of the episode.
+  // Splitting the caller's stream (one child per concern, in a fixed draw
+  // order) or forwarding a seed variable keeps fault injection a pure
+  // function of the episode.
   util::Rng stream = master.split();
   util::Rng seeded(episode.seed);
+  util::Rng& borrowed = master;
   (void)stream;
   (void)seeded;
+  (void)borrowed;
 }

@@ -1,8 +1,10 @@
-// Fixture for the serve-clock-injection rule: service/simulation logic never
-// reads wall time directly — it asks an injected serve::Clock, so the same
-// code runs live (WallClock) or deterministically replayed (SimClock). The
-// only wall-time consumers are src/util and src/serve/clock.cpp. This file
-// is linted as src/serve/service_like.cpp; it is never compiled.
+// Fixture for the serve-clock-injection rule: code under src/ never reads
+// wall time directly. Service logic asks an injected serve::Clock, so the
+// same code runs live (WallClock) or deterministically replayed (SimClock),
+// and the tracing layer (src/obs) is clock-free: every timestamp is supplied
+// by the caller. The only wall-time consumers are src/util and
+// src/serve/clock.cpp. This file is linted as src/serve/service_like.cpp
+// (and as src/obs/... for scope); it is never compiled.
 #include <ctime>
 
 namespace mlcr::serve {
@@ -16,10 +18,19 @@ void bad_posix_clocks() {
   clock_gettime(CLOCK_MONOTONIC, &ts);  // VIOLATION serve-clock-injection
   timeval tv{};
   gettimeofday(&tv, nullptr);  // VIOLATION serve-clock-injection
+  timespec_get(&ts, TIME_UTC);  // VIOLATION serve-clock-injection
 }
 
-// The contract: time flows in through the injected clock. Never flagged.
+void bad_calendar_time() {
+  std::time_t t = 0;
+  (void)localtime(&t);  // VIOLATION serve-clock-injection
+  (void)gmtime(&t);     // VIOLATION serve-clock-injection
+}
+
+// The contract: time flows in through the injected clock or the caller.
+// Never flagged.
 double good_injected_time(const Clock& clock) { return clock.now_s(); }
+double good_caller_supplied(double now_us) { return now_us; }
 
 // Identifiers that merely contain a banned name are not calls.
 struct Stamp {

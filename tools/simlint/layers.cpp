@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <regex>
 #include <sstream>
-#include <stdexcept>
-
-#include "simlint/token.hpp"
 
 namespace mlcr::simlint {
 
@@ -46,20 +42,23 @@ struct Include {
   std::string target;
 };
 
-/// Quoted `#include "..."` directives; angle includes are not tokenized as
-/// strings and so fall out naturally.
+/// Quoted `#include "..."` directives. code_lines() keeps line structure, so
+/// a code line that is still an `#include` once comments and literals are
+/// blanked is a real directive, and its path is on the same raw line.
+/// Includes inside comments, strings and raw strings are blanked away;
+/// angle includes do not match the quoted form.
 [[nodiscard]] std::vector<Include> quoted_includes(const std::string& source) {
-  const std::vector<Token> toks = tokenize(source);
+  static const std::regex kDirective(R"(^\s*#\s*include\b)");
+  static const std::regex kQuoted(R"re(^\s*#\s*include\s*"([^"]+)")re");
+  const std::vector<std::string> code = code_lines(source);
+  std::istringstream is(source);
+  std::string raw;
   std::vector<Include> out;
-  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-    if (toks[i].text != "#" || !toks[i].in_directive) continue;
-    if (toks[i + 1].kind != Token::Kind::kIdent ||
-        toks[i + 1].text != "include")
-      continue;
-    if (toks[i + 2].kind != Token::Kind::kString) continue;
-    const std::string& quoted = toks[i + 2].text;
-    if (quoted.size() < 2) continue;
-    out.push_back({toks[i + 2].line, quoted.substr(1, quoted.size() - 2)});
+  for (std::size_t i = 0; i < code.size() && std::getline(is, raw); ++i) {
+    std::smatch m;
+    if (std::regex_search(code[i], kDirective) &&
+        std::regex_search(raw, m, kQuoted))
+      out.push_back({i + 1, m[1].str()});
   }
   return out;
 }
@@ -81,32 +80,6 @@ struct Include {
   for (const std::string& c : candidates)
     if (known.count(c) != 0) return c;
   return {};
-}
-
-/// Local suppression test (same spelling/semantics as lint_source): a
-/// `simlint:allow(<rule>)` on the flagged line or the line above, or an
-/// `allow-file` anywhere in the file.
-[[nodiscard]] bool layer_allowed(const std::vector<std::string>& raw,
-                                 const std::string& rule, std::size_t line) {
-  static const std::regex kAllow(
-      R"(simlint:allow(-file)?\(([A-Za-z0-9_-]+)\))");
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    auto begin = std::sregex_iterator(raw[i].begin(), raw[i].end(), kAllow);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      if ((*it)[2].str() != rule) continue;
-      if ((*it)[1].matched) return true;  // allow-file
-      if (i + 1 == line || i + 2 == line) return true;
-    }
-  }
-  return false;
-}
-
-[[nodiscard]] std::vector<std::string> split_lines(const std::string& source) {
-  std::vector<std::string> lines;
-  std::istringstream is(source);
-  std::string line;
-  while (std::getline(is, line)) lines.push_back(line);
-  return lines;
 }
 
 }  // namespace
@@ -139,11 +112,12 @@ std::vector<Violation> check_layers(const std::vector<LayerFile>& files) {
     std::size_t line = 0;
   };
   std::vector<std::vector<Edge>> adj(files.size());
-  std::vector<std::vector<std::string>> raw(files.size());
+  std::vector<Suppressions> allow;
+  allow.reserve(files.size());
   std::vector<Violation> out;
 
   for (std::size_t i = 0; i < files.size(); ++i) {
-    raw[i] = split_lines(files[i].source);
+    allow.emplace_back(files[i].source);
     for (const Include& inc : quoted_includes(files[i].source)) {
       const std::string resolved =
           resolve_include(files[i].rel_path, inc.target, index);
@@ -151,7 +125,7 @@ std::vector<Violation> check_layers(const std::vector<LayerFile>& files) {
       const std::size_t j = index.at(resolved);
       adj[i].push_back({j, inc.line});
       if (layer_of(files[j].rel_path) > layer_of(files[i].rel_path) &&
-          !layer_allowed(raw[i], kUpwardId, inc.line)) {
+          !allow[i].allowed(kUpwardId, inc.line)) {
         out.push_back(
             {files[i].rel_path, inc.line, kUpwardId,
              "layer " + std::to_string(layer_of(files[i].rel_path)) +
@@ -179,7 +153,7 @@ std::vector<Violation> check_layers(const std::vector<LayerFile>& files) {
         for (auto p = it; p != path.end(); ++p)
           chain += files[*p].rel_path + " -> ";
         chain += files[e.to].rel_path;
-        if (!layer_allowed(raw[u], kCycleId, e.line))
+        if (!allow[u].allowed(kCycleId, e.line))
           out.push_back({files[u].rel_path, e.line, kCycleId,
                          "include cycle: " + chain +
                              "; break the cycle with a forward declaration "
@@ -205,31 +179,12 @@ std::vector<Violation> check_layers(const std::vector<LayerFile>& files) {
 
 std::vector<Violation> lint_layers(const std::string& repo_root,
                                    const std::vector<std::string>& roots) {
-  namespace fs = std::filesystem;
-  std::vector<fs::path> paths;
-  for (const std::string& root : roots) {
-    const fs::path base = fs::path(repo_root) / root;
-    if (!fs::exists(base)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      const auto ext = entry.path().extension();
-      if (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc")
-        paths.push_back(entry.path());
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-
   std::vector<LayerFile> files;
-  for (const fs::path& p : paths) {
-    const std::string rel = p.lexically_relative(repo_root).generic_string();
+  for (const std::string& rel : source_files(repo_root, roots)) {
     if (rel.find("fixtures/") != std::string::npos)
       continue;  // fixture trees contain deliberate violations
-    std::ifstream is(p, std::ios::binary);
-    if (!is.is_open())
-      throw std::runtime_error("simlint: cannot read " + p.string());
-    std::ostringstream os;
-    os << is.rdbuf();
-    files.push_back({rel, os.str()});
+    files.push_back(
+        {rel, read_file((std::filesystem::path(repo_root) / rel).string())});
   }
   return check_layers(files);
 }

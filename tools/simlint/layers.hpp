@@ -1,6 +1,6 @@
 // Include-graph layering checker (DESIGN.md §12).
 //
-// simlint builds the repo's quoted-include DAG with the tokenizer (so
+// simlint builds the repo's quoted-include DAG from code_lines() (so
 // includes in comments, strings and raw strings never count) and enforces
 // the layer order of the as-built architecture:
 //
@@ -21,9 +21,9 @@
 // do not resolve inside the scanned tree are ignored.
 //
 // `// simlint:allow(layer-upward)` / `allow(layer-cycle)` suppressions are
-// honored here directly; `lint_source` exempts these two ids from its
-// unused-suppression accounting because the layer analysis runs as a
-// separate whole-tree pass.
+// honored here through the same Suppressions parser lint_source uses;
+// `lint_source` exempts these two ids from its unused-suppression accounting
+// because the layer analysis runs as a separate whole-tree pass.
 #pragma once
 
 #include <string>

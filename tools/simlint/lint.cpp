@@ -4,15 +4,13 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
-#include <map>
+#include <initializer_list>
 #include <regex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 
 #include "obs/json.hpp"
-#include "simlint/locks.hpp"
-#include "simlint/token.hpp"
 
 namespace mlcr::simlint {
 
@@ -25,6 +23,10 @@ namespace {
 [[nodiscard]] bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+[[nodiscard]] bool ident_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
 // --- Path scopes -----------------------------------------------------------
@@ -44,17 +46,15 @@ bool metric_code(const std::string& p) {
 bool sim_or_containers(const std::string& p) {
   return starts_with(p, "src/sim/") || starts_with(p, "src/containers/");
 }
-bool obs_code(const std::string& p) { return starts_with(p, "src/obs/"); }
 bool fault_code(const std::string& p) {
   // Code that injects or reacts to faults: all randomness must arrive as a
   // stream split() off the episode seed, never a locally-invented seed.
   return starts_with(p, "src/faults/") || starts_with(p, "src/fleet/");
 }
-bool serve_logic(const std::string& p) {
-  // Everything in src/ except the established allowed zones: src/util (the
-  // wall-clock producer), src/obs (its own obs-wall-time rule), and the one
-  // file implementing serve::WallClock.
-  return sim_code(p) && !obs_code(p) && p != "src/serve/clock.cpp";
+bool wall_time_code(const std::string& p) {
+  // Everything in src/ except the two places wall time may be read: src/util
+  // (the wall-clock producer) and the one file implementing serve::WallClock.
+  return sim_code(p) && p != "src/serve/clock.cpp";
 }
 bool serve_obs_facade(const std::string& p) {
   // The serving layer records through serve::Telemetry (the concurrent
@@ -70,7 +70,9 @@ bool serve_obs_facade(const std::string& p) {
 /// (`keep_comments == false` — the form rule patterns scan) or keeps their
 /// text (`keep_comments == true` — the form `simlint:allow` detection scans,
 /// so allow-comments embedded in string literals never count). Line
-/// structure is preserved either way.
+/// structure is preserved either way. A number keeps its digit separators
+/// (`5'000` opens no char literal), and an unterminated string or char
+/// literal ends at its line.
 [[nodiscard]] std::vector<std::string> blanked_lines(const std::string& source,
                                                      bool keep_comments) {
   std::string code = source;
@@ -103,11 +105,22 @@ bool serve_obs_facade(const std::string& p) {
       end = end == std::string::npos ? n : end + delim.size() + 2;
       blank(i, end);
       i = end;
+    } else if (std::isdigit(static_cast<unsigned char>(c)) != 0 &&
+               (i == 0 || !ident_char(code[i - 1]))) {
+      // A number: digits, letters (hex digits, suffixes), '.', and a '
+      // between two of those.
+      ++i;
+      while (i < n && (ident_char(code[i]) || code[i] == '.' ||
+                       (code[i] == '\'' && i + 1 < n &&
+                        ident_char(code[i + 1]))))
+        ++i;
     } else if (c == '"' || c == '\'') {
       std::size_t j = i + 1;
-      while (j < n && code[j] != c) j += code[j] == '\\' ? 2 : 1;
-      blank(i, std::min(j + 1, n));
-      i = std::min(j + 1, n);
+      while (j < n && code[j] != c && code[j] != '\n')
+        j += code[j] == '\\' ? 2 : 1;
+      const std::size_t end = j < n && code[j] == c ? j + 1 : std::min(j, n);
+      blank(i, end);
+      i = end;
     } else {
       ++i;
     }
@@ -117,60 +130,6 @@ bool serve_obs_facade(const std::string& p) {
   std::string line;
   while (std::getline(is, line)) lines.push_back(line);
   return lines;
-}
-
-[[nodiscard]] std::vector<std::string> code_lines(const std::string& source) {
-  return blanked_lines(source, /*keep_comments=*/false);
-}
-
-/// Comments kept, literals blanked — where suppression comments live.
-[[nodiscard]] std::vector<std::string> comment_lines(
-    const std::string& source) {
-  return blanked_lines(source, /*keep_comments=*/true);
-}
-
-// --- Suppression -----------------------------------------------------------
-//
-// Each `simlint:allow(...)` comment becomes one entry; matching a violation
-// marks it used, and entries still unused after filtering are themselves
-// errors (unused-suppression) — stale allowances must not linger once the
-// code they excused is gone.
-
-struct SuppressionEntry {
-  std::string rule;
-  std::size_t line = 0;  ///< 1-based line of the comment itself
-  bool file_level = false;
-  bool used = false;
-};
-
-struct Suppressions {
-  std::vector<SuppressionEntry> entries;
-
-  [[nodiscard]] bool allowed(const std::string& rule, std::size_t line) {
-    bool hit = false;
-    for (SuppressionEntry& e : entries) {
-      if (e.rule != rule) continue;
-      // A line-level entry covers its own line and the line below it.
-      if (e.file_level || e.line == line || e.line + 1 == line) {
-        e.used = true;
-        hit = true;
-      }
-    }
-    return hit;
-  }
-};
-
-[[nodiscard]] Suppressions collect_suppressions(
-    const std::vector<std::string>& raw) {
-  static const std::regex kAllow(
-      R"(simlint:allow(-file)?\(([A-Za-z0-9_-]+)\))");
-  Suppressions out;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    auto begin = std::sregex_iterator(raw[i].begin(), raw[i].end(), kAllow);
-    for (auto it = begin; it != std::sregex_iterator(); ++it)
-      out.entries.push_back({(*it)[2].str(), i + 1, (*it)[1].matched, false});
-  }
-  return out;
 }
 
 // --- Rule table ------------------------------------------------------------
@@ -216,33 +175,27 @@ const LineRule kLineRules[] = {
      "key the container by a stable id (ContainerId, FunctionTypeId, ...) "
      "instead of a pointer"},
     {"fault-rng-stream",
-     "util::Rng constructed from a literal seed in src/faults or src/fleet — "
-     "fault randomness must be a stream split() off the episode seed, or "
-     "faults stop being a pure function of the episode",
+     "util::Rng constructed from a literal seed, or default-constructed, in "
+     "src/faults or src/fleet — fault randomness must be a stream split() "
+     "off the episode seed, or faults stop being a pure function of the "
+     "episode",
      fault_code,
-     R"(\bRng\s*(\w+\s*)?[({]\s*(0x[0-9A-Fa-f]+|[0-9]))",
+     R"(\bRng\s*(\w+\s*)?[({]\s*(0x[0-9A-Fa-f]+|[0-9])|\bRng\s+\w*[A-Za-z0-9]\s*(;|\{\s*\}))",
      "derive the stream from the episode: split() the caller's Rng or "
-     "forward a seed variable; a literal seed decouples fault injection "
-     "from the episode seed and silently breaks replay"},
-    {"fault-domain-stream",
-     "default-constructed util::Rng in src/faults or src/fleet — domain "
-     "crash sampling must draw from the injector's split stream, so an "
-     "ad-hoc generator (implicit default seed) silently decorrelates the "
-     "domain schedule from the episode",
-     fault_code,
-     R"(\bRng\s+\w*[A-Za-z0-9]\s*(;|\{\s*\}))",
-     "one split stream per concern: take a util::Rng& (or a seed variable) "
-     "from the caller and split() it — a default-constructed Rng hides the "
-     "fixed default seed and breaks the zero-correlation replay oracle"},
+     "forward a seed variable; a literal seed or the hidden default seed "
+     "decouples fault injection from the episode seed and silently breaks "
+     "replay"},
     {"serve-clock-injection",
-     "direct wall-time reads in service/simulation logic — the serving layer "
-     "takes time from an injected serve::Clock, so the same code path runs "
-     "live (WallClock) or deterministically replayed (SimClock)",
-     serve_logic,
-     R"(\b(wall_now_us|clock_gettime|gettimeofday)\s*\()",
+     "direct wall-time reads in src/ outside src/util and "
+     "src/serve/clock.cpp — service logic takes time from an injected "
+     "serve::Clock (live WallClock or replayed SimClock), and src/obs is "
+     "clock-free: every timestamp is supplied by the caller",
+     wall_time_code,
+     R"(\b(wall_now_us|clock_gettime|gettimeofday|timespec_get|localtime(_r)?|gmtime(_r)?)\s*\()",
      "inject a serve::Clock (SimClock for replay, WallClock for live "
-     "serving) instead of reading wall time; src/serve/clock.cpp is the "
-     "only wall-time consumer outside src/util"},
+     "serving) or take the timestamp from the caller instead of reading "
+     "wall time; src/serve/clock.cpp is the only wall-time consumer outside "
+     "src/util"},
     {"obs-concurrent-registry",
      "direct MetricsRegistry / Tracer use in src/serve outside the telemetry "
      "facade — the raw obs types are single-threaded, so workers sharing one "
@@ -252,15 +205,13 @@ const LineRule kLineRules[] = {
      "serve code records through serve::Telemetry (ConcurrentMetricsRegistry "
      "slots + mutex-serialised trace emission); only src/serve/telemetry.* "
      "may touch the raw obs types"},
-    {"obs-wall-time",
-     "wall-time reads inside src/obs — the tracing layer is clock-free by "
-     "contract (DESIGN.md, Observability): every timestamp is supplied by "
-     "the caller",
-     obs_code,
-     R"(\b(wall_now_us|gettimeofday|clock_gettime|timespec_get|localtime(_r)?|gmtime(_r)?)\s*\()",
-     "src/obs never reads clocks; sim-layer emitters take simulated time "
-     "from the event loop and bench code stamps wall time via "
-     "util::wall_now_us before calling into obs"},
+    {"bare-lock",
+     ".lock()/.unlock()/.try_lock() called directly on a mutex instead of "
+     "through an RAII guard",
+     anywhere,
+     R"(\b(\w*mutex_?|mtx_?)\s*(\.|->)\s*(try_lock|lock|unlock)\s*\()",
+     "acquire through an RAII guard (lock_guard / unique_lock / shared_lock "
+     "/ scoped_lock) so every exit path releases"},
 };
 
 // --- unordered-iteration ---------------------------------------------------
@@ -371,6 +322,52 @@ void check_uninit_members(const std::vector<std::string>& code,
   }
 }
 
+// --- Checked function bodies -----------------------------------------------
+//
+// missing-transition-check and router-route-check both ask one question of
+// a function definition: does its body validate anything? body_from()
+// answers it for the function whose head is on a given line.
+
+struct Body {
+  bool defined = false;  ///< a '{' came before any ';' (not a declaration)
+  bool checked = false;  ///< a body line contains one of the check markers
+  std::size_t end = 0;   ///< line where the scan stopped
+};
+
+[[nodiscard]] Body body_from(const std::vector<std::string>& code,
+                             std::size_t head,
+                             std::initializer_list<const char*> checks) {
+  Body body;
+  int depth = 0;
+  for (std::size_t i = head; i < code.size(); ++i) {
+    body.end = i;
+    // Update brace state first so a check on the opening-brace line (or a
+    // whole one-line body) counts as inside the body.
+    bool line_in_body = body.defined;
+    bool done = false;
+    for (const char c : code[i]) {
+      if (c == '{') {
+        ++depth;
+        body.defined = true;
+        line_in_body = true;
+      } else if (c == '}') {
+        --depth;
+        if (body.defined && depth == 0) {
+          done = true;
+          break;
+        }
+      }
+    }
+    if (line_in_body)
+      for (const char* check : checks)
+        if (code[i].find(check) != std::string::npos) body.checked = true;
+    // A ';' before any '{' means a declaration or a qualified call.
+    if (done || (!body.defined && code[i].find(';') != std::string::npos))
+      break;
+  }
+  return body;
+}
+
 // --- missing-transition-check ----------------------------------------------
 //
 // Public pool/env state-transition functions must validate their
@@ -404,62 +401,29 @@ void check_transitions(const std::vector<std::string>& code,
                        std::vector<Violation>& out) {
   for (const TransitionCheck& tc : kTransitionChecks) {
     if (!ends_with(rel_path, tc.file_suffix)) continue;
-    // Locate "Qualified::name(" possibly split from its parameter list.
-    std::size_t def_line = 0;
+    const std::string name = tc.function;
     bool found = false;
     for (std::size_t i = 0; i < code.size() && !found; ++i) {
-      const std::size_t pos = code[i].find(tc.function);
+      const std::size_t pos = code[i].find(name);
       if (pos == std::string::npos) continue;
-      const std::size_t after = pos + std::string(tc.function).size();
-      if (after < code[i].size() &&
-          (std::isalnum(static_cast<unsigned char>(code[i][after])) != 0 ||
-           code[i][after] == '_'))
+      const std::size_t after = pos + name.size();
+      if (after < code[i].size() && ident_char(code[i][after]))
         continue;  // prefix of a longer name
-      def_line = i;
+      const Body body =
+          body_from(code, i, {"MLCR_CHECK", "MLCR_AUDIT", "assert("});
+      if (!body.defined) continue;
       found = true;
+      if (!body.checked)
+        out.push_back({rel_path, i + 1, kTransitionId,
+                       name +
+                           " transitions pool/env state without MLCR_CHECK / "
+                           "MLCR_AUDIT; validate the transition"});
     }
-    if (!found) {
+    if (!found)
       out.push_back({rel_path, 1, kTransitionId,
-                     std::string("state-transition function ") + tc.function +
+                     "state-transition function " + name +
                          " not found; update the simlint transition table if "
                          "it moved"});
-      continue;
-    }
-    // Scan from the definition to its body's closing brace.
-    int depth = 0;
-    bool in_body = false;
-    bool has_check = false;
-    std::size_t i = def_line;
-    for (; i < code.size(); ++i) {
-      // Update brace state first so a check on the opening-brace line (or a
-      // whole one-line body) counts as inside the body.
-      bool line_in_body = in_body;
-      bool done = false;
-      for (const char c : code[i]) {
-        if (c == '{') {
-          ++depth;
-          in_body = true;
-          line_in_body = true;
-        } else if (c == '}') {
-          --depth;
-          if (in_body && depth == 0) {
-            done = true;
-            break;
-          }
-        }
-      }
-      if (line_in_body &&
-          (code[i].find("MLCR_CHECK") != std::string::npos ||
-           code[i].find("MLCR_AUDIT") != std::string::npos ||
-           code[i].find("assert(") != std::string::npos))
-        has_check = true;
-      if (done) break;
-    }
-    if (!has_check)
-      out.push_back({rel_path, def_line + 1, kTransitionId,
-                     std::string(tc.function) +
-                         " transitions pool/env state without MLCR_CHECK / "
-                         "MLCR_AUDIT; validate the transition"});
   }
 }
 
@@ -482,42 +446,13 @@ void check_router_routes(const std::vector<std::string>& code,
   static const std::regex kDef(R"(\b[A-Za-z_]\w*::route\s*\()");
   for (std::size_t i = 0; i < code.size(); ++i) {
     if (!std::regex_search(code[i], kDef)) continue;
-    const std::size_t def_line = i;
-    int depth = 0;
-    bool in_body = false;
-    bool has_check = false;
-    bool is_definition = false;
-    for (; i < code.size(); ++i) {
-      bool line_in_body = in_body;
-      bool done = false;
-      for (const char c : code[i]) {
-        if (c == '{') {
-          ++depth;
-          in_body = true;
-          is_definition = true;
-          line_in_body = true;
-        } else if (c == '}') {
-          --depth;
-          if (in_body && depth == 0) {
-            done = true;
-            break;
-          }
-        }
-      }
-      if (line_in_body &&
-          (code[i].find("MLCR_CHECK") != std::string::npos ||
-           code[i].find("assert(") != std::string::npos))
-        has_check = true;
-      // A ';' before any '{' means this was a declaration or a qualified
-      // call, not a definition — skip it.
-      if (!in_body && code[i].find(';') != std::string::npos) break;
-      if (done) break;
-    }
-    if (is_definition && !has_check)
-      out.push_back({rel_path, def_line + 1, kRouterId,
+    const Body body = body_from(code, i, {"MLCR_CHECK", "assert("});
+    if (body.defined && !body.checked)
+      out.push_back({rel_path, i + 1, kRouterId,
                      "route() places a request without MLCR_CHECK / assert; "
                      "validate the fleet and any cursor/ring state before "
                      "returning a node index"});
+    i = body.end;  // qualified calls inside the body are not definitions
   }
 }
 
@@ -530,6 +465,39 @@ constexpr char kUnusedSuppressionId[] = "unused-suppression";
 }
 
 }  // namespace
+
+std::vector<std::string> code_lines(const std::string& source) {
+  return blanked_lines(source, /*keep_comments=*/false);
+}
+
+// Each `simlint:allow(...)` comment becomes one entry; matching a violation
+// marks it used, and entries still unused after filtering are themselves
+// errors (unused-suppression) — stale allowances must not linger once the
+// code they excused is gone. Comments are kept and literals blanked, so an
+// allow spelled inside a string literal never counts.
+Suppressions::Suppressions(const std::string& source) {
+  static const std::regex kAllow(
+      R"(simlint:allow(-file)?\(([A-Za-z0-9_-]+)\))");
+  const std::vector<std::string> lines =
+      blanked_lines(source, /*keep_comments=*/true);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    auto begin = std::sregex_iterator(lines[i].begin(), lines[i].end(), kAllow);
+    for (auto it = begin; it != std::sregex_iterator(); ++it)
+      entries_.push_back({(*it)[2].str(), i + 1, (*it)[1].matched, false});
+  }
+}
+
+bool Suppressions::allowed(const std::string& rule, std::size_t line) {
+  bool hit = false;
+  for (Entry& e : entries_) {
+    if (e.rule != rule) continue;
+    if (e.file_level || e.line == line || e.line + 1 == line) {
+      e.used = true;
+      hit = true;
+    }
+  }
+  return hit;
+}
 
 const std::vector<RuleInfo>& rules() {
   static const std::vector<RuleInfo> kRules = [] {
@@ -547,19 +515,6 @@ const std::vector<RuleInfo>& rules() {
     out.push_back({kRouterId,
                    "Router::route() definition in fleet/router.cpp without "
                    "MLCR_CHECK / assert on its placement inputs"});
-    out.push_back({"lock-order",
-                   "lock acquisition that violates the declared lock-order "
-                   "table (rank-descending, descending indexed-family "
-                   "indexes, or anything acquired over a leaf lock)"});
-    out.push_back({"lock-double",
-                   "a mutex acquired again while already held on the same "
-                   "code path"});
-    out.push_back({"lock-loop",
-                   "indexed-family locks accumulated in a loop without prior "
-                   "sort+unique of the indexes (ascending-order evidence)"});
-    out.push_back({"bare-lock",
-                   ".lock()/.unlock()/.try_lock() called directly on a mutex "
-                   "instead of through an RAII guard"});
     out.push_back({kUnusedSuppressionId,
                    "a simlint:allow(...) comment that no longer suppresses "
                    "any violation (or names an unknown rule)"});
@@ -572,7 +527,7 @@ std::vector<Violation> lint_source(const std::string& source,
                                    const std::string& rel_path,
                                    const std::string& paired_header) {
   const std::vector<std::string> code = code_lines(source);
-  Suppressions allow = collect_suppressions(comment_lines(source));
+  Suppressions allow(source);
 
   std::vector<Violation> found;
   for (const LineRule& rule : kLineRules) {
@@ -593,8 +548,6 @@ std::vector<Violation> lint_source(const std::string& source,
   if (sim_or_containers(rel_path)) check_uninit_members(code, rel_path, found);
   check_transitions(code, rel_path, found);
   check_router_routes(code, rel_path, found);
-  for (Violation& v : check_lock_discipline(tokenize(source), rel_path))
-    found.push_back(std::move(v));
 
   std::vector<Violation> out;
   for (Violation& v : found)
@@ -602,9 +555,9 @@ std::vector<Violation> lint_source(const std::string& source,
 
   // Stale or misspelled allowances are errors themselves. These are not
   // subject to suppression: the fix is always to delete the comment.
-  for (const SuppressionEntry& e : allow.entries) {
+  for (const Suppressions::Entry& e : allow.entries()) {
     if (e.used || is_layer_rule(e.rule)) continue;
-    bool known = e.rule == kUnusedSuppressionId;
+    bool known = false;
     for (const RuleInfo& r : rules()) known = known || r.id == e.rule;
     out.push_back({rel_path, e.line, kUnusedSuppressionId,
                    known ? "simlint:allow(" + e.rule +
@@ -622,18 +575,32 @@ std::vector<Violation> lint_source(const std::string& source,
   return out;
 }
 
-namespace {
-
-[[nodiscard]] std::string read_file(const std::filesystem::path& path) {
+std::string read_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  if (!is.is_open())
-    throw std::runtime_error("simlint: cannot read " + path.string());
+  if (!is.is_open()) throw std::runtime_error("simlint: cannot read " + path);
   std::ostringstream os;
   os << is.rdbuf();
   return os.str();
 }
 
-}  // namespace
+std::vector<std::string> source_files(const std::string& repo_root,
+                                      const std::vector<std::string>& roots) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> out;
+  for (const std::string& root : roots) {
+    const fs::path base = fs::path(repo_root) / root;
+    if (!fs::exists(base)) continue;
+    for (const auto& entry : fs::recursive_directory_iterator(base)) {
+      if (!entry.is_regular_file()) continue;
+      const auto ext = entry.path().extension();
+      if (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc")
+        out.push_back(
+            entry.path().lexically_relative(repo_root).generic_string());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 std::vector<Violation> lint_file(const std::string& path,
                                  const std::string& rel_path) {
@@ -642,32 +609,18 @@ std::vector<Violation> lint_file(const std::string& path,
   if (p.extension() == ".cpp") {
     std::filesystem::path sibling = p;
     sibling.replace_extension(".hpp");
-    if (std::filesystem::exists(sibling)) header = read_file(sibling);
+    if (std::filesystem::exists(sibling)) header = read_file(sibling.string());
   }
-  return lint_source(read_file(p), rel_path, header);
+  return lint_source(read_file(path), rel_path, header);
 }
 
 std::vector<Violation> lint_tree(const std::string& repo_root,
                                  const std::vector<std::string>& roots) {
-  namespace fs = std::filesystem;
   std::vector<Violation> out;
-  std::vector<fs::path> files;
-  for (const std::string& root : roots) {
-    const fs::path base = fs::path(repo_root) / root;
-    if (!fs::exists(base)) continue;
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) continue;
-      const auto ext = entry.path().extension();
-      if (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc")
-        files.push_back(entry.path());
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& f : files) {
-    const std::string rel =
-        fs::path(f).lexically_relative(repo_root).generic_string();
-    for (Violation& v : lint_file(f.string(), rel)) out.push_back(std::move(v));
-  }
+  for (const std::string& rel : source_files(repo_root, roots))
+    for (Violation& v : lint_file(
+             (std::filesystem::path(repo_root) / rel).string(), rel))
+      out.push_back(std::move(v));
   return out;
 }
 

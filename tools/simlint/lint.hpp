@@ -11,10 +11,11 @@
 // justification comment, and one that no longer suppresses anything (or
 // names an unknown rule) is itself an error: unused-suppression.
 //
-// Beyond the line-lexical rules, simlint tokenizes each unit (token.hpp) and
-// runs scope-aware analyses: the lock-discipline checker (locks.hpp) per
-// translation unit, and the include-graph layering checker (layers.hpp) as a
-// whole-tree pass.
+// There is one lexer, code_lines(): it blanks comments and literals but keeps
+// line structure, so every rule — per-file here, include-graph layering in
+// layers.hpp — is a scan over the same lines. Lock order is not checked
+// here: util::LockOrderValidator (src/util/lock_audit.hpp) enforces it at
+// runtime; simlint keeps only `bare-lock`, which has no runtime counterpart.
 #pragma once
 
 #include <string>
@@ -55,6 +56,42 @@ struct RuleInfo {
 /// `repo_root`), reporting repo-relative file names, sorted by (file, line).
 [[nodiscard]] std::vector<Violation> lint_tree(
     const std::string& repo_root, const std::vector<std::string>& roots);
+
+/// `source` split into lines with comments and string/char literals blanked
+/// to spaces, so rule patterns never match inside them. Line i of the result
+/// is line i of the source.
+[[nodiscard]] std::vector<std::string> code_lines(const std::string& source);
+
+/// The `simlint:allow(...)` comments of one file. allowed() marks every entry
+/// that covers (rule, line) as used, so the caller can report the rest.
+class Suppressions {
+ public:
+  struct Entry {
+    std::string rule;
+    std::size_t line = 0;  ///< 1-based line of the comment itself
+    bool file_level = false;
+    bool used = false;
+  };
+
+  explicit Suppressions(const std::string& source);
+
+  /// True if an entry names `rule` and is file-level, on `line` (1-based),
+  /// or on the line above it.
+  [[nodiscard]] bool allowed(const std::string& rule, std::size_t line);
+
+  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+
+ private:
+  std::vector<Entry> entries_;
+};
+
+/// Repo-relative paths (forward slashes) of every .hpp/.cpp/.h/.cc file under
+/// `roots` (relative to `repo_root`), sorted.
+[[nodiscard]] std::vector<std::string> source_files(
+    const std::string& repo_root, const std::vector<std::string>& roots);
+
+/// Whole file contents; throws std::runtime_error if it cannot be read.
+[[nodiscard]] std::string read_file(const std::string& path);
 
 /// Serialize violations as the machine-readable report `--json` emits:
 ///   {"tool": "simlint", "count": N,

@@ -1,13 +1,12 @@
-// simlint driver: lints the given roots and exits non-zero when any rule
-// fires. Run as a CTest over src/, bench/, tests/ and examples/ (see
-// tools/simlint/CMakeLists.txt); CI's lint-strict job runs it with --layers
-// --json --github over the full tree.
+// simlint command-line tool: runs the per-file rules over the given roots
+// plus the include-graph layering pass over the whole tree, and exits
+// non-zero when any rule fires. Run as a CTest over src/, bench/, tests/ and
+// examples/ (see tools/simlint/CMakeLists.txt); CI's lint-strict job adds
+// --json --github.
 //
-//   simlint --root <repo_root> [--list-rules] [--layers | --layers-only]
-//           [--json <path>] [--github] [dir...]
+//   simlint --root <repo_root> [--list-rules] [--json <path>] [--github]
+//           [dir...]
 //
-//   --layers       also run the include-graph layering pass (whole tree)
-//   --layers-only  run only the layering pass
 //   --json <path>  write the machine-readable report (schema self-checked
 //                  via obs::check_simlint_json before writing)
 //   --github       emit GitHub Actions ::error annotations alongside the
@@ -35,8 +34,6 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::vector<std::string> roots;
   bool list_rules = false;
-  bool layers = false;
-  bool layers_only = false;
   bool github = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -47,16 +44,11 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     else if (arg == "--list-rules")
       list_rules = true;
-    else if (arg == "--layers")
-      layers = true;
-    else if (arg == "--layers-only")
-      layers_only = true;
     else if (arg == "--github")
       github = true;
     else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: simlint --root <repo_root> [--list-rules] "
-                   "[--layers | --layers-only] [--json <path>] [--github] "
-                   "[dir...]\n";
+                   "[--json <path>] [--github] [dir...]\n";
       return 0;
     } else
       roots.push_back(arg);
@@ -73,10 +65,9 @@ int main(int argc, char** argv) {
 
   std::vector<mlcr::simlint::Violation> violations;
   try {
-    if (!layers_only) violations = mlcr::simlint::lint_tree(repo_root, roots);
-    if (layers || layers_only)
-      for (auto& v : mlcr::simlint::lint_layers(repo_root, kLayerRoots))
-        violations.push_back(std::move(v));
+    violations = mlcr::simlint::lint_tree(repo_root, roots);
+    for (auto& v : mlcr::simlint::lint_layers(repo_root, kLayerRoots))
+      violations.push_back(std::move(v));
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
