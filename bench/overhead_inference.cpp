@@ -45,9 +45,11 @@ OverheadFixture& fixture() {
 void BM_DqnInference(benchmark::State& state) {
   auto& f = fixture();
   const auto encoded = f.encoder.encode(*f.env, f.env->current(), 0.0);
+  // One workspace across calls, as each MLCR scheduler keeps its own.
+  rl::InferWorkspace ws(f.cfg.dqn.network);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        f.agent->greedy_action(encoded.tokens, encoded.mask));
+        f.agent->greedy_action(encoded.tokens, encoded.mask, ws));
   }
 }
 BENCHMARK(BM_DqnInference)->Unit(benchmark::kMicrosecond);

@@ -5,6 +5,15 @@
 
 namespace mlcr::core {
 
+namespace {
+
+const rl::DqnAgent& non_null(const std::shared_ptr<rl::DqnAgent>& agent) {
+  MLCR_CHECK(agent != nullptr);
+  return *agent;
+}
+
+}  // namespace
+
 MlcrConfig make_default_mlcr_config(std::size_t num_slots,
                                     std::size_t embed_dim) {
   MlcrConfig c;
@@ -21,8 +30,9 @@ MlcrConfig make_default_mlcr_config(std::size_t num_slots,
 
 MlcrScheduler::MlcrScheduler(std::shared_ptr<rl::DqnAgent> agent,
                              StateEncoder encoder)
-    : agent_(std::move(agent)), encoder_(std::move(encoder)) {
-  MLCR_CHECK(agent_ != nullptr);
+    : agent_(std::move(agent)),
+      encoder_(std::move(encoder)),
+      ws_(non_null(agent_).config().network) {
   MLCR_CHECK_MSG(
       agent_->config().network.num_slots == encoder_.config().num_slots &&
           agent_->config().network.feature_dim ==
@@ -41,7 +51,8 @@ sim::Action MlcrScheduler::decide(const sim::ClusterEnv& env,
   const EncodedState state = encoder_.encode(env, inv, prev);
   prev_arrival_s_ = inv.arrival_s;
   has_prev_ = true;
-  const std::size_t action = agent_->greedy_action(state.tokens, state.mask);
+  const std::size_t action =
+      agent_->greedy_action(state.tokens, state.mask, ws_);
   obs::Tracer* tracer = env.tracer();
   if (tracer != nullptr && tracer->enabled()) {
     // Deterministic marker of each forward pass, in simulated time; the

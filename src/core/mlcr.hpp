@@ -25,7 +25,9 @@ struct MlcrConfig {
                                                   std::size_t embed_dim = 48);
 
 /// Inference-mode MLCR scheduler: encodes the state, asks the DQN for the
-/// greedy masked action, and converts it to a sim::Action.
+/// greedy masked action, and converts it to a sim::Action. Only reads the
+/// agent (through its own inference workspace), so schedulers on different
+/// threads may share one frozen agent.
 class MlcrScheduler final : public policies::Scheduler {
  public:
   MlcrScheduler(std::shared_ptr<rl::DqnAgent> agent, StateEncoder encoder);
@@ -43,6 +45,7 @@ class MlcrScheduler final : public policies::Scheduler {
  private:
   std::shared_ptr<rl::DqnAgent> agent_;
   StateEncoder encoder_;
+  rl::InferWorkspace ws_;
   double prev_arrival_s_ = 0.0;
   bool has_prev_ = false;
 };

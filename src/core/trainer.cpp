@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <limits>
 
-#include "nn/serialize.hpp"
 #include "obs/tracer.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
@@ -79,6 +78,7 @@ void seed_replay_with_greedy(rl::DqnAgent& agent, const StateEncoder& encoder,
                               const std::vector<sim::ClusterEnv*>& envs,
                               const sim::Trace& trace,
                               const std::vector<double>& baselines) {
+  rl::InferWorkspace ws(agent.config().network);
   double total = 0.0;
   for (std::size_t e = 0; e < envs.size(); ++e) {
     sim::ClusterEnv& env = *envs[e];
@@ -92,7 +92,7 @@ void seed_replay_with_greedy(rl::DqnAgent& agent, const StateEncoder& encoder,
       prev_arrival = inv.arrival_s;
       has_prev = true;
       const std::size_t action =
-          agent.greedy_action(state.tokens, state.mask);
+          agent.greedy_action(state.tokens, state.mask, ws);
       (void)env.step(encoder.to_sim_action(state, action));
     }
     total += env.metrics().total_latency_s() / baselines[e];
@@ -117,16 +117,18 @@ struct CollectedEpisode {
   double total_latency_s = 0.0;
 };
 
-/// Roll one episode against a frozen policy network. Epsilon anneals by the
-/// planned serial step index (`planned_start + s`), not by a live global
-/// counter, so the schedule each step sees is independent of how episodes
-/// are batched into rounds or scheduled onto workers. Action selection
-/// mirrors DqnAgent::select_action on `rng`, a stream owned by this episode.
+/// Roll one episode against a frozen policy network, read only through this
+/// episode's own inference workspace. Epsilon anneals by the planned serial
+/// step index (`planned_start + s`), not by a live global counter, so the
+/// schedule each step sees is independent of how episodes are batched into
+/// rounds or scheduled onto workers. Action selection mirrors
+/// DqnAgent::select_action on `rng`, a stream owned by this episode.
 [[nodiscard]] CollectedEpisode collect_episode(
-    rl::QNetwork& policy, const StateEncoder& encoder, float reward_scale_s,
-    sim::ClusterEnv& env, const sim::Trace& trace,
+    const rl::QNetwork& policy, const StateEncoder& encoder,
+    float reward_scale_s, sim::ClusterEnv& env, const sim::Trace& trace,
     const rl::LinearEpsilon& epsilon, std::size_t planned_start,
     util::Rng rng) {
+  rl::InferWorkspace ws(policy.config());
   CollectedEpisode out;
   out.transitions.reserve(trace.size());
   env.reset(trace);
@@ -151,7 +153,7 @@ struct CollectedEpisode {
       action = allowed[rng.uniform_index(allowed.size())];
     } else {
       const auto best =
-          rl::masked_argmax(policy.forward(state.tokens), state.mask);
+          rl::masked_argmax(policy.infer(state.tokens, ws), state.mask);
       MLCR_CHECK_MSG(best.has_value(), "no allowed action in mask");
       action = *best;
     }
@@ -355,10 +357,10 @@ void maybe_validate(TrainRun& run, rl::DqnAgent& agent,
 /// the transitions into the replay buffer in episode order with the same
 /// gradient cadence the interleaved loop uses. Determinism: per-episode RNG
 /// streams are split off the root in global episode order before the
-/// fan-out, every episode runs on a cloned environment and its own copy of
-/// the frozen network, epsilon depends only on the planned serial step
-/// index, and the merge is sequential — so the worker count never touches
-/// any result (asserted in tests/trainer).
+/// fan-out, every episode runs on a cloned environment and reads the frozen
+/// online network through its own workspace, epsilon depends only on the
+/// planned serial step index, and the merge is sequential — so the worker
+/// count never touches any result (asserted in tests/trainer).
 [[nodiscard]] TrainerReport train_agent_rounds(
     rl::DqnAgent& agent, const StateEncoder& encoder, float reward_scale_s,
     const std::vector<sim::ClusterEnv*>& envs,
@@ -391,23 +393,15 @@ void maybe_validate(TrainRun& run, rl::DqnAgent& agent,
     streams.reserve(n);
     for (std::size_t i = 0; i < n; ++i) streams.push_back(root.split());
 
-    // One frozen copy of the online network per episode, built serially
-    // before the fan-out (workers must not share forward caches).
-    std::vector<std::unique_ptr<rl::QNetwork>> policies;
-    policies.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      util::Rng init(1);
-      policies.push_back(
-          std::make_unique<rl::QNetwork>(agent.config().network, init));
-      nn::copy_parameters(agent.online_network(), *policies[i]);
-    }
-
+    // Nothing trains during the fan-out: every worker reads the online
+    // network as it stands.
+    const rl::QNetwork& policy = agent.online_network();
     std::vector<CollectedEpisode> collected(n);
     pool.parallel_for(n, [&](std::size_t i) {
       const std::size_t ep = round + i;
       const auto env = clone_env(*envs[ep % envs.size()]);
       collected[i] = collect_episode(
-          *policies[i], encoder, reward_scale_s, *env,
+          policy, encoder, reward_scale_s, *env,
           *traces[ep % traces.size()], run.epsilon, planned_start[ep],
           streams[i]);
     });

@@ -31,32 +31,21 @@ void add_col_block(Tensor& dst, std::size_t from, const Tensor& block) {
   }
 }
 
-/// Copy the (rows x cols) block of `src` starting at (row_from, col_from).
-[[nodiscard]] Tensor block(const Tensor& src, std::size_t row_from,
-                           std::size_t rows, std::size_t col_from,
-                           std::size_t cols) {
-  Tensor out(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* in = src.row(row_from + r) + col_from;
-    float* o = out.row(r);
-    for (std::size_t c = 0; c < cols; ++c) o[c] = in[c];
-  }
-  return out;
-}
-
-/// dst[row_from + r, col_from + c] += b(r, c).
-void add_block(Tensor& dst, std::size_t row_from, std::size_t col_from,
-               const Tensor& b) {
-  MLCR_CHECK(row_from + b.rows() <= dst.rows());
-  MLCR_CHECK(col_from + b.cols() <= dst.cols());
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    float* out = dst.row(row_from + r) + col_from;
-    const float* in = b.row(r);
-    for (std::size_t c = 0; c < b.cols(); ++c) out[c] += in[c];
-  }
-}
-
 }  // namespace
+
+BlockWorkspace::BlockWorkspace(std::size_t tokens, std::size_t dim,
+                               std::size_t heads, std::size_t ffn_dim)
+    : norm(tokens, dim),
+      q(tokens, dim),
+      k(tokens, dim),
+      v(tokens, dim),
+      key_t(dim / heads, tokens),
+      scores(tokens, tokens),
+      concat(tokens, dim),
+      out(tokens, dim),
+      hidden(tokens, ffn_dim) {
+  MLCR_CHECK(heads > 0 && dim % heads == 0);
+}
 
 MultiHeadAttention::MultiHeadAttention(std::size_t dim, std::size_t heads,
                                        util::Rng& rng)
@@ -93,38 +82,36 @@ Tensor MultiHeadAttention::forward(const Tensor& input) {
   return out_proj_.forward(concat);
 }
 
-Tensor MultiHeadAttention::forward_batched(const Tensor& input,
-                                           std::size_t tokens_per_segment) {
+void MultiHeadAttention::infer(const Tensor& input, BlockWorkspace& ws) const {
+  const std::size_t tokens = input.rows();
   MLCR_CHECK(input.cols() == dim_);
-  MLCR_CHECK_MSG(
-      tokens_per_segment > 0 && input.rows() % tokens_per_segment == 0,
-      "batched input of " << input.rows() << " rows is not a whole number of "
-                          << tokens_per_segment << "-token segments");
-  // The projections are row-wise, so one pass over the stack computes every
-  // segment's q/k/v exactly as forward() would.
-  const Tensor q = q_proj_.forward(input);
-  const Tensor k = k_proj_.forward(input);
-  const Tensor v = v_proj_.forward(input);
+  MLCR_CHECK(ws.key_t.rows() == head_dim_ && ws.key_t.cols() == tokens);
+  MLCR_CHECK(ws.scores.rows() == tokens && ws.scores.cols() == tokens);
+  MLCR_CHECK(ws.concat.rows() == tokens && ws.concat.cols() == dim_);
+  q_proj_.infer(input, ws.q);
+  k_proj_.infer(input, ws.k);
+  v_proj_.infer(input, ws.v);
 
+  // forward()'s per-head arithmetic on strided views: scores = q_h k_h^T
+  // adds every term (matmul_nt), attn . v_h skips zero weights (matmul),
+  // and each head's output lands in its concat columns directly (forward()
+  // adds it to zeros: 0 + x == x, as gemm never yields -0).
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
-  const std::size_t segments = input.rows() / tokens_per_segment;
-  Tensor concat(input.rows(), dim_);
-  for (std::size_t s = 0; s < segments; ++s) {
-    const std::size_t row_from = s * tokens_per_segment;
-    for (std::size_t h = 0; h < heads_; ++h) {
-      const std::size_t from = h * head_dim_;
-      const Tensor qh = block(q, row_from, tokens_per_segment, from,
-                              head_dim_);
-      const Tensor kh = block(k, row_from, tokens_per_segment, from,
-                              head_dim_);
-      const Tensor vh = block(v, row_from, tokens_per_segment, from,
-                              head_dim_);
-      Tensor scores = matmul_nt(qh, kh);
-      scores.scale_(scale);
-      add_block(concat, row_from, from, matmul(softmax_rows(scores), vh));
-    }
+  for (std::size_t h = 0; h < heads_; ++h) {
+    const std::size_t from = h * head_dim_;
+    for (std::size_t r = 0; r < tokens; ++r)
+      for (std::size_t c = 0; c < head_dim_; ++c)
+        ws.key_t(c, r) = ws.k(r, from + c);
+    gemm(ws.q.data() + from, dim_, ws.key_t.data(), tokens, nullptr,
+         ws.scores.data(), tokens, tokens, head_dim_, tokens,
+         /*skip_zero_a=*/false);
+    ws.scores.scale_(scale);
+    softmax_rows_(ws.scores);
+    gemm(ws.scores.data(), tokens, ws.v.data() + from, dim_, nullptr,
+         ws.concat.data() + from, dim_, tokens, tokens, head_dim_,
+         /*skip_zero_a=*/true);
   }
-  return out_proj_.forward(concat);
+  out_proj_.infer(ws.concat, ws.out);
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_output) {
@@ -172,30 +159,28 @@ TransformerBlock::TransformerBlock(std::size_t dim, std::size_t heads,
     : ln1_(dim),
       mha_(dim, heads, rng),
       ln2_(dim),
-      ffn1_(dim, ffn_dim, rng),
-      ffn2_(ffn_dim, dim, rng) {}
+      ffn_(dim, ffn_dim, rng) {}
 
 Tensor TransformerBlock::forward(const Tensor& input) {
   Tensor h = input;
   h.add_(mha_.forward(ln1_.forward(input)));
   Tensor y = h;
-  y.add_(ffn2_.forward(relu_.forward(ffn1_.forward(ln2_.forward(h)))));
+  y.add_(ffn_.forward(ln2_.forward(h)));
   return y;
 }
 
-Tensor TransformerBlock::forward_batched(const Tensor& input,
-                                         std::size_t tokens_per_segment) {
-  Tensor h = input;
-  h.add_(mha_.forward_batched(ln1_.forward(input), tokens_per_segment));
-  Tensor y = h;
-  y.add_(ffn2_.forward(relu_.forward(ffn1_.forward(ln2_.forward(h)))));
-  return y;
+void TransformerBlock::infer(Tensor& x, BlockWorkspace& ws) const {
+  ln1_.infer(x, ws.norm);
+  mha_.infer(ws.norm, ws);
+  x.add_(ws.out);
+  ln2_.infer(x, ws.norm);
+  ffn_.infer(ws.norm, ws.hidden, ws.out);
+  x.add_(ws.out);
 }
 
 Tensor TransformerBlock::backward(const Tensor& grad_output) {
   // y = h + FFN(LN2(h)): both summands receive grad_output.
-  const Tensor grad_ffn_path = ln2_.backward(
-      ffn1_.backward(relu_.backward(ffn2_.backward(grad_output))));
+  const Tensor grad_ffn_path = ln2_.backward(ffn_.backward(grad_output));
   Tensor grad_h = grad_output;
   grad_h.add_(grad_ffn_path);
   // h = x + MHA(LN1(x)).
@@ -209,8 +194,7 @@ void TransformerBlock::collect_parameters(std::vector<Parameter*>& out) {
   ln1_.collect_parameters(out);
   mha_.collect_parameters(out);
   ln2_.collect_parameters(out);
-  ffn1_.collect_parameters(out);
-  ffn2_.collect_parameters(out);
+  ffn_.collect_parameters(out);
 }
 
 }  // namespace mlcr::nn

@@ -10,6 +10,22 @@
 
 namespace mlcr::nn {
 
+/// Caller-owned activations for one TransformerBlock::infer (or
+/// MultiHeadAttention::infer) pass over `tokens` rows, sized once and reused
+/// by every call. One per thread: infer writes only here.
+struct BlockWorkspace {
+  BlockWorkspace(std::size_t tokens, std::size_t dim, std::size_t heads,
+                 std::size_t ffn_dim);
+
+  Tensor norm;     ///< (T x d) LayerNorm output, the sublayer input
+  Tensor q, k, v;  ///< (T x d) projections
+  Tensor key_t;    ///< (d / heads x T) one head's keys, transposed
+  Tensor scores;   ///< (T x T) one head's scores, then attention weights
+  Tensor concat;   ///< (T x d) every head's output side by side
+  Tensor out;      ///< (T x d) sublayer output
+  Tensor hidden;   ///< (T x ffn_dim) feed-forward hidden layer
+};
+
 /// Self-attention over the rows (tokens) of the input matrix (T x d).
 class MultiHeadAttention final : public Module {
  public:
@@ -22,16 +38,9 @@ class MultiHeadAttention final : public Module {
     return "MultiHeadAttention";
   }
 
-  /// Inference-only batched forward over B stacked segments of
-  /// `tokens_per_segment` rows each: attention is confined to each segment
-  /// (token i of segment b attends only within segment b), so row block b
-  /// of the result is bit-identical to forward() on that segment alone —
-  /// the projections are row-wise and each segment's score matrix is
-  /// computed by the exact same operations (asserted in tests/nn). Does not
-  /// populate the backward caches or last_attention(); a backward() after
-  /// this is invalid until the next forward().
-  [[nodiscard]] Tensor forward_batched(const Tensor& input,
-                                       std::size_t tokens_per_segment);
+  /// forward() without caches: attends over `input` (T x d) into ws.out,
+  /// using ws's q/k/v/key_t/scores/concat. last_attention() is untouched.
+  void infer(const Tensor& input, BlockWorkspace& ws) const;
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::size_t heads() const noexcept { return heads_; }
@@ -69,11 +78,9 @@ class TransformerBlock final : public Module {
     return "TransformerBlock";
   }
 
-  /// Inference-only batched forward (see MultiHeadAttention::
-  /// forward_batched): LayerNorm and the FFN are row-wise, so only the
-  /// attention needs segment confinement.
-  [[nodiscard]] Tensor forward_batched(const Tensor& input,
-                                       std::size_t tokens_per_segment);
+  /// forward() without caches, in place: x (T x d) becomes the block's
+  /// output.
+  void infer(Tensor& x, BlockWorkspace& ws) const;
 
   [[nodiscard]] MultiHeadAttention& attention() noexcept { return mha_; }
 
@@ -81,9 +88,7 @@ class TransformerBlock final : public Module {
   LayerNorm ln1_;
   MultiHeadAttention mha_;
   LayerNorm ln2_;
-  Linear ffn1_;
-  ReLU relu_;
-  Linear ffn2_;
+  FeedForward ffn_;
 };
 
 }  // namespace mlcr::nn

@@ -1,4 +1,10 @@
-// Basic layers: Linear, LayerNorm, ReLU, Sequential.
+// Basic layers: Linear, LayerNorm, ReLU, FeedForward, Sequential.
+//
+// Besides the cached forward()/backward() pair, the layers that sit on the
+// policy network's inference path have a const infer() that writes into a
+// caller-sized output and touches no cache, so any number of threads may
+// run it on one layer. infer() runs forward()'s operations in forward()'s
+// order: the outputs are bit-identical.
 #pragma once
 
 #include <memory>
@@ -17,6 +23,9 @@ class Linear final : public Module {
   [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
+
+  /// forward() without caches; `out` is (input.rows() x out_features()).
+  void infer(const Tensor& input, Tensor& out) const;
 
   [[nodiscard]] std::size_t in_features() const noexcept {
     return weight_.value.rows();
@@ -46,6 +55,9 @@ class LayerNorm final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "LayerNorm"; }
 
+  /// forward() without caches; `out` has input's shape.
+  void infer(const Tensor& input, Tensor& out) const;
+
  private:
   Parameter gain_;
   Parameter bias_;
@@ -62,6 +74,27 @@ class ReLU final : public Module {
 
  private:
   Tensor cached_input_;
+};
+
+/// y = W2 relu(W1 x + b1) + b2, row by row: the transformer block's
+/// feed-forward sublayer and one layer of the no-attention ablation.
+class FeedForward final : public Module {
+ public:
+  FeedForward(std::size_t dim, std::size_t hidden, util::Rng& rng);
+
+  [[nodiscard]] Tensor forward(const Tensor& input) override;
+  [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
+  void collect_parameters(std::vector<Parameter*>& out) override;
+  [[nodiscard]] std::string name() const override { return "FeedForward"; }
+
+  /// forward() without caches: `hidden` is (rows x hidden) working space,
+  /// `out` is (rows x dim).
+  void infer(const Tensor& input, Tensor& hidden, Tensor& out) const;
+
+ private:
+  Linear up_;
+  ReLU relu_;
+  Linear down_;
 };
 
 /// Runs children in order; backward in reverse.

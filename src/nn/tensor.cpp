@@ -114,17 +114,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                            << " . " << b.rows() << "x"
                                            << b.cols());
   Tensor out(a.rows(), b.cols());
-  // i-k-j loop order: unit-stride access on b and out.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0F) continue;
-      const float* brow = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aik * brow[j];
-    }
-  }
+  gemm(a.data(), a.cols(), b.data(), b.cols(), nullptr, out.data(),
+       out.cols(), a.rows(), a.cols(), b.cols(), /*skip_zero_a=*/true);
   return out;
 }
 
@@ -161,21 +152,23 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 }
 
 Tensor softmax_rows(const Tensor& logits) {
-  Tensor out(logits.rows(), logits.cols());
-  for (std::size_t r = 0; r < logits.rows(); ++r) {
-    const float* in = logits.row(r);
-    float* o = out.row(r);
-    float max_v = in[0];
-    for (std::size_t c = 1; c < logits.cols(); ++c)
-      max_v = std::max(max_v, in[c]);
+  Tensor out = logits;
+  softmax_rows_(out);
+  return out;
+}
+
+void softmax_rows_(Tensor& t) {
+  for (std::size_t r = 0; r < t.rows(); ++r) {
+    float* o = t.row(r);
+    float max_v = o[0];
+    for (std::size_t c = 1; c < t.cols(); ++c) max_v = std::max(max_v, o[c]);
     float denom = 0.0F;
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      o[c] = std::exp(in[c] - max_v);
+    for (std::size_t c = 0; c < t.cols(); ++c) {
+      o[c] = std::exp(o[c] - max_v);
       denom += o[c];
     }
-    for (std::size_t c = 0; c < logits.cols(); ++c) o[c] /= denom;
+    for (std::size_t c = 0; c < t.cols(); ++c) o[c] /= denom;
   }
-  return out;
 }
 
 Tensor softmax_rows_backward(const Tensor& y, const Tensor& grad_y) {

@@ -1,8 +1,13 @@
 // Minimal dense 2-D float tensor with the operations the policy network
-// needs. Row-major, value semantics. This is deliberately small: the DQN in
-// this repo processes one token matrix (tokens x features) at a time, and the
-// matrices are tiny (tens of rows, ~64-128 columns), so a straightforward
-// cache-friendly triple loop outperforms anything fancier at this size.
+// needs. Row-major, value semantics. The DQN processes one token matrix
+// (tokens x features) at a time and the matrices are tiny (tens of rows,
+// 16-128 columns). At that size a scalar loop is bound by one add chain at
+// a time, so matrix products go through one register-blocked kernel (gemm):
+// a tile of rows by a SIMD vector of columns stays in accumulators across
+// the whole inner loop, compiled per ISA level by GCC target_clones. Its
+// summation order is the plain i-k-j loop's, so the result bits do not
+// depend on the clone the CPU picks (the library builds with
+// -ffp-contract=off, so no clone fuses a multiply into an add).
 #pragma once
 
 #include <cstddef>
@@ -84,7 +89,19 @@ class Tensor {
   std::vector<float> data_;
 };
 
-/// out = a * b; shapes (m x k) . (k x n) -> (m x n).
+/// The one matrix-product kernel, on row-major strided views: c = a . b,
+/// plus `bias` (n floats) on every row unless it is null. a is (m x k) with
+/// row stride lda, b (k x n) with stride ldb, c (m x n) with stride ldc; c
+/// must not overlap a or b. Each c(i, j) starts at 0.0F and adds a(i, p) *
+/// b(p, j) for p ascending, a separate multiply then add, then the bias.
+/// With `skip_zero_a`, terms whose a(i, p) == 0 are skipped (matmul's
+/// rule); without it every term is added (a dot product's rule).
+void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
+          const float* bias, float* c, std::size_t ldc, std::size_t m,
+          std::size_t k, std::size_t n, bool skip_zero_a);
+
+/// out = a * b; shapes (m x k) . (k x n) -> (m x n). Through gemm, skipping
+/// zero entries of a.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
 /// out = a^T * b; shapes (k x m) . (k x n) -> (m x n).
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
@@ -93,6 +110,8 @@ class Tensor {
 
 /// Row-wise numerically-stable softmax.
 [[nodiscard]] Tensor softmax_rows(const Tensor& logits);
+/// softmax_rows in place: bit-identical to `t = softmax_rows(t)`.
+void softmax_rows_(Tensor& t);
 /// Backward of softmax_rows: given y = softmax(x) and dL/dy, return dL/dx.
 [[nodiscard]] Tensor softmax_rows_backward(const Tensor& y,
                                            const Tensor& grad_y);

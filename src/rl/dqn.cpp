@@ -13,7 +13,8 @@ DqnAgent::DqnAgent(DqnConfig config, util::Rng init_rng)
       online_(config.network, init_rng),
       target_(config.network, init_rng),
       optimizer_(online_.parameters(), config.learning_rate),
-      replay_(config.replay_capacity) {
+      replay_(config.replay_capacity),
+      infer_ws_(config.network) {
   nn::copy_parameters(online_, target_);
 }
 
@@ -30,38 +31,47 @@ std::size_t DqnAgent::select_action(const nn::Tensor& state,
     MLCR_CHECK_MSG(!allowed.empty(), "no allowed action in mask");
     return allowed[rng.uniform_index(allowed.size())];
   }
-  return greedy_action(state, mask);
+  return greedy_action(state, mask, infer_ws_);
 }
 
 std::size_t DqnAgent::greedy_action(const nn::Tensor& state,
-                                    const ActionMask& mask) {
-  const nn::Tensor q = online_.forward(state);
-  const auto best = masked_argmax(q, mask);
+                                    const ActionMask& mask,
+                                    InferWorkspace& ws) const {
+  const auto best = masked_argmax(online_.infer(state, ws), mask);
   MLCR_CHECK_MSG(best.has_value(), "no allowed action in mask");
   return *best;
 }
 
-nn::Tensor DqnAgent::q_values(const nn::Tensor& state) {
-  return online_.forward(state);
+std::size_t DqnAgent::greedy_action(const nn::Tensor& state,
+                                    const ActionMask& mask) const {
+  InferWorkspace ws(config_.network);
+  return greedy_action(state, mask, ws);
+}
+
+nn::Tensor DqnAgent::q_values(const nn::Tensor& state) const {
+  InferWorkspace ws(config_.network);
+  return online_.infer(state, ws);
 }
 
 std::vector<nn::Tensor> DqnAgent::q_values_batch(
-    const std::vector<const nn::Tensor*>& states) {
-  return online_.forward_batch(states);
+    const std::vector<const nn::Tensor*>& states) const {
+  InferWorkspace ws(config_.network);
+  std::vector<nn::Tensor> out;
+  out.reserve(states.size());
+  for (const nn::Tensor* state : states)
+    out.push_back(online_.infer(*state, ws));
+  return out;
 }
 
 std::vector<std::size_t> DqnAgent::greedy_actions(
     const std::vector<const nn::Tensor*>& states,
-    const std::vector<const ActionMask*>& masks) {
+    const std::vector<const ActionMask*>& masks) const {
   MLCR_CHECK(states.size() == masks.size());
-  const std::vector<nn::Tensor> qs = online_.forward_batch(states);
+  InferWorkspace ws(config_.network);
   std::vector<std::size_t> actions;
   actions.reserve(states.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    const auto best = masked_argmax(qs[i], *masks[i]);
-    MLCR_CHECK_MSG(best.has_value(), "no allowed action in mask");
-    actions.push_back(*best);
-  }
+  for (std::size_t i = 0; i < states.size(); ++i)
+    actions.push_back(greedy_action(*states[i], *masks[i], ws));
   return actions;
 }
 
@@ -71,41 +81,23 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
   const auto batch = replay_.sample(config_.batch_size, rng);
   online_.zero_grad();
 
-  // Bootstrap targets, batched: one forward pass per network over all
-  // non-terminal next states instead of one per transition. Pure inference
-  // with frozen weights and row-wise/segment-confined batching, so every
-  // target is bit-identical to the per-transition forwards it replaces
-  // (asserted in tests/rl). An empty next mask (or terminal flag) means no
-  // bootstrapping.
+  // Bootstrap targets from the frozen networks, before any backward pass.
+  // An empty next mask (or terminal flag) means no bootstrapping.
   std::vector<float> targets(batch.size());
-  std::vector<std::size_t> boot_index;
-  std::vector<const nn::Tensor*> next_states;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    targets[i] = batch[i]->reward;
-    if (!batch[i]->terminal) {
-      boot_index.push_back(i);
-      next_states.push_back(&batch[i]->next_state);
-    }
-  }
-  if (!next_states.empty()) {
-    const std::vector<nn::Tensor> q_target_next =
-        target_.forward_batch(next_states);
+    const Transition* t = batch[i];
+    targets[i] = t->reward;
+    if (t->terminal) continue;
+    std::optional<float> next;
     if (config_.double_dqn) {
-      const std::vector<nn::Tensor> q_online_next =
-          online_.forward_batch(next_states);
-      for (std::size_t j = 0; j < boot_index.size(); ++j) {
-        const Transition* t = batch[boot_index[j]];
-        if (const auto a_star = masked_argmax(q_online_next[j], t->next_mask))
-          targets[boot_index[j]] +=
-              config_.gamma * q_target_next[j](*a_star, 0);
-      }
+      // The online network picks a*, the target network values it.
+      const auto a_star =
+          masked_argmax(online_.infer(t->next_state, infer_ws_), t->next_mask);
+      if (a_star) next = target_.infer(t->next_state, infer_ws_)(*a_star, 0);
     } else {
-      for (std::size_t j = 0; j < boot_index.size(); ++j) {
-        const Transition* t = batch[boot_index[j]];
-        if (const auto m = masked_max(q_target_next[j], t->next_mask))
-          targets[boot_index[j]] += config_.gamma * *m;
-      }
+      next = masked_max(target_.infer(t->next_state, infer_ws_), t->next_mask);
     }
+    if (next) targets[i] += config_.gamma * *next;
   }
 
   float total_loss = 0.0F;

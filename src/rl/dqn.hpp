@@ -42,23 +42,27 @@ class DqnAgent {
                                           const ActionMask& mask,
                                           float epsilon, util::Rng& rng);
 
-  /// Greedy (evaluation) action.
+  /// Greedy (evaluation) action, computed in `ws`. Const: threads sharing
+  /// one agent each pass their own workspace.
   [[nodiscard]] std::size_t greedy_action(const nn::Tensor& state,
-                                          const ActionMask& mask);
+                                          const ActionMask& mask,
+                                          InferWorkspace& ws) const;
+  /// As above, in a workspace allocated for the call.
+  [[nodiscard]] std::size_t greedy_action(const nn::Tensor& state,
+                                          const ActionMask& mask) const;
 
   /// Raw Q-values for a state (online network).
-  [[nodiscard]] nn::Tensor q_values(const nn::Tensor& state);
+  [[nodiscard]] nn::Tensor q_values(const nn::Tensor& state) const;
 
-  /// Batched q_values: one forward pass over all states (QNetwork::
-  /// forward_batch), bit-identical per state to q_values().
+  /// q_values() for each state, through one workspace.
   [[nodiscard]] std::vector<nn::Tensor> q_values_batch(
-      const std::vector<const nn::Tensor*>& states);
+      const std::vector<const nn::Tensor*>& states) const;
 
-  /// Batched greedy_action over parallel state/mask arrays: one forward
-  /// pass, bit-identical per entry to greedy_action().
+  /// greedy_action() over parallel state/mask arrays, through one
+  /// workspace.
   [[nodiscard]] std::vector<std::size_t> greedy_actions(
       const std::vector<const nn::Tensor*>& states,
-      const std::vector<const ActionMask*>& masks);
+      const std::vector<const ActionMask*>& masks) const;
 
   void observe(Transition transition) { replay_.push(std::move(transition)); }
 
@@ -72,6 +76,9 @@ class DqnAgent {
   }
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
   [[nodiscard]] QNetwork& online_network() noexcept { return online_; }
+  [[nodiscard]] const QNetwork& online_network() const noexcept {
+    return online_;
+  }
 
   void save(const std::string& path);
   void load(const std::string& path);
@@ -94,6 +101,8 @@ class DqnAgent {
   QNetwork target_;
   nn::Adam optimizer_;
   ReplayBuffer replay_;
+  /// For the agent's own inference: select_action() and train_step().
+  InferWorkspace infer_ws_;
   std::size_t train_steps_ = 0;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -1,8 +1,17 @@
 #include "rl/qnetwork.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace mlcr::rl {
+
+InferWorkspace::InferWorkspace(const QNetworkConfig& config)
+    : h(kFirstSlotTokenRow + config.num_slots, config.embed_dim),
+      block(kFirstSlotTokenRow + config.num_slots, config.embed_dim,
+            config.use_attention ? config.heads : 1, config.ffn_dim),
+      values(kFirstSlotTokenRow + config.num_slots, 1),
+      q(config.num_slots + 1, 1) {}
 
 QNetwork::QNetwork(QNetworkConfig config, util::Rng& rng)
     : config_(config),
@@ -17,13 +26,9 @@ QNetwork::QNetwork(QNetworkConfig config, util::Rng& rng)
           config_.embed_dim, config_.heads, config_.ffn_dim, rng));
   } else {
     // Ablation: per-token MLP of matching depth, no cross-token mixing.
-    for (std::size_t i = 0; i < config_.blocks; ++i) {
-      mlp_.push_back(std::make_unique<nn::Linear>(config_.embed_dim,
-                                                  config_.ffn_dim, rng));
-      mlp_.push_back(std::make_unique<nn::ReLU>());
-      mlp_.push_back(std::make_unique<nn::Linear>(config_.ffn_dim,
-                                                  config_.embed_dim, rng));
-    }
+    for (std::size_t i = 0; i < config_.blocks; ++i)
+      mlp_.push_back(std::make_unique<nn::FeedForward>(config_.embed_dim,
+                                                       config_.ffn_dim, rng));
   }
 }
 
@@ -50,45 +55,31 @@ nn::Tensor QNetwork::forward(const nn::Tensor& tokens) {
   return q;
 }
 
-std::vector<nn::Tensor> QNetwork::forward_batch(
-    const std::vector<const nn::Tensor*>& states) {
-  std::vector<nn::Tensor> out;
-  if (states.empty()) return out;
-  const std::size_t tokens = num_tokens();
-  nn::Tensor stacked(states.size() * tokens, config_.feature_dim);
-  for (std::size_t b = 0; b < states.size(); ++b) {
-    const nn::Tensor& state = *states[b];
-    MLCR_CHECK_MSG(state.rows() == tokens &&
-                       state.cols() == config_.feature_dim,
-                   "expected tokens " << tokens << "x" << config_.feature_dim
-                                      << ", got " << state.rows() << "x"
-                                      << state.cols());
-    for (std::size_t r = 0; r < tokens; ++r) {
-      const float* in = state.row(r);
-      float* o = stacked.row(b * tokens + r);
-      for (std::size_t c = 0; c < config_.feature_dim; ++c) o[c] = in[c];
+const nn::Tensor& QNetwork::infer(const nn::Tensor& tokens,
+                                  InferWorkspace& ws) const {
+  MLCR_CHECK_MSG(tokens.rows() == num_tokens() &&
+                     tokens.cols() == config_.feature_dim,
+                 "expected tokens " << num_tokens() << "x"
+                                    << config_.feature_dim << ", got "
+                                    << tokens.rows() << "x" << tokens.cols());
+  // The layers check the shapes they write; ws.q is filled here.
+  MLCR_CHECK_MSG(ws.q.rows() == num_actions(),
+                 "workspace sized for another network");
+  input_proj_.infer(tokens, ws.h);
+  if (config_.use_attention) {
+    for (const auto& block : blocks_) block->infer(ws.h, ws.block);
+  } else {
+    for (const auto& layer : mlp_) {
+      layer->infer(ws.h, ws.block.hidden, ws.block.out);
+      std::swap(ws.h, ws.block.out);
     }
   }
-
-  nn::Tensor h = input_proj_.forward(stacked);
-  if (config_.use_attention) {
-    for (const auto& b : blocks_) h = b->forward_batched(h, tokens);
-  } else {
-    for (const auto& layer : mlp_) h = layer->forward(h);
-  }
-  h = final_norm_.forward(h);
-  const nn::Tensor values = value_head_.forward(h);  // (B*T x 1)
-
-  out.reserve(states.size());
-  for (std::size_t b = 0; b < states.size(); ++b) {
-    nn::Tensor q(num_actions(), 1);
-    const std::size_t base = b * tokens;
-    for (std::size_t slot = 0; slot < config_.num_slots; ++slot)
-      q(slot, 0) = values(base + kFirstSlotTokenRow + slot, 0);
-    q(config_.num_slots, 0) = values(base + kFunctionTokenRow, 0);
-    out.push_back(std::move(q));
-  }
-  return out;
+  final_norm_.infer(ws.h, ws.block.norm);
+  value_head_.infer(ws.block.norm, ws.values);
+  for (std::size_t slot = 0; slot < config_.num_slots; ++slot)
+    ws.q(slot, 0) = ws.values(kFirstSlotTokenRow + slot, 0);
+  ws.q(config_.num_slots, 0) = ws.values(kFunctionTokenRow, 0);  // cold
+  return ws.q;
 }
 
 nn::Tensor QNetwork::backward(const nn::Tensor& grad_q) {

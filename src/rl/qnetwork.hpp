@@ -30,6 +30,18 @@ inline constexpr std::size_t kClusterTokenRow = 0;
 inline constexpr std::size_t kFunctionTokenRow = 1;
 inline constexpr std::size_t kFirstSlotTokenRow = 2;
 
+/// Caller-owned activations for QNetwork::infer, sized once from the
+/// network's config; infer allocates nothing and writes only here. One per
+/// thread (or per scheduler) — never shared by concurrent calls.
+struct InferWorkspace {
+  explicit InferWorkspace(const QNetworkConfig& config);
+
+  nn::Tensor h;  ///< (T x d) residual stream
+  nn::BlockWorkspace block;
+  nn::Tensor values;  ///< (T x 1) value head output
+  nn::Tensor q;       ///< (num_slots + 1 x 1) the result
+};
+
 class QNetwork final : public nn::Module {
  public:
   QNetwork(QNetworkConfig config, util::Rng& rng);
@@ -37,14 +49,12 @@ class QNetwork final : public nn::Module {
   /// tokens: ((2 + num_slots) x feature_dim) -> Q: ((num_slots + 1) x 1).
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& tokens) override;
 
-  /// Inference-only batched forward: one pass over all `states` (each a
-  /// token matrix as forward() takes) with every row-wise layer applied to
-  /// the stacked (B * num_tokens) matrix and attention confined per state.
-  /// states[i]'s Q vector is bit-identical to forward(*states[i]) —
-  /// asserted in tests/rl. Clobbers the forward caches, so backward() is
-  /// invalid until the next forward().
-  [[nodiscard]] std::vector<nn::Tensor> forward_batch(
-      const std::vector<const nn::Tensor*>& states);
+  /// The inference path: forward()'s operations in forward()'s order, so
+  /// the Q-values are bit-identical to forward()'s, computed in `ws` and
+  /// returned as a view of ws.q. Const and cache-free: any number of threads
+  /// may call it on one network, each with its own workspace.
+  [[nodiscard]] const nn::Tensor& infer(const nn::Tensor& tokens,
+                                        InferWorkspace& ws) const;
 
   [[nodiscard]] nn::Tensor backward(const nn::Tensor& grad_q) override;
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
@@ -65,7 +75,7 @@ class QNetwork final : public nn::Module {
   nn::Linear input_proj_;
   std::vector<std::unique_ptr<nn::TransformerBlock>> blocks_;
   /// MLP path for the no-attention ablation.
-  std::vector<std::unique_ptr<nn::Module>> mlp_;
+  std::vector<std::unique_ptr<nn::FeedForward>> mlp_;
   nn::LayerNorm final_norm_;
   nn::Linear value_head_;
   std::size_t cached_tokens_ = 0;

@@ -1,8 +1,7 @@
 // Bounded MPMC ingestion queue for the scheduler service. Producers
 // try_push and are told immediately when the queue is full (the service
 // layers its reject/degrade backpressure on top); consumers drain in batches
-// so one wake-up amortizes over up to B requests — the shape the per-worker
-// QNetwork::forward_batch path needs.
+// so one wake-up amortizes over up to B requests.
 #pragma once
 
 #include <condition_variable>

@@ -48,10 +48,10 @@ void SchedulerService::begin_episode() {
   MLCR_CHECK_MSG(pool_ == nullptr, "begin_episode() while workers run");
   const std::size_t nodes = fleet_.node_count();
 
-  // MLCR detection: MLCR nodes share one DqnAgent, whose forward pass
-  // writes layer caches, so dispatch serializes their decide() calls under
-  // the inference mutex. Fleets mixing MLCR and heuristic nodes are
-  // rejected.
+  // MLCR detection: MLCR nodes share one frozen DqnAgent, read through
+  // each scheduler's own inference workspace, so their decide() calls run
+  // concurrently under their stripes alone; mlcr_mode only counts them.
+  // Fleets mixing MLCR and heuristic nodes are rejected.
   std::size_t mlcr_nodes = 0;
   for (std::size_t i = 0; i < nodes; ++i)
     if (dynamic_cast<const core::MlcrScheduler*>(&fleet_.node_scheduler(i)) !=
@@ -410,15 +410,9 @@ bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
   env.offer(inv);
   policies::Scheduler& scheduler = fleet_.node_scheduler(target);
   sim::Action action = sim::Action::cold();
-  if (!req.degraded && mlcr_mode_) {
-    // Released before the index update: stripe -> inference -> index.
-    std::lock_guard inference_lock(inference_mutex_);
-    const util::LockRankScope inference_rank(util::lock_ranks::kInference,
-                                             "inference mutex");
+  if (!req.degraded) {
     action = scheduler.decide(env, inv);
-    inference_calls_.fetch_add(1, std::memory_order_relaxed);
-  } else if (!req.degraded) {
-    action = scheduler.decide(env, inv);
+    if (mlcr_mode_) inference_calls_.fetch_add(1, std::memory_order_relaxed);
   }
   const sim::StepResult result = env.step(action);
   if (!req.degraded) scheduler.on_step_result(env, result);

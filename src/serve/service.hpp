@@ -14,11 +14,11 @@
 //     node is still up (a concurrent crash fails the request over), and
 //     refreshes the index entry before releasing it, so readers never
 //     observe a node mid-step;
-//   - on an MLCR fleet every node shares one DqnAgent, so decide() runs
-//     under the inference mutex, taken inside the stripe mutex and released
-//     before the index update;
-//   - lock order is stripe mutex -> inference mutex -> index lock, never
-//     reversed; no path holds two stripe mutexes at once.
+//   - on an MLCR fleet every node shares one frozen DqnAgent; decide() only
+//     reads it, through the node scheduler's own inference workspace
+//     (QNetwork::infer is const), so it needs no lock beyond the stripe's;
+//   - lock order is stripe mutex -> index lock, never reversed; no path
+//     holds two stripe mutexes at once.
 //
 // Backpressure: a submit() that finds its queue at/above `degrade_depth` is
 // accepted *degraded* — it will be served with a forced cold start, skipping
@@ -204,10 +204,9 @@ class SchedulerService {
   std::optional<std::size_t> serve_one(const Request& req);
 
   /// Offer/decide/step/observe on `target` under its stripe mutex, then
-  /// refresh the index entry. Mirrors FleetEnv::dispatch; an MLCR decide()
-  /// also holds the inference mutex. False, with nothing dispatched, when
-  /// `target` crashed after it was picked. `rerouted` is routing context
-  /// forwarded to telemetry.
+  /// refresh the index entry. Mirrors FleetEnv::dispatch. False, with
+  /// nothing dispatched, when `target` crashed after it was picked.
+  /// `rerouted` is routing context forwarded to telemetry.
   bool dispatch_one(const Request& req, std::size_t target, bool rerouted);
 
   void process_batch(const std::vector<Request>& batch);
@@ -254,8 +253,6 @@ class SchedulerService {
   std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
   /// Dispatch stripes: node n's env is guarded by n % size().
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
-  /// Serializes MLCR decide() on the shared agent across workers.
-  std::mutex inference_mutex_;
 
   std::unique_ptr<util::ThreadPool> pool_;
   std::vector<std::future<void>> workers_;

@@ -3,7 +3,6 @@
 // rule, `bare-lock`, bans .lock()/.unlock() calls that bypass RAII guards.
 //
 //   service dispatch stripes (ascending)     rank 1'000'000 + stripe
-//   inference mutex                          rank 2'000'000
 //   fleet index lock (leaf)                  rank 3'000'000
 //   telemetry window/trace mutex             rank 4'000'000
 //   metrics registry slot locks (leaves)     rank 5'000'000 + slot
@@ -39,7 +38,6 @@ namespace mlcr::util {
 namespace lock_ranks {
 
 inline constexpr std::uint64_t kServiceShardBase = 1'000'000;
-inline constexpr std::uint64_t kInference = 2'000'000;
 /// ShardedFleetIndex's one lock, a leaf: nothing is acquired while it is
 /// held.
 inline constexpr std::uint64_t kIndex = 3'000'000;
@@ -85,9 +83,9 @@ class LockOrderValidator {
                                    << name << "' (rank " << rank
                                    << ") acquired while holding rank " << h
                                    << "; the declared order is service stripe "
-                                      "mutexes (ascending) < inference mutex "
-                                      "< index lock < telemetry mutex "
-                                      "< registry slot locks");
+                                      "mutexes (ascending) < index lock "
+                                      "< telemetry mutex < registry slot "
+                                      "locks");
       MLCR_CHECK_MSG(!lock_ranks::is_leaf(h),
                      "lock-order audit: '"
                          << name << "' (rank " << rank

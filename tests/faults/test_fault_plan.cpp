@@ -83,7 +83,7 @@ TEST(RetryPolicy, BackoffIsExponentialCappedAndJittered) {
   EXPECT_DOUBLE_EQ(retry.backoff_s(4, 0.0), 5.0);  // capped
   retry.jitter_frac = 0.1;
   EXPECT_DOUBLE_EQ(retry.backoff_s(1, 0.5), 1.0 * 1.05);
-  EXPECT_THROW(retry.backoff_s(0, 0.0), util::CheckError);
+  EXPECT_THROW((void)retry.backoff_s(0, 0.0), util::CheckError);
 }
 
 TEST(SampleCrashWindows, ProducesValidPlansAndRespectsTheCap) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -102,6 +105,81 @@ TEST(Matmul, VariantsAgreeWithExplicitTranspose) {
   ASSERT_TRUE(nt.same_shape(nt_ref));
   for (std::size_t i = 0; i < nt.size(); ++i)
     EXPECT_NEAR(nt.data()[i], nt_ref.data()[i], 1e-5F);
+}
+
+/// The plain i-k-j product, the op order gemm must keep.
+Tensor ikj_product(const Tensor& a, const Tensor& b) {
+  Tensor out(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const float aik = a(i, k);
+      if (aik == 0.0F) continue;
+      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
+    }
+  return out;
+}
+
+/// he_uniform with about a third of the entries exactly zero.
+Tensor sparse_uniform(std::size_t rows, std::size_t cols, util::Rng& rng) {
+  Tensor t = Tensor::he_uniform(std::max<std::size_t>(rows, 1), cols, rng);
+  Tensor out(rows, cols);
+  for (std::size_t i = 0; i < out.size(); ++i)
+    out.data()[i] = rng.uniform() < 0.35 ? 0.0F : t.data()[i];
+  return out;
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::memcmp(a.data() + i, b.data() + i, sizeof(float)), 0)
+        << "element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
+}
+
+// Widths cover every panel (48, 16, 8, 1) and their tails; k = 300 runs the
+// kernel's multi-pass path (more terms than one pass lists).
+TEST(Matmul, MatchesTheIkjLoopBitForBit) {
+  util::Rng rng(5);
+  const std::size_t shapes[][3] = {{3, 0, 5},   {2, 7, 1},   {5, 16, 48},
+                                   {4, 20, 97}, {3, 300, 25}, {26, 26, 24},
+                                   {6, 48, 96}, {1, 129, 63}};
+  for (const auto& s : shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << s[0] << "x" << s[1] << " . " << s[1] << "x" << s[2]);
+    const Tensor a = sparse_uniform(s[0], s[1], rng);
+    const Tensor b = sparse_uniform(s[1], s[2], rng);
+    expect_same_bits(matmul(a, b), ikj_product(a, b));
+  }
+}
+
+// A zero a(i, p) against an inf or NaN b(p, j) is where the zero-skip shows:
+// skipped, the row stays finite; added, it turns NaN.
+TEST(Matmul, ZeroSkipHoldsAgainstNonFiniteEntries) {
+  util::Rng rng(7);
+  Tensor a = sparse_uniform(6, 20, rng);
+  Tensor b = sparse_uniform(20, 24, rng);
+  a(0, 3) = 0.0F;
+  a(1, 3) = 0.5F;
+  b(3, 5) = std::numeric_limits<float>::infinity();
+  b(4, 17) = std::numeric_limits<float>::quiet_NaN();
+  a(2, 4) = 0.0F;
+  const Tensor out = matmul(a, b);
+  EXPECT_TRUE(std::isfinite(out(0, 5)));
+  EXPECT_TRUE(std::isinf(out(1, 5)));
+  EXPECT_TRUE(std::isfinite(out(2, 17)));
+  expect_same_bits(out, ikj_product(a, b));
+}
+
+// Without the zero skip, gemm against a transposed operand is matmul_nt's
+// dot product, term for term.
+TEST(Matmul, GemmWithoutSkipMatchesMatmulNt) {
+  util::Rng rng(6);
+  const Tensor a = sparse_uniform(26, 24, rng);
+  const Tensor c = sparse_uniform(26, 24, rng);
+  const Tensor c_t = c.transposed();
+  Tensor out(26, 26);
+  gemm(a.data(), a.cols(), c_t.data(), c_t.cols(), nullptr, out.data(),
+       out.cols(), a.rows(), a.cols(), c_t.cols(), /*skip_zero_a=*/false);
+  expect_same_bits(out, matmul_nt(a, c));
 }
 
 TEST(Softmax, RowsSumToOneAndOrderPreserved) {

@@ -1,13 +1,11 @@
-// Bit-identity pinning for batched inference: stacking states into one
-// forward pass must produce exactly the per-state outputs of the one-at-a-
-// time path. Every non-attention layer is strictly row-wise and attention
-// is confined per stacked segment, so equality is exact (EXPECT_EQ on
-// floats), not approximate — any reassociation of the arithmetic is a bug.
+// Bit-identity pinning for the agent's multi-state APIs: q_values_batch and
+// greedy_actions loop over QNetwork::infer with one shared workspace, so
+// every state's output must equal the one-at-a-time path exactly (EXPECT_EQ
+// on floats) — a workspace that carried state between calls would show.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "nn/attention.hpp"
 #include "rl/dqn.hpp"
 #include "rl/qnetwork.hpp"
 #include "util/rng.hpp"
@@ -42,84 +40,6 @@ std::vector<nn::Tensor> random_states(const QNetworkConfig& cfg,
   for (std::size_t i = 0; i < count; ++i)
     states.push_back(nn::Tensor::he_uniform(tokens, cfg.feature_dim, rng));
   return states;
-}
-
-TEST(BatchedInference, QNetworkForwardBatchMatchesForward) {
-  for (const bool use_attention : {true, false}) {
-    SCOPED_TRACE(use_attention ? "attention" : "mlp");
-    util::Rng rng(7);
-    const QNetworkConfig cfg = tiny_config(use_attention);
-    QNetwork net(cfg, rng);
-    const auto states = random_states(cfg, 5, rng);
-
-    // Single-state path first; forward_batch clobbers the caches.
-    std::vector<nn::Tensor> singles;
-    for (const nn::Tensor& s : states) singles.push_back(net.forward(s));
-
-    std::vector<const nn::Tensor*> ptrs;
-    for (const nn::Tensor& s : states) ptrs.push_back(&s);
-    const auto batched = net.forward_batch(ptrs);
-    ASSERT_EQ(batched.size(), singles.size());
-    for (std::size_t i = 0; i < singles.size(); ++i) {
-      SCOPED_TRACE(i);
-      expect_tensors_identical(batched[i], singles[i]);
-    }
-  }
-}
-
-TEST(BatchedInference, ForwardBatchOfOneMatchesForward) {
-  util::Rng rng(9);
-  const QNetworkConfig cfg = tiny_config(true);
-  QNetwork net(cfg, rng);
-  const auto states = random_states(cfg, 1, rng);
-  const nn::Tensor single = net.forward(states[0]);
-  const auto batched = net.forward_batch({&states[0]});
-  ASSERT_EQ(batched.size(), 1U);
-  expect_tensors_identical(batched[0], single);
-  EXPECT_TRUE(net.forward_batch({}).empty());
-}
-
-TEST(BatchedInference, AttentionForwardBatchedMatchesPerSegment) {
-  util::Rng rng(11);
-  nn::MultiHeadAttention mha(8, 2, rng);
-  constexpr std::size_t kTokens = 5;
-  constexpr std::size_t kSegments = 4;
-  const nn::Tensor stacked =
-      nn::Tensor::he_uniform(kTokens * kSegments, 8, rng);
-  const nn::Tensor batched = mha.forward_batched(stacked, kTokens);
-  ASSERT_EQ(batched.rows(), stacked.rows());
-  for (std::size_t seg = 0; seg < kSegments; ++seg) {
-    SCOPED_TRACE(seg);
-    nn::Tensor segment = nn::Tensor::zeros(kTokens, 8);
-    for (std::size_t r = 0; r < kTokens; ++r)
-      for (std::size_t c = 0; c < 8; ++c)
-        segment(r, c) = stacked(seg * kTokens + r, c);
-    const nn::Tensor single = mha.forward(segment);
-    for (std::size_t r = 0; r < kTokens; ++r)
-      for (std::size_t c = 0; c < 8; ++c)
-        EXPECT_EQ(batched(seg * kTokens + r, c), single(r, c));
-  }
-}
-
-TEST(BatchedInference, TransformerBlockForwardBatchedMatchesPerSegment) {
-  util::Rng rng(13);
-  nn::TransformerBlock blk(8, 2, 16, rng);
-  constexpr std::size_t kTokens = 4;
-  constexpr std::size_t kSegments = 3;
-  const nn::Tensor stacked =
-      nn::Tensor::he_uniform(kTokens * kSegments, 8, rng);
-  const nn::Tensor batched = blk.forward_batched(stacked, kTokens);
-  for (std::size_t seg = 0; seg < kSegments; ++seg) {
-    SCOPED_TRACE(seg);
-    nn::Tensor segment = nn::Tensor::zeros(kTokens, 8);
-    for (std::size_t r = 0; r < kTokens; ++r)
-      for (std::size_t c = 0; c < 8; ++c)
-        segment(r, c) = stacked(seg * kTokens + r, c);
-    const nn::Tensor single = blk.forward(segment);
-    for (std::size_t r = 0; r < kTokens; ++r)
-      for (std::size_t c = 0; c < 8; ++c)
-        EXPECT_EQ(batched(seg * kTokens + r, c), single(r, c));
-  }
 }
 
 TEST(BatchedInference, AgentBatchedApisMatchSingleState) {

@@ -26,13 +26,13 @@ class LockAuditTest : public ::testing::Test {
 TEST_F(LockAuditTest, AscendingAcquisitionIsLegal) {
   LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
   LockOrderValidator::acquired(lock_ranks::service_shard(3), "shard 3");
-  LockOrderValidator::acquired(lock_ranks::kInference, "inference");
-  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
+  LockOrderValidator::acquired(lock_ranks::registry_slot(0), "slot 0");
   EXPECT_EQ(LockOrderValidator::held_count(), 4U);
 }
 
 TEST_F(LockAuditTest, DescendingAcquisitionThrows) {
-  LockOrderValidator::acquired(lock_ranks::kInference, "inference");
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
   EXPECT_THROW(
       LockOrderValidator::acquired(lock_ranks::service_shard(2), "shard 2"),
       CheckError);
@@ -49,9 +49,10 @@ TEST_F(LockAuditTest, DoubleAcquisitionThrowsWithADistinctMessage) {
 }
 
 TEST_F(LockAuditTest, InversionMessageNamesTheDeclaredOrder) {
-  LockOrderValidator::acquired(lock_ranks::kIndex, "index");
+  // Telemetry is not a leaf, so only the ordering rule can reject this.
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
   try {
-    LockOrderValidator::acquired(lock_ranks::kInference, "inference");
+    LockOrderValidator::acquired(lock_ranks::service_shard(1), "shard 1");
     FAIL() << "inversion must throw";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("declared order"), std::string::npos);
@@ -76,18 +77,18 @@ TEST_F(LockAuditTest, OutOfLifoReleaseIsLegal) {
 }
 
 TEST_F(LockAuditTest, ReleasingAnUnheldRankIsIgnored) {
-  LockOrderValidator::released(lock_ranks::kInference);
+  LockOrderValidator::released(lock_ranks::kTelemetry);
   EXPECT_EQ(LockOrderValidator::held_count(), 0U);
   LockOrderValidator::acquired(lock_ranks::service_shard(7), "shard 7");
-  LockOrderValidator::released(lock_ranks::kInference);
+  LockOrderValidator::released(lock_ranks::kTelemetry);
   EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 }
 
 TEST_F(LockAuditTest, ReacquisitionAfterReleaseIsLegal) {
-  LockOrderValidator::acquired(lock_ranks::kInference, "inference");
-  LockOrderValidator::released(lock_ranks::kInference);
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
+  LockOrderValidator::released(lock_ranks::kTelemetry);
   LockOrderValidator::acquired(lock_ranks::service_shard(0), "shard 0");
-  LockOrderValidator::acquired(lock_ranks::kInference, "inference");
+  LockOrderValidator::acquired(lock_ranks::kTelemetry, "telemetry");
   EXPECT_EQ(LockOrderValidator::held_count(), 2U);
 }
 
@@ -106,16 +107,16 @@ TEST_F(LockAuditTest, HeldStacksAreThreadLocal) {
 }
 
 TEST_F(LockAuditTest, RankBandsKeepTheThreeFamiliesDisjoint) {
-  // A service would need a million dispatch stripes to collide with the
-  // inference rank; treat the bands as the contract.
-  EXPECT_LT(lock_ranks::service_shard(999'999), lock_ranks::kInference);
-  EXPECT_LT(lock_ranks::kInference, lock_ranks::kIndex);
+  // A service would need two million dispatch stripes to collide with the
+  // index rank; treat the bands as the contract.
+  EXPECT_LT(lock_ranks::service_shard(1'999'999), lock_ranks::kIndex);
   EXPECT_LT(lock_ranks::kIndex, lock_ranks::kTelemetry);
+  EXPECT_LT(lock_ranks::kTelemetry, lock_ranks::registry_slot(0));
 }
 
 TEST_F(LockAuditTest, LockRankScopeMatchesTheBuildMode) {
   {
-    const LockRankScope scope(lock_ranks::kInference, "inference");
+    const LockRankScope scope(lock_ranks::kTelemetry, "telemetry");
 #if MLCR_AUDIT_ENABLED
     EXPECT_EQ(LockOrderValidator::held_count(), 1U);
 #else
