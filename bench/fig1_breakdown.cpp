@@ -37,6 +37,13 @@ int main() {
 
   util::Table table({"warm", "invoked", "match", "C total (s)", "W total (s)",
                      "speedup", "W pull (s)", "W install (s)", "W init (s)"});
+  // "F<id>", appended piecewise: GCC 12's -Wrestrict misreads
+  // "literal" + std::string&& in optimized builds.
+  const auto paper_fn = [](int paper_id) {
+    std::string label = "F";
+    label += std::to_string(paper_id);
+    return label;
+  };
   double max_speedup = 0.0;
   for (const Case& c : cases) {
     const auto& warm_fn = bench.functions.get(bench.by_paper_id(c.warm_paper_id));
@@ -46,8 +53,8 @@ int main() {
     const auto warm = suite.cost.start_cost(fn, level);
     const double speedup = cold.total() / warm.total();
     if (containers::reusable(level)) max_speedup = std::max(max_speedup, speedup);
-    table.add_row({"F" + std::to_string(c.warm_paper_id),
-                   "F" + std::to_string(c.invoked_paper_id) + " (" + fn.name + ")",
+    table.add_row({paper_fn(c.warm_paper_id),
+                   paper_fn(c.invoked_paper_id) + " (" + fn.name + ")",
                    std::string(containers::to_string(level)),
                    util::Table::num(cold.total(), 2),
                    util::Table::num(warm.total(), 2),

@@ -5,12 +5,12 @@
 // pool capacities) so one model generalizes across configurations.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/mlcr.hpp"
-#include "rl/schedule.hpp"
 
 namespace mlcr::obs {
 class Tracer;
@@ -18,42 +18,19 @@ class Tracer;
 
 namespace mlcr::core {
 
+/// The loop's fixed schedule: epsilon anneals from 1.0 to 0.02 over the
+/// first 60% of the planned environment steps; two episodes of the
+/// multi-level greedy policy seed the replay buffer first (the paper's
+/// "prior knowledge" rationale for the action mask, Sec. IV-C: early
+/// Q-targets anchor to a sane policy instead of uniform exploration); and
+/// every third episode the greedy policy is scored on each environment's
+/// first trace, normalized by that environment's multi-level-greedy
+/// latency, with the best-scoring weights restored when training ends.
 struct TrainerConfig {
   std::size_t episodes = 30;
-  float epsilon_start = 1.0F;
-  float epsilon_end = 0.02F;
-  /// Steps over which epsilon anneals; 0 = 60% of the planned total steps.
-  std::size_t epsilon_decay_steps = 0;
   /// Run a gradient step every `train_every` environment steps.
   std::size_t train_every = 4;
   std::uint64_t seed = 42;
-  /// Seed the replay buffer with this many episodes of the multi-level
-  /// greedy policy before learning starts — the same "prior knowledge"
-  /// rationale as the paper's action mask (Sec. IV-C): it anchors early
-  /// Q-targets to a sane policy instead of uniform exploration.
-  std::size_t greedy_warmup_episodes = 2;
-  /// Episodes collected per round. 1 (the default) keeps the original
-  /// interleaved loop — one shared RNG stream, gradient steps woven into
-  /// episode collection — bit-identical to every prior release. Values > 1
-  /// switch to round-based collection: the online weights are frozen, that
-  /// many whole episodes are rolled out against the frozen policy (in
-  /// parallel across collect_workers), and the collected transitions are
-  /// then replayed into the buffer in episode order with the same gradient
-  /// cadence. The two modes are different (both valid) DQN variants; within
-  /// round mode, results are bit-identical for any collect_workers value
-  /// (asserted in tests/trainer).
-  std::size_t collect_round = 1;
-  /// Worker threads for round collection; 0 = one per hardware core. Purely
-  /// a throughput knob — never affects results (each episode rolls out on a
-  /// cloned environment with its own RNG stream split in episode order, and
-  /// the merge is sequential).
-  std::size_t collect_workers = 0;
-  /// Every `validate_every` episodes, evaluate the current greedy policy on
-  /// each environment's first trace (normalized per environment by the
-  /// multi-level-greedy baseline so large tight-pool latencies do not
-  /// dominate) and snapshot the best weights; the best checkpoint is
-  /// restored when training ends. 0 disables selection.
-  std::size_t validate_every = 3;
   /// Optional per-episode callback(episode, total_startup_latency_s).
   std::function<void(std::size_t, double)> on_episode_end;
   /// Optional tracer (not owned): training telemetry goes to the
@@ -71,10 +48,11 @@ struct TrainerReport {
   std::size_t train_steps = 0;
   /// Mean loss over the last quarter of training (0 if no training ran).
   double late_loss = 0.0;
-  /// Validation scores (summed latency across envs), one per validation.
+  /// Validation scores (summed normalized latency across envs), one per
+  /// validation.
   std::vector<double> validation_latency_s;
-  /// Which validation produced the restored checkpoint (npos if selection
-  /// was disabled or never ran).
+  /// Which validation produced the restored checkpoint (npos if training
+  /// ended before the first validation).
   std::size_t best_validation = SIZE_MAX;
 };
 

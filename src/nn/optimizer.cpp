@@ -6,14 +6,15 @@
 
 namespace mlcr::nn {
 
-void Optimizer::clip_grad_norm(float max_norm) {
+float Optimizer::clip_grad_norm(float max_norm) {
   MLCR_CHECK(max_norm > 0.0F);
   float total = 0.0F;
   for (Parameter* p : params_) total += p->grad.squared_norm();
   const float norm = std::sqrt(total);
-  if (norm <= max_norm || norm == 0.0F) return;
+  if (norm <= max_norm || norm == 0.0F) return norm;
   const float scale = max_norm / norm;
   for (Parameter* p : params_) p->grad.scale_(scale);
+  return norm;
 }
 
 Sgd::Sgd(std::vector<Parameter*> params, float lr, float momentum)

@@ -17,8 +17,9 @@ class Optimizer {
   /// Apply one update using the accumulated gradients, then clear them.
   virtual void step() = 0;
 
-  /// Scale gradients so their global L2 norm is at most max_norm.
-  void clip_grad_norm(float max_norm);
+  /// Scale gradients so their global L2 norm is at most max_norm. Returns
+  /// the norm before clipping.
+  float clip_grad_norm(float max_norm);
 
   [[nodiscard]] const std::vector<Parameter*>& params() const noexcept {
     return params_;

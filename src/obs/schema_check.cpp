@@ -232,9 +232,14 @@ std::vector<std::string> check_bench_json(const std::string& json_text) {
 
   for (const char* key : {"wall_ms", "events_per_sec"}) {
     const JsonValue* v = root.find(key);
-    if (!is_finite_number(v) || v->number < 0.0)
-      errors.push_back("\"" + std::string(key) +
-                       "\" must be a finite number >= 0");
+    if (!is_finite_number(v) || v->number < 0.0) {
+      // Appended piecewise: GCC 12's -Wrestrict misreads the operator+
+      // chain inside char_traits::copy in optimized builds.
+      std::string message = "\"";
+      message += key;
+      message += "\" must be a finite number >= 0";
+      errors.push_back(std::move(message));
+    }
   }
 
   const JsonValue* metrics = root.find("metrics");

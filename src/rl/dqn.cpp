@@ -88,16 +88,12 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
     const Transition* t = batch[i];
     targets[i] = t->reward;
     if (t->terminal) continue;
-    std::optional<float> next;
-    if (config_.double_dqn) {
-      // The online network picks a*, the target network values it.
-      const auto a_star =
-          masked_argmax(online_.infer(t->next_state, infer_ws_), t->next_mask);
-      if (a_star) next = target_.infer(t->next_state, infer_ws_)(*a_star, 0);
-    } else {
-      next = masked_max(target_.infer(t->next_state, infer_ws_), t->next_mask);
-    }
-    if (next) targets[i] += config_.gamma * *next;
+    // The online network picks a*, the target network values it.
+    const auto a_star =
+        masked_argmax(online_.infer(t->next_state, infer_ws_), t->next_mask);
+    if (a_star)
+      targets[i] +=
+          config_.gamma * target_.infer(t->next_state, infer_ws_)(*a_star, 0);
   }
 
   float total_loss = 0.0F;
@@ -126,14 +122,19 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
     (void)online_.backward(grad_q);
   }
 
-  optimizer_.clip_grad_norm(config_.grad_clip);
+  // Fail here, before the update, so a NaN never reaches the weights.
+  const float mean_loss = total_loss * inv_batch;
+  const float grad_norm = optimizer_.clip_grad_norm(config_.grad_clip);
+  MLCR_CHECK_MSG(std::isfinite(mean_loss) && std::isfinite(grad_norm),
+                 "DQN train step " << train_steps_ + 1
+                                   << ": non-finite batch loss " << mean_loss
+                                   << " or gradient norm " << grad_norm);
   optimizer_.step();
 
   ++train_steps_;
   const bool synced = train_steps_ % config_.target_sync_every == 0;
   if (synced) nn::copy_parameters(online_, target_);
 
-  const float mean_loss = total_loss * inv_batch;
   if (tracer_ != nullptr && tracer_->enabled()) {
     // The gradient-step track: 1 train step = 1 "microsecond".
     const auto ts = static_cast<obs::Micros>(train_steps_);

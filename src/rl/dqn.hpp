@@ -1,7 +1,7 @@
 // DQN agent (paper Sec. IV-B and Algorithm 1): epsilon-greedy behaviour
 // policy over the masked action set, experience replay, a periodically
-// synchronized target network, Huber TD loss, and optional double-DQN target
-// estimation (reduces overestimation; can be disabled to match vanilla DQN).
+// synchronized target network, Huber TD loss, and double-DQN targets (the
+// online network picks the next action, the target network values it).
 #pragma once
 
 #include <memory>
@@ -27,7 +27,6 @@ struct DqnConfig {
   std::size_t min_replay = 256;
   /// Hard target-network sync period, in train steps.
   std::size_t target_sync_every = 200;
-  bool double_dqn = true;
   float grad_clip = 5.0F;
   float huber_delta = 1.0F;
 };
@@ -68,6 +67,8 @@ class DqnAgent {
 
   /// One gradient step on a sampled batch; returns the mean Huber loss, or
   /// nullopt when the replay buffer has fewer than min_replay transitions.
+  /// Throws util::CheckError, before any weight moves, when the batch loss
+  /// or the gradient norm is not finite.
   std::optional<float> train_step(util::Rng& rng);
 
   [[nodiscard]] const DqnConfig& config() const noexcept { return config_; }
@@ -75,10 +76,6 @@ class DqnAgent {
     return train_steps_;
   }
   [[nodiscard]] const ReplayBuffer& replay() const noexcept { return replay_; }
-  [[nodiscard]] QNetwork& online_network() noexcept { return online_; }
-  [[nodiscard]] const QNetwork& online_network() const noexcept {
-    return online_;
-  }
 
   void save(const std::string& path);
   void load(const std::string& path);

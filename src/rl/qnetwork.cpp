@@ -120,10 +120,4 @@ std::optional<std::size_t> masked_argmax(const nn::Tensor& q,
   return best;
 }
 
-std::optional<float> masked_max(const nn::Tensor& q, const ActionMask& mask) {
-  const auto idx = masked_argmax(q, mask);
-  if (!idx) return std::nullopt;
-  return q(*idx, 0);
-}
-
 }  // namespace mlcr::rl

@@ -85,8 +85,5 @@ class QNetwork final : public nn::Module {
 /// means allowed). Returns nullopt if nothing is allowed.
 [[nodiscard]] std::optional<std::size_t> masked_argmax(const nn::Tensor& q,
                                                        const ActionMask& mask);
-/// max Q over allowed actions; nullopt if nothing is allowed.
-[[nodiscard]] std::optional<float> masked_max(const nn::Tensor& q,
-                                              const ActionMask& mask);
 
 }  // namespace mlcr::rl

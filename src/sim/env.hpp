@@ -169,9 +169,6 @@ class ClusterEnv {
     return cost_model_;
   }
   [[nodiscard]] const EnvConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const EvictionPolicyFactory& eviction_factory() const noexcept {
-    return eviction_factory_;
-  }
   [[nodiscard]] const Trace* trace() const noexcept { return trace_; }
 
   /// Table-I match between the current pool container and a function type.

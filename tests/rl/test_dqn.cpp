@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "util/check.hpp"
+
 namespace mlcr::rl {
 namespace {
 
@@ -151,21 +157,30 @@ TEST(DqnAgent, SaveLoadRoundTrip) {
   EXPECT_TRUE(qa == qb);
 }
 
-TEST(DqnAgent, VanillaDqnAlsoLearns) {
-  DqnConfig cfg = tiny_dqn();
-  cfg.double_dqn = false;
-  DqnAgent agent(cfg, util::Rng(11));
-  util::Rng rng(12);
-  for (int i = 0; i < 60; ++i) {
+TEST(DqnAgent, NonFiniteLossThrowsBeforeTheWeightsMove) {
+  DqnAgent agent(tiny_dqn(), util::Rng(11));
+  for (int i = 0; i < 16; ++i) {
     Transition t;
     t.state = bandit_state();
     t.action = i % 3;
-    t.reward = (i % 3) == 2 ? 1.0F : 0.0F;
+    t.reward = std::numeric_limits<float>::quiet_NaN();
     t.terminal = true;
     agent.observe(std::move(t));
   }
-  for (int i = 0; i < 300; ++i) (void)agent.train_step(rng);
-  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 1, 1}), 2U);
+  const std::vector<nn::Tensor> before = agent.snapshot_weights();
+  util::Rng rng(12);
+  try {
+    (void)agent.train_step(rng);
+    FAIL() << "a NaN loss must not pass as a train step";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("train step 1"), std::string::npos)
+        << e.what();
+  }
+  const std::vector<nn::Tensor> after = agent.snapshot_weights();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i)
+    EXPECT_TRUE(after[i] == before[i]) << "weight tensor " << i;
+  EXPECT_EQ(agent.train_steps(), 0U);
 }
 
 }  // namespace

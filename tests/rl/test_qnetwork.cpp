@@ -84,16 +84,6 @@ TEST(MaskedArgmax, PicksBestAllowed) {
   EXPECT_EQ(masked_argmax(q, {0, 0, 0, 0}), std::nullopt);
 }
 
-TEST(MaskedMax, MatchesArgmax) {
-  nn::Tensor q(3, 1);
-  q(0, 0) = -1.0F;
-  q(1, 0) = 4.0F;
-  q(2, 0) = 2.0F;
-  EXPECT_FLOAT_EQ(*masked_max(q, {1, 1, 1}), 4.0F);
-  EXPECT_FLOAT_EQ(*masked_max(q, {1, 0, 1}), 2.0F);
-  EXPECT_EQ(masked_max(q, {0, 0, 0}), std::nullopt);
-}
-
 TEST(MaskedArgmax, RejectsWrongMaskSize) {
   nn::Tensor q(3, 1);
   EXPECT_THROW((void)masked_argmax(q, {1, 1}), util::CheckError);
