@@ -1,12 +1,9 @@
 // Fleet event-core throughput: invocations/sec vs node count for the
-// event-driven FleetEnv::run against the lockstep oracle it replaced.
-// The lockstep loop advances every node on every arrival (O(nodes) per
-// event); the event core pops one node off a time-ordered heap
-// (O(log nodes)), so the gap widens with fleet size. The sweep runs
-// 1 -> 1000 nodes; the lockstep comparison is limited to the sizes where
-// it is still affordable, and the headline metric is the speedup at the
-// largest compared fleet. With --json the largest-fleet row is written as
-// a BENCH_fleet_throughput.json perf-trajectory point for benchdiff.
+// event-driven FleetEnv::run. The event core pops one node off a
+// time-ordered heap per event (O(log nodes)), so throughput should fall
+// only slowly as the fleet grows. The sweep runs 1 -> 1000 nodes; with
+// --json the largest-fleet row is written as a BENCH_fleet_throughput.json
+// perf-trajectory point for benchdiff.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,9 +18,7 @@ namespace {
 struct SweepPoint {
   std::size_t nodes = 0;
   double event_ms = 0.0;
-  double lockstep_ms = 0.0;  // 0 when lockstep was skipped at this size
   double events_per_sec = 0.0;
-  double speedup = 0.0;
   std::size_t lost = 0;
 };
 
@@ -58,9 +53,6 @@ int main(int argc, char** argv) {
   const double cluster_mb = fstartbench::paper_pool_sizes(loose).moderate_mb;
 
   const std::vector<std::size_t> node_counts = {1, 10, 100, 1000};
-  // Lockstep is O(nodes) per arrival; cap the oracle runs so the sweep
-  // finishes quickly while still covering the headline 1000-node point.
-  const std::size_t lockstep_cap = 1000;
   const std::string router_name = "Least-Outstanding";
 
   const auto make_env = [&](std::size_t nodes) {
@@ -73,63 +65,37 @@ int main(int argc, char** argv) {
         fleet::uniform_system(policies::make_greedy_match_system));
   };
 
-  std::cout << "=== fleet throughput: event-driven run vs lockstep oracle, "
-            << invocations << " invocations, " << router_name
-            << " routing ===\n";
-  util::Table table({"nodes", "event (ms)", "lockstep (ms)", "inv/sec",
-                     "speedup", "lost"});
+  std::cout << "=== fleet throughput: event-driven run, " << invocations
+            << " invocations, " << router_name << " routing ===\n";
+  util::Table table({"nodes", "event (ms)", "inv/sec", "lost"});
   std::vector<SweepPoint> points;
 
   for (const std::size_t nodes : node_counts) {
     SweepPoint p;
     p.nodes = nodes;
-
-    {
-      fleet::FleetEnv env = make_env(nodes);
-      fleet::LeastOutstandingRouter router;
-      // Warm-up pass so first-touch allocation noise lands outside the
-      // timed run; the timed pass repeats the identical deterministic run.
-      env.run(trace, router);
-      const std::int64_t t0 = util::wall_now_us();
-      const fleet::FleetSummary summary = env.run(trace, router);
-      const std::int64_t t1 = util::wall_now_us();
-      p.event_ms = static_cast<double>(t1 - t0) / 1000.0;
-      p.lost = summary.lost;
-    }
-    if (nodes <= lockstep_cap) {
-      fleet::FleetEnv env = make_env(nodes);
-      fleet::LeastOutstandingRouter router;
-      env.run_lockstep(trace, router);
-      const std::int64_t t0 = util::wall_now_us();
-      env.run_lockstep(trace, router);
-      const std::int64_t t1 = util::wall_now_us();
-      p.lockstep_ms = static_cast<double>(t1 - t0) / 1000.0;
-    }
-
+    fleet::FleetEnv env = make_env(nodes);
+    fleet::LeastOutstandingRouter router;
+    // Warm-up pass so first-touch allocation noise lands outside the timed
+    // run; the timed pass repeats the identical deterministic run.
+    env.run(trace, router);
+    const std::int64_t t0 = util::wall_now_us();
+    const fleet::FleetSummary summary = env.run(trace, router);
+    const std::int64_t t1 = util::wall_now_us();
+    p.event_ms = static_cast<double>(t1 - t0) / 1000.0;
+    p.lost = summary.lost;
     p.events_per_sec =
         p.event_ms > 0.0
             ? 1000.0 * static_cast<double>(invocations) / p.event_ms
             : 0.0;
-    p.speedup = (p.event_ms > 0.0 && p.lockstep_ms > 0.0)
-                    ? p.lockstep_ms / p.event_ms
-                    : 0.0;
     points.push_back(p);
 
     table.add_row({std::to_string(nodes), util::Table::num(p.event_ms, 2),
-                   p.lockstep_ms > 0.0 ? util::Table::num(p.lockstep_ms, 2)
-                                       : std::string("-"),
                    util::Table::num(p.events_per_sec, 0),
-                   p.speedup > 0.0 ? util::Table::num(p.speedup, 1) + "x"
-                                   : std::string("-"),
                    std::to_string(p.lost)});
   }
   table.print(std::cout);
 
   const SweepPoint& last = points.back();
-  if (last.speedup > 0.0)
-    std::cout << "\nat " << last.nodes << " nodes the event core is "
-              << util::Table::num(last.speedup, 1)
-              << "x faster than the lockstep loop\n";
 
   // Stress pass: one event-driven run of 10M invocations over 1000 nodes.
   // CI's perf-smoke never runs it (the checked-in baseline carries the
@@ -178,7 +144,6 @@ int main(int argc, char** argv) {
     out.config("router", router_name);
     out.wall_ms(last.event_ms);
     out.events_per_sec(last.events_per_sec);
-    if (last.speedup > 0.0) out.metric("speedup_vs_lockstep", last.speedup);
     out.metric("lost", static_cast<double>(last.lost));
     if (stress) {
       out.metric("stress_invocations", 10'000'000.0);

@@ -6,10 +6,10 @@
 // events itself (tracer versus telemetry).
 //
 // Order: earliest time first; at equal times fault events fire before node
-// advances (the order the lockstep loop establishes), and node advances
-// fire in node-index order. Entries are stamped with a per-node version and
-// stale ones are discarded on pop, so a node touch is O(log nodes), never a
-// heap rebuild.
+// advances (so routing at an arrival sees every fault due by then), and
+// node advances fire in node-index order. Entries are stamped with a
+// per-node version and stale ones are discarded on pop, so a node touch is
+// O(log nodes), never a heap rebuild.
 #pragma once
 
 #include <cstddef>

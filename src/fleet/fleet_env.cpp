@@ -163,24 +163,6 @@ void FleetEnv::set_tracer(obs::Tracer* tracer) noexcept {
     nodes_[i].env->set_tracer(tracer, static_cast<std::uint32_t>(i));
 }
 
-std::string FleetEnv::start_episode(Router& router, bool traced) {
-  std::string router_name;
-  if (traced) {
-    router_name = router.name();
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-      tracer_->thread_name(obs::Tracer::kSimPid,
-                           static_cast<std::uint32_t>(i),
-                           "node" + std::to_string(i));
-  }
-  for (Node& node : nodes_) {
-    node.env->reset_streaming();
-    node.spec.scheduler->on_episode_start(*node.env);
-  }
-  reset_routable();
-  router.on_episode_start(*this);
-  return router_name;
-}
-
 std::optional<std::size_t> FleetEnv::fire_fault_event(
     const FaultEvent& ev, bool clamp, std::size_t& domain_crashes,
     std::size_t& spares_activated, bool traced) {
@@ -255,42 +237,105 @@ void FleetEnv::dispatch(const sim::Invocation& inv, std::size_t target,
                      static_cast<double>(node.env->busy_count()));
 }
 
-bool FleetEnv::record_placement(const sim::Invocation& inv, std::size_t pick,
-                                const Placement& placed, bool traced,
-                                std::size_t& lost, std::size_t& rerouted) {
-  if (placed.lost) {
-    ++lost;
-    if (traced)
-      tracer_->instant(obs::Tracer::kSimPid, static_cast<std::uint32_t>(pick),
-                       obs::to_micros(inv.arrival_s), "invocation_lost",
-                       "fault",
-                       {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-    return false;
+FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
+  validate_trace(trace);
+  const bool traced = tracer_ != nullptr && tracer_->enabled();
+  std::string router_name;
+  if (traced) {
+    router_name = router.name();
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+      tracer_->thread_name(obs::Tracer::kSimPid,
+                           static_cast<std::uint32_t>(i),
+                           "node" + std::to_string(i));
   }
-  if (placed.rerouted) {
-    ++rerouted;
-    if (traced)
-      tracer_->instant(
-          obs::Tracer::kSimPid, static_cast<std::uint32_t>(placed.node),
-          obs::to_micros(inv.arrival_s), "reroute", "fault",
-          {obs::narg("node", static_cast<std::int64_t>(placed.node)),
-           obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+  for (Node& node : nodes_) {
+    node.env->reset_streaming();
+    node.spec.scheduler->on_episode_start(*node.env);
   }
-  return true;
-}
+  reset_routable();
+  router.on_episode_start(*this);
+  const auto injectors = make_injectors();
 
-FleetSummary FleetEnv::finish_run(
-    [[maybe_unused]] const sim::Trace& trace, Router& router,
-    std::size_t next_fault, std::size_t lost, std::size_t rerouted,
-    std::size_t domain_crashes, std::size_t spares_activated,
-    const std::vector<std::unique_ptr<faults::FaultInjector>>& injectors) {
+  index_ = std::make_unique<FleetIndex>(nodes_.size(),
+                                        router.needs_warm_index());
+  // Spares sit outside the routable set until a crash admits them; the
+  // index's load minima must never surface them before that.
+  for (std::size_t i = 0; i < nodes_.size(); ++i)
+    index_->set_routable(i, node_routable(i));
+
+  // The event core (fleet/event_core.hpp) merges the nodes' self-scheduled
+  // events with the pre-sorted fault list; at equal times faults fire
+  // before node advances, so routing at an arrival sees the fleet's health
+  // as of that instant (crash()'s internal drain makes same-time
+  // completion-vs-crash races identical either way; see DESIGN.md §10).
+  EventCore events(nodes_.size(), fault_events_);
+  // Re-derive a node's index contribution and event-core entry after any
+  // event that touches it.
+  const auto touch = [&](std::size_t n) {
+    index_->update(n, *nodes_[n].env);
+    events.reschedule(n, nodes_[n].env->next_event_time());
+  };
+  for (std::size_t i = 0; i < nodes_.size(); ++i) touch(i);
+
+  std::size_t lost = 0;
+  std::size_t rerouted = 0;
+  std::size_t domain_crashes = 0;
+  std::size_t spares_activated = 0;
+
+  for (const sim::Invocation& inv : trace.invocations()) {
+    // Fire every event due at or before the arrival, earliest first, so
+    // routing sees every completion, TTL expiry and fault up to "now".
+    while (const auto ev = events.pop_due(inv.arrival_s)) {
+      if (ev->fault != nullptr) {
+        const auto spare = fire_fault_event(*ev->fault, /*clamp=*/false,
+                                            domain_crashes, spares_activated,
+                                            traced);
+        touch(ev->node);
+        if (spare) {
+          index_->set_routable(*spare, true);
+          touch(*spare);
+        }
+      } else {
+        // Advance only to the event's own time, never to the arrival: a
+        // later fault on the same node must not be jumped over, and
+        // advance_to composes, so stopping early is state-identical.
+        nodes_[ev->node].env->advance_to(ev->time);
+        touch(ev->node);
+      }
+    }
+
+    const std::size_t pick = router.route(*this, inv);
+    MLCR_CHECK_MSG(pick < routable_count_, "router picked an invalid node");
+    const Placement placed = fail_over(*index_, pick);
+    if (placed.lost) {
+      ++lost;
+      if (traced)
+        tracer_->instant(
+            obs::Tracer::kSimPid, static_cast<std::uint32_t>(pick),
+            obs::to_micros(inv.arrival_s), "invocation_lost", "fault",
+            {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+      continue;
+    }
+    if (placed.rerouted) {
+      ++rerouted;
+      if (traced)
+        tracer_->instant(
+            obs::Tracer::kSimPid, static_cast<std::uint32_t>(placed.node),
+            obs::to_micros(inv.arrival_s), "reroute", "fault",
+            {obs::narg("node", static_cast<std::int64_t>(placed.node)),
+             obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+    }
+    dispatch(inv, placed.node, traced, router_name);
+    touch(placed.node);
+  }
+  index_.reset();
+
   // Any node still inside a crash window recovers after the last arrival so
   // finish_streaming() drains a healthy fleet; remaining events fire in
   // order to keep the injector counters complete.
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  while (next_fault < fault_events_.size())
-    (void)fire_fault_event(fault_events_[next_fault++], /*clamp=*/true,
-                           domain_crashes, spares_activated, traced);
+  for (std::size_t f = events.next_fault(); f < fault_events_.size(); ++f)
+    (void)fire_fault_event(fault_events_[f], /*clamp=*/true, domain_crashes,
+                           spares_activated, traced);
 
   std::vector<NodeObservation> observations;
   observations.reserve(nodes_.size());
@@ -318,122 +363,11 @@ FleetSummary FleetEnv::finish_run(
   return fs;
 }
 
-FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
-  validate_trace(trace);
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::string router_name = start_episode(router, traced);
-  const auto injectors = make_injectors();
-
-  index_ = std::make_unique<FleetIndex>(nodes_.size(),
-                                        router.needs_warm_index());
-  // Spares sit outside the routable set until a crash admits them; the
-  // index's load minima must never surface them before that.
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    index_->set_routable(i, node_routable(i));
-
-  // The event core (fleet/event_core.hpp) merges the nodes' self-scheduled
-  // events with the pre-sorted fault list; at equal times faults fire
-  // before node advances — the order the lockstep loop establishes
-  // (crash()'s internal drain makes same-time completion-vs-crash races
-  // identical either way; see DESIGN.md §10).
-  EventCore events(nodes_.size(), fault_events_);
-  // Re-derive a node's index contribution and event-core entry after any
-  // event that touches it.
-  const auto touch = [&](std::size_t n) {
-    index_->update(n, *nodes_[n].env);
-    events.reschedule(n, nodes_[n].env->next_event_time());
-  };
-  for (std::size_t i = 0; i < nodes_.size(); ++i) touch(i);
-
-  std::size_t lost = 0;
-  std::size_t rerouted = 0;
-  std::size_t domain_crashes = 0;
-  std::size_t spares_activated = 0;
-
-  for (const sim::Invocation& inv : trace.invocations()) {
-    // Fire every event due at or before the arrival, earliest first, so
-    // routing sees exactly the fleet state the lockstep loop would have
-    // built by then.
-    while (const auto ev = events.pop_due(inv.arrival_s)) {
-      if (ev->fault != nullptr) {
-        const auto spare = fire_fault_event(*ev->fault, /*clamp=*/false,
-                                            domain_crashes, spares_activated,
-                                            traced);
-        touch(ev->node);
-        if (spare) {
-          index_->set_routable(*spare, true);
-          touch(*spare);
-        }
-      } else {
-        // Advance only to the event's own time, never to the arrival: a
-        // later fault on the same node must not be jumped over, and
-        // advance_to composes, so stopping early is state-identical.
-        nodes_[ev->node].env->advance_to(ev->time);
-        touch(ev->node);
-      }
-    }
-
-    const std::size_t pick = router.route(*this, inv);
-    MLCR_CHECK_MSG(pick < routable_count_, "router picked an invalid node");
-    const Placement placed = fail_over(*index_, pick);
-    if (!record_placement(inv, pick, placed, traced, lost, rerouted)) continue;
-    dispatch(inv, placed.node, traced, router_name);
-    touch(placed.node);
-  }
-
-  index_.reset();
-  return finish_run(trace, router, events.next_fault(), lost, rerouted,
-                    domain_crashes, spares_activated, injectors);
-}
-
-FleetSummary FleetEnv::run_lockstep(const sim::Trace& trace, Router& router) {
-  validate_trace(trace);
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::string router_name = start_episode(router, traced);
-  const auto injectors = make_injectors();
-
-  std::size_t next_fault = 0;
-  std::size_t lost = 0;
-  std::size_t rerouted = 0;
-  std::size_t domain_crashes = 0;
-  std::size_t spares_activated = 0;
-
-  for (const sim::Invocation& inv : trace.invocations()) {
-    // Fire every crash/recover transition due before this arrival, in time
-    // order, so routing sees the fleet's health as of "now".
-    while (next_fault < fault_events_.size() &&
-           fault_events_[next_fault].time <= inv.arrival_s) {
-      (void)fire_fault_event(fault_events_[next_fault++], /*clamp=*/false,
-                             domain_crashes, spares_activated, traced);
-    }
-    // Keep every node's clock at the global arrival time before routing, so
-    // the router (and the chosen node's scheduler) observe completions and
-    // TTL expiry up to "now" even on nodes that received no recent traffic.
-    for (Node& node : nodes_) node.env->advance_idle(inv.arrival_s);
-
-    const std::size_t pick = router.route(*this, inv);
-    MLCR_CHECK_MSG(pick < routable_count_, "router picked an invalid node");
-    Placement placed{pick, false, false};
-    if (!node_up(pick)) {
-      // The failover rule as a scan — the reference fail_over()'s index
-      // path is pinned against: least outstanding work among healthy
-      // routable nodes, lowest index on ties; lost with every one down.
-      std::size_t best = routable_count_;
-      for (std::size_t i = 0; i < routable_count_; ++i) {
-        if (!node_up(i)) continue;
-        if (best == routable_count_ ||
-            nodes_[i].env->busy_count() < nodes_[best].env->busy_count())
-          best = i;
-      }
-      placed = best == routable_count_ ? Placement{pick, false, true}
-                                       : Placement{best, true, false};
-    }
-    if (!record_placement(inv, pick, placed, traced, lost, rerouted)) continue;
-    dispatch(inv, placed.node, traced, router_name);
-  }
-
-  return finish_run(trace, router, next_fault, lost, rerouted, domain_crashes,
-                    spares_activated, injectors);
+const FleetIndex& FleetEnv::index() const {
+  MLCR_CHECK_MSG(index_ != nullptr,
+                 "FleetEnv::index() outside FleetEnv::run: routers that read "
+                 "the index route only inside a run");
+  return *index_;
 }
 
 }  // namespace mlcr::fleet

@@ -35,7 +35,6 @@ class Tracer;
 namespace mlcr::fleet {
 
 class Router;
-struct Placement;
 
 struct FleetConfig {
   /// Number of worker nodes in the initial routable set.
@@ -104,7 +103,7 @@ class FleetEnv {
   /// Mutable access to node `i`'s environment / scheduler for the serving
   /// layer (src/serve), which drives the nodes' streaming episodes directly
   /// under its own shard locking. Must not be interleaved with this fleet's
-  /// own run()/run_lockstep().
+  /// own run().
   [[nodiscard]] sim::ClusterEnv& node_env(std::size_t i);
   [[nodiscard]] policies::Scheduler& node_scheduler(std::size_t i);
   [[nodiscard]] const sim::FunctionTable& functions() const noexcept {
@@ -137,17 +136,12 @@ class FleetEnv {
   /// (completions, TTL expiries) merged with the pre-sorted crash/recover
   /// list — so each event costs O(log nodes), and maintains a FleetIndex so
   /// state-aware routers and the failover rule (fail_over) read fleet-wide
-  /// load and warm-pool views without rescanning nodes_. Bit-identical to
-  /// run_lockstep() (asserted in tests/fleet): between arrivals nodes only
-  /// interact through routing, and ClusterEnv::advance_to composes, so
-  /// advancing a node event-by-event reproduces the lockstep state.
+  /// load and warm-pool views without rescanning nodes_. Between arrivals
+  /// nodes only interact through routing, and ClusterEnv::advance_to
+  /// composes, so advancing a node event-by-event is state-identical to
+  /// advancing it to every arrival. tests/fleet/fleet_golden.txt pins the
+  /// summaries of a fixed router x fault-mode matrix bit for bit.
   FleetSummary run(const sim::Trace& trace, Router& router);
-
-  /// The pre-event-core reference implementation: every node's clock is
-  /// advanced to every arrival (O(nodes) per invocation) and routers scan
-  /// nodes_ directly. Kept as the oracle the event-driven run() is pinned
-  /// against, and as the baseline bench/fleet_throughput measures.
-  FleetSummary run_lockstep(const sim::Trace& trace, Router& router);
 
   /// Replace the fault plan (validated against the node count) and rebuild
   /// the pre-sorted crash/recover event list. The per-node fault streams
@@ -155,11 +149,9 @@ class FleetEnv {
   /// so a plan swap never shifts any other stream.
   void set_fault_plan(faults::FaultPlan faults);
 
-  /// The routing index maintained during an event-driven run(); nullptr
-  /// outside one (routers then fall back to scanning nodes_).
-  [[nodiscard]] const FleetIndex* index() const noexcept {
-    return index_.get();
-  }
+  /// The routing index run() keeps current; routers read load and warm
+  /// state only through it. Throws CheckError outside run().
+  [[nodiscard]] const FleetIndex& index() const;
 
   /// The fault stream node `node` of an `nodes`-node fleet seeded with
   /// `seed` receives in run(). Exposed so a single ClusterEnv driven with
@@ -203,8 +195,7 @@ class FleetEnv {
   make_injectors();
 
   /// Reset the routable set to the initial config().nodes prefix. The
-  /// serving layer calls this at episode start; FleetEnv's own runs do it
-  /// via start_episode().
+  /// serving layer calls this at episode start; run() does it itself.
   void reset_routable() noexcept { routable_count_ = config_.nodes; }
 
   /// Admit the next spare into the routable set (no-op when none are
@@ -228,41 +219,20 @@ class FleetEnv {
   /// Rebuild fault_events_ from config_.faults (sorted as above).
   void rebuild_fault_events();
 
-  /// Reset every node's streaming episode, notify schedulers and the
-  /// router, and name the tracer tracks. Returns the router's name when
-  /// tracing (used by the per-invocation route instants).
-  std::string start_episode(Router& router, bool traced);
-
   /// Offer `inv` to node `target` and let the node's scheduler handle it
   /// (with the route instant / outstanding counter when traced).
   void dispatch(const sim::Invocation& inv, std::size_t target, bool traced,
                 const std::string& router_name);
 
-  /// Count and trace where an invocation the router aimed at `pick` went
-  /// (`placed`: fail_over's answer, or run_lockstep's reference scan).
-  /// False when it was lost.
-  bool record_placement(const sim::Invocation& inv, std::size_t pick,
-                        const Placement& placed, bool traced,
-                        std::size_t& lost, std::size_t& rerouted);
-
   /// Apply one fault event to its node: crash (partial-aware, counting and
   /// tracing the domain event on the lead window, admitting a spare) or
   /// recover. With `clamp`, times are clamped to the node's clock and
-  /// recoveries are skipped on healthy nodes (the finish_run tail).
+  /// recoveries are skipped on healthy nodes (run()'s episode tail).
   /// Returns the spare admitted by a crash, so run() can index-touch it.
   std::optional<std::size_t> fire_fault_event(const FaultEvent& ev, bool clamp,
                                               std::size_t& domain_crashes,
                                               std::size_t& spares_activated,
                                               bool traced);
-
-  /// Fire every fault event from `next_fault` on (clamped to each node's
-  /// clock), drain the nodes, aggregate, and detach the injectors — the
-  /// shared tail of run() and run_lockstep().
-  FleetSummary finish_run(
-      const sim::Trace& trace, Router& router, std::size_t next_fault,
-      std::size_t lost, std::size_t rerouted, std::size_t domain_crashes,
-      std::size_t spares_activated,
-      const std::vector<std::unique_ptr<faults::FaultInjector>>& injectors);
 
   const sim::FunctionTable& functions_;
   const containers::PackageCatalog& catalog_;
@@ -280,7 +250,7 @@ class FleetEnv {
   /// Size of the routable prefix: config_.nodes at episode start, +1 per
   /// crash event while spares remain.
   std::size_t routable_count_ = 0;
-  /// Live only inside an event-driven run().
+  /// Live only inside run().
   std::unique_ptr<FleetIndex> index_;
 };
 

@@ -35,7 +35,7 @@ std::string FleetIndex::level_key(const containers::ImageSpec& image,
 }
 
 FleetIndex::FleetIndex(std::size_t nodes, bool track_warm)
-    : track_warm_(track_warm), nodes_(nodes) {
+    : track_warm_(track_warm), nodes_(nodes), routable_count_(nodes) {
   MLCR_CHECK(nodes > 0);
 }
 
@@ -85,6 +85,10 @@ void FleetIndex::set_routable(std::size_t node, bool routable) {
   NodeEntry& entry = nodes_[node];
   if (entry.routable == routable) return;
   entry.routable = routable;
+  if (routable)
+    ++routable_count_;
+  else
+    --routable_count_;
   if (!entry.in_load) return;
   if (routable) {
     load_all_.insert({entry.busy, node});

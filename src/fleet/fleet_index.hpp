@@ -7,9 +7,8 @@
 //
 // Two structures:
 //   Load index  — ordered (busy_count, node) sets over all nodes and over
-//                 healthy nodes only. The minimum element is exactly the
-//                 node a linear "min busy, lowest index on ties" scan would
-//                 pick, so index-based routing is bit-identical to the scan.
+//                 healthy nodes only. The minimum element is the node with
+//                 the fewest in-flight executions, lowest index on ties.
 //   Warm index  — per match level ℓ, a map from the canonical byte key of
 //                 an image's level-1..ℓ package lists to the nodes holding
 //                 at least one idle container with that prefix. Package
@@ -57,8 +56,8 @@ class FleetIndex {
   void set_routable(std::size_t node, bool routable);
 
   /// Node with the fewest in-flight executions over all *routable* nodes
-  /// (down nodes included), lowest index on ties — the linear-scan contract
-  /// of LeastOutstandingRouter and WarmAwareRouter's cold fallback.
+  /// (down nodes included), lowest index on ties — LeastOutstandingRouter
+  /// and WarmAwareRouter's cold fallback.
   [[nodiscard]] std::size_t least_outstanding() const;
 
   /// Same, restricted to healthy routable nodes; nullopt when the whole
@@ -76,8 +75,15 @@ class FleetIndex {
   [[nodiscard]] NodeLoad node_load(std::size_t node) const;
 
   [[nodiscard]] bool tracks_warm() const noexcept { return track_warm_; }
+  /// Every node, routable or not.
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
+  }
+  /// Nodes currently routable (see set_routable). The routable set is a
+  /// prefix of the fleet, so policies that pick a node without reading load
+  /// or warm state (Random, Round-Robin) draw over [0, routable_count()).
+  [[nodiscard]] std::size_t routable_count() const noexcept {
+    return routable_count_;
   }
 
   /// Nodes holding at least one idle container matching `image` at level
@@ -104,6 +110,7 @@ class FleetIndex {
 
   bool track_warm_;
   std::vector<NodeEntry> nodes_;
+  std::size_t routable_count_;
   std::set<std::pair<std::size_t, std::size_t>> load_all_;
   std::set<std::pair<std::size_t, std::size_t>> load_healthy_;
   /// level -> key -> node -> idle container count.

@@ -17,18 +17,6 @@ namespace {
   return util::splitmix64(x);
 }
 
-[[nodiscard]] std::size_t least_outstanding_node(const FleetEnv& fleet) {
-  // Index fast path: the ordered load set's minimum is exactly what the
-  // linear scan below picks (min busy, lowest index on ties). Both cover
-  // the routable prefix only — spares join as crash events admit them.
-  if (const FleetIndex* index = fleet.index())
-    return index->least_outstanding();
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < fleet.routable_count(); ++i)
-    if (fleet.node(i).busy_count() < fleet.node(best).busy_count()) best = i;
-  return best;
-}
-
 }  // namespace
 
 std::size_t warm_aware_node(const FleetIndex& index,
@@ -36,8 +24,8 @@ std::size_t warm_aware_node(const FleetIndex& index,
   // The warm index maps a level key to the nodes holding a match at >= that
   // level, so the best level is the first non-empty lookup from L3 down. At
   // that level every candidate's best match is exactly the level (a better
-  // one would have answered the higher lookup), so the (busy, free memory,
-  // index) tie-break reproduces WarmAwareRouter's scan bit for bit.
+  // one would have answered the higher lookup), so only the (busy, free
+  // memory, index) tie-break remains.
   for (const containers::MatchLevel level :
        {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
         containers::MatchLevel::kL1}) {
@@ -140,7 +128,7 @@ std::size_t LeastOutstandingRouter::route(const FleetEnv& fleet,
                                           const sim::Invocation& inv) {
   (void)inv;
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  return least_outstanding_node(fleet);
+  return fleet.index().least_outstanding();
 }
 
 ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
@@ -165,42 +153,8 @@ std::size_t ConsistentHashRouter::route(const FleetEnv& fleet,
 std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
                                    const sim::Invocation& inv) {
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  const auto& fn_image = fleet.functions().get(inv.function).image;
-
-  const FleetIndex* index = fleet.index();
-  if (index != nullptr && index->tracks_warm())
-    return warm_aware_node(*index, fn_image);
-
-  std::size_t best_node = fleet.node_count();
-  containers::MatchLevel best_level = containers::MatchLevel::kNoMatch;
-  for (std::size_t i = 0; i < fleet.routable_count(); ++i) {
-    const sim::ClusterEnv& env = fleet.node(i);
-    containers::MatchLevel node_best = containers::MatchLevel::kNoMatch;
-    for (const containers::Container* c : env.pool().idle_containers()) {
-      node_best = std::max(node_best, containers::match(fn_image, c->image));
-      if (node_best == containers::MatchLevel::kL3) break;
-    }
-    if (!containers::reusable(node_best)) continue;
-    if (best_node == fleet.node_count()) {
-      best_node = i;
-      best_level = node_best;
-      continue;
-    }
-    const sim::ClusterEnv& best_env = fleet.node(best_node);
-    const bool better =
-        node_best > best_level ||
-        (node_best == best_level &&
-         (env.busy_count() < best_env.busy_count() ||
-          (env.busy_count() == best_env.busy_count() &&
-           env.pool().free_mb() > best_env.pool().free_mb())));
-    if (better) {
-      best_node = i;
-      best_level = node_best;
-    }
-  }
-  if (best_node != fleet.node_count()) return best_node;
-  // Fleet-wide cold start: place it where the least work is outstanding.
-  return least_outstanding_node(fleet);
+  return warm_aware_node(fleet.index(),
+                         fleet.functions().get(inv.function).image);
 }
 
 HealthAwareRouter::HealthAwareRouter(std::unique_ptr<Router> inner,

@@ -12,10 +12,12 @@
 //                       language levels: functions sharing a package stack
 //                       colocate, so Table-I L2/L3 matches stay possible,
 //                       and the mapping is stable as nodes are added.
-//   Warm-Aware        — inspect every node's pool and route to the best
-//                       Table-I match for this invocation (the fleet analog
-//                       of Greedy-Match; an upper bound for state-aware
-//                       routing at O(nodes × pool) cost per request).
+//   Warm-Aware        — route to the node holding the best Table-I match
+//                       for this invocation (the fleet analog of
+//                       Greedy-Match), looked up in the fleet's warm index.
+//
+// Least-Outstanding and Warm-Aware read FleetEnv::index(), so they route
+// only inside FleetEnv::run (elsewhere index() throws CheckError).
 #pragma once
 
 #include <cstdint>
@@ -65,8 +67,8 @@ struct HashRingPoint {
 /// match for `image` (L3 down to L1); ties break to fewer in-flight
 /// executions, then more free pool memory, then the lowest index; with no
 /// match anywhere (a fleet-wide cold start), index.least_outstanding(). The
-/// one implementation behind WarmAwareRouter's index path and
-/// serve::WarmAwarePolicy. Requires index.tracks_warm().
+/// one implementation behind WarmAwareRouter and serve::WarmAwarePolicy.
+/// Requires index.tracks_warm().
 [[nodiscard]] std::size_t warm_aware_node(const FleetIndex& index,
                                           const containers::ImageSpec& image);
 
@@ -95,12 +97,9 @@ class Router {
   [[nodiscard]] virtual std::size_t route(const FleetEnv& fleet,
                                           const sim::Invocation& inv) = 0;
 
-  /// True when this policy consults warm-pool state, so the event-driven
-  /// fleet maintains the FleetIndex's warm side (an O(pool) recompute per
-  /// node touch that load-only policies should not pay). Routers read the
-  /// index via FleetEnv::index() when one is active and fall back to a
-  /// linear scan otherwise; both paths are bit-identical by construction
-  /// (asserted in tests/fleet).
+  /// True when this policy consults warm-pool state, so FleetEnv::run
+  /// maintains the FleetIndex's warm side (an O(pool) recompute per node
+  /// touch that load-only policies should not pay).
   [[nodiscard]] virtual bool needs_warm_index() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;
@@ -134,7 +133,7 @@ class RoundRobinRouter final : public Router {
 };
 
 /// Node with the fewest in-flight executions; ties break to the lowest
-/// index, so results are deterministic.
+/// index, so results are deterministic. Reads FleetIndex::least_outstanding.
 class LeastOutstandingRouter final : public Router {
  public:
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,
@@ -163,12 +162,11 @@ class ConsistentHashRouter final : public Router {
   std::vector<HashRingPoint> ring_;  ///< sorted by hash
 };
 
-/// Scans every node's warm pool for the best Table-I match with the
-/// invocation's image and routes there. Ties break to the node with fewer
-/// in-flight executions, then more free pool memory, then the lowest index.
-/// When no node holds any match (a fleet-wide cold start), falls back to
-/// least-outstanding placement. With FleetEnv's index it calls
-/// warm_aware_node; the scan is the reference run_lockstep uses.
+/// Routes to the node holding the best Table-I match with the invocation's
+/// image: warm_aware_node over FleetEnv::index(). Ties break to the node
+/// with fewer in-flight executions, then more free pool memory, then the
+/// lowest index; with no match anywhere (a fleet-wide cold start), to the
+/// least-outstanding node.
 class WarmAwareRouter final : public Router {
  public:
   [[nodiscard]] std::size_t route(const FleetEnv& fleet,

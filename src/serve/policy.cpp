@@ -16,9 +16,11 @@ std::size_t RandomPolicy::route(const ShardedFleetIndex& index,
                                 const sim::Invocation& inv) {
   (void)functions;
   (void)inv;
-  MLCR_CHECK_MSG(index.node_count() > 0, "route() over an empty fleet");
+  const std::size_t n = index.read(
+      [](const fleet::FleetIndex& fleet) { return fleet.routable_count(); });
+  MLCR_CHECK_MSG(n > 0, "route() over an empty fleet");
   std::lock_guard lock(mutex_);
-  return rng_.uniform_index(index.node_count());
+  return rng_.uniform_index(n);
 }
 
 void RoundRobinPolicy::on_episode_start(std::size_t node_count) {
@@ -31,9 +33,16 @@ std::size_t RoundRobinPolicy::route(const ShardedFleetIndex& index,
                                     const sim::Invocation& inv) {
   (void)functions;
   (void)inv;
-  const std::size_t n = index.node_count();
+  const std::size_t n = index.read(
+      [](const fleet::FleetIndex& fleet) { return fleet.routable_count(); });
   MLCR_CHECK_MSG(n > 0, "route() over an empty fleet");
-  return next_.fetch_add(1, std::memory_order_relaxed) % n;
+  // fleet::RoundRobinRouter's rule, next = (next + 1) % routable, as one
+  // atomic step: admitted spares join the cycle the way they do there.
+  std::size_t node = next_.load(std::memory_order_relaxed);
+  while (!next_.compare_exchange_weak(node, (node % n + 1) % n,
+                                      std::memory_order_relaxed)) {
+  }
+  return node % n;
 }
 
 std::size_t LeastOutstandingPolicy::route(const ShardedFleetIndex& index,

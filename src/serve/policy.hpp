@@ -35,8 +35,8 @@ class RoutePolicy {
   /// per-episode state and lets ring-based policies size themselves.
   virtual void on_episode_start(std::size_t node_count) { (void)node_count; }
 
-  /// Pick the node (in [0, index.node_count())) that serves `inv`. May be
-  /// called concurrently from any worker thread.
+  /// Pick the node (in [0, index routable_count())) that serves `inv`. May
+  /// be called concurrently from any worker thread.
   [[nodiscard]] virtual std::size_t route(const ShardedFleetIndex& index,
                                           const sim::FunctionTable& functions,
                                           const sim::Invocation& inv) = 0;
@@ -48,8 +48,9 @@ class RoutePolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Seeded uniform-random node choice; draws are serialized on a mutex, so
-/// under single-threaded replay the stream matches fleet::RandomRouter.
+/// Seeded uniform-random choice over the routable nodes; draws are
+/// serialized on a mutex, so under single-threaded replay the stream
+/// matches fleet::RandomRouter.
 class RandomPolicy final : public RoutePolicy {
  public:
   explicit RandomPolicy(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
@@ -66,7 +67,8 @@ class RandomPolicy final : public RoutePolicy {
   util::Rng rng_;
 };
 
-/// Cycles through nodes in index order (atomic cursor).
+/// Cycles through the routable nodes in index order (atomic cursor, the
+/// fleet::RoundRobinRouter rule).
 class RoundRobinPolicy final : public RoutePolicy {
  public:
   void on_episode_start(std::size_t node_count) override;

@@ -362,8 +362,11 @@ std::optional<std::size_t> SchedulerService::apply_fault_event(
 fleet::Placement SchedulerService::pick_target(
     const sim::Invocation& inv) const {
   const std::size_t pick = policy_->route(*index_, fleet_.functions(), inv);
-  MLCR_CHECK_MSG(pick < fleet_.node_count(), "policy picked an invalid node");
   return index_->read([pick](const fleet::FleetIndex& index) {
+    MLCR_CHECK_MSG(pick < index.routable_count(),
+                   "policy picked node " << pick << " outside the "
+                                         << index.routable_count()
+                                         << " routable nodes");
     return fleet::fail_over(index, pick);
   });
 }

@@ -118,8 +118,8 @@ class ClusterEnv {
   void offer(Invocation inv);
 
   /// Advance simulated time with no work arriving (completions are admitted
-  /// to the pool, TTL expiry applies). Lets the fleet keep idle nodes'
-  /// clocks in lockstep with the global clock. Requires done().
+  /// to the pool, TTL expiry applies). Lets the serving janitor bring idle
+  /// nodes' clocks up to the service clock. Requires done().
   void advance_idle(double time);
 
   /// Streaming event API (DESIGN.md §10): advance to `time`, processing

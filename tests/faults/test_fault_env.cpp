@@ -254,7 +254,7 @@ TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
   EXPECT_EQ(injector.counters().failed_invocations, 1U);
 
   // Down nodes reject work but their clock still advances across the
-  // window (the fleet keeps idle nodes in lockstep).
+  // window (the serving janitor advances idle nodes' clocks).
   EXPECT_TRUE(throws_mentioning(
       [&] { env.offer(TinyWorld::inv(world.fn_py_flask, 15.0, 0.5)); },
       "crashed"));

@@ -1,6 +1,7 @@
 // ShardedFleetIndex: one FleetIndex behind one shared_mutex. read() must
-// forward the index's own errors, and the lock must hold up under
-// concurrent readers and writers (the suite runs under TSan in CI).
+// forward the index's own errors, the state-blind policies must draw only
+// over its routable nodes, and the lock must hold up under concurrent
+// readers and writers (the suite runs under TSan in CI).
 #include "serve/sharded_index.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "fleet/fleet_index.hpp"
 #include "fleet/router.hpp"
 #include "policies/baselines.hpp"
+#include "serve/policy.hpp"
 #include "testing/fixtures.hpp"
 #include "util/check.hpp"
 
@@ -30,6 +32,35 @@ TEST(ServeShardedIndex, RejectsWarmLookupWhenNotTracking) {
     return fleet.nodes_matching(image, containers::MatchLevel::kL1) != nullptr;
   };
   EXPECT_THROW((void)index.read(lookup), util::CheckError);
+}
+
+/// A cold spare outside the routable set is never picked by Random or
+/// Round-Robin; once admitted, Round-Robin takes it into its cycle with
+/// fleet::RoundRobinRouter's rule, next = (next + 1) % routable.
+TEST(ServeShardedIndex, RandomAndRoundRobinDrawOnlyOverRoutableNodes) {
+  TinyWorld world;
+  const auto inv = TinyWorld::inv(world.fn_py_flask, 0.0);
+  ShardedFleetIndex index(5, false);
+  index.set_routable(4, false);
+  EXPECT_EQ(index.read([](const fleet::FleetIndex& fleet) {
+              return fleet.routable_count();
+            }),
+            4U);
+
+  RandomPolicy random(3);
+  random.on_episode_start(4);
+  for (int i = 0; i < 200; ++i)
+    EXPECT_LT(random.route(index, world.functions, inv), 4U);
+
+  RoundRobinPolicy round_robin;
+  round_robin.on_episode_start(4);
+  std::vector<std::size_t> picks;
+  for (int i = 0; i < 6; ++i)
+    picks.push_back(round_robin.route(index, world.functions, inv));
+  index.set_routable(4, true);
+  for (int i = 0; i < 4; ++i)
+    picks.push_back(round_robin.route(index, world.functions, inv));
+  EXPECT_EQ(picks, (std::vector<std::size_t>{0, 1, 2, 3, 0, 1, 2, 3, 4, 0}));
 }
 
 /// Writers mutate their own nodes' envs and update the index while a reader
