@@ -26,8 +26,8 @@ int main() {
     (void)catalog.add("runtime-" + std::to_string(i),
                       containers::Level::kRuntime, 20.0);
 
-  containers::RegistryConfig cfg;  // 1000 images, Zipf popularity
-  const containers::SyntheticRegistry registry(catalog, cfg, util::Rng(2024));
+  // 1000 images, Zipf popularity.
+  const containers::SyntheticRegistry registry(catalog, util::Rng(2024));
 
   std::cout << "=== Fig. 3: top-1000 most popular images, pull concentration "
                "===\n";

@@ -79,7 +79,7 @@ void prewarm(fleet::FleetEnv& fleet, const sim::Trace& trace) {
       scheduler.on_step_result(env, result);
       last_arrival = inv.arrival_s;
     }
-    env.advance_idle(last_arrival + 1.0);
+    env.advance_to(last_arrival + 1.0);
   }
 }
 

@@ -10,22 +10,18 @@ RepackPlan ContainerCleaner::plan(const ImageSpec& function,
   RepackPlan p;
   p.match = level;
 
-  // One volume per mismatched level below the match point: language and/or
-  // runtime. The user-data volume always swaps when configured.
-  int swapped_levels = 0;
+  // One volume per mismatched level below the match point (language and/or
+  // runtime), plus the user-data volume, which always swaps.
+  int volumes = 1;
   if (level <= MatchLevel::kL1 && !function.level(Level::kLanguage).empty())
-    ++swapped_levels;
+    ++volumes;
   if (level <= MatchLevel::kL2 && !function.level(Level::kRuntime).empty())
-    ++swapped_levels;
+    ++volumes;
 
-  p.unmounted_volumes = swapped_levels;
-  p.mounted_volumes = swapped_levels;
-  if (config_.swap_user_data_volume) {
-    ++p.unmounted_volumes;
-    ++p.mounted_volumes;
-  }
-  p.volume_ops_s = p.unmounted_volumes * config_.unmount_s +
-                   p.mounted_volumes * config_.mount_s;
+  p.unmounted_volumes = volumes;
+  p.mounted_volumes = volumes;
+  p.volume_ops_s = p.unmounted_volumes * kVolumeUnmountS +
+                   p.mounted_volumes * kVolumeMountS;
   return p;
 }
 

@@ -24,20 +24,14 @@ struct RepackPlan {
   double volume_ops_s = 0.0;
 };
 
-/// Cost knobs for volume management; defaults follow podman-scale latencies.
-struct CleanerConfig {
-  double unmount_s = 0.003;  ///< per-volume unmount
-  double mount_s = 0.005;    ///< per-volume mount
-  /// The user-data volume is always swapped on reuse, even at a full match
-  /// (isolation between tenants).
-  bool swap_user_data_volume = true;
-};
+/// Volume-management latencies, podman-scale. The user-data volume is always
+/// swapped on reuse, even at a full match (isolation between tenants).
+inline constexpr double kVolumeUnmountS = 0.003;  ///< per-volume unmount
+inline constexpr double kVolumeMountS = 0.005;    ///< per-volume mount
 
 /// Applies the multi-level repack to a container so it can serve `function`.
 class ContainerCleaner {
  public:
-  explicit ContainerCleaner(CleanerConfig config = {}) : config_(config) {}
-
   /// Plans the volume operations needed to reuse `container` for an
   /// invocation with image `function`, given their match level.
   /// Requires reusable(level).
@@ -50,10 +44,6 @@ class ContainerCleaner {
   void repack(Container& container, const ImageSpec& function,
               const PackageCatalog& catalog, MatchLevel level) const;
 
-  [[nodiscard]] const CleanerConfig& config() const noexcept { return config_; }
-
- private:
-  CleanerConfig config_;
 };
 
 }  // namespace mlcr::containers

@@ -1,6 +1,7 @@
 #include "containers/dockerfile.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <sstream>
 
@@ -9,6 +10,12 @@
 namespace mlcr::containers {
 
 namespace {
+
+/// Package names (as installed via apt/apk/yum) classified as language-level.
+constexpr std::array<std::string_view, 20> kLanguageVocabulary = {
+    "python", "python3", "python2", "openjdk", "default-jdk", "jdk",  "jre",
+    "golang", "go",      "nodejs",  "node",    "npm",         "ruby", "php",
+    "rust",   "gcc",     "g++",     "dotnet",  "erlang",      "perl"};
 
 [[nodiscard]] std::string to_lower(std::string_view s) {
   std::string out(s);
@@ -107,25 +114,15 @@ std::string strip_version(std::string_view token) {
   return out;
 }
 
-DockerfileClassifier::DockerfileClassifier()
-    : language_vocabulary_({"python", "python3", "python2", "openjdk",
-                            "default-jdk", "jdk", "jre", "golang", "go",
-                            "nodejs", "node", "npm", "ruby", "php", "rust",
-                            "gcc", "g++", "dotnet", "erlang", "perl"}) {}
-
-void DockerfileClassifier::add_language_package(std::string name) {
-  language_vocabulary_.push_back(to_lower(name));
-}
-
 bool DockerfileClassifier::is_language_package(std::string_view name) const {
   const std::string lower = to_lower(strip_version(name));
-  for (const std::string& lang : language_vocabulary_) {
+  for (const std::string_view lang : kLanguageVocabulary) {
     if (lower == lang) return true;
     // "python3.9", "openjdk-17-jdk" style variants.
     if (lower.size() > lang.size() && lower.compare(0, lang.size(), lang) == 0
         && !std::isalpha(static_cast<unsigned char>(lower[lang.size()])))
       return true;
-    if (lower.rfind(lang + "-", 0) == 0) return true;
+    if (lower.rfind(std::string(lang) + "-", 0) == 0) return true;
   }
   return false;
 }

@@ -41,15 +41,9 @@ struct DockerfileAnalysis {
   [[nodiscard]] Resolution resolve(const PackageCatalog& catalog) const;
 };
 
-/// Classifier with a configurable language-package vocabulary.
+/// Classifier over a fixed language-package vocabulary.
 class DockerfileClassifier {
  public:
-  DockerfileClassifier();
-
-  /// Register an additional package name (as installed via apt/apk/yum)
-  /// that should be classified as a language-level package.
-  void add_language_package(std::string name);
-
   /// Classify Dockerfile text. Handles line continuations (trailing
   /// backslash), comments, and multi-command RUN lines joined with "&&".
   [[nodiscard]] DockerfileAnalysis classify(std::string_view dockerfile) const;
@@ -58,8 +52,6 @@ class DockerfileClassifier {
   [[nodiscard]] bool is_language_package(std::string_view name) const;
   void classify_run_command(std::string_view command,
                             DockerfileAnalysis& out) const;
-
-  std::vector<std::string> language_vocabulary_;
 };
 
 /// Strip version decorations from a package token:

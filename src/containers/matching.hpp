@@ -31,11 +31,4 @@ enum class MatchLevel : std::uint8_t {
   return level != MatchLevel::kNoMatch;
 }
 
-/// Number of levels that must be (re)provisioned when starting a function on
-/// a container matched at `level`: kL3 -> 0, kL2 -> 1 (runtime),
-/// kL1 -> 2 (language + runtime), kNoMatch -> 3 (everything, i.e. cold).
-[[nodiscard]] constexpr int levels_to_provision(MatchLevel level) noexcept {
-  return 3 - static_cast<int>(level);
-}
-
 }  // namespace mlcr::containers

@@ -7,11 +7,22 @@
 
 namespace mlcr::containers {
 
-SyntheticRegistry::SyntheticRegistry(const PackageCatalog& catalog,
-                                     RegistryConfig config, util::Rng rng)
-    : catalog_(catalog) {
-  MLCR_CHECK(config.num_images > 0);
+namespace {
 
+constexpr std::uint64_t kTotalPulls = 50'000'000;
+/// Zipf exponents: image popularity, base-image choice, language choice.
+constexpr double kImagePopularityExponent = 1.1;
+constexpr double kOsChoiceExponent = 1.4;
+constexpr double kLanguageChoiceExponent = 1.2;
+/// Runtime packages per image, uniform in [min, max].
+constexpr std::int64_t kMinRuntimePackages = 0;
+constexpr std::int64_t kMaxRuntimePackages = 4;
+
+}  // namespace
+
+SyntheticRegistry::SyntheticRegistry(const PackageCatalog& catalog,
+                                     util::Rng rng)
+    : catalog_(catalog) {
   // Partition the catalog by level.
   std::vector<PackageId> os, lang, rt;
   for (PackageId id = 0; id < catalog.size(); ++id) {
@@ -30,21 +41,18 @@ SyntheticRegistry::SyntheticRegistry(const PackageCatalog& catalog,
   MLCR_CHECK_MSG(!os.empty() && !lang.empty(),
                  "registry needs OS and language packages in the catalog");
 
-  const util::ZipfSampler os_zipf(os.size(), config.os_choice_exponent);
-  const util::ZipfSampler lang_zipf(lang.size(),
-                                    config.language_choice_exponent);
-  const util::ZipfSampler image_zipf(config.num_images,
-                                     config.image_popularity_exponent);
+  const util::ZipfSampler os_zipf(os.size(), kOsChoiceExponent);
+  const util::ZipfSampler lang_zipf(lang.size(), kLanguageChoiceExponent);
+  const util::ZipfSampler image_zipf(kRegistryImages, kImagePopularityExponent);
 
-  images_.resize(config.num_images);
-  for (std::size_t i = 0; i < config.num_images; ++i) {
+  images_.resize(kRegistryImages);
+  for (std::size_t i = 0; i < kRegistryImages; ++i) {
     std::vector<PackageId> image_os = {os[os_zipf.sample(rng)]};
     std::vector<PackageId> image_lang = {lang[lang_zipf.sample(rng)]};
     std::vector<PackageId> image_rt;
-    if (!rt.empty() && config.max_runtime_packages > 0) {
-      const auto n = static_cast<std::size_t>(rng.uniform_int(
-          static_cast<std::int64_t>(config.min_runtime_packages),
-          static_cast<std::int64_t>(config.max_runtime_packages)));
+    if (!rt.empty()) {
+      const auto n = static_cast<std::size_t>(
+          rng.uniform_int(kMinRuntimePackages, kMaxRuntimePackages));
       for (std::size_t j = 0; j < n; ++j)
         image_rt.push_back(rt[rng.uniform_index(rt.size())]);
     }
@@ -52,7 +60,7 @@ SyntheticRegistry::SyntheticRegistry(const PackageCatalog& catalog,
                                  std::move(image_rt));
     // Expected pulls for this popularity rank; deterministic given the seed.
     images_[i].pull_count = static_cast<std::uint64_t>(
-        image_zipf.probability(i) * static_cast<double>(config.total_pulls));
+        image_zipf.probability(i) * static_cast<double>(kTotalPulls));
   }
 }
 

@@ -29,25 +29,15 @@ struct PackagePopularity {
   double share = 0.0;  ///< fraction of total pulls
 };
 
-struct RegistryConfig {
-  std::size_t num_images = 1000;
-  std::uint64_t total_pulls = 50'000'000;
-  /// Zipf exponents: image popularity, base-image choice, language choice.
-  double image_popularity_exponent = 1.1;
-  double os_choice_exponent = 1.4;
-  double language_choice_exponent = 1.2;
-  /// Runtime packages per image, uniform in [min, max].
-  std::size_t min_runtime_packages = 0;
-  std::size_t max_runtime_packages = 4;
-};
+/// Images in the registry: the paper's top-1000 most popular.
+inline constexpr std::size_t kRegistryImages = 1000;
 
-/// Builds the synthetic registry on top of a catalog whose packages are
-/// grouped by level. The catalog must contain at least one OS and one
-/// language package.
+/// Builds the synthetic registry of kRegistryImages images on top of a
+/// catalog whose packages are grouped by level. The catalog must contain at
+/// least one OS and one language package.
 class SyntheticRegistry {
  public:
-  SyntheticRegistry(const PackageCatalog& catalog, RegistryConfig config,
-                    util::Rng rng);
+  SyntheticRegistry(const PackageCatalog& catalog, util::Rng rng);
 
   [[nodiscard]] const std::vector<RegistryImage>& images() const noexcept {
     return images_;

@@ -37,7 +37,6 @@ class MlcrScheduler final : public policies::Scheduler {
                                    const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "MLCR"; }
 
-  [[nodiscard]] rl::DqnAgent& agent() noexcept { return *agent_; }
   [[nodiscard]] const StateEncoder& encoder() const noexcept {
     return encoder_;
   }

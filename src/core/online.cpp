@@ -1,8 +1,5 @@
 #include "core/online.hpp"
 
-#include <filesystem>
-#include <iostream>
-
 #include "util/check.hpp"
 
 namespace mlcr::core {
@@ -92,29 +89,6 @@ policies::SystemSpec make_online_mlcr_system(
                                             reward_scale_s, config),
       [] { return std::make_unique<containers::LruEviction>(); },
       std::nullopt};
-}
-
-policies::SystemSpec make_mlcr_system_or_fallback(
-    const std::string& model_path, const MlcrConfig& config,
-    std::size_t* fallbacks) {
-  const auto fall_back = [&](const std::string& why) {
-    std::cerr << "[mlcr] model '" << model_path << "' unusable (" << why
-              << "); degrading to Greedy-Match\n";
-    if (fallbacks != nullptr) ++*fallbacks;
-    policies::SystemSpec spec = policies::make_greedy_match_system();
-    spec.name = "Greedy-Match(MLCR-fallback)";
-    return spec;
-  };
-  if (!std::filesystem::exists(model_path)) return fall_back("missing file");
-  // The load overwrites every weight, so the init seed is irrelevant; it is
-  // fixed to keep the returned system a pure function of (path, config).
-  auto agent = std::make_shared<rl::DqnAgent>(config.dqn, util::Rng(1));
-  try {
-    agent->load(model_path);
-  } catch (const util::CheckError& e) {
-    return fall_back(e.what());
-  }
-  return make_mlcr_system(std::move(agent), config.encoder);
 }
 
 }  // namespace mlcr::core

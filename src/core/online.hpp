@@ -35,7 +35,6 @@ class OnlineMlcrScheduler final : public policies::Scheduler {
                       const sim::StepResult& result) override;
   [[nodiscard]] std::string name() const override { return "MLCR-online"; }
 
-  [[nodiscard]] rl::DqnAgent& agent() noexcept { return *agent_; }
   [[nodiscard]] std::size_t online_train_steps() const noexcept {
     return online_train_steps_;
   }
@@ -68,16 +67,5 @@ class OnlineMlcrScheduler final : public policies::Scheduler {
 [[nodiscard]] policies::SystemSpec make_online_mlcr_system(
     std::shared_ptr<rl::DqnAgent> agent, const StateEncoderConfig& encoder,
     float reward_scale_s, OnlineConfig config = {});
-
-/// Graceful degradation (DESIGN.md §9): build the MLCR system from the
-/// model at `model_path`; when the file is missing or fails to load
-/// (corrupt, wrong dimensions), log to stderr, bump `*fallbacks` if given,
-/// and return the strongest model-free baseline instead — Greedy-Match,
-/// renamed "Greedy-Match(MLCR-fallback)" so results can't be mistaken for
-/// the learned policy. Deterministic: the same path and config always
-/// produce the same system.
-[[nodiscard]] policies::SystemSpec make_mlcr_system_or_fallback(
-    const std::string& model_path, const MlcrConfig& config,
-    std::size_t* fallbacks = nullptr);
 
 }  // namespace mlcr::core

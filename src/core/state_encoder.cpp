@@ -47,6 +47,11 @@ constexpr std::size_t kPreserveInit = 13;  // runtime init of last function
 constexpr std::size_t kPreserveCold = 14;  // cold cost of last function
 constexpr std::size_t kMinFeatureDim = 16;
 
+/// Normalization scales.
+constexpr double kLatencyScaleS = 20.0;
+constexpr double kIntervalScaleS = 5.0;
+constexpr double kSizeScaleMb = 2048.0;
+
 [[nodiscard]] float id_norm(const containers::ImageSpec& image,
                             containers::Level level,
                             const containers::PackageCatalog& catalog) {
@@ -70,8 +75,8 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
   const auto& catalog = env.catalog();
   const auto& pool = env.pool();
   const sim::FunctionType& fn = env.functions().get(inv.function);
-  const float lat_scale = static_cast<float>(config_.latency_scale_s);
-  const float size_scale = static_cast<float>(config_.size_scale_mb);
+  const float lat_scale = static_cast<float>(kLatencyScaleS);
+  const float size_scale = static_cast<float>(kSizeScaleMb);
 
   EncodedState state;
   state.tokens = nn::Tensor(num_tokens(), config_.feature_dim);
@@ -117,7 +122,7 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
     row(kLangId) = id_norm(fn.image, containers::Level::kLanguage, catalog);
     row(kRuntimeSize) = static_cast<float>(
         fn.image.level_size_mb(catalog, containers::Level::kRuntime) /
-        config_.size_scale_mb);
+        kSizeScaleMb);
     row(kRuntimeCount) = static_cast<float>(
         fn.image.level(containers::Level::kRuntime).size()) / 8.0F;
     row(kTotalSize) =
@@ -128,7 +133,7 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
     row(kExecMean) = static_cast<float>(fn.mean_exec_s) / lat_scale;
     row(kRuntimeInit) = static_cast<float>(fn.runtime_init_s) / lat_scale;
     row(kInterval) = static_cast<float>(
-        (inv.arrival_s - prev_arrival_s) / config_.interval_scale_s);
+        (inv.arrival_s - prev_arrival_s) / kIntervalScaleS);
   }
 
   // --- Slot tokens. The pool may hold more idle containers than we have
@@ -156,7 +161,7 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
     row(kLangId) = id_norm(c.image, containers::Level::kLanguage, catalog);
     row(kRuntimeSize) = static_cast<float>(
         c.image.level_size_mb(catalog, containers::Level::kRuntime) /
-        config_.size_scale_mb);
+        kSizeScaleMb);
     row(kRuntimeCount) = static_cast<float>(
         c.image.level(containers::Level::kRuntime).size()) / 8.0F;
     row(kTotalSize) =
@@ -175,7 +180,7 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
           lat_scale;
     }
     row(kIdleAge) = static_cast<float>(
-        (env.now() - c.last_idle_at) / config_.interval_scale_s);
+        (env.now() - c.last_idle_at) / kIntervalScaleS);
     row(kUseCount) = static_cast<float>(c.use_count) / 10.0F;
     row(kMemFrac) = static_cast<float>(c.memory_mb / pool.capacity_mb());
     if (c.last_function != containers::kInvalidFunctionType) {

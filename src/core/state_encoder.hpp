@@ -21,10 +21,6 @@ namespace mlcr::core {
 struct StateEncoderConfig {
   std::size_t num_slots = 24;    ///< n: actionable warm containers
   std::size_t feature_dim = 16;  ///< per-token features (fixed layout)
-  /// Normalization scales.
-  double latency_scale_s = 20.0;
-  double interval_scale_s = 5.0;
-  double size_scale_mb = 2048.0;
   /// When false, the Sec. IV-C action mask is disabled (ablation): every
   /// action is allowed and invalid ones degrade to cold starts at runtime.
   bool mask_invalid_actions = true;

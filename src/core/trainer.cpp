@@ -197,12 +197,16 @@ TrainerReport train_agent(rl::DqnAgent& agent, const StateEncoder& encoder,
 bool load_or_train(rl::DqnAgent& agent, const std::string& path,
                    const std::function<void()>& train) {
   if (std::filesystem::exists(path)) {
+    // A failed load has already overwritten some weights, so training on
+    // from here would start from garbage: fail, and leave the file alone.
     try {
       agent.load(path);
-      return true;
-    } catch (const util::CheckError&) {
-      // Incompatible cache (e.g. config changed): retrain below.
+    } catch (const util::CheckError& e) {
+      throw util::CheckError("model cache '" + path +
+                             "' does not load (delete it to retrain): " +
+                             e.what());
     }
+    return true;
   }
   train();
   agent.save(path);

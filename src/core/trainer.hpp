@@ -64,9 +64,10 @@ TrainerReport train_agent(rl::DqnAgent& agent, const StateEncoder& encoder,
                           const std::vector<const sim::Trace*>& traces,
                           const TrainerConfig& config);
 
-/// Load the agent from `path` if a compatible file exists; otherwise run
-/// `train` (which must train the agent) and save to `path`. Returns true if
-/// the model was loaded from cache.
+/// Load the agent from `path` if the file exists; otherwise run `train`
+/// (which must train the agent) and save to `path`. Returns true if the
+/// model was loaded from cache. Throws util::CheckError, without training or
+/// touching the file, when an existing file fails to load.
 bool load_or_train(rl::DqnAgent& agent, const std::string& path,
                    const std::function<void()>& train);
 

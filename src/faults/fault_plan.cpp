@@ -73,12 +73,12 @@ namespace {
 
 }  // namespace
 
-double RetryPolicy::backoff_s(std::size_t failed_attempt, double u) const {
+double backoff_s(std::size_t failed_attempt, double u) {
   MLCR_CHECK_MSG(failed_attempt >= 1, "backoff is for a 1-based attempt");
   const double scaled =
-      base_backoff_s *
-      std::pow(backoff_multiplier, static_cast<double>(failed_attempt - 1));
-  return std::min(scaled, max_backoff_s) * (1.0 + jitter_frac * u);
+      kBaseBackoffS *
+      std::pow(kBackoffMultiplier, static_cast<double>(failed_attempt - 1));
+  return std::min(scaled, kMaxBackoffS) * (1.0 + kBackoffJitterFrac * u);
 }
 
 void validate_domains(const std::vector<FailureDomain>& domains,
@@ -161,10 +161,6 @@ void FaultPlan::validate(std::size_t nodes) const {
   }
   MLCR_CHECK_MSG(retry.max_attempts >= 1,
                  "retry.max_attempts must be >= 1 (1 disables retries)");
-  MLCR_CHECK_MSG(retry.base_backoff_s >= 0.0 && retry.max_backoff_s >= 0.0 &&
-                     retry.backoff_multiplier >= 0.0 &&
-                     retry.jitter_frac >= 0.0,
-                 "retry backoff parameters must be non-negative");
 
   validate_domains(domains, nodes);
 

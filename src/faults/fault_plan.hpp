@@ -37,23 +37,25 @@
 
 namespace mlcr::faults {
 
-/// How failed starts (startup failure / timeout) are retried. The defaults
-/// mean "no retry": one attempt, then the invocation fails.
+/// How failed starts (startup failure / timeout) are retried. The default
+/// means "no retry": one attempt, then the invocation fails.
 struct RetryPolicy {
   /// Total start attempts per invocation (>= 1); 1 disables retries.
   std::size_t max_attempts = 1;
-  /// Backoff before retry k (1-based) is
-  ///   min(base * multiplier^(k-1), max) * (1 + jitter_frac * u),
-  /// u ~ U[0,1) from the injector's stream. Seconds of simulated time.
-  double base_backoff_s = 0.5;
-  double backoff_multiplier = 2.0;
-  double max_backoff_s = 30.0;
-  double jitter_frac = 0.1;
-
-  /// Deterministic backoff before the retry that follows failed attempt
-  /// `failed_attempt` (1-based), given jitter draw `u` in [0, 1).
-  [[nodiscard]] double backoff_s(std::size_t failed_attempt, double u) const;
 };
+
+/// Backoff before retry k (1-based) is
+///   min(kBaseBackoffS * kBackoffMultiplier^(k-1), kMaxBackoffS)
+///     * (1 + kBackoffJitterFrac * u),
+/// u ~ U[0,1) from the injector's stream. Seconds of simulated time.
+inline constexpr double kBaseBackoffS = 0.5;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kMaxBackoffS = 30.0;
+inline constexpr double kBackoffJitterFrac = 0.1;
+
+/// Deterministic backoff before the retry that follows failed attempt
+/// `failed_attempt` (1-based), given jitter draw `u` in [0, 1).
+[[nodiscard]] double backoff_s(std::size_t failed_attempt, double u);
 
 /// "This window was not caused by a failure domain" sentinel for
 /// CrashWindow::domain.
@@ -149,7 +151,7 @@ struct FaultPlan {
 
   [[nodiscard]] bool faultless() const noexcept;
   /// Throws util::CheckError on malformed plans: probabilities outside
-  /// [0, 1], max_attempts == 0, negative backoff/timeout, crash windows
+  /// [0, 1], max_attempts == 0, negative timeout, crash windows
   /// unsorted, inverted, or overlapping per node, naming a node index
   /// >= `nodes` (pass SIZE_MAX when the fleet size is unknown), bad domain
   /// memberships, or windows referencing an unknown domain / a domain the

@@ -21,7 +21,7 @@ bool FaultInjector::draw_repack_failure() noexcept {
 
 double FaultInjector::draw_backoff(std::size_t failed_attempt) {
   ++counters_.retries;
-  return plan_.retry.backoff_s(failed_attempt, stream_.uniform());
+  return backoff_s(failed_attempt, stream_.uniform());
 }
 
 }  // namespace mlcr::faults

@@ -69,8 +69,7 @@ FleetSummary aggregate_fleet(std::string router, std::string system,
     else
       all_metrics = false;
   }
-  // One concatenate-and-sort over all nodes; the per-node merge() fold is
-  // O(nodes * records) and dominates large-fleet runs.
+  // One concatenate-and-sort over all nodes.
   fs.merged.merge_many(parts);
   if (fs.total.invocations > 0) {
     fs.total.average_latency_s =

@@ -13,17 +13,31 @@ using containers::PackageId;
 
 namespace {
 
+/// Invocation-count distribution (reproduces the cited statistics):
+/// P(count = 1), P(count = 2), and the Pareto tail exponent for counts > 2.
+constexpr double kPSingle = 0.19;
+constexpr double kPDouble = 0.21;
+constexpr double kTailAlpha = 0.7;
+constexpr std::size_t kMaxInvocationsPerFunction = 500;
+/// Package universe (Zipf-popular, like the Fig. 3 registry).
+constexpr std::size_t kNumOs = 6;
+constexpr std::size_t kNumLanguages = 8;
+constexpr std::size_t kNumRuntimePackages = 60;
+constexpr std::int64_t kMaxRuntimePerFunction = 4;
+
+static_assert(kPSingle >= 0.0 && kPDouble >= 0.0 && kPSingle + kPDouble <= 1.0);
+static_assert(kNumOs > 0 && kNumLanguages > 0);
+
 /// Per-function invocation count: a calibrated mixture — point masses at 1
 /// and 2 plus a discrete Pareto tail for the hot functions.
-[[nodiscard]] std::size_t sample_invocation_count(const AzureLikeConfig& cfg,
-                                                  util::Rng& rng) {
+[[nodiscard]] std::size_t sample_invocation_count(util::Rng& rng) {
   const double u = rng.uniform();
-  if (u < cfg.p_single) return 1;
-  if (u < cfg.p_single + cfg.p_double) return 2;
+  if (u < kPSingle) return 1;
+  if (u < kPSingle + kPDouble) return 2;
   // Pareto tail starting at 3: count = floor(3 * v^(-1/alpha)).
   const double v = 1.0 - rng.uniform();  // (0, 1]
-  const double raw = 3.0 * std::pow(v, -1.0 / cfg.tail_alpha);
-  return std::min<std::size_t>(cfg.max_invocations_per_function,
+  const double raw = 3.0 * std::pow(v, -1.0 / kTailAlpha);
+  return std::min<std::size_t>(kMaxInvocationsPerFunction,
                                static_cast<std::size_t>(raw));
 }
 
@@ -40,24 +54,21 @@ AzureLikeWorkload make_azure_like_workload(const AzureLikeConfig& config,
                                            util::Rng rng) {
   MLCR_CHECK(config.num_functions > 0);
   MLCR_CHECK(config.window_s > 0.0);
-  MLCR_CHECK(config.p_single >= 0.0 && config.p_double >= 0.0 &&
-             config.p_single + config.p_double <= 1.0);
-  MLCR_CHECK(config.num_os > 0 && config.num_languages > 0);
 
   AzureLikeWorkload out;
 
   // --- Package universe: sizes follow the FStartBench calibration ranges.
   std::vector<PackageId> oses, langs, runtimes;
-  for (std::size_t i = 0; i < config.num_os; ++i)
+  for (std::size_t i = 0; i < kNumOs; ++i)
     oses.push_back(out.catalog.add("os-" + std::to_string(i), Level::kOs,
                                    rng.uniform(8.0, 220.0),
                                    rng.uniform(0.3, 1.0)));
-  for (std::size_t i = 0; i < config.num_languages; ++i)
+  for (std::size_t i = 0; i < kNumLanguages; ++i)
     langs.push_back(out.catalog.add("lang-" + std::to_string(i),
                                     Level::kLanguage,
                                     rng.uniform(40.0, 240.0),
                                     rng.uniform(0.5, 2.0)));
-  for (std::size_t i = 0; i < config.num_runtime_packages; ++i)
+  for (std::size_t i = 0; i < kNumRuntimePackages; ++i)
     runtimes.push_back(out.catalog.add("rt-" + std::to_string(i),
                                        Level::kRuntime,
                                        rng.uniform(2.0, 120.0),
@@ -72,8 +83,8 @@ AzureLikeWorkload make_azure_like_workload(const AzureLikeConfig& config,
     std::vector<PackageId> os = {oses[os_zipf.sample(rng)]};
     std::vector<PackageId> lang = {langs[lang_zipf.sample(rng)]};
     std::vector<PackageId> rt;
-    const auto n_rt = static_cast<std::size_t>(rng.uniform_int(
-        0, static_cast<std::int64_t>(config.max_runtime_per_function)));
+    const auto n_rt =
+        static_cast<std::size_t>(rng.uniform_int(0, kMaxRuntimePerFunction));
     for (std::size_t j = 0; j < n_rt; ++j)
       rt.push_back(runtimes[rt_zipf.sample(rng)]);
 
@@ -98,7 +109,7 @@ AzureLikeWorkload make_azure_like_workload(const AzureLikeConfig& config,
   std::vector<sim::Invocation> invocations;
   out.invocations_per_function.resize(config.num_functions);
   for (std::size_t i = 0; i < config.num_functions; ++i) {
-    const std::size_t count = sample_invocation_count(config, rng);
+    const std::size_t count = sample_invocation_count(rng);
     out.invocations_per_function[i] = count;
     const auto& fn = out.functions.get(static_cast<sim::FunctionTypeId>(i));
     for (std::size_t k = 0; k < count; ++k) {

@@ -20,18 +20,6 @@ namespace mlcr::fstartbench {
 struct AzureLikeConfig {
   std::size_t num_functions = 200;  ///< distinct function types
   double window_s = 7200.0;         ///< trace window (scaled-down "day")
-  /// Invocation-count distribution knobs (defaults reproduce the cited
-  /// statistics): P(count = 1), P(count = 2), and the Pareto tail exponent
-  /// for counts > 2.
-  double p_single = 0.19;
-  double p_double = 0.21;
-  double tail_alpha = 0.7;
-  std::size_t max_invocations_per_function = 500;
-  /// Package universe (Zipf-popular, like the Fig. 3 registry).
-  std::size_t num_os = 6;
-  std::size_t num_languages = 8;
-  std::size_t num_runtime_packages = 60;
-  std::size_t max_runtime_per_function = 4;
 };
 
 /// The generated world: catalog + function population + one trace.

@@ -209,21 +209,4 @@ void FeedForward::infer(const Tensor& input, Tensor& hidden,
   down_.infer(hidden, out);
 }
 
-Tensor Sequential::forward(const Tensor& input) {
-  Tensor x = input;
-  for (const auto& child : children_) x = child->forward(x);
-  return x;
-}
-
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it)
-    g = (*it)->backward(g);
-  return g;
-}
-
-void Sequential::collect_parameters(std::vector<Parameter*>& out) {
-  for (const auto& child : children_) child->collect_parameters(out);
-}
-
 }  // namespace mlcr::nn

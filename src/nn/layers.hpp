@@ -1,4 +1,4 @@
-// Basic layers: Linear, LayerNorm, ReLU, FeedForward, Sequential.
+// Basic layers: Linear, LayerNorm, ReLU, FeedForward.
 //
 // Besides the cached forward()/backward() pair, the layers that sit on the
 // policy network's inference path have a const infer() that writes into a
@@ -7,7 +7,6 @@
 // order: the outputs are bit-identical.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "nn/module.hpp"
@@ -95,27 +94,6 @@ class FeedForward final : public Module {
   Linear up_;
   ReLU relu_;
   Linear down_;
-};
-
-/// Runs children in order; backward in reverse.
-class Sequential final : public Module {
- public:
-  Sequential() = default;
-
-  Sequential& add(std::unique_ptr<Module> module) {
-    children_.push_back(std::move(module));
-    return *this;
-  }
-
-  [[nodiscard]] Tensor forward(const Tensor& input) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-  void collect_parameters(std::vector<Parameter*>& out) override;
-  [[nodiscard]] std::string name() const override { return "Sequential"; }
-
-  [[nodiscard]] std::size_t size() const noexcept { return children_.size(); }
-
- private:
-  std::vector<std::unique_ptr<Module>> children_;
 };
 
 }  // namespace mlcr::nn

@@ -47,7 +47,6 @@ class Adam final : public Optimizer {
   void step() override;
 
   [[nodiscard]] float learning_rate() const noexcept { return lr_; }
-  void set_learning_rate(float lr) noexcept { lr_ = lr; }
 
  private:
   float lr_, beta1_, beta2_, epsilon_;

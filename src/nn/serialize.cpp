@@ -97,16 +97,4 @@ void copy_parameters(Module& src, Module& dst) {
   }
 }
 
-void soft_update_parameters(Module& src, Module& dst, float tau) {
-  MLCR_CHECK(tau >= 0.0F && tau <= 1.0F);
-  const auto s = src.parameters();
-  const auto d = dst.parameters();
-  MLCR_CHECK(s.size() == d.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    MLCR_CHECK(s[i]->value.same_shape(d[i]->value));
-    d[i]->value.scale_(1.0F - tau);
-    d[i]->value.axpy_(tau, s[i]->value);
-  }
-}
-
 }  // namespace mlcr::nn

@@ -27,7 +27,4 @@ void load_parameters(Module& module, const std::string& path);
 /// the DQN target network.
 void copy_parameters(Module& src, Module& dst);
 
-/// Soft update: dst = (1 - tau) * dst + tau * src.
-void soft_update_parameters(Module& src, Module& dst, float tau);
-
 }  // namespace mlcr::nn

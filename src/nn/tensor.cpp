@@ -33,15 +33,6 @@ Tensor Tensor::he_uniform(std::size_t rows, std::size_t cols, util::Rng& rng) {
   return t;
 }
 
-Tensor Tensor::xavier_uniform(std::size_t rows, std::size_t cols,
-                              util::Rng& rng) {
-  Tensor t(rows, cols);
-  const float limit = std::sqrt(6.0F / static_cast<float>(rows + cols));
-  for (std::size_t i = 0; i < t.size(); ++i)
-    t.data_[i] = static_cast<float>(rng.uniform(-limit, limit));
-  return t;
-}
-
 float& Tensor::at(std::size_t r, std::size_t c) {
   MLCR_CHECK_MSG(r < rows_ && c < cols_, "index (" << r << "," << c
                                                    << ") out of " << rows_

@@ -30,9 +30,6 @@ class Tensor {
   /// He-uniform initialization: U(-limit, limit), limit = sqrt(6 / fan_in).
   [[nodiscard]] static Tensor he_uniform(std::size_t rows, std::size_t cols,
                                          util::Rng& rng);
-  /// Xavier-uniform: limit = sqrt(6 / (fan_in + fan_out)).
-  [[nodiscard]] static Tensor xavier_uniform(std::size_t rows,
-                                             std::size_t cols, util::Rng& rng);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }

@@ -32,8 +32,14 @@ class Parser {
 
   void skip_ws() {
     while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r'))
       ++pos_;
+  }
+
+  [[nodiscard]] bool digit_at(std::size_t i) const {
+    return i < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[i])) != 0;
   }
 
   [[nodiscard]] bool consume(char c) {
@@ -93,13 +99,32 @@ class Parser {
     return literal("false");
   }
 
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// The grammar is checked before converting: strtod alone would also take
+  /// "inf", "0x1A", "+1", ".5" and "1.".
   bool number(JsonValue& out) {
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(start, &end);
-    if (end == start) return fail("bad number");
+    std::size_t i = pos_;
+    if (i < text_.size() && text_[i] == '-') ++i;
+    if (!digit_at(i)) return fail("bad number");
+    if (text_[i] == '0') {
+      ++i;
+      if (digit_at(i)) return fail("bad number (leading zero)");
+    } else {
+      while (digit_at(i)) ++i;
+    }
+    if (i < text_.size() && text_[i] == '.') {
+      if (!digit_at(++i)) return fail("bad number (no digit after '.')");
+      while (digit_at(i)) ++i;
+    }
+    if (i < text_.size() && (text_[i] == 'e' || text_[i] == 'E')) {
+      ++i;
+      if (i < text_.size() && (text_[i] == '+' || text_[i] == '-')) ++i;
+      if (!digit_at(i)) return fail("bad number (no exponent digits)");
+      while (digit_at(i)) ++i;
+    }
+    out.number = std::strtod(text_.substr(pos_, i - pos_).c_str(), nullptr);
     out.type = JsonValue::Type::kNumber;
-    pos_ += static_cast<std::size_t>(end - start);
+    pos_ = i;
     return true;
   }
 
@@ -109,6 +134,8 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20)
+        return fail("unescaped control character in string");
       if (c == '\\') {
         if (pos_ >= text_.size()) break;
         const char esc = text_[pos_++];

@@ -42,12 +42,6 @@ std::size_t DqnAgent::greedy_action(const nn::Tensor& state,
   return *best;
 }
 
-std::size_t DqnAgent::greedy_action(const nn::Tensor& state,
-                                    const ActionMask& mask) const {
-  InferWorkspace ws(config_.network);
-  return greedy_action(state, mask, ws);
-}
-
 nn::Tensor DqnAgent::q_values(const nn::Tensor& state) const {
   InferWorkspace ws(config_.network);
   return online_.infer(state, ws);

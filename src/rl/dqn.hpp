@@ -46,9 +46,6 @@ class DqnAgent {
   [[nodiscard]] std::size_t greedy_action(const nn::Tensor& state,
                                           const ActionMask& mask,
                                           InferWorkspace& ws) const;
-  /// As above, in a workspace allocated for the call.
-  [[nodiscard]] std::size_t greedy_action(const nn::Tensor& state,
-                                          const ActionMask& mask) const;
 
   /// Raw Q-values for a state (online network).
   [[nodiscard]] nn::Tensor q_values(const nn::Tensor& state) const;

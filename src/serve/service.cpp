@@ -449,7 +449,7 @@ void SchedulerService::janitor_step() {
                                       "service stripe mutex");
   sim::ClusterEnv& env = fleet_.node_env(node);
   if (env.now() >= now) return;
-  env.advance_idle(now);
+  env.advance_to(now);
   index_->update(node, env);
 }
 

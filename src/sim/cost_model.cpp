@@ -9,7 +9,7 @@ using containers::MatchLevel;
 
 StartupCostModel::StartupCostModel(const containers::PackageCatalog& catalog,
                                    CostModelConfig config)
-    : catalog_(catalog), config_(config), cleaner_(config.cleaner) {
+    : catalog_(catalog), config_(config) {
   MLCR_CHECK(config_.sandbox_create_s >= 0.0);
   MLCR_CHECK(config_.pull_bandwidth_mb_s > 0.0);
   MLCR_CHECK(config_.pull_rtt_s >= 0.0);
@@ -77,11 +77,9 @@ StartupBreakdown StartupCostModel::union_warm_start(
   if (runtime_changed) b.runtime_init_s = fn.runtime_init_s;
   b.function_init_s = fn.function_init_s;
   // The cleaner only mounts the missing volumes plus the user-data swap.
-  containers::RepackPlan plan;
-  plan.mounted_volumes = runtime_changed ? 1 : 0;
-  const auto& cc = cleaner_.config();
-  b.cleaner_s = plan.mounted_volumes * cc.mount_s +
-                (cc.swap_user_data_volume ? cc.mount_s + cc.unmount_s : 0.0);
+  const int mounted_volumes = runtime_changed ? 1 : 0;
+  b.cleaner_s = mounted_volumes * containers::kVolumeMountS +
+                (containers::kVolumeMountS + containers::kVolumeUnmountS);
   return b;
 }
 

@@ -39,7 +39,6 @@ struct CostModelConfig {
   double pull_bandwidth_mb_s = 30.0;
   /// Fixed per-package pull round-trip, seconds.
   double pull_rtt_s = 0.04;
-  containers::CleanerConfig cleaner;
 };
 
 /// Computes startup breakdowns from a function type, a match level and the

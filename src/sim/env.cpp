@@ -87,12 +87,6 @@ void ClusterEnv::offer(Invocation inv) {
   MLCR_AUDIT_POINT(audit());
 }
 
-void ClusterEnv::advance_idle(double time) {
-  MLCR_CHECK_MSG(done(), "advance_idle() with a pending invocation");
-  if (time > now_) drain_to(time);
-  MLCR_AUDIT_POINT(audit());
-}
-
 void ClusterEnv::advance_to(double time) {
   MLCR_CHECK_MSG(done(), "advance_to() with a pending invocation");
   if (time > now_) drain_to(time);

@@ -117,17 +117,13 @@ class ClusterEnv {
   /// have been stepped — and a non-decreasing arrival time.
   void offer(Invocation inv);
 
-  /// Advance simulated time with no work arriving (completions are admitted
-  /// to the pool, TTL expiry applies). Lets the serving janitor bring idle
-  /// nodes' clocks up to the service clock. Requires done().
-  void advance_idle(double time);
-
   /// Streaming event API (DESIGN.md §10): advance to `time`, processing
   /// every completion and TTL expiry due on the way. Composable —
   /// advance_to(a); advance_to(b) with a <= b is state-identical to
   /// advance_to(b) — which is what lets the event-driven fleet advance a
-  /// node only as far as its next event instead of to every global arrival.
-  /// Requires done(); times <= now() are no-ops.
+  /// node only as far as its next event instead of to every global arrival,
+  /// and the serving janitor bring idle nodes' clocks up to the service
+  /// clock. Requires done(); times <= now() are no-ops.
   void advance_to(double time);
 
   /// Earliest future time at which this node's observable state changes on

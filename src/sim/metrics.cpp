@@ -32,31 +32,6 @@ void MetricsCollector::sort_records_by_seq() {
   std::stable_sort(records_.begin(), records_.end(), seq_less);
 }
 
-void MetricsCollector::merge(const MetricsCollector& other) {
-  // Both halves are in seq order in every current use (record() appends in
-  // arrival order, merge()/merge_many() restore seq order), so a linear
-  // stable inplace_merge gives the same result as re-sorting the whole
-  // vector — stability puts this collector's records before the other's on
-  // equal seq, exactly as the stable sort over the concatenation did.
-  const auto mid =
-      static_cast<std::vector<InvocationRecord>::difference_type>(
-          records_.size());
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-  total_latency_s_ += other.total_latency_s_;
-  cold_starts_ += other.cold_starts_;
-  for (std::size_t i = 0; i < by_level_.size(); ++i)
-    by_level_[i] += other.by_level_[i];
-  failed_ += other.failed_;
-  retries_ += other.retries_;
-  if (std::is_sorted(records_.begin(), records_.begin() + mid, seq_less) &&
-      std::is_sorted(records_.begin() + mid, records_.end(), seq_less))
-    std::inplace_merge(records_.begin(), records_.begin() + mid,
-                       records_.end(), seq_less);
-  else
-    std::stable_sort(records_.begin(), records_.end(), seq_less);
-}
-
 void MetricsCollector::merge_many(
     const std::vector<const MetricsCollector*>& parts) {
   std::size_t extra = 0;
@@ -185,7 +160,7 @@ void MetricsCollector::audit(bool require_seq_order) const {
                          by_level_[3] + by_level_[0] ==
                      records_.size(),
                  "failed + cold + warm does not sum to the record count");
-  // merge() re-sorts records, so recomputation may fold in a different
+  // merge_many() re-sorts records, so recomputation may fold in a different
   // order; allow relative float slack.
   MLCR_CHECK_MSG(
       std::abs(total - total_latency_s_) <=

@@ -43,17 +43,10 @@ class MetricsCollector {
   /// series and the seq-order audit meaningful again.
   void sort_records_by_seq();
 
-  /// Fold another collector into this one (fleet-wide aggregation across
-  /// nodes). Records are re-ordered by trace sequence number so cumulative
-  /// series stay in global arrival order.
-  void merge(const MetricsCollector& other);
-
-  /// Fold many collectors at once: one concatenation + one stable sort,
-  /// O(total log total), instead of the O(parts * total) growth of folding
-  /// them one merge() at a time. Produces exactly the record order the
-  /// sequential fold would (stable sort on seq, parts in argument order).
-  /// Null entries are skipped. This is what fleet aggregation uses — a
-  /// 1000-node fleet fold must not swamp the event core it is summarizing.
+  /// Fold other collectors into this one (fleet-wide aggregation across
+  /// nodes): one concatenation + one stable sort on trace sequence number,
+  /// O(total log total), so cumulative series stay in global arrival order
+  /// (parts in argument order on equal seq). Null entries are skipped.
   void merge_many(const std::vector<const MetricsCollector*>& parts);
 
   [[nodiscard]] const std::vector<InvocationRecord>& records() const noexcept {
@@ -98,8 +91,8 @@ class MetricsCollector {
   /// (obs::exact_rank semantics: the sample of rank ceil(p/100 * n); always
   /// an observed value, no interpolation). p in [0, 100]. Contract: 0.0
   /// when no invocation was served (empty or all-failed episode) — never
-  /// UB. Works on fleet-merged collectors unchanged — merge() keeps every
-  /// record.
+  /// UB. Works on fleet-merged collectors unchanged — merge_many() keeps
+  /// every record.
   [[nodiscard]] double latency_percentile(double p) const;
   [[nodiscard]] double latency_p50() const { return latency_percentile(50.0); }
   [[nodiscard]] double latency_p95() const { return latency_percentile(95.0); }

@@ -96,22 +96,6 @@ std::uint64_t Rng::poisson(double lambda) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  MLCR_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    MLCR_CHECK_MSG(w >= 0.0, "weights must be non-negative");
-    total += w;
-  }
-  MLCR_CHECK_MSG(total > 0.0, "weights must not all be zero");
-  double target = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    target -= weights[i];
-    if (target < 0.0) return i;
-  }
-  return weights.size() - 1;  // numeric edge: fall back to last index
-}
-
 Rng Rng::split() noexcept { return Rng(next()); }
 
 ZipfSampler::ZipfSampler(std::size_t n, double exponent) {

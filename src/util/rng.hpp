@@ -51,16 +51,6 @@ class Rng {
   [[nodiscard]] std::uint64_t poisson(double lambda) noexcept;
   /// Bernoulli trial with probability p in [0, 1].
   [[nodiscard]] bool bernoulli(double p) noexcept;
-  /// Index sampled according to non-negative weights (sum > 0).
-  [[nodiscard]] std::size_t weighted_index(const std::vector<double>& weights);
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      using std::swap;
-      swap(v[i - 1], v[uniform_index(i)]);
-    }
-  }
 
   /// Derive an independent child generator (for parallel replications).
   [[nodiscard]] Rng split() noexcept;

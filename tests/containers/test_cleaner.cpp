@@ -85,16 +85,11 @@ TEST_F(CleanerTest, RepackAtL3IsIdentityOnImage) {
   EXPECT_EQ(c.repack_count, 0U) << "identical image must not count a repack";
 }
 
-TEST_F(CleanerTest, VolumeOpsCostFollowsConfig) {
-  CleanerConfig cfg;
-  cfg.unmount_s = 0.01;
-  cfg.mount_s = 0.02;
-  cfg.swap_user_data_volume = false;
-  const ContainerCleaner cleaner(cfg);
+TEST_F(CleanerTest, VolumeOpsCostIsPerVolume) {
   const ImageSpec fn({os_}, {node_}, {numpy_});
-  const RepackPlan p = cleaner.plan(fn, MatchLevel::kL1);
-  EXPECT_EQ(p.unmounted_volumes, 2);
-  EXPECT_DOUBLE_EQ(p.volume_ops_s, 2 * 0.01 + 2 * 0.02);
+  const RepackPlan p = cleaner_.plan(fn, MatchLevel::kL1);
+  EXPECT_EQ(p.unmounted_volumes, 3);
+  EXPECT_DOUBLE_EQ(p.volume_ops_s, 3 * kVolumeUnmountS + 3 * kVolumeMountS);
 }
 
 TEST_F(CleanerTest, ContainerMemoryIncludesBaseOverhead) {

@@ -96,15 +96,6 @@ TEST(Dockerfile, DeduplicatesRepeatedInstalls) {
             (std::vector<std::string>{"flask", "numpy"}));
 }
 
-TEST(Dockerfile, CustomLanguageVocabulary) {
-  DockerfileClassifier classifier;
-  classifier.add_language_package("zig");
-  const auto a =
-      classifier.classify("FROM alpine\nRUN apk add zig cowsay\n");
-  EXPECT_EQ(a.language_packages, (std::vector<std::string>{"zig"}));
-  EXPECT_EQ(a.runtime_packages, (std::vector<std::string>{"cowsay"}));
-}
-
 TEST(Dockerfile, StripVersionVariants) {
   EXPECT_EQ(strip_version("torch==2.0.1+cpu"), "torch");
   EXPECT_EQ(strip_version("flask>=2"), "flask");

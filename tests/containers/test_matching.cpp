@@ -73,10 +73,6 @@ TEST(Matching, ReusableAndProvisionCounts) {
   EXPECT_FALSE(reusable(MatchLevel::kNoMatch));
   EXPECT_TRUE(reusable(MatchLevel::kL1));
   EXPECT_TRUE(reusable(MatchLevel::kL3));
-  EXPECT_EQ(levels_to_provision(MatchLevel::kNoMatch), 3);
-  EXPECT_EQ(levels_to_provision(MatchLevel::kL1), 2);
-  EXPECT_EQ(levels_to_provision(MatchLevel::kL2), 1);
-  EXPECT_EQ(levels_to_provision(MatchLevel::kL3), 0);
 }
 
 TEST(Matching, LevelOrderingIsMeaningful) {

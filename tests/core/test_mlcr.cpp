@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/trainer.hpp"
 #include "policies/runner.hpp"
@@ -128,7 +131,7 @@ TEST(LoadOrTrain, CachesModelAcrossCalls) {
   std::filesystem::remove(path);
 }
 
-TEST(LoadOrTrain, RetrainsOnIncompatibleCache) {
+TEST(LoadOrTrain, RejectsIncompatibleCacheWithoutTouchingIt) {
   const MlcrConfig small = tiny_mlcr();
   MlcrConfig big = small;
   big.dqn.network.embed_dim = 24;
@@ -137,10 +140,19 @@ TEST(LoadOrTrain, RetrainsOnIncompatibleCache) {
 
   rl::DqnAgent a(small.dqn, util::Rng(7));
   (void)load_or_train(a, path, [] {});
+  const auto bytes = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string before = bytes();
+  ASSERT_FALSE(before.empty());
+
   rl::DqnAgent b(big.dqn, util::Rng(8));
-  int retrained = 0;
-  EXPECT_FALSE(load_or_train(b, path, [&] { ++retrained; }));
-  EXPECT_EQ(retrained, 1);
+  int trained = 0;
+  EXPECT_THROW((void)load_or_train(b, path, [&] { ++trained; }),
+               util::CheckError);
+  EXPECT_EQ(trained, 0) << "a cache that fails to load must not be retrained";
+  EXPECT_EQ(bytes(), before) << "a cache that fails to load must not change";
   std::filesystem::remove(path);
 }
 

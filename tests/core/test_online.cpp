@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "core/trainer.hpp"
 #include "policies/runner.hpp"
 #include "testing/fixtures.hpp"
@@ -126,7 +123,8 @@ TEST(OnlineMlcr, FineTuningUpdatesWeightsAndLearnsWarmStartValue) {
   const StateEncoder encoder(cfg.encoder);
   const EncodedState state = encoder.encode(env, env.current(), 0.0);
   ASSERT_EQ(state.mask[0], 1);
-  const std::size_t action = agent->greedy_action(state.tokens, state.mask);
+  rl::InferWorkspace ws(agent->config().network);
+  const std::size_t action = agent->greedy_action(state.tokens, state.mask, ws);
   EXPECT_NE(action, cfg.encoder.num_slots)
       << "fine-tuned policy must prefer reuse over cold start here";
 }
@@ -138,52 +136,6 @@ TEST(OnlineMlcr, SystemSpecFactory) {
       make_online_mlcr_system(agent, cfg.encoder, cfg.reward_scale_s);
   EXPECT_EQ(spec.name, "MLCR-online");
   EXPECT_NE(spec.scheduler, nullptr);
-}
-
-TEST(MlcrFallback, MissingModelDegradesToGreedyMatch) {
-  const MlcrConfig cfg = tiny_cfg();
-  std::size_t fallbacks = 0;
-  const auto spec = make_mlcr_system_or_fallback(
-      ::testing::TempDir() + "no_such_model.bin", cfg, &fallbacks);
-  EXPECT_EQ(spec.name, "Greedy-Match(MLCR-fallback)");
-  EXPECT_EQ(spec.scheduler->name(), "Greedy-Match");
-  EXPECT_EQ(fallbacks, 1U);
-
-  // The fallback system must still run a full episode.
-  TinyWorld world;
-  auto env = world.make_env();
-  const sim::Trace trace = repeated_trace(world, 4);
-  const auto s = policies::run_episode(env, *spec.scheduler, trace);
-  EXPECT_EQ(s.invocations, trace.size());
-}
-
-TEST(MlcrFallback, CorruptModelDegradesToGreedyMatch) {
-  const std::string path = ::testing::TempDir() + "corrupt_model.bin";
-  {
-    std::ofstream os(path, std::ios::binary);
-    os << "not a model";
-  }
-  const MlcrConfig cfg = tiny_cfg();
-  std::size_t fallbacks = 0;
-  const auto spec = make_mlcr_system_or_fallback(path, cfg, &fallbacks);
-  EXPECT_EQ(spec.name, "Greedy-Match(MLCR-fallback)");
-  EXPECT_EQ(fallbacks, 1U);
-  std::filesystem::remove(path);
-}
-
-TEST(MlcrFallback, IntactModelLoadsTheRealScheduler) {
-  const std::string path = ::testing::TempDir() + "intact_model.bin";
-  const MlcrConfig cfg = tiny_cfg();
-  {
-    rl::DqnAgent agent(cfg.dqn, util::Rng(6));
-    agent.save(path);
-  }
-  std::size_t fallbacks = 0;
-  const auto spec = make_mlcr_system_or_fallback(path, cfg, &fallbacks);
-  EXPECT_EQ(spec.name, "MLCR");
-  EXPECT_EQ(spec.scheduler->name(), "MLCR");
-  EXPECT_EQ(fallbacks, 0U);
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -134,8 +134,8 @@ TEST_F(EncoderTest, ArrivalIntervalFeatureUsesPrevArrival) {
   const EncodedState a = encoder_.encode(env, env.current(), 10.0);
   const EncodedState b = encoder_.encode(env, env.current(), 5.0);
   EXPECT_FLOAT_EQ(a.tokens(1, 11), 0.0F);
-  EXPECT_FLOAT_EQ(b.tokens(1, 11),
-                  static_cast<float>(5.0 / config_.interval_scale_s));
+  // A 5 s gap over the encoder's 5 s interval scale.
+  EXPECT_FLOAT_EQ(b.tokens(1, 11), 1.0F);
 }
 
 TEST_F(EncoderTest, RejectsTooSmallFeatureDim) {

@@ -70,13 +70,17 @@ TEST(FaultEnv, StartupFailureExhaustsRetriesAndFailsTheInvocation) {
   faults::FaultPlan plan;
   plan.startup_failure_prob = 1.0;
   plan.retry.max_attempts = 2;
-  plan.retry.base_backoff_s = 0.5;
-  plan.retry.jitter_frac = 0.0;  // deterministic latency arithmetic
 
   auto env = world.make_env();
   util::Rng parent(7);
-  faults::FaultInjector injector(plan, parent.split());
+  const util::Rng stream = parent.split();
+  faults::FaultInjector injector(plan, stream);
   env.set_fault_injector(&injector);
+  // The one backoff's jitter is the stream's second draw, after the first
+  // attempt's failure Bernoulli.
+  util::Rng probe = stream;
+  (void)probe.bernoulli(plan.startup_failure_prob);
+  const double backoff = faults::backoff_s(1, probe.uniform());
 
   const sim::Trace trace =
       TinyWorld::make_trace({TinyWorld::inv(world.fn_py_flask, 0.0, 0.5)});
@@ -89,8 +93,9 @@ TEST(FaultEnv, StartupFailureExhaustsRetriesAndFailsTheInvocation) {
   EXPECT_TRUE(result.failed);
   EXPECT_EQ(result.attempts, 2U);
   EXPECT_EQ(result.container, containers::kInvalidContainer);
-  // Two failed attempts plus one (jitter-free) backoff.
-  EXPECT_DOUBLE_EQ(result.latency_s, 2.0 * cold_s + 0.5);
+  // Two failed attempts plus one backoff.
+  EXPECT_DOUBLE_EQ(result.latency_s, 2.0 * cold_s + backoff);
+  EXPECT_GE(backoff, faults::kBaseBackoffS);
 
   const auto& m = env.metrics();
   EXPECT_EQ(m.failed_count(), 1U);
@@ -144,8 +149,7 @@ TEST(FaultEnv, RetriedOutcomesMatchAProbeOfTheSameStream) {
         expected_failed = true;
         break;
       }
-      expected_latency +=
-          plan.retry.backoff_s(expected_attempts, probe.uniform());
+      expected_latency += faults::backoff_s(expected_attempts, probe.uniform());
       ++expected_attempts;
     }
     const sim::StepResult result = env.step(sim::Action::cold());
@@ -258,7 +262,7 @@ TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
   EXPECT_TRUE(throws_mentioning(
       [&] { env.offer(TinyWorld::inv(world.fn_py_flask, 15.0, 0.5)); },
       "crashed"));
-  EXPECT_NO_THROW(env.advance_idle(20.0));
+  EXPECT_NO_THROW(env.advance_to(20.0));
   EXPECT_THROW(env.crash(21.0), util::CheckError);  // already down
 
   env.recover(30.0);

@@ -72,18 +72,14 @@ TEST(FaultPlan, ValidateRejectsMalformedPlans) {
 }
 
 TEST(RetryPolicy, BackoffIsExponentialCappedAndJittered) {
-  RetryPolicy retry;
-  retry.base_backoff_s = 1.0;
-  retry.backoff_multiplier = 2.0;
-  retry.max_backoff_s = 5.0;
-  retry.jitter_frac = 0.0;
-  EXPECT_DOUBLE_EQ(retry.backoff_s(1, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(retry.backoff_s(2, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(retry.backoff_s(3, 0.0), 4.0);
-  EXPECT_DOUBLE_EQ(retry.backoff_s(4, 0.0), 5.0);  // capped
-  retry.jitter_frac = 0.1;
-  EXPECT_DOUBLE_EQ(retry.backoff_s(1, 0.5), 1.0 * 1.05);
-  EXPECT_THROW((void)retry.backoff_s(0, 0.0), util::CheckError);
+  // 0.5 s doubling per attempt, capped at 30 s, up to +10% jitter.
+  EXPECT_DOUBLE_EQ(backoff_s(1, 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(backoff_s(2, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(backoff_s(3, 0.0), 2.0);
+  EXPECT_DOUBLE_EQ(backoff_s(6, 0.0), 16.0);
+  EXPECT_DOUBLE_EQ(backoff_s(7, 0.0), 30.0);  // capped
+  EXPECT_DOUBLE_EQ(backoff_s(1, 0.5), 0.5 * 1.05);
+  EXPECT_THROW((void)backoff_s(0, 0.0), util::CheckError);
 }
 
 TEST(SampleCrashWindows, ProducesValidPlansAndRespectsTheCap) {
@@ -146,7 +142,7 @@ TEST(FaultInjector, DrawsMatchAnEqualStreamAndCount) {
   EXPECT_EQ(injector.draw_repack_failure(), repack);
 
   const double u = probe.uniform();
-  EXPECT_DOUBLE_EQ(injector.draw_backoff(1), plan.retry.backoff_s(1, u));
+  EXPECT_DOUBLE_EQ(injector.draw_backoff(1), backoff_s(1, u));
   EXPECT_EQ(injector.counters().retries, 1U);
 }
 

@@ -83,8 +83,7 @@ TEST(AzureLike, MultiLevelReuseHelpsLowRepetitionWorkloads) {
 
 TEST(AzureLike, ConfigValidation) {
   AzureLikeConfig cfg = small_config();
-  cfg.p_single = 0.8;
-  cfg.p_double = 0.5;  // sums > 1
+  cfg.window_s = 0.0;
   EXPECT_THROW((void)make_azure_like_workload(cfg, util::Rng(1)),
                util::CheckError);
   cfg = small_config();

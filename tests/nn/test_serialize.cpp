@@ -10,18 +10,14 @@
 namespace mlcr::nn {
 namespace {
 
-Sequential make_net(std::uint64_t seed) {
+FeedForward make_net(std::uint64_t seed) {
   util::Rng rng(seed);
-  Sequential seq;
-  seq.add(std::make_unique<Linear>(4, 8, rng))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<Linear>(8, 2, rng));
-  return seq;
+  return FeedForward(4, 8, rng);
 }
 
 TEST(Serialize, RoundTripPreservesOutputs) {
-  Sequential src = make_net(1);
-  Sequential dst = make_net(2);
+  FeedForward src = make_net(1);
+  FeedForward dst = make_net(2);
   util::Rng rng(3);
   const Tensor x = Tensor::he_uniform(3, 4, rng);
   const Tensor before = src.forward(x);
@@ -34,13 +30,13 @@ TEST(Serialize, RoundTripPreservesOutputs) {
 }
 
 TEST(Serialize, RejectsGarbageMagic) {
-  Sequential net = make_net(1);
+  FeedForward net = make_net(1);
   std::stringstream buffer("definitely not a model file");
   EXPECT_THROW(load_parameters(net, buffer), util::CheckError);
 }
 
 TEST(Serialize, RejectsStructureMismatch) {
-  Sequential src = make_net(1);
+  FeedForward src = make_net(1);
   std::stringstream buffer;
   save_parameters(src, buffer);
 
@@ -50,18 +46,18 @@ TEST(Serialize, RejectsStructureMismatch) {
 }
 
 TEST(Serialize, RejectsTruncatedFile) {
-  Sequential src = make_net(1);
+  FeedForward src = make_net(1);
   std::stringstream buffer;
   save_parameters(src, buffer);
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  Sequential dst = make_net(2);
+  FeedForward dst = make_net(2);
   EXPECT_THROW(load_parameters(dst, truncated), util::CheckError);
 }
 
 TEST(Serialize, FileRoundTrip) {
-  Sequential src = make_net(1);
-  Sequential dst = make_net(2);
+  FeedForward src = make_net(1);
+  FeedForward dst = make_net(2);
   const std::string path = ::testing::TempDir() + "/mlcr_net.bin";
   save_parameters(src, path);
   load_parameters(dst, path);
@@ -71,24 +67,12 @@ TEST(Serialize, FileRoundTrip) {
 }
 
 TEST(Serialize, CopyParametersMakesNetworksIdentical) {
-  Sequential a = make_net(1);
-  Sequential b = make_net(2);
+  FeedForward a = make_net(1);
+  FeedForward b = make_net(2);
   copy_parameters(a, b);
   util::Rng rng(4);
   const Tensor x = Tensor::he_uniform(2, 4, rng);
   EXPECT_TRUE(a.forward(x) == b.forward(x));
-}
-
-TEST(Serialize, SoftUpdateInterpolates) {
-  Sequential a = make_net(1);
-  Sequential b = make_net(2);
-  const float b0 = b.parameters()[0]->value(0, 0);
-  const float a0 = a.parameters()[0]->value(0, 0);
-  soft_update_parameters(a, b, 0.25F);
-  EXPECT_NEAR(b.parameters()[0]->value(0, 0), 0.75F * b0 + 0.25F * a0, 1e-6F);
-  // tau = 1 -> full copy.
-  soft_update_parameters(a, b, 1.0F);
-  EXPECT_FLOAT_EQ(b.parameters()[0]->value(0, 0), a0);
 }
 
 TEST(Serialize, AttentionModuleRoundTrips) {

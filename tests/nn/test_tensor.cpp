@@ -240,8 +240,7 @@ TEST(Init, HeUniformWithinLimit) {
 
 TEST(Init, DeterministicGivenSeed) {
   util::Rng a(9), b(9);
-  EXPECT_TRUE(Tensor::xavier_uniform(8, 8, a) ==
-              Tensor::xavier_uniform(8, 8, b));
+  EXPECT_TRUE(Tensor::he_uniform(8, 8, a) == Tensor::he_uniform(8, 8, b));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <string>
 
+#include "obs/json.hpp"
+
 namespace mlcr::obs {
 namespace {
 
@@ -116,8 +118,13 @@ TEST(SchemaCheck, ParsesEscapesAndNestedStructures) {
 }
 
 TEST(SchemaCheck, RejectsNonFiniteNumbers) {
-  // JSON has no literal NaN/Infinity; the parser must reject them rather
-  // than silently producing a non-finite timestamp.
+  // JSON has no literal NaN/Infinity: parse_json rejects them (see
+  // ParseJson.FollowsTheRfc8259Grammar). A well-formed number that
+  // overflows a double is caught by the schema's finite check instead.
+  EXPECT_FALSE(
+      check_trace_json(
+          R"([{"name":"a","ph":"i","ts":1e999,"pid":0,"tid":0}])")
+          .ok());
   EXPECT_FALSE(
       check_trace_json(
           R"([{"name":"a","ph":"i","ts":NaN,"pid":0,"tid":0}])")
@@ -126,6 +133,55 @@ TEST(SchemaCheck, RejectsNonFiniteNumbers) {
       check_trace_json(
           R"([{"name":"a","ph":"i","ts":Infinity,"pid":0,"tid":0}])")
           .ok());
+}
+
+TEST(ParseJson, FollowsTheRfc8259Grammar) {
+  struct Case {
+    std::string text;
+    bool ok;
+  };
+  const Case kCases[] = {
+      // Numbers.
+      {"0", true},
+      {"-0", true},
+      {"12", true},
+      {"-2.5e3", true},
+      {"1E+2", true},
+      {"1e-2", true},
+      {"0.5", true},
+      {"-inf", false},
+      {"inf", false},
+      {"infinity", false},
+      {"NaN", false},
+      {"0x1A", false},
+      {"+1", false},
+      {".5", false},
+      {"1.", false},
+      {"01", false},
+      {"-", false},
+      {"1e", false},
+      {"1e+", false},
+      {"--1", false},
+      // Strings: control characters must be escaped.
+      {"\"a\\tb\"", true},
+      {"\"a\tb\"", false},
+      {"\"a\nb\"", false},
+      {std::string("\"a") + '\0' + "b\"", false},
+      // Whitespace is space, tab, newline and carriage return only.
+      {" \t\r\n[1]\n", true},
+      {"\f[1]", false},
+      {"[1]\v", false},
+  };
+  for (const Case& c : kCases) {
+    JsonValue value;
+    std::string error;
+    EXPECT_EQ(parse_json(c.text, value, error), c.ok)
+        << "input: " << c.text << " error: " << error;
+  }
+  JsonValue value;
+  std::string error;
+  ASSERT_TRUE(parse_json("-2.5e3", value, error));
+  EXPECT_EQ(value.number, -2500.0);
 }
 
 TEST(BenchSchema, AcceptsMinimalAndFullDocuments) {

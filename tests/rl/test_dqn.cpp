@@ -82,7 +82,8 @@ TEST(DqnAgent, LearnsBanditRewards) {
   EXPECT_GT(q(1, 0), q(2, 0));
   EXPECT_NEAR(q(1, 0), 1.0F, 0.3F);
   EXPECT_NEAR(q(0, 0), -1.0F, 0.3F);
-  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 1, 1}), 1U);
+  InferWorkspace ws(agent.config().network);
+  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 1, 1}, ws), 1U);
 }
 
 TEST(DqnAgent, GreedyRespectsMask) {
@@ -98,9 +99,10 @@ TEST(DqnAgent, GreedyRespectsMask) {
     agent.observe(std::move(t));
   }
   for (int i = 0; i < 200; ++i) (void)agent.train_step(rng);
-  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 1, 1}), 1U);
+  InferWorkspace ws(agent.config().network);
+  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 1, 1}, ws), 1U);
   // Mask the best action away: the agent must pick among the rest.
-  const std::size_t a = agent.greedy_action(bandit_state(), {1, 0, 1});
+  const std::size_t a = agent.greedy_action(bandit_state(), {1, 0, 1}, ws);
   EXPECT_NE(a, 1U);
 }
 

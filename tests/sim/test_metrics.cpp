@@ -161,8 +161,7 @@ TEST(Metrics, MergeCarriesFailedAndRetryCounts) {
   a.record(std::move(f));
   b.record(rec(1, 1.0, false, containers::MatchLevel::kL3));
   MetricsCollector merged;
-  merged.merge(a);
-  merged.merge(b);
+  merged.merge_many({&a, &b});
   EXPECT_EQ(merged.failed_count(), 1U);
   EXPECT_EQ(merged.retry_count(), 1U);
   EXPECT_DOUBLE_EQ(merged.goodput(), 0.5);
@@ -170,8 +169,8 @@ TEST(Metrics, MergeCarriesFailedAndRetryCounts) {
 }
 
 TEST(Metrics, PercentilesWorkOnFleetMergedCollectors) {
-  // merge() keeps every per-invocation record, so percentiles over a merged
-  // collector equal percentiles over the union of the nodes' samples.
+  // merge_many() keeps every per-invocation record, so percentiles over a
+  // merged collector equal percentiles over the union of the nodes' samples.
   MetricsCollector a;
   MetricsCollector b;
   MetricsCollector merged;
@@ -181,8 +180,7 @@ TEST(Metrics, PercentilesWorkOnFleetMergedCollectors) {
   for (int i = 0; i < 50; ++i)
     b.record(rec(i, static_cast<double>(i + 51), true,
                  containers::MatchLevel::kNoMatch));
-  merged.merge(a);
-  merged.merge(b);
+  merged.merge_many({&a, &b});
   ASSERT_EQ(merged.invocation_count(), 100U);
   EXPECT_DOUBLE_EQ(merged.latency_p50(), 50.0);
   EXPECT_DOUBLE_EQ(merged.latency_p95(), 95.0);

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace mlcr::util {
 namespace {
@@ -106,31 +103,6 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(rng.bernoulli(0.0));
     EXPECT_TRUE(rng.bernoulli(1.0));
   }
-}
-
-TEST(Rng, WeightedIndexFollowsWeights) {
-  Rng rng(23);
-  std::vector<double> w = {1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 8'000; ++i) ++counts[rng.weighted_index(w)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
-}
-
-TEST(Rng, WeightedIndexRejectsBadInput) {
-  Rng rng(1);
-  EXPECT_THROW((void)rng.weighted_index({}), CheckError);
-  EXPECT_THROW((void)rng.weighted_index({0.0, 0.0}), CheckError);
-  EXPECT_THROW((void)rng.weighted_index({1.0, -1.0}), CheckError);
-}
-
-TEST(Rng, ShufflePreservesElements) {
-  Rng rng(4);
-  std::vector<int> v = {1, 2, 3, 4, 5, 6, 7};
-  auto copy = v;
-  rng.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, copy);
 }
 
 TEST(Rng, SplitProducesIndependentStream) {

@@ -1,8 +1,8 @@
 // Fixture for the missing-transition-check rule. Linted with pretend path
 // "src/sim/env.cpp", so the transition table expects ClusterEnv::offer,
-// step, advance_idle, finish_streaming, crash and recover to validate
+// step, advance_to, finish_streaming, crash and recover to validate
 // state. Here offer() and step() have no check (each fires once);
-// advance_idle / crash (MLCR_CHECK) and finish_streaming / recover
+// advance_to / crash (MLCR_CHECK) and finish_streaming / recover
 // (MLCR_AUDIT point) are covered.
 struct Invocation {
   double arrival_s = 0.0;
@@ -17,7 +17,7 @@ class ClusterEnv {
  public:
   void offer(Invocation inv);
   StepResult step(const Action& action);
-  void advance_idle(double time);
+  void advance_to(double time);
   void finish_streaming();
   void crash(double time);
   void recover(double time);
@@ -38,7 +38,7 @@ StepResult ClusterEnv::step(const Action& a) {  // VIOLATION missing-transition-
   return StepResult{};
 }
 
-void ClusterEnv::advance_idle(double time) {
+void ClusterEnv::advance_to(double time) {
   MLCR_CHECK(time >= last_arrival_);
   last_arrival_ = time;
 }

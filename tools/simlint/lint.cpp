@@ -389,7 +389,7 @@ const TransitionCheck kTransitionChecks[] = {
     {"containers/pool.cpp", "WarmPool::invalidate_all"},
     {"sim/env.cpp", "ClusterEnv::offer"},
     {"sim/env.cpp", "ClusterEnv::step"},
-    {"sim/env.cpp", "ClusterEnv::advance_idle"},
+    {"sim/env.cpp", "ClusterEnv::advance_to"},
     {"sim/env.cpp", "ClusterEnv::finish_streaming"},
     {"sim/env.cpp", "ClusterEnv::crash"},
     {"sim/env.cpp", "ClusterEnv::recover"},
