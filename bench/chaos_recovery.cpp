@@ -247,7 +247,7 @@ void traced_domain_episode(benchtools::ObsSession& session,
 }
 
 /// Serving-plane replay of the correlated scenario with the full telemetry
-/// plane attached: run_replay merges the sampled domain windows into the
+/// plane attached: the replay's pump fires the sampled domain windows in the
 /// deterministic schedule and the flight recorder captures goodput, loss
 /// rate and retry pressure per window — the snapshots obsreport gates in
 /// the chaos-smoke CI job.
@@ -288,7 +288,7 @@ void serve_goodput_snapshots(const benchtools::Suite& suite,
   std::cout << "\nserve replay of the correlated scenario: routed "
             << replayed.stats.routed << ", lost " << replayed.stats.lost
             << ", rerouted " << replayed.stats.rerouted << ", node crashes "
-            << replayed.stats.node_crashes << ", snapshots "
+            << replayed.fleet.node_crashes << ", snapshots "
             << telemetry.snapshot_count() << " -> "
             << options.snapshots_path << "\n";
 }

@@ -1,9 +1,10 @@
 // The fleet's event core (DESIGN.md §10): one lazily-invalidated heap entry
 // per node holds the node's next self-scheduled event (a completion or a TTL
 // expiry), merged by time with the plan's pre-sorted crash/recover list.
-// FleetEnv::run and serve::SchedulerService::run_replay both drive it, so
-// the two replay the same event order by construction; each host fires the
-// events itself (tracer versus telemetry).
+// FleetEnv::run and the serving layer's single-threaded pump
+// (serve::SchedulerService::pump_once) both drive it, and both fire what it
+// pops through FleetEnv's episode steps (advance, fire_fault), so the two
+// planes replay the same events in the same order by construction.
 //
 // Order: earliest time first; at equal times fault events fire before node
 // advances (so routing at an arrival sees every fault due by then), and

@@ -15,24 +15,16 @@ namespace mlcr::fleet {
 
 namespace {
 
-/// Invariant auditor for a completed fleet episode: every node's summary
-/// agrees with its metrics collector, and the per-node invocation counts sum
-/// to the global trace — no invocation lost or duplicated by routing.
-[[maybe_unused]] void audit_fleet_run(
-    const sim::Trace& trace,
-    const std::vector<NodeObservation>& observations, std::size_t lost) {
-  std::size_t routed = 0;
+/// Invariant auditor for a finished fleet episode: every node's summary
+/// agrees with its metrics collector.
+[[maybe_unused]] void audit_nodes(
+    const std::vector<NodeObservation>& observations) {
   for (const NodeObservation& obs : observations) {
     MLCR_CHECK(obs.metrics != nullptr);
     obs.metrics->audit();
     MLCR_CHECK_MSG(obs.summary.invocations == obs.metrics->invocation_count(),
                    "node summary and metrics disagree on invocation count");
-    routed += obs.summary.invocations;
   }
-  MLCR_CHECK_MSG(routed + lost == trace.size(),
-                 "fleet routed " << routed << " and lost " << lost
-                                 << " invocations of a trace of "
-                                 << trace.size());
 }
 
 }  // namespace
@@ -163,78 +155,98 @@ void FleetEnv::set_tracer(obs::Tracer* tracer) noexcept {
     nodes_[i].env->set_tracer(tracer, static_cast<std::uint32_t>(i));
 }
 
-std::optional<std::size_t> FleetEnv::fire_fault_event(
-    const FaultEvent& ev, bool clamp, std::size_t& domain_crashes,
-    std::size_t& spares_activated, bool traced) {
-  sim::ClusterEnv& env = *nodes_[ev.node].env;
-  const double at = clamp ? std::max(ev.time, env.now()) : ev.time;
-  if (ev.is_recovery) {
-    if (!clamp || env.down()) env.recover(at);
-    return std::nullopt;
+void FleetEnv::begin_episode() {
+  for (Node& node : nodes_) {
+    node.env->reset_streaming();
+    node.spec.scheduler->on_episode_start(*node.env);
   }
-  env.crash(at, ev.partial);
-  if (ev.domain_lead) {
-    ++domain_crashes;
-    if (traced)
-      tracer_->instant(obs::Tracer::kSimPid,
-                       static_cast<std::uint32_t>(ev.node), obs::to_micros(at),
-                       "domain_crash", "fault",
-                       {obs::narg("domain", static_cast<std::int64_t>(
-                                                ev.domain)),
-                        obs::narg("partial", std::int64_t{ev.partial ? 1 : 0})});
-  }
-  // Elastic scale-out (DESIGN.md §14): every crash event admits one cold
-  // spare into the routable set while any remain.
-  const std::optional<std::size_t> spare = activate_spare();
-  if (spare) {
-    ++spares_activated;
-    if (traced)
-      tracer_->instant(
-          obs::Tracer::kSimPid, static_cast<std::uint32_t>(*spare),
-          obs::to_micros(at), "spare_activated", "fleet",
-          {obs::narg("node", static_cast<std::int64_t>(*spare)),
-           obs::narg("after_crash_of", static_cast<std::int64_t>(ev.node))});
-  }
-  return spare;
-}
-
-std::vector<std::unique_ptr<faults::FaultInjector>>
-FleetEnv::make_injectors() {
+  routable_count_ = config_.nodes;
+  fault_counts_ = {};
+  injectors_.clear();
   // Fault machinery only exists on a faulted plan; a faultless config takes
   // the exact pre-fault code path (bit-identity asserted in tests/faults).
-  std::vector<std::unique_ptr<faults::FaultInjector>> injectors;
-  if (config_.faults.faultless()) return injectors;
-  // Copy fault_root_ so every run() of this fleet injects the same faults.
+  if (config_.faults.faultless()) return;
+  // Copy fault_root_ so every episode of this fleet injects the same faults.
   util::Rng root = fault_root_;
-  injectors.reserve(nodes_.size());
+  injectors_.reserve(nodes_.size());
   for (Node& node : nodes_) {
-    injectors.push_back(
+    injectors_.push_back(
         std::make_unique<faults::FaultInjector>(config_.faults, root.split()));
-    node.env->set_fault_injector(injectors.back().get());
+    node.env->set_fault_injector(injectors_.back().get());
   }
-  return injectors;
 }
 
-void FleetEnv::dispatch(const sim::Invocation& inv, std::size_t target,
-                        bool traced, const std::string& router_name) {
+sim::StepResult FleetEnv::dispatch(const sim::Invocation& inv,
+                                   std::size_t target, bool degraded) {
   Node& node = nodes_[target];
-  if (traced) {
-    const auto tid = static_cast<std::uint32_t>(target);
-    tracer_->instant(
-        obs::Tracer::kSimPid, tid, obs::to_micros(inv.arrival_s), "route",
-        "fleet",
-        {obs::sarg("router", router_name),
-         obs::narg("node", static_cast<std::int64_t>(target)),
-         obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
-  }
   node.env->offer(inv);
+  if (degraded) return node.env->step(sim::Action::cold());
   const sim::Action action = node.spec.scheduler->decide(*node.env, inv);
   const sim::StepResult result = node.env->step(action);
   node.spec.scheduler->on_step_result(*node.env, result);
-  if (traced)
-    tracer_->counter(obs::Tracer::kSimPid, static_cast<std::uint32_t>(target),
-                     obs::to_micros(inv.arrival_s), "node_outstanding",
-                     static_cast<double>(node.env->busy_count()));
+  return result;
+}
+
+FleetEnv::Transition FleetEnv::fire_fault(const FaultEvent& ev, bool clamp) {
+  sim::ClusterEnv& env = *nodes_[ev.node].env;
+  Transition out;
+  out.at = clamp ? std::max(ev.time, env.now()) : ev.time;
+  if (clamp && env.down() != ev.is_recovery) return out;
+  out.fired = true;
+  if (ev.is_recovery) {
+    env.recover(out.at);
+    ++fault_counts_.node_recoveries;
+    return out;
+  }
+  env.crash(out.at, ev.partial);
+  ++fault_counts_.node_crashes;
+  if (ev.partial) ++fault_counts_.partial_crashes;
+  const bool traced = tracer_ != nullptr && tracer_->enabled();
+  if (ev.domain_lead) {
+    ++fault_counts_.domain_crashes;
+    if (traced)
+      tracer_->instant(
+          obs::Tracer::kSimPid, static_cast<std::uint32_t>(ev.node),
+          obs::to_micros(out.at), "domain_crash", "fault",
+          {obs::narg("domain", static_cast<std::int64_t>(ev.domain)),
+           obs::narg("partial", std::int64_t{ev.partial ? 1 : 0})});
+  }
+  if (routable_count_ < nodes_.size()) {
+    out.spare = routable_count_++;
+    ++fault_counts_.spares_activated;
+    if (traced)
+      tracer_->instant(
+          obs::Tracer::kSimPid, static_cast<std::uint32_t>(*out.spare),
+          obs::to_micros(out.at), "spare_activated", "fleet",
+          {obs::narg("node", static_cast<std::int64_t>(*out.spare)),
+           obs::narg("after_crash_of", static_cast<std::int64_t>(ev.node))});
+  }
+  return out;
+}
+
+FleetSummary FleetEnv::finish_episode(std::string router, std::size_t lost,
+                                      std::size_t rerouted) {
+  std::vector<NodeObservation> observations;
+  observations.reserve(nodes_.size());
+  for (Node& node : nodes_) {
+    node.env->finish_streaming();
+    node.env->set_fault_injector(nullptr);
+    observations.push_back(
+        {policies::summarize_env(*node.env, node.spec.scheduler->name()),
+         &node.env->metrics()});
+  }
+  injectors_.clear();
+  MLCR_AUDIT_POINT(audit_nodes(observations));
+  FleetSummary fs =
+      aggregate_fleet(std::move(router), system_name_, observations);
+  fs.lost = lost;
+  fs.rerouted = rerouted;
+  fs.node_crashes = fault_counts_.node_crashes;
+  fs.partial_crashes = fault_counts_.partial_crashes;
+  fs.node_recoveries = fault_counts_.node_recoveries;
+  fs.domain_crashes = fault_counts_.domain_crashes;
+  fs.spares_activated = fault_counts_.spares_activated;
+  return fs;
 }
 
 FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
@@ -248,13 +260,8 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
                            static_cast<std::uint32_t>(i),
                            "node" + std::to_string(i));
   }
-  for (Node& node : nodes_) {
-    node.env->reset_streaming();
-    node.spec.scheduler->on_episode_start(*node.env);
-  }
-  reset_routable();
+  begin_episode();
   router.on_episode_start(*this);
-  const auto injectors = make_injectors();
 
   index_ = std::make_unique<FleetIndex>(nodes_.size(),
                                         router.needs_warm_index());
@@ -279,27 +286,23 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
 
   std::size_t lost = 0;
   std::size_t rerouted = 0;
-  std::size_t domain_crashes = 0;
-  std::size_t spares_activated = 0;
 
   for (const sim::Invocation& inv : trace.invocations()) {
     // Fire every event due at or before the arrival, earliest first, so
     // routing sees every completion, TTL expiry and fault up to "now".
     while (const auto ev = events.pop_due(inv.arrival_s)) {
       if (ev->fault != nullptr) {
-        const auto spare = fire_fault_event(*ev->fault, /*clamp=*/false,
-                                            domain_crashes, spares_activated,
-                                            traced);
+        const Transition t = fire_fault(*ev->fault, /*clamp=*/false);
         touch(ev->node);
-        if (spare) {
-          index_->set_routable(*spare, true);
-          touch(*spare);
+        if (t.spare) {
+          index_->set_routable(*t.spare, true);
+          touch(*t.spare);
         }
       } else {
         // Advance only to the event's own time, never to the arrival: a
         // later fault on the same node must not be jumped over, and
         // advance_to composes, so stopping early is state-identical.
-        nodes_[ev->node].env->advance_to(ev->time);
+        advance(ev->node, ev->time);
         touch(ev->node);
       }
     }
@@ -316,50 +319,44 @@ FleetSummary FleetEnv::run(const sim::Trace& trace, Router& router) {
             {obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
       continue;
     }
+    const auto tid = static_cast<std::uint32_t>(placed.node);
     if (placed.rerouted) {
       ++rerouted;
       if (traced)
         tracer_->instant(
-            obs::Tracer::kSimPid, static_cast<std::uint32_t>(placed.node),
-            obs::to_micros(inv.arrival_s), "reroute", "fault",
+            obs::Tracer::kSimPid, tid, obs::to_micros(inv.arrival_s),
+            "reroute", "fault",
             {obs::narg("node", static_cast<std::int64_t>(placed.node)),
              obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
     }
-    dispatch(inv, placed.node, traced, router_name);
+    if (traced)
+      tracer_->instant(
+          obs::Tracer::kSimPid, tid, obs::to_micros(inv.arrival_s), "route",
+          "fleet",
+          {obs::sarg("router", router_name),
+           obs::narg("node", static_cast<std::int64_t>(placed.node)),
+           obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+    (void)dispatch(inv, placed.node);
+    if (traced)
+      tracer_->counter(
+          obs::Tracer::kSimPid, tid, obs::to_micros(inv.arrival_s),
+          "node_outstanding",
+          static_cast<double>(nodes_[placed.node].env->busy_count()));
     touch(placed.node);
   }
   index_.reset();
 
   // Any node still inside a crash window recovers after the last arrival so
   // finish_streaming() drains a healthy fleet; remaining events fire in
-  // order to keep the injector counters complete.
+  // order to keep the fault counts complete.
   for (std::size_t f = events.next_fault(); f < fault_events_.size(); ++f)
-    (void)fire_fault_event(fault_events_[f], /*clamp=*/true, domain_crashes,
-                           spares_activated, traced);
+    (void)fire_fault(fault_events_[f], /*clamp=*/true);
 
-  std::vector<NodeObservation> observations;
-  observations.reserve(nodes_.size());
-  for (Node& node : nodes_) {
-    node.env->finish_streaming();
-    observations.push_back(
-        {policies::summarize_env(*node.env, node.spec.scheduler->name()),
-         &node.env->metrics()});
-  }
-  MLCR_AUDIT_POINT(audit_fleet_run(trace, observations, lost));
-  FleetSummary fs = aggregate_fleet(router.name(), system_name_, observations);
-  fs.lost = lost;
-  fs.rerouted = rerouted;
-  fs.domain_crashes = domain_crashes;
-  fs.spares_activated = spares_activated;
-  if (!injectors.empty()) {
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      const faults::FaultCounters& c = injectors[i]->counters();
-      fs.node_crashes += c.crashes;
-      fs.partial_crashes += c.partial_crashes;
-      fs.node_recoveries += c.recoveries;
-      nodes_[i].env->set_fault_injector(nullptr);  // injectors die with run()
-    }
-  }
+  FleetSummary fs = finish_episode(router.name(), lost, rerouted);
+  MLCR_AUDIT_POINT(MLCR_CHECK_MSG(
+      fs.total.invocations + lost == trace.size(),
+      "fleet routed " << fs.total.invocations << " and lost " << lost
+                      << " invocations of a trace of " << trace.size()));
   return fs;
 }
 

@@ -18,15 +18,12 @@
 #include <vector>
 
 #include "faults/fault_plan.hpp"
+#include "faults/injector.hpp"
 #include "fleet/fleet_index.hpp"
 #include "fleet/metrics.hpp"
 #include "policies/baselines.hpp"
 #include "sim/env.hpp"
 #include "util/rng.hpp"
-
-namespace mlcr::faults {
-class FaultInjector;
-}
 
 namespace mlcr::obs {
 class Tracer;
@@ -100,10 +97,9 @@ class FleetEnv {
   /// work there; run()'s failover moves work aimed at it, see fail_over).
   [[nodiscard]] bool node_up(std::size_t i) const;
 
-  /// Mutable access to node `i`'s environment / scheduler for the serving
-  /// layer (src/serve), which drives the nodes' streaming episodes directly
-  /// under its own shard locking. Must not be interleaved with this fleet's
-  /// own run().
+  /// Mutable access to node `i`'s environment / scheduler, for code that
+  /// drives one node outside an episode (tests, micro-benches). Inside an
+  /// episode only the episode steps below change node state.
   [[nodiscard]] sim::ClusterEnv& node_env(std::size_t i);
   [[nodiscard]] policies::Scheduler& node_scheduler(std::size_t i);
   [[nodiscard]] const sim::FunctionTable& functions() const noexcept {
@@ -180,30 +176,75 @@ class FleetEnv {
   };
 
   /// The pre-sorted crash/recover transitions of the current plan. run()
-  /// and the serving layer's run_replay() both feed it to an EventCore, so
-  /// they fire faults in the same order (DESIGN.md §14).
+  /// and the serving layer's pump both feed it to an EventCore, so they
+  /// fire faults in the same order (DESIGN.md §14).
   [[nodiscard]] const std::vector<FaultEvent>& fault_events() const noexcept {
     return fault_events_;
   }
 
-  /// On a faulted plan, build one injector per node (spares included) on
-  /// its own stream split off fault_root_ (in node order) and attach them;
-  /// empty otherwise. Public for the serving layer, which drives the nodes'
-  /// streaming episodes itself; the injectors must outlive the episode and
-  /// be detached with set_fault_injector(nullptr) afterwards.
-  [[nodiscard]] std::vector<std::unique_ptr<faults::FaultInjector>>
-  make_injectors();
-
-  /// Reset the routable set to the initial config().nodes prefix. The
-  /// serving layer calls this at episode start; run() does it itself.
-  void reset_routable() noexcept { routable_count_ = config_.nodes; }
-
-  /// Admit the next spare into the routable set (no-op when none are
-  /// left); returns its index. Called on every crash event.
-  [[nodiscard]] std::optional<std::size_t> activate_spare() noexcept {
-    if (routable_count_ >= nodes_.size()) return std::nullopt;
-    return routable_count_++;
+  /// Fault transitions fired this episode, counted here once whatever
+  /// drives them: run(), the serving pump or the live admin APIs.
+  struct FaultCounts {
+    std::size_t node_crashes = 0;     ///< partial crashes included
+    std::size_t partial_crashes = 0;  ///< of node_crashes: warm pool survived
+    std::size_t node_recoveries = 0;
+    std::size_t domain_crashes = 0;  ///< domain-level events (lead crash only)
+    std::size_t spares_activated = 0;
+  };
+  [[nodiscard]] const FaultCounts& fault_counts() const noexcept {
+    return fault_counts_;
   }
+
+  /// What one fault transition did, for the caller's index and telemetry.
+  struct Transition {
+    /// False when a clamped transition found the node already in its
+    /// target state; nothing changed then.
+    bool fired = false;
+    double at = 0.0;                   ///< when it took effect
+    std::optional<std::size_t> spare;  ///< the spare a crash admitted
+  };
+
+  // Episode steps (DESIGN.md §10). They are the only code that changes node
+  // state during an episode: run() is these steps around its event loop and
+  // router, and serve::SchedulerService calls the same steps from its pump,
+  // workers and admin APIs, under its own dispatch locks. dispatch() and
+  // advance() touch only their node; the rest are single-threaded.
+
+  /// Validate `trace` before routing anything: arrival times must be
+  /// non-decreasing and every function id known, with the offending
+  /// invocation index named in the error.
+  void validate_trace(const sim::Trace& trace) const;
+
+  /// Reset every node's streaming episode and scheduler, the routable set
+  /// (the initial config().nodes prefix) and the fault counts, and on a
+  /// faulted plan attach one injector per node (spares included), each on
+  /// its own stream split off the fleet seed in node order. A faultless
+  /// plan attaches none, so its episode takes the exact pre-fault path.
+  void begin_episode();
+
+  /// Offer `inv` to node `target` and step it: the node's scheduler decides
+  /// and observes the result, or, `degraded`, the invocation is served with
+  /// a forced cold start without consulting the scheduler.
+  sim::StepResult dispatch(const sim::Invocation& inv, std::size_t target,
+                           bool degraded = false);
+
+  /// Advance node `node` to time `t` (completions, TTL expiries).
+  void advance(std::size_t node, double t) { nodes_[node].env->advance_to(t); }
+
+  /// Fire one crash or recovery, counting it and tracing the domain event
+  /// on its lead crash. Every crash admits the next cold spare into the
+  /// routable set while any remain (elastic scale-out, DESIGN.md §14).
+  /// With `clamp` (the episode tail, and live transitions built by the
+  /// serving layer's admin APIs), the time clamps to the node's clock and a
+  /// transition the node has already made is skipped.
+  Transition fire_fault(const FaultEvent& ev, bool clamp);
+
+  /// Close the episode: finish every node's streaming episode, detach the
+  /// injectors and aggregate the summary. `router` names the routing
+  /// policy; `lost` and `rerouted` are its failover accounting.
+  [[nodiscard]] FleetSummary finish_episode(std::string router,
+                                            std::size_t lost,
+                                            std::size_t rerouted);
 
  private:
   struct Node {
@@ -211,28 +252,8 @@ class FleetEnv {
     std::unique_ptr<sim::ClusterEnv> env;
   };
 
-  /// Validate `trace` before routing anything: arrival times must be
-  /// non-decreasing and every function id known, with the offending
-  /// invocation index named in the error.
-  void validate_trace(const sim::Trace& trace) const;
-
   /// Rebuild fault_events_ from config_.faults (sorted as above).
   void rebuild_fault_events();
-
-  /// Offer `inv` to node `target` and let the node's scheduler handle it
-  /// (with the route instant / outstanding counter when traced).
-  void dispatch(const sim::Invocation& inv, std::size_t target, bool traced,
-                const std::string& router_name);
-
-  /// Apply one fault event to its node: crash (partial-aware, counting and
-  /// tracing the domain event on the lead window, admitting a spare) or
-  /// recover. With `clamp`, times are clamped to the node's clock and
-  /// recoveries are skipped on healthy nodes (run()'s episode tail).
-  /// Returns the spare admitted by a crash, so run() can index-touch it.
-  std::optional<std::size_t> fire_fault_event(const FaultEvent& ev, bool clamp,
-                                              std::size_t& domain_crashes,
-                                              std::size_t& spares_activated,
-                                              bool traced);
 
   const sim::FunctionTable& functions_;
   const containers::PackageCatalog& catalog_;
@@ -250,6 +271,10 @@ class FleetEnv {
   /// Size of the routable prefix: config_.nodes at episode start, +1 per
   /// crash event while spares remain.
   std::size_t routable_count_ = 0;
+  /// The episode's per-node injectors on a faulted plan (empty otherwise);
+  /// the nodes borrow them until finish_episode() detaches them.
+  std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
+  FaultCounts fault_counts_;
   /// Live only inside run().
   std::unique_ptr<FleetIndex> index_;
 };

@@ -28,18 +28,30 @@
 //
 // Time never comes from the OS directly — an injected serve::Clock drives
 // the janitor (and live arrival stamps), so the same service runs live
-// (WallClock) or bit-reproducibly under run_replay() (SimClock).
+// (WallClock) or bit-reproducibly pump-driven (SimClock).
 //
-// Faults (DESIGN.md §14): on a faulted fleet the service attaches per-node
-// injectors at begin_episode() and fires the plan two ways — run_replay()
-// merges the fleet's pre-sorted fault-event list into its episode loop
-// (faults before node advances at equal times, exactly as FleetEnv::run),
-// while live chaos drives apply_crash()/apply_recover()/apply_domain_crash()
-// from ONE admin thread (the spare-admission and fleet routable-set state is
-// not atomic; a single chaos driver concurrent with the workers is the
-// supported model, and what the TSan tests pin). Crash events admit cold
-// spares into the routable set via the index, so recovery capacity
-// appears on the failover path without restarting the episode.
+// Two drive modes, one owner of node state. fleet::FleetEnv's episode steps
+// (begin, dispatch, advance, fire_fault, finish) are the only code that
+// changes a node; the service adds queues, dispatch locks, its index and
+// its own lost/rerouted/degraded accounting around them.
+//   - pump_once() (single-threaded, no workers) is the deterministic drive
+//     FleetEnv::run does: before routing each request it fires every node
+//     event and planned fault due by the request's arrival, from the same
+//     fleet::EventCore over the fleet's fault-event list, and the episode
+//     tail fires the rest of the plan. run_replay() is a loop of
+//     submit + pump_once, one request per pump, so every policy reproduces
+//     its fleet router's summary (pinned against
+//     tests/fleet/fleet_golden.txt).
+//   - start()ed workers never touch the event core: a janitor advances one
+//     node per batch to the clock, and faults come only from the live admin
+//     APIs apply_crash()/apply_recover()/apply_domain_crash(), driven from
+//     ONE admin thread (spare admission and the fleet's fault counts are not
+//     atomic; a single chaos thread concurrent with the workers is the
+//     supported model, and what the TSan tests pin). In a pumped episode
+//     call them from the pumping thread, between pumps.
+// Crash events admit cold spares into the routable set via the index, so
+// recovery capacity appears on the failover path without restarting the
+// episode (DESIGN.md §14).
 #pragma once
 
 #include <atomic>
@@ -50,7 +62,7 @@
 #include <optional>
 #include <vector>
 
-#include "faults/injector.hpp"
+#include "fleet/event_core.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/metrics.hpp"
 #include "fleet/router.hpp"
@@ -91,18 +103,10 @@ struct ServeStats {
   std::size_t inference_calls = 0;  ///< MLCR decide() calls (one per request)
   /// Requests per MLCR inference call: 1 once any MLCR decision ran, else 0.
   std::size_t max_wave = 0;
-
-  // Fault-plane accounting (DESIGN.md §14); all 0 on a faultless episode.
-  std::size_t node_crashes = 0;     ///< crash events fired (partial included)
-  std::size_t node_recoveries = 0;  ///< recovery events fired
-  std::size_t domain_crashes = 0;   ///< domain-level crash events (lead only)
-  std::size_t partial_crashes = 0;  ///< of node_crashes: warm pool survived
-  std::size_t spares_activated = 0;  ///< cold spares admitted by crashes
 };
 
-/// Episode result: the fleet-level summary (same accounting as
-/// FleetEnv::run — summarize_env + aggregate_fleet per node) plus the
-/// service-level counters.
+/// Episode result: the fleet-level summary (FleetEnv::finish_episode, fault
+/// counts included) plus the service-level counters.
 struct ServeSummary {
   fleet::FleetSummary fleet;
   ServeStats stats;
@@ -111,9 +115,8 @@ struct ServeSummary {
 class SchedulerService {
  public:
   /// The fleet must outlive the service. A faulted fleet is served too: the
-  /// service attaches the fleet's injectors per episode and fires the crash
-  /// schedule itself (run_replay's event merge, or the apply_* admin APIs
-  /// live). `clock` is borrowed; `policy` is owned.
+  /// pump fires its crash schedule, and the apply_* admin APIs add live
+  /// crashes. `clock` is borrowed; `policy` is owned.
   SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
                    std::unique_ptr<RoutePolicy> policy, ServeConfig config);
   ~SchedulerService();
@@ -128,14 +131,14 @@ class SchedulerService {
   /// reported; a null telemetry pointer costs one predicted branch per site.
   void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
-  /// Reset every node's streaming episode and scheduler, rebuild the index,
-  /// create fresh queues, and zero the counters. Detects an MLCR
-  /// fleet (all node schedulers are MlcrScheduler — mixed fleets are
-  /// rejected), whose decide() calls dispatch serializes on the shared
-  /// agent.
+  /// Begin the fleet's episode (FleetEnv::begin_episode), rebuild the index
+  /// and the event core, create fresh queues, and zero the counters.
+  /// Detects an MLCR fleet (all node schedulers are MlcrScheduler — mixed
+  /// fleets are rejected), whose decide() calls it counts.
   void begin_episode();
 
-  /// Spawn the worker threads (requires begin_episode()).
+  /// Spawn the worker threads (requires begin_episode()). The episode is
+  /// then worker-driven: the event core is dropped and the janitor runs.
   void start();
 
   /// Enqueue one invocation; false when its queue was full (rejected).
@@ -143,25 +146,26 @@ class SchedulerService {
   /// or the trace (replay); dispatch clamps them to the target node's clock.
   [[nodiscard]] bool submit(const sim::Invocation& inv);
 
-  /// Single-threaded drive path for deterministic tests: drain and serve
-  /// everything currently queued on the caller's thread (no workers may be
-  /// running). Returns the number of requests served or dropped.
+  /// The deterministic, single-threaded drive (no workers may be running):
+  /// drain and serve everything queued on the caller's thread, queue by
+  /// queue. Before routing each request, every node event and planned
+  /// fault due at or before its arrival fires, as in FleetEnv::run, so
+  /// requests submitted in arrival order into one queue (workers = 1) get
+  /// run()'s decisions however they are grouped into pumps. Returns the
+  /// number of requests served or dropped.
   std::size_t pump_once();
 
-  /// Close the queues, drain what remains (joining the workers when
-  /// start()ed), finish every node's streaming episode and aggregate the
-  /// fleet summary. Ends the episode.
+  /// Close the queues and drain what remains (joining the workers when
+  /// start()ed). A pumped episode then fires the rest of the fault plan,
+  /// clamped to the node clocks, as FleetEnv::run's tail does. Nodes still
+  /// down recover, and the fleet closes its episode. Ends the episode.
   [[nodiscard]] ServeSummary finish_episode();
 
-  /// Deterministic replay: run `trace` through the full service path —
-  /// index, routing policy, failover, per-node schedulers —
-  /// single-threadedly in arrival order, driving the SimClock and the same
-  /// fleet::EventCore FleetEnv::run drives (the fleet's fault-event list
-  /// merged in, faults before node advances at equal times). With an
-  /// up-to-date index every policy matches its fleet router decision for
-  /// decision, so the returned fleet summary equals FleetEnv::run's,
-  /// faulted plans included (asserted in tests/serve). Requires a SimClock.
-  /// Runs its own episode.
+  /// Deterministic replay of `trace`: for each arrival, advance the
+  /// SimClock, submit() and pump_once(); then finish_episode(). The
+  /// returned fleet summary equals FleetEnv::run's with the matching
+  /// router, faulted plans included (pinned in tests/fleet and
+  /// tests/serve). Requires a SimClock. Runs its own episode.
   [[nodiscard]] ServeSummary run_replay(const sim::Trace& trace);
 
   // Live chaos admin APIs (DESIGN.md §14). Thread-safe against the workers,
@@ -199,42 +203,43 @@ class SchedulerService {
   /// The policy's pick, placed by the failover rule over the index.
   [[nodiscard]] fleet::Placement pick_target(const sim::Invocation& inv) const;
 
-  /// Route + dispatch one request. Returns the node served, or nullopt when
-  /// the request was lost.
-  std::optional<std::size_t> serve_one(const Request& req);
+  /// Route + dispatch one request, or count it lost.
+  void serve_one(const Request& req);
 
-  /// Offer/decide/step/observe on `target` under its stripe mutex, then
-  /// refresh the index entry. Mirrors FleetEnv::dispatch. False, with
-  /// nothing dispatched, when `target` crashed after it was picked.
-  /// `rerouted` is routing context forwarded to telemetry.
+  /// FleetEnv::dispatch on `target` under its stripe mutex, then refresh
+  /// it. False, with nothing dispatched, when `target` crashed after it was
+  /// picked. `rerouted` is routing context forwarded to telemetry.
   bool dispatch_one(const Request& req, std::size_t target, bool rerouted);
+
+  /// Re-read `node` into the index and, in a pumped episode, its event-core
+  /// entry. The caller holds the node's stripe mutex.
+  void refresh(std::size_t node);
+
+  /// Fire every node event and planned fault due at or before `t`.
+  void fire_due(double t);
+
+  /// FleetEnv::fire_fault under the node's stripe mutex, then the admitted
+  /// spare's refresh under its own (after the first is released: the
+  /// spare's stripe may rank lower), then the telemetry hooks. False when a
+  /// clamped transition found the node already in its target state.
+  bool apply_fault(const fleet::FleetEnv::FaultEvent& ev, bool clamp);
+
+  /// A live transition of `node` at the service clock (clamped), for the
+  /// admin APIs; `lead_domain` counts this crash as a domain event.
+  bool apply_live(std::size_t node, bool is_recovery, bool partial,
+                  std::optional<std::size_t> lead_domain = std::nullopt);
 
   void process_batch(const std::vector<Request>& batch);
 
   /// Advance one node (round-robin) to the service clock so idle nodes
-  /// still see completions and TTL expiry; called after every batch.
+  /// still see completions and TTL expiry; run by the workers after every
+  /// batch.
   void janitor_step();
 
   void worker_loop(std::size_t worker);
   [[nodiscard]] std::size_t stripe_of(std::size_t node) const noexcept {
     return node % shard_mutexes_.size();
   }
-
-  // Fault transitions at time `at`, each refreshing the index and
-  // recording counters and telemetry. The caller holds the node's stripe
-  // mutex (the admin APIs; a spare's after the crashed node's is released,
-  // since its stripe may rank lower) or is the single-threaded replay.
-  void crash_node(std::size_t node, double at, bool partial);
-  void recover_node(std::size_t node, double at);
-  /// Admit `spare` into the routable set.
-  void admit_spare(std::size_t spare, double at);
-
-  /// Replay-path counterpart of FleetEnv::fire_fault_event: fire one
-  /// pre-planned transition (single-threaded; no stripe mutexes). `clamp`
-  /// is the episode-tail mode — times clamp to the node clock and stale
-  /// recoveries are skipped. Returns the spare admitted by a crash, if any.
-  std::optional<std::size_t> apply_fault_event(
-      const fleet::FleetEnv::FaultEvent& ev, bool clamp);
 
   fleet::FleetEnv& fleet_;
   Clock& clock_;
@@ -245,10 +250,9 @@ class SchedulerService {
   bool in_episode_ = false;
   bool mlcr_mode_ = false;
   std::unique_ptr<ShardedFleetIndex> index_;
-  /// Per-node fault injectors on a faulted plan (empty otherwise); owned
-  /// here because the service, not FleetEnv::run, drives the episode. The
-  /// envs borrow them, so they detach at finish_episode().
-  std::vector<std::unique_ptr<faults::FaultInjector>> injectors_;
+  /// The pumped episode's event core over the fleet's fault-event list;
+  /// null once start() hands the episode to the workers.
+  std::unique_ptr<fleet::EventCore> events_;
   /// unique_ptr: queues/mutexes are neither movable nor copyable.
   std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
   /// Dispatch stripes: node n's env is guarded by n % size().
@@ -267,11 +271,6 @@ class SchedulerService {
   std::atomic<std::size_t> rerouted_{0};
   std::atomic<std::size_t> batches_{0};
   std::atomic<std::size_t> inference_calls_{0};
-  std::atomic<std::size_t> node_crashes_{0};
-  std::atomic<std::size_t> node_recoveries_{0};
-  std::atomic<std::size_t> domain_crashes_{0};
-  std::atomic<std::size_t> partial_crashes_{0};
-  std::atomic<std::size_t> spares_activated_{0};
 };
 
 }  // namespace mlcr::serve

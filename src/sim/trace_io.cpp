@@ -1,11 +1,13 @@
 #include "sim/trace_io.hpp"
 
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
@@ -28,12 +30,39 @@ constexpr char kHeader[] = "function_id,arrival_s,exec_s";
                                        << buf << "'");
   return v;
 }
+
+/// A function id: base-10 digits only, in range. strtod would also take
+/// "1e0", "0x1", "1.0" and "+1", and casting an out-of-range double to the
+/// id type is undefined behaviour.
+[[nodiscard]] FunctionTypeId parse_function_id(std::string_view field,
+                                               std::size_t line) {
+  FunctionTypeId id = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, id);
+  MLCR_CHECK_MSG(ec == std::errc() && ptr == end,
+                 "trace CSV line " << line << ": bad function id '" << field
+                                   << "'");
+  return id;
+}
+
+/// The shortest text that reads back as exactly `v`.
+void write_double(std::ostream& os, double v) {
+  std::array<char, 32> buf{};
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(), v);
+  MLCR_CHECK(ec == std::errc());
+  os.write(buf.data(), end - buf.data());
+}
 }  // namespace
 
 void write_trace_csv(const Trace& trace, std::ostream& os) {
   os << kHeader << '\n';
-  for (const Invocation& inv : trace.invocations())
-    os << inv.function << ',' << inv.arrival_s << ',' << inv.exec_s << '\n';
+  for (const Invocation& inv : trace.invocations()) {
+    os << inv.function << ',';
+    write_double(os, inv.arrival_s);
+    os << ',';
+    write_double(os, inv.exec_s);
+    os << '\n';
+  }
   MLCR_CHECK_MSG(os.good(), "failed writing trace CSV");
 }
 
@@ -63,11 +92,7 @@ Trace read_trace_csv(std::istream& is, const FunctionTable& functions) {
                    "trace CSV line " << line_no
                                      << ": expected 3 columns, found more");
     Invocation inv;
-    const double fn = parse_double(fn_field, line_no);
-    MLCR_CHECK_MSG(fn >= 0 && fn == static_cast<double>(
-                                        static_cast<FunctionTypeId>(fn)),
-                   "trace CSV line " << line_no << ": bad function id");
-    inv.function = static_cast<FunctionTypeId>(fn);
+    inv.function = parse_function_id(fn_field, line_no);
     MLCR_CHECK_MSG(inv.function < functions.size(),
                    "trace CSV line " << line_no << ": unknown function id "
                                      << inv.function);

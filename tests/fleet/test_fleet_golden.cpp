@@ -1,4 +1,4 @@
-// FleetEnv::run and SchedulerService::run_replay against the committed
+// FleetEnv::run and SchedulerService's pumped episodes against the committed
 // golden summaries of tests/fleet/fleet_golden.txt (see fleet_golden.hpp for
 // the matrix). The file was printed by make_fleet_golden at the commit that
 // still carried the per-arrival reference loop, and every line matched that
@@ -8,6 +8,7 @@
 // purpose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -75,6 +76,43 @@ TEST(FleetGolden, ReplayMatchesGolden) {
       EXPECT_EQ(golden::line(scenario.name, replay.fleet), it->second);
     }
 }
+
+/// The path perfbench's serve-mlcr times: requests submitted in arrival
+/// order and served by pump_once() alone, `per_pump` at a time with the
+/// clock advanced to the group's last arrival first. The pump fires every
+/// node event and planned fault due at each request's arrival before
+/// routing it, so the grouping must not move a decision.
+void expect_pumped_golden(std::size_t per_pump) {
+  const auto expected = load_golden();
+  const golden::Matrix matrix;
+  for (const golden::Scenario& scenario : matrix.scenarios())
+    for (const serve::PolicySpec& spec :
+         serve::standard_policies(golden::kRouterSeed)) {
+      const std::string key = scenario.name + ' ' + spec.name;
+      SCOPED_TRACE(key);
+      const auto it = expected.find(key);
+      ASSERT_NE(it, expected.end());
+      fleet::FleetEnv fleet = golden::make_fleet(scenario);
+      serve::SimClock clock;
+      serve::SchedulerService service(fleet, clock, spec.make(),
+                                      serve::ServeConfig{});
+      service.begin_episode();
+      const auto& invs = scenario.trace.invocations();
+      for (std::size_t i = 0; i < invs.size(); i += per_pump) {
+        const std::size_t end = std::min(invs.size(), i + per_pump);
+        clock.advance_to(invs[end - 1].arrival_s);
+        for (std::size_t k = i; k < end; ++k)
+          ASSERT_TRUE(service.submit(invs[k]));
+        ASSERT_EQ(service.pump_once(), end - i);
+      }
+      const serve::ServeSummary pumped = service.finish_episode();
+      EXPECT_EQ(golden::line(scenario.name, pumped.fleet), it->second);
+    }
+}
+
+TEST(FleetGolden, OneRequestPerPumpMatchesGolden) { expect_pumped_golden(1); }
+
+TEST(FleetGolden, EightRequestsPerPumpMatchGolden) { expect_pumped_golden(8); }
 
 }  // namespace
 }  // namespace mlcr

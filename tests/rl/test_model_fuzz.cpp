@@ -12,6 +12,7 @@
 
 #include "nn/serialize.hpp"
 #include "rl/qnetwork.hpp"
+#include "testing/mutate.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -120,14 +121,8 @@ TEST(ModelFuzz, MutatedModelFilesLoadOrThrowCheckError) {
     }
 
     // One to four random byte flips anywhere in the file.
-    for (int i = 0; i < 400; ++i) {
-      std::string file = seed;
-      const std::size_t flips = 1 + rng.uniform_index(4);
-      for (std::size_t f = 0; f < flips; ++f)
-        file[rng.uniform_index(file.size())] ^=
-            static_cast<char>(1 + rng.uniform_index(255));
-      (void)loads(net, file);
-    }
+    for (int i = 0; i < 400; ++i)
+      (void)loads(net, testing::flip_bytes(seed, rng));
   }
 
   // One architecture's file into the other network: the failure class of

@@ -114,9 +114,6 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
   EXPECT_EQ(replay.fleet.domain_crashes, reference.domain_crashes);
   EXPECT_EQ(replay.fleet.partial_crashes, reference.partial_crashes);
   EXPECT_EQ(replay.fleet.spares_activated, reference.spares_activated);
-  EXPECT_EQ(replay.stats.node_crashes, reference.node_crashes);
-  EXPECT_EQ(replay.stats.domain_crashes, reference.domain_crashes);
-  EXPECT_EQ(replay.stats.spares_activated, reference.spares_activated);
   EXPECT_EQ(replay.stats.submitted,
             replay.stats.routed + replay.stats.rejected + replay.stats.lost);
 }
@@ -185,11 +182,11 @@ TEST(ServeFaults, AdminApisKeepAccountingAndAdmitSpares) {
   EXPECT_EQ(service.apply_domain_crash(0, /*partial=*/true), 3U);
   EXPECT_FALSE(service.apply_crash(0));
   EXPECT_EQ(fleet.routable_count(), 7U);
-  ServeStats stats = service.stats();
-  EXPECT_EQ(stats.node_crashes, 3U);
-  EXPECT_EQ(stats.partial_crashes, 3U);
-  EXPECT_EQ(stats.domain_crashes, 1U);
-  EXPECT_EQ(stats.spares_activated, 1U);
+  const fleet::FleetEnv::FaultCounts& counts = fleet.fault_counts();
+  EXPECT_EQ(counts.node_crashes, 3U);
+  EXPECT_EQ(counts.partial_crashes, 3U);
+  EXPECT_EQ(counts.domain_crashes, 1U);
+  EXPECT_EQ(counts.spares_activated, 1U);
 
   // Unknown domains are rejected loudly.
   EXPECT_THROW((void)service.apply_domain_crash(9), util::CheckError);
@@ -198,11 +195,10 @@ TEST(ServeFaults, AdminApisKeepAccountingAndAdmitSpares) {
   // finish_episode so the summary sees a healthy fleet.
   EXPECT_TRUE(service.apply_recover(1));
   EXPECT_FALSE(service.apply_recover(1));
-  stats = service.stats();
-  EXPECT_EQ(stats.node_recoveries, 1U);
+  EXPECT_EQ(counts.node_recoveries, 1U);
 
   const ServeSummary summary = service.finish_episode();
-  EXPECT_EQ(summary.stats.node_recoveries, 3U);
+  EXPECT_EQ(summary.fleet.node_recoveries, 3U);
   EXPECT_EQ(summary.fleet.node_crashes, 3U);
   EXPECT_EQ(summary.fleet.spares_activated, 1U);
 }
@@ -271,7 +267,7 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   EXPECT_EQ(summary.stats.submitted,
             summary.stats.routed + summary.stats.rejected +
                 summary.stats.lost);
-  EXPECT_GT(summary.stats.node_crashes, 0U);
+  EXPECT_GT(summary.fleet.node_crashes, 0U);
   EXPECT_EQ(summary.fleet.spares_activated, 1U);
 }
 

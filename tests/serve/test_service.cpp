@@ -244,10 +244,11 @@ TEST(ServeService, MlcrPumpRoutesEachRequestOnceInRoundRobinOrder) {
   EXPECT_EQ(summary.fleet.system, "MLCR");
 }
 
-/// Two workers dispatch to four MLCR nodes that share one agent: its
-/// forward pass writes layer caches, so the service must serialize decide()
-/// (TSan flags the race otherwise). Every non-degraded routed request is
-/// one decide() call.
+/// Two workers dispatch to four MLCR nodes that share one agent. Inference
+/// (QNetwork::infer) is const and each scheduler owns its workspace, so
+/// decide() calls on different stripes run concurrently with no lock around
+/// the agent; TSan flags a race if any shared state is written. Every
+/// non-degraded routed request is one decide() call.
 TEST(ServeService, LiveMlcrWorkersShareOneAgent) {
   TinyWorld world;
   const sim::StartupCostModel cost = world.cost_model();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
+#include "fstartbench/benchmark.hpp"
+#include "fstartbench/workloads.hpp"
 #include "testing/fixtures.hpp"
 #include "util/check.hpp"
 
@@ -26,6 +29,46 @@ TEST(TraceIo, RoundTripPreservesInvocations) {
     EXPECT_DOUBLE_EQ(loaded.at(i).arrival_s, original.at(i).arrival_s);
     EXPECT_DOUBLE_EQ(loaded.at(i).exec_s, original.at(i).exec_s);
   }
+}
+
+// Generated arrivals and execution times use every bit of their doubles, so
+// the writer must print enough digits for the reader to get them back
+// exactly: a save/load cycle must replay the same workload.
+TEST(TraceIo, GeneratedTraceRoundTripsExactly) {
+  const fstartbench::Benchmark bench = fstartbench::make_benchmark();
+  util::Rng rng(21);
+  const Trace original = fstartbench::make_overall_workload(bench, 300, rng);
+  std::stringstream buffer;
+  write_trace_csv(original, buffer);
+  const Trace loaded = read_trace_csv(buffer, bench.functions);
+  ASSERT_EQ(loaded.size(), original.size());
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    EXPECT_EQ(loaded.at(i).function, original.at(i).function) << i;
+    EXPECT_EQ(loaded.at(i).arrival_s, original.at(i).arrival_s) << i;
+    EXPECT_EQ(loaded.at(i).exec_s, original.at(i).exec_s) << i;
+  }
+
+  std::stringstream one;
+  write_trace_csv(TinyWorld::make_trace({TinyWorld::inv(0, 1234.5678901, 0.1)}),
+                  one);
+  EXPECT_EQ(read_trace_csv(one, bench.functions).at(0).arrival_s,
+            1234.5678901);
+}
+
+// Function ids are plain base-10 integers in range; every other spelling
+// strtod would accept, and any value too large for the id type, is an error.
+TEST(TraceIo, RejectsFunctionIdSpellings) {
+  TinyWorld world;
+  for (const char* bad : {"5000000000", "4294967296", "-1", "+1", "1e0",
+                          "0x1", "1.0", " 1", "1 ", "", "one"}) {
+    std::stringstream buffer(std::string("function_id,arrival_s,exec_s\n") +
+                             bad + ",1.0,0.5\n");
+    EXPECT_THROW((void)read_trace_csv(buffer, world.functions),
+                 util::CheckError)
+        << "id '" << bad << "'";
+  }
+  std::stringstream ok("function_id,arrival_s,exec_s\n01,1.0,0.5\n");
+  EXPECT_EQ(read_trace_csv(ok, world.functions).at(0).function, 1U);
 }
 
 TEST(TraceIo, ReaderSortsByArrival) {
