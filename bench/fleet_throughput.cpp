@@ -1,9 +1,13 @@
 // Fleet event-core throughput: invocations/sec vs node count for the
 // event-driven FleetEnv::run. The event core pops one node off a
 // time-ordered heap per event (O(log nodes)), so throughput should fall
-// only slowly as the fleet grows. The sweep runs 1 -> 1000 nodes; with
-// --json the largest-fleet row is written as a BENCH_fleet_throughput.json
-// perf-trajectory point for benchdiff.
+// only slowly as the fleet grows. The sweep runs 1 -> 1000 nodes twice:
+// under Least-Outstanding, which keeps only the index's load side, and
+// under Warm-Aware, which also keeps its warm side (the per-level key
+// counts diffed on every node touch). With --json the largest-fleet
+// Least-Outstanding row, plus the 10-node Warm-Aware rate, is written as a
+// BENCH_fleet_throughput.json perf-trajectory point for benchdiff.
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -64,17 +68,10 @@ int main(int argc, char** argv) {
         suite.bench.functions, suite.bench.catalog, suite.cost, cfg,
         fleet::uniform_system(policies::make_greedy_match_system));
   };
-
-  std::cout << "=== fleet throughput: event-driven run, " << invocations
-            << " invocations, " << router_name << " routing ===\n";
-  util::Table table({"nodes", "event (ms)", "inv/sec", "lost"});
-  std::vector<SweepPoint> points;
-
-  for (const std::size_t nodes : node_counts) {
+  const auto time_run = [&](std::size_t nodes, fleet::Router& router) {
     SweepPoint p;
     p.nodes = nodes;
     fleet::FleetEnv env = make_env(nodes);
-    fleet::LeastOutstandingRouter router;
     // Warm-up pass so first-touch allocation noise lands outside the timed
     // run; the timed pass repeats the identical deterministic run.
     env.run(trace, router);
@@ -87,11 +84,29 @@ int main(int argc, char** argv) {
         p.event_ms > 0.0
             ? 1000.0 * static_cast<double>(invocations) / p.event_ms
             : 0.0;
-    points.push_back(p);
+    return p;
+  };
 
+  std::cout << "=== fleet throughput: event-driven run, " << invocations
+            << " invocations, " << router_name
+            << " (LO) and Warm-Aware (WA) routing ===\n";
+  util::Table table({"nodes", "LO event (ms)", "LO inv/sec", "WA event (ms)",
+                     "WA inv/sec", "lost"});
+  std::vector<SweepPoint> points;
+  std::vector<SweepPoint> warm_points;
+
+  for (const std::size_t nodes : node_counts) {
+    fleet::LeastOutstandingRouter least_outstanding;
+    fleet::WarmAwareRouter warm_aware;
+    const SweepPoint p = time_run(nodes, least_outstanding);
+    const SweepPoint w = time_run(nodes, warm_aware);
+    points.push_back(p);
+    warm_points.push_back(w);
     table.add_row({std::to_string(nodes), util::Table::num(p.event_ms, 2),
                    util::Table::num(p.events_per_sec, 0),
-                   std::to_string(p.lost)});
+                   util::Table::num(w.event_ms, 2),
+                   util::Table::num(w.events_per_sec, 0),
+                   std::to_string(p.lost + w.lost)});
   }
   table.print(std::cout);
 
@@ -145,6 +160,14 @@ int main(int argc, char** argv) {
     out.wall_ms(last.event_ms);
     out.events_per_sec(last.events_per_sec);
     out.metric("lost", static_cast<double>(last.lost));
+    // At 1000 nodes the split pools hold a container or two each, so the
+    // warm index has almost nothing to keep; 10 nodes is the largest fleet
+    // whose pools are deep enough for its upkeep to show.
+    const auto warm = std::find_if(
+        warm_points.begin(), warm_points.end(),
+        [](const SweepPoint& p) { return p.nodes == 10; });
+    out.metric("warm_aware_nodes", static_cast<double>(warm->nodes));
+    out.metric("warm_aware_events_per_sec", warm->events_per_sec);
     if (stress) {
       out.metric("stress_invocations", 10'000'000.0);
       out.metric("stress_nodes", static_cast<double>(stress_point.nodes));

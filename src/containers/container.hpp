@@ -2,6 +2,7 @@
 // one function at a time, and sits in the warm pool between executions.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "containers/image.hpp"
@@ -16,6 +17,18 @@ inline constexpr ContainerId kInvalidContainer = UINT64_MAX;
 using FunctionTypeId = std::uint32_t;
 inline constexpr FunctionTypeId kInvalidFunctionType = UINT32_MAX;
 
+/// Interned Table-I prefix of an image at one match level: index 0 names
+/// the L1 (OS) package list, 1 the L1+L2 lists, 2 the L1+L2+L3 lists. Ids
+/// are dense per level and assigned by sim::FunctionTable, which gives two
+/// prefixes the same id exactly when their package lists are equal, so a
+/// container matches a function at level >= ℓ iff their level-ℓ keys are
+/// equal. kNoLevelKey marks a prefix no function in the table has.
+using LevelKey = std::uint32_t;
+inline constexpr LevelKey kNoLevelKey = UINT32_MAX;
+using LevelKeys = std::array<LevelKey, kNumLevels>;
+inline constexpr LevelKeys kNoLevelKeys = {kNoLevelKey, kNoLevelKey,
+                                           kNoLevelKey};
+
 enum class ContainerState : std::uint8_t {
   kBusy,  ///< executing a function on a worker
   kIdle,  ///< warm, parked in the pool
@@ -26,6 +39,10 @@ enum class ContainerState : std::uint8_t {
 struct Container {
   ContainerId id = kInvalidContainer;
   ImageSpec image;
+  /// Interned prefixes of `image`; the simulator refreshes them wherever
+  /// it sets or changes the image. The warm pool counts idle containers by
+  /// them, and kNoLevelKey entries are not counted.
+  LevelKeys level_keys = kNoLevelKeys;
   ContainerState state = ContainerState::kBusy;
 
   /// Simulation timestamps, seconds.

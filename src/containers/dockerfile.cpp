@@ -194,7 +194,7 @@ DockerfileAnalysis DockerfileClassifier::classify(
     if (directive == "from" && tokens.size() > 1) {
       out.base_image = tokens[1];
       out.os_packages.push_back(tokens[1]);
-    } else if (directive == "run") {
+    } else if (directive == "run" && tokens.size() > 1) {
       // Split the remainder on "&&" into individual commands.
       std::string rest = line.substr(line.find(tokens[1], 3));
       std::size_t pos = 0;

@@ -101,6 +101,7 @@ WarmPool::AdmitOutcome WarmPool::admit(Container container, double now) {
   peak_used_mb_ = std::max(peak_used_mb_, used_mb_);
   const ContainerId id = container.id;
   const auto& admitted = by_id_.emplace(id, std::move(container)).first->second;
+  count_keys(admitted, +1);
   if (traced()) {
     trace_instant(now, "pool_admit", admitted);
     trace_occupancy(now);
@@ -115,6 +116,7 @@ std::optional<Container> WarmPool::take(ContainerId id, double now) {
   Container c = std::move(it->second);
   used_mb_ -= c.memory_mb;
   by_id_.erase(it);
+  count_keys(c, -1);
   eviction_->on_take(c, now);
   if (traced()) {
     trace_instant(now, "pool_take", c);
@@ -168,6 +170,7 @@ std::size_t WarmPool::invalidate_all(double now) {
   if (traced())
     for (const auto& [id, c] : by_id_) trace_instant(now, "pool_invalidate", c);
   by_id_.clear();
+  for (auto& counts : key_counts_) counts.clear();
   used_mb_ = 0.0;
   if (dropped > 0 && traced()) trace_occupancy(now);
   MLCR_AUDIT_POINT(audit());
@@ -197,12 +200,39 @@ void WarmPool::erase(ContainerId id) {
   const auto it = by_id_.find(id);
   MLCR_CHECK(it != by_id_.end());
   used_mb_ -= it->second.memory_mb;
+  count_keys(it->second, -1);
   by_id_.erase(it);
+}
+
+void WarmPool::count_keys(const Container& c, int delta) {
+  for (std::size_t l = 0; l < kNumLevels; ++l) {
+    const LevelKey key = c.level_keys[l];
+    if (key == kNoLevelKey) continue;
+    std::vector<KeyCount>& counts = key_counts_[l];
+    const auto it = std::lower_bound(
+        counts.begin(), counts.end(), key,
+        [](const KeyCount& kc, LevelKey k) { return kc.key < k; });
+    const bool present = it != counts.end() && it->key == key;
+    if (delta > 0) {
+      if (present)
+        ++it->count;
+      else
+        counts.insert(it, KeyCount{key, 1});
+    } else {
+      MLCR_CHECK_MSG(present, "container " << c.id << " level " << l
+                                           << " key " << key
+                                           << " was never counted");
+      if (--it->count == 0) counts.erase(it);
+    }
+  }
 }
 
 void WarmPool::audit() const {
   double summed_mb = 0.0;
+  std::array<std::map<LevelKey, std::size_t>, kNumLevels> recount;
   for (const auto& [id, c] : by_id_) {
+    for (std::size_t l = 0; l < kNumLevels; ++l)
+      if (c.level_keys[l] != kNoLevelKey) ++recount[l][c.level_keys[l]];
     MLCR_CHECK_MSG(id == c.id, "pool key " << id << " maps to container "
                                            << c.id);
     MLCR_CHECK_MSG(c.id != kInvalidContainer, "invalid container id in pool");
@@ -225,6 +255,15 @@ void WarmPool::audit() const {
                                              << max_count_);
   MLCR_CHECK_MSG(peak_used_mb_ + 1e-6 >= used_mb_,
                  "peak usage below current usage");
+  for (std::size_t l = 0; l < kNumLevels; ++l) {
+    std::vector<KeyCount> expected;
+    for (const auto& [key, count] : recount[l])
+      expected.push_back({key, count});
+    MLCR_CHECK_MSG(key_counts_[l] == expected,
+                   "level " << l << " key counts drifted: "
+                            << key_counts_[l].size() << " keys counted, "
+                            << expected.size() << " in the pool");
+  }
 }
 
 }  // namespace mlcr::containers

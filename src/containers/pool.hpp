@@ -3,6 +3,7 @@
 // or be rejected (KeepAlive) when capacity is exceeded.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -88,6 +89,14 @@ class RejectWhenFull final : public EvictionPolicy {
   [[nodiscard]] const char* name() const override { return "KeepAlive"; }
 };
 
+/// How many idle containers of a pool carry one level key.
+struct KeyCount {
+  LevelKey key = kNoLevelKey;
+  std::size_t count = 0;
+
+  [[nodiscard]] bool operator==(const KeyCount&) const noexcept = default;
+};
+
 /// The pool itself. Owns idle containers; containers executing on workers
 /// live outside (the simulator moves them in/out). Tracks peak usage and
 /// eviction counts for the Fig. 10 experiment.
@@ -116,6 +125,15 @@ class WarmPool {
   /// Idle containers in ascending last_idle_at (LRU first). Pointers are
   /// invalidated by any mutation of the pool.
   [[nodiscard]] std::vector<const Container*> idle_containers() const;
+
+  /// Idle containers counted by their level-`level` key (0 = L1 prefix,
+  /// 1 = L1+L2, 2 = L1+L2+L3), ascending by key, zero counts omitted, and
+  /// kNoLevelKey never counted. Kept current by every mutation of the
+  /// pool; the fleet's warm index diffs these lists instead of walking it.
+  [[nodiscard]] const std::vector<KeyCount>& key_counts(
+      std::size_t level) const {
+    return key_counts_.at(level);
+  }
 
   /// Evict every container idle since before now - ttl (KeepAlive TTL).
   /// Returns the number evicted.
@@ -164,16 +182,19 @@ class WarmPool {
   }
 
   /// Invariant auditor: byte accounting matches the summed container sizes,
-  /// every pooled container is idle with a consistent id, and capacity /
-  /// count caps hold. Throws util::CheckError on violation. Called after
-  /// every mutation in audit-enabled builds (see util/audit.hpp); tests call
-  /// it directly on corrupted state.
+  /// every pooled container is idle with a consistent id, capacity / count
+  /// caps hold, and the key counts equal a recount of the pool. Throws
+  /// util::CheckError on violation. Called after every mutation in
+  /// audit-enabled builds (see util/audit.hpp); tests call it directly on
+  /// corrupted state.
   void audit() const;
 
  private:
   friend struct PoolTestPeer;  ///< test-only corruption hook (tests/sim)
 
   void erase(ContainerId id);
+  /// Add `delta` (+1 or -1) to the counts of `c`'s level keys.
+  void count_keys(const Container& c, int delta);
   [[nodiscard]] bool traced() const noexcept;
   void trace_instant(double now, const char* name, const Container& c) const;
   void trace_occupancy(double now) const;
@@ -185,6 +206,7 @@ class WarmPool {
   /// audit) is deterministic by construction. simlint bans iterating
   /// unordered containers into metrics/eviction decisions.
   std::map<ContainerId, Container> by_id_;
+  std::array<std::vector<KeyCount>, kNumLevels> key_counts_;
   double used_mb_ = 0.0;
   double peak_used_mb_ = 0.0;
   std::size_t evictions_ = 0;

@@ -1,38 +1,23 @@
 #include "fleet/fleet_index.hpp"
 
+#include <algorithm>
+
 #include "sim/env.hpp"
+#include "util/audit.hpp"
 #include "util/check.hpp"
 
 namespace mlcr::fleet {
 
 namespace {
 
-/// Match levels in ImageSpec level order: kL1 is the OS prefix, kL2 adds
-/// language, kL3 adds runtime.
-constexpr std::array<containers::MatchLevel, 3> kMatchLevels = {
-    containers::MatchLevel::kL1, containers::MatchLevel::kL2,
-    containers::MatchLevel::kL3};
-
+/// Index of `level`'s key in a containers::LevelKeys: kL1 -> 0 (the OS
+/// prefix), kL2 -> 1, kL3 -> 2.
 [[nodiscard]] std::size_t level_index(containers::MatchLevel level) {
   MLCR_CHECK(containers::reusable(level));
   return static_cast<std::size_t>(level) - 1;
 }
 
 }  // namespace
-
-std::string FleetIndex::level_key(const containers::ImageSpec& image,
-                                  containers::MatchLevel level) {
-  std::string key;
-  for (std::size_t l = 0; l <= level_index(level); ++l) {
-    if (l > 0) key += '|';
-    const auto& packages = image.level(static_cast<containers::Level>(l));
-    for (std::size_t i = 0; i < packages.size(); ++i) {
-      if (i > 0) key += ',';
-      key += std::to_string(packages[i]);
-    }
-  }
-  return key;
-}
 
 FleetIndex::FleetIndex(std::size_t nodes, bool track_warm)
     : track_warm_(track_warm), nodes_(nodes), routable_count_(nodes) {
@@ -62,21 +47,49 @@ void FleetIndex::update(std::size_t node, const sim::ClusterEnv& env) {
   entry.in_load = true;
 
   if (!track_warm_) return;
-  std::array<std::map<std::string, std::size_t>, 3> fresh;
-  for (const containers::Container* c : env.pool().idle_containers())
-    for (std::size_t l = 0; l < kMatchLevels.size(); ++l)
-      ++fresh[l][level_key(c->image, kMatchLevels[l])];
-  for (std::size_t l = 0; l < kMatchLevels.size(); ++l) {
-    if (fresh[l] == entry.keys[l]) continue;
-    for (const auto& [key, count] : entry.keys[l]) {
-      auto it = warm_[l].find(key);
-      MLCR_CHECK(it != warm_[l].end());
-      it->second.erase(node);
-      if (it->second.empty()) warm_[l].erase(it);
-      (void)count;
+  for (std::size_t l = 0; l < containers::kNumLevels; ++l) {
+    const std::vector<containers::KeyCount>& fresh = env.pool().key_counts(l);
+    std::vector<containers::KeyCount>& last = entry.keys[l];
+    if (fresh == last) continue;
+    // Merge the two ascending lists: keys only in `last` leave the node,
+    // keys only in `fresh` or with a changed count are (re)set.
+    auto was = last.begin();
+    auto now = fresh.begin();
+    while (was != last.end() || now != fresh.end()) {
+      if (now == fresh.end() || (was != last.end() && was->key < now->key)) {
+        set_count(l, was->key, node, 0);
+        ++was;
+      } else if (was == last.end() || now->key < was->key) {
+        set_count(l, now->key, node, now->count);
+        ++now;
+      } else {
+        if (was->count != now->count)
+          set_count(l, now->key, node, now->count);
+        ++was;
+        ++now;
+      }
     }
-    for (const auto& [key, count] : fresh[l]) warm_[l][key][node] = count;
-    entry.keys[l] = fresh[l];
+    last = fresh;
+  }
+  MLCR_AUDIT_POINT(audit());
+}
+
+void FleetIndex::set_count(std::size_t l, containers::LevelKey key,
+                           std::size_t node, std::size_t count) {
+  if (key >= warm_[l].size()) warm_[l].resize(std::size_t{key} + 1);
+  std::vector<NodeCount>& holders = warm_[l][key];
+  const auto it = std::lower_bound(
+      holders.begin(), holders.end(), node,
+      [](const NodeCount& h, std::size_t n) { return h.node < n; });
+  const bool present = it != holders.end() && it->node == node;
+  if (count == 0) {
+    MLCR_CHECK_MSG(present, "node " << node << " never held level " << l
+                                    << " key " << key);
+    holders.erase(it);
+  } else if (present) {
+    it->count = count;
+  } else {
+    holders.insert(it, NodeCount{node, count});
   }
 }
 
@@ -116,13 +129,29 @@ FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {
   return {entry.busy, entry.up, entry.free_mb};
 }
 
-const std::map<std::size_t, std::size_t>* FleetIndex::nodes_matching(
-    const containers::ImageSpec& image, containers::MatchLevel level) const {
+const std::vector<FleetIndex::NodeCount>* FleetIndex::nodes_matching(
+    const containers::LevelKeys& keys, containers::MatchLevel level) const {
   MLCR_CHECK_MSG(track_warm_, "warm lookup on a load-only index");
-  const auto& by_key = warm_[level_index(level)];
-  const auto it = by_key.find(level_key(image, level));
-  if (it == by_key.end()) return nullptr;
-  return &it->second;
+  const std::size_t l = level_index(level);
+  const containers::LevelKey key = keys[l];
+  if (key >= warm_[l].size() || warm_[l][key].empty()) return nullptr;
+  return &warm_[l][key];
+}
+
+void FleetIndex::audit() const {
+  for (std::size_t l = 0; l < containers::kNumLevels; ++l) {
+    std::vector<std::vector<NodeCount>> expected(warm_[l].size());
+    for (std::size_t node = 0; node < nodes_.size(); ++node)
+      for (const containers::KeyCount& kc : nodes_[node].keys[l]) {
+        MLCR_CHECK_MSG(kc.key < expected.size(),
+                       "node " << node << " level " << l << " key " << kc.key
+                               << " is missing from the warm map");
+        expected[kc.key].push_back({node, kc.count});
+      }
+    MLCR_CHECK_MSG(warm_[l] == expected,
+                   "level " << l
+                            << " warm map differs from the per-node counts");
+  }
 }
 
 }  // namespace mlcr::fleet

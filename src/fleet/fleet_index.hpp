@@ -9,26 +9,32 @@
 //   Load index  — ordered (busy_count, node) sets over all nodes and over
 //                 healthy nodes only. The minimum element is the node with
 //                 the fewest in-flight executions, lowest index on ties.
-//   Warm index  — per match level ℓ, a map from the canonical byte key of
-//                 an image's level-1..ℓ package lists to the nodes holding
-//                 at least one idle container with that prefix. Package
-//                 lists are kept sorted/deduplicated by ImageSpec, so key
-//                 equality is exactly Table-I level-by-level set equality:
-//                 a container matches a function at level >= ℓ iff their
-//                 level-ℓ keys are byte-equal. No hashing, no collisions.
+//   Warm index  — per match level ℓ, a vector indexed by interned level key
+//                 (containers::LevelKey) listing, in ascending node order,
+//                 the nodes holding idle containers with that key and how
+//                 many. sim::FunctionTable interns each function image's
+//                 L1, L1+L2 and L1+L2+L3 package prefixes once, comparing
+//                 package lists, so key equality is exactly Table-I
+//                 level-by-level set equality: a container matches a
+//                 function at level >= ℓ iff their level-ℓ keys are equal.
+//                 No hashing, no collisions, no strings.
+//
+// The counts live in the pools: containers carry their keys, and each
+// containers::WarmPool keeps per-level (key, count) lists current on every
+// admission, take, eviction, expiry and crash. update() merge-diffs a
+// node's lists against the copy it took last time and touches only the
+// keys whose counts changed; it never walks or sorts a pool.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "containers/image.hpp"
 #include "containers/matching.hpp"
+#include "containers/pool.hpp"
 
 namespace mlcr::sim {
 class ClusterEnv;
@@ -39,14 +45,15 @@ namespace mlcr::fleet {
 class FleetIndex {
  public:
   /// `track_warm` enables the warm index; without it update() skips the
-  /// per-pool key recompute (routers that never consult warm state should
-  /// not pay for it — see Router::needs_warm_index()).
+  /// per-pool key diff (routers that never consult warm state should not
+  /// pay for it — see Router::needs_warm_index()).
   FleetIndex(std::size_t nodes, bool track_warm);
 
   /// Re-derive node `node`'s contributions from its environment. Called by
   /// the fleet after every event that touches the node (offer/step,
   /// completion drain, TTL expiry, crash, recover). Cost: O(log nodes) for
-  /// the load sets plus O(pool) for the warm keys when tracking is on.
+  /// the load sets plus, when tracking warm state, one merge pass over the
+  /// node's key-count lists and O(nodes holding the key) per changed key.
   void update(std::size_t node, const sim::ClusterEnv& env);
 
   /// Include/exclude node `node` from the load minima. Non-routable nodes
@@ -86,16 +93,25 @@ class FleetIndex {
     return routable_count_;
   }
 
-  /// Nodes holding at least one idle container matching `image` at level
-  /// >= `level`, as a node -> container-count map (ascending node order),
-  /// or nullptr when no node has such a match. Requires tracks_warm().
-  [[nodiscard]] const std::map<std::size_t, std::size_t>* nodes_matching(
-      const containers::ImageSpec& image, containers::MatchLevel level) const;
+  /// How many idle containers with one level key a node holds.
+  struct NodeCount {
+    std::size_t node = 0;
+    std::size_t count = 0;
 
-  /// Canonical byte key of `image`'s level-1..level prefix ("os|lang|rt"
-  /// with comma-separated package ids). Exposed for tests.
-  [[nodiscard]] static std::string level_key(const containers::ImageSpec& image,
-                                            containers::MatchLevel level);
+    [[nodiscard]] bool operator==(const NodeCount&) const noexcept = default;
+  };
+
+  /// Nodes holding at least one idle container matching a function with
+  /// interned prefixes `keys` at level >= `level`, in ascending node order
+  /// with their container counts, or nullptr when no node has such a
+  /// match. Requires tracks_warm().
+  [[nodiscard]] const std::vector<NodeCount>* nodes_matching(
+      const containers::LevelKeys& keys, containers::MatchLevel level) const;
+
+  /// Invariant auditor: the warm map holds exactly the union of the
+  /// per-node key-count copies. Throws util::CheckError on violation. Runs
+  /// after every update() in audit-enabled builds (see util/audit.hpp).
+  void audit() const;
 
  private:
   struct NodeEntry {
@@ -104,17 +120,22 @@ class FleetIndex {
     double free_mb = 0.0;
     bool in_load = false;   ///< false until the first update()
     bool routable = true;   ///< excluded from the load sets when false
-    /// This node's current warm-key multiset, one map per match level.
-    std::array<std::map<std::string, std::size_t>, 3> keys;
+    /// The pool's key counts as of the last update(), one list per level.
+    std::array<std::vector<containers::KeyCount>, containers::kNumLevels>
+        keys;
   };
+
+  /// Set `node`'s count for level `l`'s `key` (0 removes the node).
+  void set_count(std::size_t l, containers::LevelKey key, std::size_t node,
+                 std::size_t count);
 
   bool track_warm_;
   std::vector<NodeEntry> nodes_;
   std::size_t routable_count_;
   std::set<std::pair<std::size_t, std::size_t>> load_all_;
   std::set<std::pair<std::size_t, std::size_t>> load_healthy_;
-  /// level -> key -> node -> idle container count.
-  std::array<std::map<std::string, std::map<std::size_t, std::size_t>>, 3>
+  /// level -> key -> nodes holding it, ascending by node.
+  std::array<std::vector<std::vector<NodeCount>>, containers::kNumLevels>
       warm_;
 };
 

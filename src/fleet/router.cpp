@@ -20,7 +20,7 @@ namespace {
 }  // namespace
 
 std::size_t warm_aware_node(const FleetIndex& index,
-                            const containers::ImageSpec& image) {
+                            const containers::LevelKeys& keys) {
   // The warm index maps a level key to the nodes holding a match at >= that
   // level, so the best level is the first non-empty lookup from L3 down. At
   // that level every candidate's best match is exactly the level (a better
@@ -29,16 +29,16 @@ std::size_t warm_aware_node(const FleetIndex& index,
   for (const containers::MatchLevel level :
        {containers::MatchLevel::kL3, containers::MatchLevel::kL2,
         containers::MatchLevel::kL1}) {
-    const auto* candidates = index.nodes_matching(image, level);
+    const auto* candidates = index.nodes_matching(keys, level);
     if (candidates == nullptr) continue;
     auto it = candidates->begin();
-    std::size_t best = it->first;
+    std::size_t best = it->node;
     FleetIndex::NodeLoad best_load = index.node_load(best);
     for (++it; it != candidates->end(); ++it) {
-      const FleetIndex::NodeLoad load = index.node_load(it->first);
+      const FleetIndex::NodeLoad load = index.node_load(it->node);
       if (load.busy < best_load.busy ||
           (load.busy == best_load.busy && load.free_mb > best_load.free_mb)) {
-        best = it->first;
+        best = it->node;
         best_load = load;
       }
     }
@@ -154,7 +154,7 @@ std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
                                    const sim::Invocation& inv) {
   MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
   return warm_aware_node(fleet.index(),
-                         fleet.functions().get(inv.function).image);
+                         fleet.functions().get(inv.function).level_keys);
 }
 
 HealthAwareRouter::HealthAwareRouter(std::unique_ptr<Router> inner,

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "containers/container.hpp"
 #include "sim/invocation.hpp"
 #include "util/rng.hpp"
 
@@ -64,13 +65,15 @@ struct HashRingPoint {
     const std::vector<HashRingPoint>& ring, std::uint64_t key);
 
 /// Warm-Aware placement over the index: the node holding the best Table-I
-/// match for `image` (L3 down to L1); ties break to fewer in-flight
-/// executions, then more free pool memory, then the lowest index; with no
-/// match anywhere (a fleet-wide cold start), index.least_outstanding(). The
-/// one implementation behind WarmAwareRouter and serve::WarmAwarePolicy.
-/// Requires index.tracks_warm().
+/// match for a function with interned prefixes `keys` (its
+/// sim::FunctionType::level_keys), L3 down to L1; ties break to fewer
+/// in-flight executions, then more free pool memory, then the lowest index;
+/// with no match anywhere (a fleet-wide cold start),
+/// index.least_outstanding(). The one implementation behind
+/// WarmAwareRouter and serve::WarmAwarePolicy. Requires
+/// index.tracks_warm().
 [[nodiscard]] std::size_t warm_aware_node(const FleetIndex& index,
-                                          const containers::ImageSpec& image);
+                                          const containers::LevelKeys& keys);
 
 /// Where a request a policy aimed at some node actually goes.
 struct Placement {
@@ -98,8 +101,8 @@ class Router {
                                           const sim::Invocation& inv) = 0;
 
   /// True when this policy consults warm-pool state, so FleetEnv::run
-  /// maintains the FleetIndex's warm side (an O(pool) recompute per node
-  /// touch that load-only policies should not pay).
+  /// maintains the FleetIndex's warm side (a key-count diff per node touch
+  /// that load-only policies should not pay).
   [[nodiscard]] virtual bool needs_warm_index() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;

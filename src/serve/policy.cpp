@@ -75,9 +75,9 @@ std::size_t HashAffinityPolicy::route(const ShardedFleetIndex& index,
 std::size_t WarmAwarePolicy::route(const ShardedFleetIndex& index,
                                    const sim::FunctionTable& functions,
                                    const sim::Invocation& inv) {
-  const auto& image = functions.get(inv.function).image;
+  const auto& keys = functions.get(inv.function).level_keys;
   return index.read([&](const fleet::FleetIndex& fleet) {
-    return fleet::warm_aware_node(fleet, image);
+    return fleet::warm_aware_node(fleet, keys);
   });
 }
 

@@ -1,6 +1,9 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "core/mlcr.hpp"
@@ -121,18 +124,22 @@ std::size_t SchedulerService::pump_once() {
   MLCR_CHECK_MSG(in_episode_, "pump_once() outside an episode");
   MLCR_CHECK_MSG(pool_ == nullptr,
                  "pump_once() is the single-threaded drive path");
-  std::size_t processed = 0;
-  std::vector<Request> batch;
-  batch.reserve(config_.batch);
-  for (auto& queue : queues_) {
-    for (;;) {
-      batch.clear();
-      if (queue->drain_nowait(batch, config_.batch) == 0) break;
-      processed += batch.size();
-      process_batch(batch);
-    }
-  }
-  return processed;
+  std::vector<Request> pending;
+  for (auto& queue : queues_)
+    (void)queue->drain_nowait(pending, std::numeric_limits<std::size_t>::max());
+  // submit() deals requests round-robin over the queues, so with several
+  // queues each holds a slice of the arrival stream: serve them in arrival
+  // order, as one queue would have.
+  if (queues_.size() > 1)
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Request& a, const Request& b) {
+                       return std::tie(a.inv.arrival_s, a.inv.seq) <
+                              std::tie(b.inv.arrival_s, b.inv.seq);
+                     });
+  const std::span<const Request> all(pending);
+  for (std::size_t i = 0; i < all.size(); i += config_.batch)
+    process_batch(all.subspan(i, std::min(config_.batch, all.size() - i)));
+  return pending.size();
 }
 
 void SchedulerService::worker_loop(std::size_t worker) {
@@ -376,7 +383,7 @@ bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
   return true;
 }
 
-void SchedulerService::process_batch(const std::vector<Request>& batch) {
+void SchedulerService::process_batch(std::span<const Request> batch) {
   if (batch.empty()) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
   for (const Request& req : batch) {

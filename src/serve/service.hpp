@@ -60,6 +60,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "fleet/event_core.hpp"
@@ -147,12 +148,13 @@ class SchedulerService {
   [[nodiscard]] bool submit(const sim::Invocation& inv);
 
   /// The deterministic, single-threaded drive (no workers may be running):
-  /// drain and serve everything queued on the caller's thread, queue by
-  /// queue. Before routing each request, every node event and planned
-  /// fault due at or before its arrival fires, as in FleetEnv::run, so
-  /// requests submitted in arrival order into one queue (workers = 1) get
-  /// run()'s decisions however they are grouped into pumps. Returns the
-  /// number of requests served or dropped.
+  /// drain every queue, then serve what was queued on the caller's thread
+  /// in (arrival, seq) order, `batch` requests at a time. Before routing
+  /// each request, every node event and planned fault due at or before its
+  /// arrival fires, as in FleetEnv::run, so requests submitted in arrival
+  /// order get run()'s decisions however many queues there are and however
+  /// they are grouped into pumps. Returns the number of requests served or
+  /// dropped.
   std::size_t pump_once();
 
   /// Close the queues and drain what remains (joining the workers when
@@ -229,7 +231,7 @@ class SchedulerService {
   bool apply_live(std::size_t node, bool is_recovery, bool partial,
                   std::optional<std::size_t> lead_domain = std::nullopt);
 
-  void process_batch(const std::vector<Request>& batch);
+  void process_batch(std::span<const Request> batch);
 
   /// Advance one node (round-robin) to the service clock so idle nodes
   /// still see completions and TTL expiry; run by the workers after every

@@ -296,16 +296,20 @@ StepResult ClusterEnv::step(const Action& action) {
                                           containers::Level::kRuntime);
       container.image.merge_level(containers::Level::kLanguage, fn.image);
       container.image.merge_level(containers::Level::kRuntime, fn.image);
+      container.level_keys = functions_.level_keys(container.image);
       container.refresh_memory(catalog_);
       if (grew) ++container.repack_count;
     } else {
       result.breakdown = cost_model_.warm_start(fn, level);
       cost_model_.cleaner().repack(container, fn.image, catalog_, level);
+      // The repacked image is the function's own image.
+      container.level_keys = fn.level_keys;
     }
     result.cold = false;
   } else {
     container.id = next_container_id_++;
     container.image = fn.image;
+    container.level_keys = fn.level_keys;
     container.created_at = now_;
     container.refresh_memory(catalog_);
     result.breakdown = cost_model_.cold_start(fn);
@@ -374,6 +378,7 @@ StepResult ClusterEnv::step(const Action& action) {
       container = Container{};
       container.id = next_container_id_++;
       container.image = fn.image;
+      container.level_keys = fn.level_keys;
       container.created_at = now_;
       container.refresh_memory(catalog_);
       result.breakdown = cost_model_.cold_start(fn);
@@ -526,9 +531,13 @@ void ClusterEnv::audit() const {
     MLCR_CHECK_MSG(c.time >= now_, "completion scheduled in the past");
     heap.pop();
   }
-  for (const containers::Container* c : pool_->idle_containers())
+  for (const containers::Container* c : pool_->idle_containers()) {
     MLCR_CHECK_MSG(c->id < next_container_id_,
                    "pooled container id " << c->id << " never issued");
+    MLCR_CHECK_MSG(c->level_keys == functions_.level_keys(c->image),
+                   "pooled container " << c->id
+                                       << " carries stale level keys");
+  }
 
   // Mid-flight streaming records arrive in dispatch order, not seq order;
   // finish_streaming() sorts before the final audit re-imposes the strict

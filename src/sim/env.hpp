@@ -213,10 +213,12 @@ class ClusterEnv {
   [[nodiscard]] bool partial_down() const noexcept { return partial_down_; }
 
   /// Cross-structure invariant auditor: pool byte accounting, busy/pooled
-  /// disjointness (no container simultaneously busy and reusable), metrics
-  /// aggregate consistency, and clock/index sanity. Throws util::CheckError
-  /// on violation. Runs after every event in audit-enabled builds (see
-  /// util/audit.hpp); tests call it directly on corrupted state.
+  /// disjointness (no container simultaneously busy and reusable), pooled
+  /// containers' level keys equal to the function table's interned ids for
+  /// their images, metrics aggregate consistency, and clock/index sanity.
+  /// Throws util::CheckError on violation. Runs after every event in
+  /// audit-enabled builds (see util/audit.hpp); tests call it directly on
+  /// corrupted state.
   void audit() const;
 
  private:

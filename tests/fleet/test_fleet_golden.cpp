@@ -81,8 +81,10 @@ TEST(FleetGolden, ReplayMatchesGolden) {
 /// order and served by pump_once() alone, `per_pump` at a time with the
 /// clock advanced to the group's last arrival first. The pump fires every
 /// node event and planned fault due at each request's arrival before
-/// routing it, so the grouping must not move a decision.
-void expect_pumped_golden(std::size_t per_pump) {
+/// routing it, so the grouping must not move a decision. With `workers`
+/// queues, submit() deals the requests round-robin over them and the pump
+/// must still serve them in arrival order.
+void expect_pumped_golden(std::size_t per_pump, std::size_t workers = 1) {
   const auto expected = load_golden();
   const golden::Matrix matrix;
   for (const golden::Scenario& scenario : matrix.scenarios())
@@ -94,8 +96,9 @@ void expect_pumped_golden(std::size_t per_pump) {
       ASSERT_NE(it, expected.end());
       fleet::FleetEnv fleet = golden::make_fleet(scenario);
       serve::SimClock clock;
-      serve::SchedulerService service(fleet, clock, spec.make(),
-                                      serve::ServeConfig{});
+      serve::ServeConfig config;
+      config.workers = workers;
+      serve::SchedulerService service(fleet, clock, spec.make(), config);
       service.begin_episode();
       const auto& invs = scenario.trace.invocations();
       for (std::size_t i = 0; i < invs.size(); i += per_pump) {
@@ -113,6 +116,10 @@ void expect_pumped_golden(std::size_t per_pump) {
 TEST(FleetGolden, OneRequestPerPumpMatchesGolden) { expect_pumped_golden(1); }
 
 TEST(FleetGolden, EightRequestsPerPumpMatchGolden) { expect_pumped_golden(8); }
+
+TEST(FleetGolden, TwoQueuesEightRequestsPerPumpMatchGolden) {
+  expect_pumped_golden(8, /*workers=*/2);
+}
 
 }  // namespace
 }  // namespace mlcr

@@ -27,9 +27,9 @@ TEST(ServeShardedIndex, RejectsWarmLookupWhenNotTracking) {
   TinyWorld world;
   const ShardedFleetIndex index(2, false);
   EXPECT_FALSE(index.tracks_warm());
-  const auto& image = world.functions.get(world.fn_py_flask).image;
+  const auto& keys = world.functions.get(world.fn_py_flask).level_keys;
   const auto lookup = [&](const fleet::FleetIndex& fleet) {
-    return fleet.nodes_matching(image, containers::MatchLevel::kL1) != nullptr;
+    return fleet.nodes_matching(keys, containers::MatchLevel::kL1) != nullptr;
   };
   EXPECT_THROW((void)index.read(lookup), util::CheckError);
 }
@@ -103,13 +103,13 @@ TEST(ServeShardedIndex, ConcurrentReadersAndWritersAreRaceFree) {
   }
   std::atomic<bool> stop{false};
   std::thread reader([&] {
-    const auto& image = world.functions.get(world.fn_py_flask).image;
+    const auto& keys = world.functions.get(world.fn_py_flask).level_keys;
     while (!stop.load()) {
       const std::size_t best = index.read([&](const fleet::FleetIndex& f) {
         (void)f.least_outstanding_healthy();
-        (void)f.nodes_matching(image, containers::MatchLevel::kL3);
+        (void)f.nodes_matching(keys, containers::MatchLevel::kL3);
         (void)fleet::fail_over(f, f.least_outstanding());
-        return fleet::warm_aware_node(f, image);
+        return fleet::warm_aware_node(f, keys);
       });
       EXPECT_LT(best, kNodes);
     }
