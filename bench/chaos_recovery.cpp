@@ -51,10 +51,10 @@ faults::FaultPlan make_plan(double rate, std::size_t nodes, double span_s,
   plan.repack_failure_prob = rate / 2.0;
   plan.retry.max_attempts = 3;
   if (rate > 0.0 && nodes > 1) {
-    plan.crashes = faults::sample_crash_windows(
+    plan.crashes = faults::sample_domain_crash_windows(
         nodes, span_s, /*crashes_per_node=*/rate * 10.0,
         /*mean_downtime_s=*/span_s / 20.0,
-        /*max_concurrent_down=*/nodes / 2, rng);
+        /*max_concurrent_down=*/nodes / 2, faults::DomainPlan{}, rng);
   }
   return plan;
 }
@@ -280,9 +280,11 @@ void serve_goodput_snapshots(const benchtools::Suite& suite,
   serve::ServeConfig scfg;
   scfg.workers = 1;
   scfg.shards = 4;
-  serve::SchedulerService service(fleet, clock,
-                                  std::make_unique<serve::WarmAwarePolicy>(),
-                                  scfg);
+  serve::SchedulerService service(
+      fleet, clock,
+      std::make_unique<serve::RouterPolicy>(
+          std::make_unique<fleet::WarmAwareRouter>()),
+      scfg);
   service.set_telemetry(&telemetry);
   const serve::ServeSummary replayed = service.run_replay(trace);
   std::cout << "\nserve replay of the correlated scenario: routed "

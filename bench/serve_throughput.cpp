@@ -3,9 +3,9 @@
 // and how fast the full ingest -> route -> dispatch path serves requests.
 //
 // Phase 1 (route-only): worker threads hammer RoutePolicy::route() for each
-// standard policy against a pre-seeded index — no dispatch, no queues — at
-// min(4, hardware threads) threads. Every index-reading policy takes the
-// index's one shared lock per decision. The headline events_per_sec is the
+// standard router, hosted by serve::RouterPolicy, against a pre-seeded
+// index — no dispatch, no queues — at min(4, hardware threads) threads.
+// Every policy takes the index's one shared lock per decision. The headline events_per_sec is the
 // Least-Outstanding decision rate.
 //
 // Phase 2 (full service): producer threads submit() into a started
@@ -37,6 +37,7 @@
 
 #include "common.hpp"
 #include "fleet/fleet_env.hpp"
+#include "fleet/router.hpp"
 #include "serve/clock.hpp"
 #include "serve/policy.hpp"
 #include "serve/service.hpp"
@@ -182,17 +183,17 @@ int main(int argc, char** argv) {
     seed_index(plain, fleet);
     seed_index(warm, fleet);
     {  // warm-up pass so first-touch noise lands outside the timed runs
-      serve::LeastOutstandingPolicy lo;
+      serve::RouterPolicy lo(std::make_unique<fleet::LeastOutstandingRouter>());
       lo.on_episode_start(kNodes);
       (void)measure_route(lo, plain, suite.bench.functions, trace, 1,
                           decisions / 4);
     }
     util::Table per_policy({"policy", "decisions/sec"});
-    for (const serve::PolicySpec& spec : serve::standard_policies()) {
-      const std::unique_ptr<serve::RoutePolicy> policy = spec.make();
-      policy->on_episode_start(kNodes);
-      const auto& index = policy->needs_warm_index() ? warm : plain;
-      const double per_sec = measure_route(*policy, index,
+    for (const fleet::RouterSpec& spec : fleet::standard_routers()) {
+      serve::RouterPolicy policy(spec.make());
+      policy.on_episode_start(kNodes);
+      const auto& index = policy.needs_warm_index() ? warm : plain;
+      const double per_sec = measure_route(policy, index,
                                            suite.bench.functions, trace,
                                            threads, decisions);
       policy_rates.emplace_back(spec.name, per_sec);
@@ -209,7 +210,8 @@ int main(int argc, char** argv) {
     serve::Telemetry live_telemetry(live_tcfg);
     serve::SchedulerService service(
         service_fleet, clock,
-        std::make_unique<serve::LeastOutstandingPolicy>(), serve_cfg);
+        std::make_unique<serve::RouterPolicy>(
+            std::make_unique<fleet::LeastOutstandingRouter>()), serve_cfg);
     service.set_telemetry(&live_telemetry);
     service.begin_episode();
     service.start();
@@ -275,7 +277,8 @@ int main(int argc, char** argv) {
   serve::Telemetry replay_telemetry(replay_tcfg, &tracer);
   serve::SchedulerService replay_service(
       replay_fleet, sim_clock,
-      std::make_unique<serve::LeastOutstandingPolicy>(), serve_cfg);
+      std::make_unique<serve::RouterPolicy>(
+          std::make_unique<fleet::LeastOutstandingRouter>()), serve_cfg);
   replay_service.set_telemetry(&replay_telemetry);
 
   const std::int64_t rp_t0 = util::wall_now_us();

@@ -18,11 +18,8 @@ namespace {
                              : "domain " + std::to_string(domain);
 }
 
-/// Per-node independent candidate windows — the exact draw sequence of
-/// sample_crash_windows (Poisson count, uniform downs, sorted, one
-/// exponential downtime per accepted down). Factored out so the domain
-/// sampler cannot drift from it: bit-identity of the inert-DomainPlan path
-/// is structural, not coincidental.
+/// Per-node independent candidate windows: a Poisson count, uniform downs,
+/// sorted, one exponential downtime per accepted down.
 [[nodiscard]] std::vector<CrashWindow> independent_candidates(
     std::size_t nodes, double span_s, double crashes_per_node,
     double mean_downtime_s, util::Rng& rng) {
@@ -49,9 +46,9 @@ namespace {
   return candidates;
 }
 
-/// Global (down_at, node) sort plus the concurrency-cap sweep shared by
-/// both samplers: drop any window that would push the number of
-/// simultaneously-down nodes over the cap.
+/// Global (down_at, node) sort plus the concurrency-cap sweep: drop any
+/// window that would push the number of simultaneously-down nodes over the
+/// cap.
 [[nodiscard]] std::vector<CrashWindow> cap_concurrency(
     std::vector<CrashWindow> candidates, std::size_t max_concurrent_down) {
   std::sort(candidates.begin(), candidates.end(),
@@ -204,26 +201,6 @@ void FaultPlan::validate(std::size_t nodes) const {
   }
 }
 
-std::vector<CrashWindow> sample_crash_windows(std::size_t nodes, double span_s,
-                                              double crashes_per_node,
-                                              double mean_downtime_s,
-                                              std::size_t max_concurrent_down,
-                                              util::Rng& rng) {
-  MLCR_CHECK(nodes > 0);
-  MLCR_CHECK(span_s > 0.0);
-  MLCR_CHECK(crashes_per_node >= 0.0);
-  MLCR_CHECK(mean_downtime_s > 0.0);
-  MLCR_CHECK_MSG(max_concurrent_down < nodes,
-                 "at least one node must always stay up");
-
-  // Candidate windows per node, then a global sweep that drops any window
-  // which would push the number of simultaneously-down nodes over the cap.
-  return cap_concurrency(
-      independent_candidates(nodes, span_s, crashes_per_node, mean_downtime_s,
-                             rng),
-      max_concurrent_down);
-}
-
 std::vector<CrashWindow> sample_domain_crash_windows(
     std::size_t nodes, double span_s, double crashes_per_node,
     double mean_downtime_s, std::size_t max_concurrent_down,
@@ -236,9 +213,8 @@ std::vector<CrashWindow> sample_domain_crash_windows(
                  "at least one node must always stay up");
   domains.validate(nodes);
 
-  // Phase 1 — the independent candidates, with exactly the draws (and draw
-  // order) of sample_crash_windows. An inert DomainPlan adds nothing after
-  // this point, so its output is bit-identical to the independent sampler.
+  // Phase 1 — the independent candidates. An inert DomainPlan draws nothing
+  // after this point.
   std::vector<CrashWindow> independent = independent_candidates(
       nodes, span_s, crashes_per_node, mean_downtime_s, rng);
   if (domains.inert())

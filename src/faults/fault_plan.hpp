@@ -95,9 +95,9 @@ void validate_domains(const std::vector<FailureDomain>& domains,
 
 /// Correlated-failure sampling knobs for sample_domain_crash_windows. A
 /// default-constructed plan is inert: zero correlation draws no domain
-/// events, and the sampler's output is bit-identical to
-/// sample_crash_windows on the same stream (the migration oracle pinned in
-/// tests/faults).
+/// events, so the sampler draws independent per-node windows only. Any
+/// inert plan, with or without domains, draws exactly what DomainPlan{}
+/// draws (pinned in tests/faults).
 struct DomainPlan {
   std::vector<FailureDomain> domains;
   /// P(a member node participates in one of its domain's events).
@@ -160,27 +160,22 @@ struct FaultPlan {
   void validate(std::size_t nodes) const;
 };
 
-/// Sample crash windows for an `nodes`-node fleet over [0, span_s]:
-/// `crashes_per_node` expected crashes per node (Poisson-thinned uniform
-/// arrivals) with exponential downtime of mean `mean_downtime_s`. At most
-/// `max_concurrent_down` nodes are ever down simultaneously (windows that
-/// would exceed the cap are dropped), so benches can guarantee surviving
-/// capacity and assert zero lost invocations. Result is sorted by down_at.
-[[nodiscard]] std::vector<CrashWindow> sample_crash_windows(
-    std::size_t nodes, double span_s, double crashes_per_node,
-    double mean_downtime_s, std::size_t max_concurrent_down, util::Rng& rng);
-
-/// Correlated-domain extension of sample_crash_windows, drawing from the
-/// same single stream under a fixed draw order (DESIGN.md §14):
-///   1. the independent per-node candidates, with exactly the draws of
-///      sample_crash_windows (so an inert DomainPlan is bit-identical to it);
+/// Sample crash windows for an `nodes`-node fleet over [0, span_s], from one
+/// stream under a fixed draw order (DESIGN.md §14):
+///   1. independent per-node windows: `crashes_per_node` expected crashes
+///      per node (Poisson-thinned uniform arrivals) with exponential
+///      downtime of mean `mean_downtime_s`; an inert `domains` (e.g.
+///      DomainPlan{}) draws nothing more;
 ///   2. then, per domain in listed order, Poisson domain events — each
 ///      drawing (down_at, downtime, partial) once and one participation
 ///      Bernoulli per member node in listed order;
 ///   3. per node, overlapping later windows are dropped (first window wins,
-///      independent before domain on down_at ties), then the global
-///      max_concurrent_down sweep of sample_crash_windows runs unchanged.
-/// Domain windows carry their domain id and partial flag.
+///      independent before domain on down_at ties), then a global sweep
+///      drops any window that would put more than `max_concurrent_down`
+///      nodes down at once, so benches can guarantee surviving capacity and
+///      assert zero lost invocations.
+/// Domain windows carry their domain id and partial flag. Result is sorted
+/// by down_at.
 [[nodiscard]] std::vector<CrashWindow> sample_domain_crash_windows(
     std::size_t nodes, double span_s, double crashes_per_node,
     double mean_downtime_s, std::size_t max_concurrent_down,

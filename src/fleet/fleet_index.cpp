@@ -44,6 +44,7 @@ void FleetIndex::update(std::size_t node, const sim::ClusterEnv& env) {
   // the crash (emptied, not destroyed), and routers never consult down
   // nodes' memory anyway.
   entry.free_mb = env.pool().free_mb();
+  entry.failed = env.metrics().failed_count();
   entry.in_load = true;
 
   if (!track_warm_) return;
@@ -126,7 +127,7 @@ std::optional<std::size_t> FleetIndex::least_outstanding_healthy() const {
 FleetIndex::NodeLoad FleetIndex::node_load(std::size_t node) const {
   MLCR_CHECK(node < nodes_.size());
   const NodeEntry& entry = nodes_[node];
-  return {entry.busy, entry.up, entry.free_mb};
+  return {entry.busy, entry.up, entry.free_mb, entry.failed};
 }
 
 const std::vector<FleetIndex::NodeCount>* FleetIndex::nodes_matching(

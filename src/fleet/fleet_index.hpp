@@ -1,9 +1,11 @@
 // Incrementally maintained fleet-wide routing state (DESIGN.md §10). The
 // event-driven FleetEnv::run keeps one FleetIndex current so routers that
 // need cluster-wide views — least-outstanding load, warm-pool match lookup,
-// the failover rule — read it in O(log nodes) instead of rescanning every
-// node per invocation. The serving layer keeps one too, behind a lock
-// (serve::ShardedFleetIndex), and routes through the same functions.
+// per-node health and failures, the failover rule — read it in O(log nodes)
+// instead of rescanning every node per invocation. Every fleet::Router
+// reads only this index (Router::pick). The serving layer keeps one too,
+// behind a lock (serve::ShardedFleetIndex), and hosts the same routers over
+// it.
 //
 // Two structures:
 //   Load index  — ordered (busy_count, node) sets over all nodes and over
@@ -72,12 +74,14 @@ class FleetIndex {
   [[nodiscard]] std::optional<std::size_t> least_outstanding_healthy() const;
 
   /// Per-node snapshot of the last update(): in-flight executions, health,
-  /// and free pool memory — the inputs of the warm-aware tie-break and the
-  /// failover check, so routing reads only the index, never an env.
+  /// free pool memory and failed invocations so far this episode — the
+  /// inputs of the warm-aware tie-break, the failover check and the
+  /// health-aware EWMA, so routing reads only the index, never an env.
   struct NodeLoad {
     std::size_t busy = 0;
     bool up = true;
     double free_mb = 0.0;
+    std::size_t failed = 0;
   };
   [[nodiscard]] NodeLoad node_load(std::size_t node) const;
 
@@ -118,6 +122,7 @@ class FleetIndex {
     std::size_t busy = 0;
     bool up = true;
     double free_mb = 0.0;
+    std::size_t failed = 0;
     bool in_load = false;   ///< false until the first update()
     bool routable = true;   ///< excluded from the load sets when false
     /// The pool's key counts as of the last update(), one list per level.

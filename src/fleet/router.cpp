@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <optional>
 
+#include "containers/image.hpp"
 #include "containers/matching.hpp"
 #include "fleet/fleet_env.hpp"
 #include "fleet/fleet_index.hpp"
+#include "sim/function_type.hpp"
 #include "util/check.hpp"
 
 namespace mlcr::fleet {
@@ -17,10 +19,161 @@ namespace {
   return util::splitmix64(x);
 }
 
+/// Hash of the OS + language package lists of an image: the affinity key of
+/// ConsistentHashRouter. The runtime level is deliberately excluded so that
+/// functions differing only in their runtime packages still colocate (and
+/// can serve each other at Table-I L2).
+[[nodiscard]] std::uint64_t affinity_key(
+    const containers::ImageSpec& image) noexcept {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (const containers::Level level :
+       {containers::Level::kOs, containers::Level::kLanguage})
+    for (const containers::PackageId id : image.level(level))
+      h = mix(h ^ (static_cast<std::uint64_t>(id) + 1));
+  return h;
+}
+
+/// Index of the healthy routable node with the lowest failure EWMA; ties
+/// break to fewer in-flight executions, then the lowest index. routable
+/// count when the whole routable fleet is down.
+[[nodiscard]] std::size_t healthiest(const FleetIndex& index,
+                                     const std::vector<double>& ewma) {
+  const std::size_t routable = index.routable_count();
+  std::size_t best = routable;
+  std::size_t best_busy = 0;
+  for (std::size_t i = 0; i < routable; ++i) {
+    const FleetIndex::NodeLoad load = index.node_load(i);
+    if (!load.up) continue;
+    if (best == routable || ewma[i] < ewma[best] ||
+        (ewma[i] == ewma[best] && load.busy < best_busy)) {
+      best = i;
+      best_busy = load.busy;
+    }
+  }
+  return best;
+}
+
 }  // namespace
 
-std::size_t warm_aware_node(const FleetIndex& index,
-                            const containers::LevelKeys& keys) {
+Placement fail_over(const FleetIndex& index, std::size_t target) {
+  if (index.node_load(target).up) return {target, false, false};
+  const std::optional<std::size_t> best = index.least_outstanding_healthy();
+  if (!best) return {target, false, true};
+  return {*best, true, false};
+}
+
+std::size_t Router::pick(const FleetIndex& index,
+                         const sim::FunctionTable& functions,
+                         const sim::Invocation& inv) {
+  (void)index;
+  (void)functions;
+  (void)inv;
+  MLCR_CHECK_MSG(false, name() << " routes only through route(): it has no "
+                                  "pick() to host over an index");
+  return 0;
+}
+
+void Router::on_episode_start(const FleetEnv& fleet) {
+  start(fleet.routable_count());
+}
+
+std::size_t Router::route(const FleetEnv& fleet, const sim::Invocation& inv) {
+  MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
+  return pick(fleet.index(), fleet.functions(), inv);
+}
+
+void RandomRouter::start(std::size_t routable) {
+  (void)routable;
+  const std::lock_guard lock(mutex_);
+  rng_ = util::Rng(seed_);
+}
+
+std::size_t RandomRouter::pick(const FleetIndex& index,
+                               const sim::FunctionTable& functions,
+                               const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  const std::size_t routable = index.routable_count();
+  MLCR_CHECK_MSG(routable > 0, "pick() over an empty fleet");
+  const std::lock_guard lock(mutex_);
+  return rng_.uniform_index(routable);
+}
+
+void RoundRobinRouter::start(std::size_t routable) {
+  (void)routable;
+  next_.store(0, std::memory_order_relaxed);
+}
+
+std::size_t RoundRobinRouter::pick(const FleetIndex& index,
+                                   const sim::FunctionTable& functions,
+                                   const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  const std::size_t routable = index.routable_count();
+  MLCR_CHECK_MSG(routable > 0, "pick() over an empty fleet");
+  // next = (next + 1) % routable as one atomic step; the modulo also folds
+  // a cursor left beyond a smaller routable set back into it.
+  std::size_t node = next_.load(std::memory_order_relaxed);
+  while (!next_.compare_exchange_weak(node, (node % routable + 1) % routable,
+                                      std::memory_order_relaxed)) {
+  }
+  return node % routable;
+}
+
+std::size_t LeastOutstandingRouter::pick(const FleetIndex& index,
+                                         const sim::FunctionTable& functions,
+                                         const sim::Invocation& inv) {
+  (void)functions;
+  (void)inv;
+  MLCR_CHECK_MSG(index.routable_count() > 0, "pick() over an empty fleet");
+  return index.least_outstanding();
+}
+
+ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
+    : virtual_nodes_(virtual_nodes) {
+  MLCR_CHECK(virtual_nodes_ > 0);
+}
+
+void ConsistentHashRouter::start(std::size_t routable) {
+  // The ring covers the episode's initial routable set. Spares admitted
+  // mid-episode stay off the ring — affinity keys keep their mapping and
+  // spares absorb traffic through the failover path.
+  MLCR_CHECK(routable > 0);
+  ring_.clear();
+  ring_.reserve(routable * virtual_nodes_);
+  for (std::size_t node = 0; node < routable; ++node) {
+    // Each (node, replica) pair gets a deterministic ring position; the
+    // double-mix decorrelates adjacent indices.
+    std::uint64_t h = mix(0xF1EE7000ULL + node);
+    for (std::size_t v = 0; v < virtual_nodes_; ++v) {
+      h = mix(h + v + 1);
+      ring_.emplace_back(h, node);
+    }
+  }
+  // By hash, then node: deterministic on (improbable) hash ties.
+  std::sort(ring_.begin(), ring_.end());
+}
+
+std::size_t ConsistentHashRouter::pick(const FleetIndex& index,
+                                       const sim::FunctionTable& functions,
+                                       const sim::Invocation& inv) {
+  (void)index;
+  MLCR_CHECK_MSG(!ring_.empty(), "pick() before start()");
+  const std::uint64_t key = affinity_key(functions.get(inv.function).image);
+  // First ring point clockwise of the key, wrapping.
+  auto it = std::lower_bound(
+      ring_.begin(), ring_.end(), key,
+      [](const std::pair<std::uint64_t, std::size_t>& point,
+         std::uint64_t k) { return point.first < k; });
+  if (it == ring_.end()) it = ring_.begin();
+  return it->second;
+}
+
+std::size_t WarmAwareRouter::pick(const FleetIndex& index,
+                                  const sim::FunctionTable& functions,
+                                  const sim::Invocation& inv) {
+  MLCR_CHECK_MSG(index.routable_count() > 0, "pick() over an empty fleet");
+  const containers::LevelKeys& keys = functions.get(inv.function).level_keys;
   // The warm index maps a level key to the nodes holding a match at >= that
   // level, so the best level is the first non-empty lookup from L3 down. At
   // that level every candidate's best match is exactly the level (a better
@@ -48,115 +201,6 @@ std::size_t warm_aware_node(const FleetIndex& index,
   return index.least_outstanding();
 }
 
-Placement fail_over(const FleetIndex& index, std::size_t target) {
-  if (index.node_load(target).up) return {target, false, false};
-  const std::optional<std::size_t> best = index.least_outstanding_healthy();
-  if (!best) return {target, false, true};
-  return {*best, true, false};
-}
-
-std::uint64_t affinity_key(const containers::ImageSpec& image) noexcept {
-  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-  for (const containers::Level level :
-       {containers::Level::kOs, containers::Level::kLanguage})
-    for (const containers::PackageId id : image.level(level))
-      h = mix(h ^ (static_cast<std::uint64_t>(id) + 1));
-  return h;
-}
-
-std::vector<HashRingPoint> build_hash_ring(std::size_t nodes,
-                                           std::size_t virtual_nodes) {
-  MLCR_CHECK(nodes > 0 && virtual_nodes > 0);
-  std::vector<HashRingPoint> ring;
-  ring.reserve(nodes * virtual_nodes);
-  for (std::size_t node = 0; node < nodes; ++node) {
-    // Each (node, replica) pair gets a deterministic ring position; the
-    // double-mix decorrelates adjacent indices.
-    std::uint64_t h = mix(0xF1EE7000ULL + node);
-    for (std::size_t v = 0; v < virtual_nodes; ++v) {
-      h = mix(h + v + 1);
-      ring.push_back({h, node});
-    }
-  }
-  std::sort(ring.begin(), ring.end(),
-            [](const HashRingPoint& a, const HashRingPoint& b) {
-              if (a.hash != b.hash) return a.hash < b.hash;
-              return a.node < b.node;  // deterministic on (improbable) ties
-            });
-  return ring;
-}
-
-std::size_t hash_ring_pick(const std::vector<HashRingPoint>& ring,
-                           std::uint64_t key) {
-  MLCR_CHECK_MSG(!ring.empty(), "pick on an empty hash ring");
-  auto it = std::lower_bound(ring.begin(), ring.end(), key,
-                             [](const HashRingPoint& p, std::uint64_t k) {
-                               return p.hash < k;
-                             });
-  if (it == ring.end()) it = ring.begin();
-  return it->node;
-}
-
-void RandomRouter::on_episode_start(const FleetEnv& fleet) {
-  (void)fleet;
-  rng_ = util::Rng(seed_);
-}
-
-std::size_t RandomRouter::route(const FleetEnv& fleet,
-                                const sim::Invocation& inv) {
-  (void)inv;
-  MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  return rng_.uniform_index(fleet.routable_count());
-}
-
-void RoundRobinRouter::on_episode_start(const FleetEnv& fleet) {
-  (void)fleet;
-  next_ = 0;
-}
-
-std::size_t RoundRobinRouter::route(const FleetEnv& fleet,
-                                    const sim::Invocation& inv) {
-  (void)inv;
-  MLCR_CHECK_MSG(next_ < fleet.routable_count(),
-                 "round-robin cursor outside the fleet");
-  const std::size_t node = next_;
-  next_ = (next_ + 1) % fleet.routable_count();
-  return node;
-}
-
-std::size_t LeastOutstandingRouter::route(const FleetEnv& fleet,
-                                          const sim::Invocation& inv) {
-  (void)inv;
-  MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  return fleet.index().least_outstanding();
-}
-
-ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
-    : virtual_nodes_(virtual_nodes) {
-  MLCR_CHECK(virtual_nodes_ > 0);
-}
-
-void ConsistentHashRouter::on_episode_start(const FleetEnv& fleet) {
-  // The ring covers the episode's initial routable set. Spares admitted
-  // mid-episode stay off the ring — affinity keys keep their mapping and
-  // spares absorb traffic through failover / least-outstanding paths.
-  ring_ = build_hash_ring(fleet.routable_count(), virtual_nodes_);
-}
-
-std::size_t ConsistentHashRouter::route(const FleetEnv& fleet,
-                                        const sim::Invocation& inv) {
-  MLCR_CHECK_MSG(!ring_.empty(), "route() before on_episode_start()");
-  return hash_ring_pick(ring_,
-                        affinity_key(fleet.functions().get(inv.function).image));
-}
-
-std::size_t WarmAwareRouter::route(const FleetEnv& fleet,
-                                   const sim::Invocation& inv) {
-  MLCR_CHECK_MSG(fleet.routable_count() > 0, "route() over an empty fleet");
-  return warm_aware_node(fleet.index(),
-                         fleet.functions().get(inv.function).level_keys);
-}
-
 HealthAwareRouter::HealthAwareRouter(std::unique_ptr<Router> inner,
                                      double alpha, double threshold)
     : inner_(std::move(inner)), alpha_(alpha), threshold_(threshold) {
@@ -168,54 +212,42 @@ HealthAwareRouter::HealthAwareRouter(std::unique_ptr<Router> inner,
                      << threshold_);
 }
 
-void HealthAwareRouter::on_episode_start(const FleetEnv& fleet) {
-  inner_->on_episode_start(fleet);
-  ewma_.assign(fleet.node_count(), 0.0);
-  last_failed_.assign(fleet.node_count(), 0);
+void HealthAwareRouter::start(std::size_t routable) {
+  inner_->start(routable);
+  const std::lock_guard lock(mutex_);
+  ewma_.clear();  // sized to the index on the first pick()
+  last_failed_.clear();
 }
 
-void HealthAwareRouter::observe(const FleetEnv& fleet) {
-  // One EWMA step per route() call, over every node (spares included, so
-  // their signal is current the moment they become routable). The failure
-  // signal is 1 while the node is down or failed an invocation since the
-  // last observation, 0 otherwise — all read from deterministic simulator
-  // state, so the router is replayable under SimClock.
-  for (std::size_t i = 0; i < fleet.node_count(); ++i) {
-    const std::size_t failed = fleet.node(i).metrics().failed_count();
-    const double signal =
-        (!fleet.node_up(i) || failed > last_failed_[i]) ? 1.0 : 0.0;
-    ewma_[i] = alpha_ * signal + (1.0 - alpha_) * ewma_[i];
-    last_failed_[i] = failed;
-  }
-}
-
-std::size_t HealthAwareRouter::route(const FleetEnv& fleet,
-                                     const sim::Invocation& inv) {
-  MLCR_CHECK_MSG(ewma_.size() == fleet.node_count(),
-                 "route() before on_episode_start()");
-  observe(fleet);
-  const std::size_t target = inner_->route(fleet, inv);
-  MLCR_CHECK_MSG(target < fleet.routable_count(),
+std::size_t HealthAwareRouter::pick(const FleetIndex& index,
+                                    const sim::FunctionTable& functions,
+                                    const sim::Invocation& inv) {
+  // The inner rule reads nothing this router writes, so it runs first,
+  // outside the mutex.
+  const std::size_t target = inner_->pick(index, functions, inv);
+  MLCR_CHECK_MSG(target < index.routable_count(),
                  "inner router picked an invalid node");
-  if (fleet.node_up(target) && ewma_[target] <= threshold_) return target;
-  // Steer to the healthy routable node with the lowest failure EWMA; ties
-  // break to fewer in-flight executions, then the lowest index.
-  std::size_t best = fleet.routable_count();
-  for (std::size_t i = 0; i < fleet.routable_count(); ++i) {
-    if (!fleet.node_up(i)) continue;
-    if (best == fleet.routable_count()) {
-      best = i;
-      continue;
-    }
-    if (ewma_[i] < ewma_[best] ||
-        (ewma_[i] == ewma_[best] &&
-         fleet.node(i).busy_count() < fleet.node(best).busy_count()))
-      best = i;
+  const std::lock_guard lock(mutex_);
+  const std::size_t nodes = index.node_count();
+  if (ewma_.size() != nodes) {
+    ewma_.assign(nodes, 0.0);
+    last_failed_.assign(nodes, 0);
   }
-  // Whole routable fleet down: return the inner choice; FleetEnv::run()
+  // One EWMA step per pick, over every node (spares included, so their
+  // signal is current the moment they become routable).
+  for (std::size_t i = 0; i < nodes; ++i) {
+    const FleetIndex::NodeLoad load = index.node_load(i);
+    const double signal = (!load.up || load.failed > last_failed_[i]) ? 1.0
+                                                                      : 0.0;
+    ewma_[i] = alpha_ * signal + (1.0 - alpha_) * ewma_[i];
+    last_failed_[i] = load.failed;
+  }
+  if (index.node_load(target).up && ewma_[target] <= threshold_)
+    return target;
+  // Whole routable fleet down: return the inner choice; the failover rule
   // counts the invocation as lost.
-  if (best == fleet.routable_count()) return target;
-  return best;
+  const std::size_t best = healthiest(index, ewma_);
+  return best == index.routable_count() ? target : best;
 }
 
 bool HealthAwareRouter::needs_warm_index() const {

@@ -4,7 +4,7 @@
 // dominates cold-start outcomes, because a warm container on the wrong node
 // is worth nothing.
 //
-// Five policies:
+// Five policies plus one wrapper:
 //   Random            — seeded uniform choice; the sanity floor.
 //   Round-Robin       — classic load spreading, oblivious to warm state.
 //   Least-Outstanding — fewest in-flight executions (power-of-all-choices).
@@ -15,65 +15,39 @@
 //   Warm-Aware        — route to the node holding the best Table-I match
 //                       for this invocation (the fleet analog of
 //                       Greedy-Match), looked up in the fleet's warm index.
+//   Health-Aware(X)   — any of the above, steered off down and recently
+//                       flaky nodes by a per-node failure EWMA.
 //
-// Least-Outstanding and Warm-Aware read FleetEnv::index(), so they route
-// only inside FleetEnv::run (elsewhere index() throws CheckError).
+// Each rule is written once, as pick() over a FleetIndex and the function
+// table. FleetEnv::run calls route(), whose default is pick() over the
+// run's index; the serving plane hosts the same object through
+// serve::RouterPolicy, which calls pick() under the index's shared lock.
+// So pick() may run on many threads at once: Random and Health-Aware guard
+// their state with their own mutex, taken innermost (no other lock is
+// acquired while it is held), and Round-Robin advances an atomic cursor.
+// start() and pick() never overlap.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "containers/container.hpp"
 #include "sim/invocation.hpp"
 #include "util/rng.hpp"
 
-namespace mlcr::containers {
-class ImageSpec;
+namespace mlcr::sim {
+class FunctionTable;
 }
 
 namespace mlcr::fleet {
 
 class FleetEnv;
 class FleetIndex;
-
-/// Hash of the OS + language package lists of an image: the affinity key of
-/// ConsistentHashRouter. The runtime level is deliberately excluded so that
-/// functions differing only in their runtime packages still colocate (and
-/// can serve each other at Table-I L2). Shared with the serving layer's
-/// HashAffinityPolicy so live routing and replay agree bit-for-bit.
-[[nodiscard]] std::uint64_t affinity_key(
-    const containers::ImageSpec& image) noexcept;
-
-/// One virtual node on the consistent-hash ring.
-struct HashRingPoint {
-  std::uint64_t hash = 0;
-  std::size_t node = 0;
-};
-
-/// Build the sorted ring of `nodes` x `virtual_nodes` deterministic points —
-/// the per-episode state of ConsistentHashRouter, factored out so the
-/// serving layer constructs the identical ring.
-[[nodiscard]] std::vector<HashRingPoint> build_hash_ring(
-    std::size_t nodes, std::size_t virtual_nodes);
-
-/// First ring point clockwise of `key` (wrapping). Requires a non-empty
-/// sorted ring.
-[[nodiscard]] std::size_t hash_ring_pick(
-    const std::vector<HashRingPoint>& ring, std::uint64_t key);
-
-/// Warm-Aware placement over the index: the node holding the best Table-I
-/// match for a function with interned prefixes `keys` (its
-/// sim::FunctionType::level_keys), L3 down to L1; ties break to fewer
-/// in-flight executions, then more free pool memory, then the lowest index;
-/// with no match anywhere (a fleet-wide cold start),
-/// index.least_outstanding(). The one implementation behind
-/// WarmAwareRouter and serve::WarmAwarePolicy. Requires
-/// index.tracks_warm().
-[[nodiscard]] std::size_t warm_aware_node(const FleetIndex& index,
-                                          const containers::LevelKeys& keys);
 
 /// Where a request a policy aimed at some node actually goes.
 struct Placement {
@@ -92,55 +66,74 @@ class Router {
  public:
   virtual ~Router() = default;
 
-  /// Called once per episode, before the first route(); resets per-episode
-  /// state and lets ring-based routers size themselves to the fleet.
-  virtual void on_episode_start(const FleetEnv& fleet) { (void)fleet; }
+  /// Reset per-episode state before the first pick(); `routable` is the
+  /// episode's initial routable node count (ring-based routers size
+  /// themselves to it).
+  virtual void start(std::size_t routable) { (void)routable; }
 
-  /// Pick the node (in [0, fleet.node_count())) that serves `inv`.
+  /// The routing rule: the node (in [0, index.routable_count())) that
+  /// serves `inv`, reading only `index` and `functions`. The default throws
+  /// util::CheckError. It exists only so that decorators which wrap route()
+  /// alone stay concrete; it goes once every decorator wraps pick().
+  [[nodiscard]] virtual std::size_t pick(const FleetIndex& index,
+                                         const sim::FunctionTable& functions,
+                                         const sim::Invocation& inv);
+
+  /// FleetEnv::run's per-episode hook: start(fleet.routable_count()).
+  virtual void on_episode_start(const FleetEnv& fleet);
+
+  /// FleetEnv::run's per-arrival hook: pick() over the run's index, so it
+  /// throws outside FleetEnv::run (FleetEnv::index()).
   [[nodiscard]] virtual std::size_t route(const FleetEnv& fleet,
-                                          const sim::Invocation& inv) = 0;
+                                          const sim::Invocation& inv);
 
-  /// True when this policy consults warm-pool state, so FleetEnv::run
-  /// maintains the FleetIndex's warm side (a key-count diff per node touch
-  /// that load-only policies should not pay).
+  /// True when this policy consults warm-pool state, so the index maintains
+  /// its warm side (a key-count diff per node touch that load-only policies
+  /// should not pay).
   [[nodiscard]] virtual bool needs_warm_index() const { return false; }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Seeded uniform-random node choice.
+/// Seeded uniform-random choice over the routable nodes; draws are
+/// serialized on the router's mutex.
 class RandomRouter final : public Router {
  public:
   explicit RandomRouter(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
 
-  void on_episode_start(const FleetEnv& fleet) override;
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  void start(std::size_t routable) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Random"; }
 
  private:
   std::uint64_t seed_;
+  std::mutex mutex_;
   util::Rng rng_;
 };
 
-/// Cycles through nodes in index order.
+/// Cycles through the routable nodes in index order: an atomic cursor,
+/// next = (next + 1) % routable, so admitted spares join the cycle.
 class RoundRobinRouter final : public Router {
  public:
-  void on_episode_start(const FleetEnv& fleet) override;
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  void start(std::size_t routable) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Round-Robin"; }
 
  private:
-  std::size_t next_ = 0;
+  std::atomic<std::size_t> next_{0};
 };
 
 /// Node with the fewest in-flight executions; ties break to the lowest
 /// index, so results are deterministic. Reads FleetIndex::least_outstanding.
 class LeastOutstandingRouter final : public Router {
  public:
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override {
     return "Least-Outstanding";
   }
@@ -150,65 +143,69 @@ class LeastOutstandingRouter final : public Router {
 /// language package levels. Functions that share an OS + language stack map
 /// to the same node (preserving multi-level reuse), a single function type
 /// always maps to one node (preserving classic L3 warm starts), and only
-/// ~1/N of keys move when the fleet grows by one node.
+/// ~1/N of keys move when the fleet grows by one node. The ring covers the
+/// episode's initial routable set and is read-only between start()s.
 class ConsistentHashRouter final : public Router {
  public:
   explicit ConsistentHashRouter(std::size_t virtual_nodes = 64);
 
-  void on_episode_start(const FleetEnv& fleet) override;
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  void start(std::size_t routable) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] std::string name() const override { return "Hash-Affinity"; }
 
  private:
   std::size_t virtual_nodes_;
-  std::vector<HashRingPoint> ring_;  ///< sorted by hash
+  /// (hash, node) per virtual node, sorted.
+  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 
 /// Routes to the node holding the best Table-I match with the invocation's
-/// image: warm_aware_node over FleetEnv::index(). Ties break to the node
+/// image, looked up in the warm index from L3 down. Ties break to the node
 /// with fewer in-flight executions, then more free pool memory, then the
 /// lowest index; with no match anywhere (a fleet-wide cold start), to the
 /// least-outstanding node.
 class WarmAwareRouter final : public Router {
  public:
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] bool needs_warm_index() const override { return true; }
   [[nodiscard]] std::string name() const override { return "Warm-Aware"; }
 };
 
 /// Health-aware recovery baseline (DESIGN.md §14): wraps any router with a
-/// per-node failure-rate tracker. Every route() observation folds each
-/// node's state into an EWMA — signal 1 while the node is down or it failed
-/// an invocation since the last look, 0 otherwise — and when the inner
-/// policy picks a node that is down *or* whose EWMA exceeds the threshold,
-/// the invocation steers to the healthy routable node with the lowest EWMA
-/// (ties: fewer in-flight executions, then lowest index). Crashed and
-/// recently-flaky nodes shed load until their EWMA decays, which spreads
-/// the recovery cold-start storm instead of replaying it into the node
-/// that just rejoined. Purely a function of observed simulator state: no
-/// RNG, deterministic and replayable under SimClock.
+/// per-node failure-rate tracker. Every pick() folds each node's state, as
+/// the index last saw it, into an EWMA — signal 1 while the node is down or
+/// its failed-invocation count grew since the last look, 0 otherwise — and
+/// when the inner policy picks a node that is down *or* whose EWMA exceeds
+/// the threshold, the invocation steers to the healthy routable node with
+/// the lowest EWMA (ties: fewer in-flight executions, then lowest index).
+/// Crashed and recently-flaky nodes shed load until their EWMA decays,
+/// which spreads the recovery cold-start storm instead of replaying it into
+/// the node that just rejoined. A pure function of the index: no RNG,
+/// deterministic and replayable under SimClock. The inner pick runs before
+/// the router's own mutex is taken, so that mutex stays innermost.
 class HealthAwareRouter final : public Router {
  public:
   explicit HealthAwareRouter(std::unique_ptr<Router> inner,
                              double alpha = 0.3, double threshold = 0.5);
 
-  void on_episode_start(const FleetEnv& fleet) override;
-  [[nodiscard]] std::size_t route(const FleetEnv& fleet,
-                                  const sim::Invocation& inv) override;
+  void start(std::size_t routable) override;
+  [[nodiscard]] std::size_t pick(const FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override;
   [[nodiscard]] bool needs_warm_index() const override;
   [[nodiscard]] std::string name() const override;
 
  private:
-  /// Fold the fleet's current health into the per-node EWMAs.
-  void observe(const FleetEnv& fleet);
-
   std::unique_ptr<Router> inner_;
   double alpha_;      ///< EWMA smoothing factor, in (0, 1]
   double threshold_;  ///< steer away above this failure rate, in [0, 1]
+  std::mutex mutex_;  ///< guards the two vectors below
   std::vector<double> ewma_;  ///< per-node failure-rate estimate
-  std::vector<std::size_t> last_failed_;  ///< failed_count() at last look
+  std::vector<std::size_t> last_failed_;  ///< failed count at last look
 };
 
 /// A named router source, so benches can sweep policies the way they sweep

@@ -1,25 +1,20 @@
-// Routing policies for the concurrent scheduler service. Each is the
-// serving-side host of a fleet::Router policy: it reads the service's
-// locked index instead of the FleetEnv, and the index-reading policies call
-// the fleet's own code (FleetIndex::least_outstanding, fleet::
-// warm_aware_node), so over an up-to-date index every policy picks the same
-// node its fleet router would — the bit-identity the deterministic-replay
-// tests pin. route() must be safe to call from many worker threads at once
-// (stateful policies guard their own state).
+// Routing policies for the concurrent scheduler service. A RoutePolicy picks
+// the node that serves a request from the service's locked index. Every
+// routing rule is a fleet::Router, written once over a const FleetIndex&
+// (fleet/router.hpp); RouterPolicy hosts any of them by running its pick()
+// under the index's shared lock, so over an up-to-date index each hosted
+// router picks the node it picks inside FleetEnv::run — the bit-identity
+// the golden replay tests pin. route() may be called from many worker
+// threads at once; a hosted router guards its own state (see router.hpp),
+// and its mutex is the only lock taken under the index lock.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "fleet/router.hpp"
 #include "serve/sharded_index.hpp"
 #include "sim/invocation.hpp"
-#include "util/rng.hpp"
 
 namespace mlcr::sim {
 class FunctionTable;
@@ -31,8 +26,9 @@ class RoutePolicy {
  public:
   virtual ~RoutePolicy() = default;
 
-  /// Called once per service episode, before the first route(); resets
-  /// per-episode state and lets ring-based policies size themselves.
+  /// Called once per service episode, before the first route(), with the
+  /// episode's initial routable node count; resets per-episode state and
+  /// lets ring-based policies size themselves.
   virtual void on_episode_start(std::size_t node_count) { (void)node_count; }
 
   /// Pick the node (in [0, index routable_count())) that serves `inv`. May
@@ -48,91 +44,27 @@ class RoutePolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Seeded uniform-random choice over the routable nodes; draws are
-/// serialized on a mutex, so under single-threaded replay the stream
-/// matches fleet::RandomRouter.
-class RandomPolicy final : public RoutePolicy {
+/// Hosts a fleet::Router in the service: on_episode_start() is its start(),
+/// and route() is its pick() under the index's shared lock.
+class RouterPolicy : public RoutePolicy {
  public:
-  explicit RandomPolicy(std::uint64_t seed = 1) : seed_(seed), rng_(seed) {}
+  explicit RouterPolicy(std::unique_ptr<fleet::Router> router);
 
   void on_episode_start(std::size_t node_count) override;
   [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
                                   const sim::FunctionTable& functions,
                                   const sim::Invocation& inv) override;
-  [[nodiscard]] std::string name() const override { return "Random"; }
+  [[nodiscard]] bool needs_warm_index() const override;
+  [[nodiscard]] std::string name() const override;
 
  private:
-  std::uint64_t seed_;
-  std::mutex mutex_;
-  util::Rng rng_;
+  std::unique_ptr<fleet::Router> router_;
 };
 
-/// Cycles through the routable nodes in index order (atomic cursor, the
-/// fleet::RoundRobinRouter rule).
-class RoundRobinPolicy final : public RoutePolicy {
+/// fleet::RoundRobinRouter, hosted.
+class RoundRobinPolicy final : public RouterPolicy {
  public:
-  void on_episode_start(std::size_t node_count) override;
-  [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
-                                  const sim::FunctionTable& functions,
-                                  const sim::Invocation& inv) override;
-  [[nodiscard]] std::string name() const override { return "Round-Robin"; }
-
- private:
-  std::atomic<std::size_t> next_{0};
+  RoundRobinPolicy();
 };
-
-/// Node with the fewest in-flight executions (lowest index on ties):
-/// FleetIndex::least_outstanding under the index's shared lock.
-class LeastOutstandingPolicy final : public RoutePolicy {
- public:
-  [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
-                                  const sim::FunctionTable& functions,
-                                  const sim::Invocation& inv) override;
-  [[nodiscard]] std::string name() const override {
-    return "Least-Outstanding";
-  }
-};
-
-/// Consistent hashing on the image's OS + language levels — the identical
-/// ring and key as fleet::ConsistentHashRouter (shared helpers). Routing is
-/// a pure read of the per-episode ring: no locks, no index access — the
-/// fastest policy in bench/serve_throughput.
-class HashAffinityPolicy final : public RoutePolicy {
- public:
-  explicit HashAffinityPolicy(std::size_t virtual_nodes = 64);
-
-  void on_episode_start(std::size_t node_count) override;
-  [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
-                                  const sim::FunctionTable& functions,
-                                  const sim::Invocation& inv) override;
-  [[nodiscard]] std::string name() const override { return "Hash-Affinity"; }
-
- private:
-  std::size_t virtual_nodes_;
-  std::vector<fleet::HashRingPoint> ring_;  ///< rebuilt per episode
-};
-
-/// Best Table-I match across the fleet: fleet::warm_aware_node — the same
-/// code as fleet::WarmAwareRouter's index path — under the index's shared
-/// lock.
-class WarmAwarePolicy final : public RoutePolicy {
- public:
-  [[nodiscard]] std::size_t route(const ShardedFleetIndex& index,
-                                  const sim::FunctionTable& functions,
-                                  const sim::Invocation& inv) override;
-  [[nodiscard]] bool needs_warm_index() const override { return true; }
-  [[nodiscard]] std::string name() const override { return "Warm-Aware"; }
-};
-
-/// A named policy source (fresh instance per episode), mirroring
-/// fleet::RouterSpec so benches/tests sweep serving policies the same way.
-struct PolicySpec {
-  std::string name;
-  std::function<std::unique_ptr<RoutePolicy>()> make;
-};
-
-/// The five standard policies, named identically to fleet::standard_routers
-/// (`seed` feeds the random policy).
-[[nodiscard]] std::vector<PolicySpec> standard_policies(std::uint64_t seed = 1);
 
 }  // namespace mlcr::serve

@@ -1,8 +1,9 @@
 // The serving layer's fleet index (DESIGN.md §11): one fleet::FleetIndex
 // behind one std::shared_mutex. Routing reads it through read(), which runs
-// a function over the index under the shared lock — the same index and the
-// same routing functions (fleet::warm_aware_node, fleet::fail_over)
-// FleetEnv::run uses, so every query is bit-identical to the fleet's.
+// a function over the index under the shared lock — the same index, the
+// same fleet::Router::pick rules and the same failover rule
+// (fleet::fail_over) FleetEnv::run uses, so every query is bit-identical to
+// the fleet's.
 // Dispatch and the janitor write it under the unique lock, one node at a
 // time, while holding that node's dispatch-stripe mutex. The index is not
 // sharded; the type keeps its name for callers outside the library.
@@ -58,7 +59,10 @@ class ShardedFleetIndex {
 
   /// Reader: `fn(const fleet::FleetIndex&)` under the shared lock; returns
   /// a copy of what `fn` returns, so nothing it returns may point into the
-  /// index. `fn` must not take any other lock.
+  /// index. The only lock `fn` may take is a hosted router's own mutex,
+  /// which is innermost: nothing is acquired while it is held. That mutex
+  /// carries no rank in util::lock_ranks, since the index lock is a leaf
+  /// there.
   template <typename Fn>
   auto read(Fn&& fn) const {
     std::shared_lock lock(index_mutex_, std::try_to_lock);

@@ -51,7 +51,7 @@ void ClusterEnv::set_tracer(obs::Tracer* tracer, std::uint32_t track) noexcept {
 void ClusterEnv::reset(const Trace& trace) {
   trace_ = &trace;
   streaming_ = false;
-  stream_.clear();
+  offered_ = 0;
   now_ = trace.empty() ? 0.0 : trace.at(0).arrival_s;
   reset_common();
   episode_finished_ = trace.empty();
@@ -60,7 +60,7 @@ void ClusterEnv::reset(const Trace& trace) {
 void ClusterEnv::reset_streaming() {
   trace_ = nullptr;
   streaming_ = true;
-  stream_.clear();
+  offered_ = 0;
   now_ = 0.0;
   reset_common();
   episode_finished_ = false;
@@ -69,20 +69,21 @@ void ClusterEnv::reset_streaming() {
 void ClusterEnv::offer(Invocation inv) {
   MLCR_CHECK_MSG(streaming_, "offer() requires reset_streaming()");
   MLCR_CHECK_MSG(!down_, "offer() to a crashed node (invocation "
-                             << stream_.size() << ", seq " << inv.seq
+                             << offered_ << ", seq " << inv.seq
                              << "): route around it or recover() first");
   MLCR_CHECK_MSG(done(), "previous invocation has not been stepped yet");
   MLCR_CHECK_MSG(inv.function < functions_.size(),
-                 "invocation " << stream_.size() << " (seq " << inv.seq
+                 "invocation " << offered_ << " (seq " << inv.seq
                                << ") names unknown function id "
                                << inv.function << " (table has "
                                << functions_.size() << " types)");
   MLCR_CHECK_MSG(inv.arrival_s >= now_,
-                 "invocation " << stream_.size() << " (seq " << inv.seq
+                 "invocation " << offered_ << " (seq " << inv.seq
                                << ") arrives at " << inv.arrival_s
                                << "s, before the node clock " << now_
                                << "s — traces must be in arrival order");
-  stream_.push_back(inv);
+  pending_ = inv;
+  ++offered_;
   drain_to(inv.arrival_s);
   MLCR_AUDIT_POINT(audit());
 }
@@ -181,12 +182,15 @@ void ClusterEnv::recover(double time) {
 }
 
 bool ClusterEnv::done() const noexcept {
-  if (streaming_) return next_index_ >= stream_.size();
+  if (streaming_) return next_index_ >= offered_;
   return trace_ == nullptr || next_index_ >= trace_->size();
 }
 
 const Invocation& ClusterEnv::at(std::size_t i) const {
-  return streaming_ ? stream_[i] : trace_->at(i);
+  if (!streaming_) return trace_->at(i);
+  MLCR_CHECK_MSG(i + 1 == offered_, "streaming mode keeps only the pending "
+                                    "invocation, not invocation " << i);
+  return pending_;
 }
 
 const Invocation& ClusterEnv::current() const {
@@ -544,7 +548,7 @@ void ClusterEnv::audit() const {
   // ordering contract.
   metrics_.audit(/*require_seq_order=*/!streaming_);
   const std::size_t episode_size =
-      streaming_ ? stream_.size() : (trace_ != nullptr ? trace_->size() : 0);
+      streaming_ ? offered_ : (trace_ != nullptr ? trace_->size() : 0);
   MLCR_CHECK_MSG(next_index_ <= episode_size, "episode index out of range");
   MLCR_CHECK_MSG(metrics_.invocation_count() == next_index_,
                  "metrics record count diverged from scheduled invocations");

@@ -165,7 +165,6 @@ class ClusterEnv {
     return cost_model_;
   }
   [[nodiscard]] const EnvConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const Trace* trace() const noexcept { return trace_; }
 
   /// Table-I match between the current pool container and a function type.
   /// Returns kNoMatch for unknown containers.
@@ -254,7 +253,11 @@ class ClusterEnv {
 
   const Trace* trace_ = nullptr;
   bool streaming_ = false;
-  std::vector<Invocation> stream_;  ///< offered invocations (streaming mode)
+  /// Streaming mode: the last offered invocation (the current one until
+  /// step()) and how many were offered this episode. Nothing else of an
+  /// offered invocation is kept.
+  Invocation pending_;
+  std::size_t offered_ = 0;
   std::size_t next_index_ = 0;
   double now_ = 0.0;
   std::unique_ptr<containers::WarmPool> pool_;

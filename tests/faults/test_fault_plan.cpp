@@ -87,7 +87,7 @@ TEST(SampleCrashWindows, ProducesValidPlansAndRespectsTheCap) {
   const std::size_t nodes = 8;
   const std::size_t cap = 2;
   const auto windows =
-      sample_crash_windows(nodes, 1000.0, 1.5, 30.0, cap, rng);
+      sample_domain_crash_windows(nodes, 1000.0, 1.5, 30.0, cap, {}, rng);
   FaultPlan plan;
   plan.crashes = windows;
   plan.validate(nodes);  // sorted, non-inverted, non-overlapping per node
@@ -104,8 +104,8 @@ TEST(SampleCrashWindows, ProducesValidPlansAndRespectsTheCap) {
 TEST(SampleCrashWindows, DeterministicForEqualStreams) {
   util::Rng a(99);
   util::Rng b(99);
-  const auto wa = sample_crash_windows(4, 500.0, 2.0, 20.0, 1, a);
-  const auto wb = sample_crash_windows(4, 500.0, 2.0, 20.0, 1, b);
+  const auto wa = sample_domain_crash_windows(4, 500.0, 2.0, 20.0, 1, {}, a);
+  const auto wb = sample_domain_crash_windows(4, 500.0, 2.0, 20.0, 1, {}, b);
   ASSERT_EQ(wa.size(), wb.size());
   for (std::size_t i = 0; i < wa.size(); ++i) {
     EXPECT_EQ(wa[i].node, wb[i].node);
@@ -116,7 +116,8 @@ TEST(SampleCrashWindows, DeterministicForEqualStreams) {
 
 TEST(SampleCrashWindows, ZeroRateYieldsNoWindows) {
   util::Rng rng(1);
-  EXPECT_TRUE(sample_crash_windows(4, 100.0, 0.0, 10.0, 1, rng).empty());
+  EXPECT_TRUE(
+      sample_domain_crash_windows(4, 100.0, 0.0, 10.0, 1, {}, rng).empty());
 }
 
 TEST(FaultInjector, DrawsMatchAnEqualStreamAndCount) {

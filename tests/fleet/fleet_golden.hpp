@@ -34,7 +34,7 @@
 
 namespace mlcr::fleet::golden {
 
-/// Seed of the Random router (and of serve::RandomPolicy in the replay pin).
+/// Seed of the Random router, in FleetEnv::run and hosted by the service.
 inline constexpr std::uint64_t kRouterSeed = 7;
 
 /// Functions, catalog and cost model a scenario's fleet is built over.
@@ -97,9 +97,10 @@ class Matrix {
     crashes.faults.startup_failure_prob = 0.2;
     crashes.faults.retry.max_attempts = 3;
     util::Rng crash_rng(17);
-    crashes.faults.crashes = faults::sample_crash_windows(
+    crashes.faults.crashes = faults::sample_domain_crash_windows(
         crashes.nodes, crash_trace.span_s(), /*crashes_per_node=*/2.0,
-        /*mean_downtime_s=*/40.0, /*max_concurrent_down=*/3, crash_rng);
+        /*mean_downtime_s=*/40.0, /*max_concurrent_down=*/3,
+        faults::DomainPlan{}, crash_rng);
     add("crashes/overall", bench, crashes, crash_trace);
     add("crashes/ttl", tiny, crashes, ttl);
 

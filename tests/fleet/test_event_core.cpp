@@ -65,9 +65,9 @@ TEST(FleetEventCore, SetFaultPlanMatchesConstructionPlan) {
 
   faults::FaultPlan plan;
   util::Rng crash_rng(23);
-  plan.crashes = faults::sample_crash_windows(
+  plan.crashes = faults::sample_domain_crash_windows(
       3, trace.span_s(), /*crashes_per_node=*/1.5, /*mean_downtime_s=*/30.0,
-      /*max_concurrent_down=*/2, crash_rng);
+      /*max_concurrent_down=*/2, faults::DomainPlan{}, crash_rng);
   ASSERT_FALSE(plan.crashes.empty());
 
   fleet::FleetConfig cfg;

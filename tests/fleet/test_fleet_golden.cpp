@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -39,7 +40,20 @@ std::map<std::string, std::string> load_golden() {
   return lines;
 }
 
-TEST(FleetGolden, RunMatchesGolden) {
+/// `cell()`'s golden line, or the message of what it threw, so a cell that
+/// throws fails alone instead of ending the sweep.
+template <typename Cell>
+std::string line_or_error(Cell&& cell) {
+  try {
+    return cell();
+  } catch (const std::exception& e) {
+    return std::string("threw: ") + e.what();
+  }
+}
+
+/// Compares `line(scenario, spec)` with the golden line of every cell.
+template <typename Line>
+void expect_golden(Line&& line) {
   const auto expected = load_golden();
   const golden::Matrix matrix;
   const std::vector<fleet::RouterSpec> routers = golden::routers();
@@ -51,30 +65,31 @@ TEST(FleetGolden, RunMatchesGolden) {
       SCOPED_TRACE(key);
       const auto it = expected.find(key);
       ASSERT_NE(it, expected.end());
-      EXPECT_EQ(golden::run_line(scenario, spec), it->second);
+      EXPECT_EQ(line_or_error([&] { return line(scenario, spec); }),
+                it->second);
     }
 }
 
-/// The serving plane's deterministic replay routes through the same index
-/// queries and failover rule, so each standard policy must reproduce its
-/// fleet router's golden line.
+TEST(FleetGolden, RunMatchesGolden) { expect_golden(golden::run_line); }
+
+/// A fresh `spec` router hosted as a serving policy.
+std::unique_ptr<serve::RoutePolicy> hosted(const fleet::RouterSpec& spec) {
+  return std::make_unique<serve::RouterPolicy>(spec.make());
+}
+
+/// The serving plane's deterministic replay hosts the same routers over its
+/// own index and fails over by the same rule, so every router spec, bare and
+/// health-aware, must reproduce its golden line.
 TEST(FleetGolden, ReplayMatchesGolden) {
-  const auto expected = load_golden();
-  const golden::Matrix matrix;
-  for (const golden::Scenario& scenario : matrix.scenarios())
-    for (const serve::PolicySpec& spec :
-         serve::standard_policies(golden::kRouterSeed)) {
-      const std::string key = scenario.name + ' ' + spec.name;
-      SCOPED_TRACE(key);
-      const auto it = expected.find(key);
-      ASSERT_NE(it, expected.end());
-      fleet::FleetEnv fleet = golden::make_fleet(scenario);
-      serve::SimClock clock;
-      serve::SchedulerService service(fleet, clock, spec.make(),
-                                      serve::ServeConfig{});
-      const serve::ServeSummary replay = service.run_replay(scenario.trace);
-      EXPECT_EQ(golden::line(scenario.name, replay.fleet), it->second);
-    }
+  expect_golden([](const golden::Scenario& scenario,
+                   const fleet::RouterSpec& spec) {
+    fleet::FleetEnv fleet = golden::make_fleet(scenario);
+    serve::SimClock clock;
+    serve::SchedulerService service(fleet, clock, hosted(spec),
+                                    serve::ServeConfig{});
+    return golden::line(scenario.name,
+                        service.run_replay(scenario.trace).fleet);
+  });
 }
 
 /// The path perfbench's serve-mlcr times: requests submitted in arrival
@@ -85,32 +100,24 @@ TEST(FleetGolden, ReplayMatchesGolden) {
 /// queues, submit() deals the requests round-robin over them and the pump
 /// must still serve them in arrival order.
 void expect_pumped_golden(std::size_t per_pump, std::size_t workers = 1) {
-  const auto expected = load_golden();
-  const golden::Matrix matrix;
-  for (const golden::Scenario& scenario : matrix.scenarios())
-    for (const serve::PolicySpec& spec :
-         serve::standard_policies(golden::kRouterSeed)) {
-      const std::string key = scenario.name + ' ' + spec.name;
-      SCOPED_TRACE(key);
-      const auto it = expected.find(key);
-      ASSERT_NE(it, expected.end());
-      fleet::FleetEnv fleet = golden::make_fleet(scenario);
-      serve::SimClock clock;
-      serve::ServeConfig config;
-      config.workers = workers;
-      serve::SchedulerService service(fleet, clock, spec.make(), config);
-      service.begin_episode();
-      const auto& invs = scenario.trace.invocations();
-      for (std::size_t i = 0; i < invs.size(); i += per_pump) {
-        const std::size_t end = std::min(invs.size(), i + per_pump);
-        clock.advance_to(invs[end - 1].arrival_s);
-        for (std::size_t k = i; k < end; ++k)
-          ASSERT_TRUE(service.submit(invs[k]));
-        ASSERT_EQ(service.pump_once(), end - i);
-      }
-      const serve::ServeSummary pumped = service.finish_episode();
-      EXPECT_EQ(golden::line(scenario.name, pumped.fleet), it->second);
+  expect_golden([&](const golden::Scenario& scenario,
+                    const fleet::RouterSpec& spec) -> std::string {
+    fleet::FleetEnv fleet = golden::make_fleet(scenario);
+    serve::SimClock clock;
+    serve::ServeConfig config;
+    config.workers = workers;
+    serve::SchedulerService service(fleet, clock, hosted(spec), config);
+    service.begin_episode();
+    const auto& invs = scenario.trace.invocations();
+    for (std::size_t i = 0; i < invs.size(); i += per_pump) {
+      const std::size_t end = std::min(invs.size(), i + per_pump);
+      clock.advance_to(invs[end - 1].arrival_s);
+      for (std::size_t k = i; k < end; ++k)
+        if (!service.submit(invs[k])) return "a submit was rejected";
+      if (service.pump_once() != end - i) return "a pump served a part";
     }
+    return golden::line(scenario.name, service.finish_episode().fleet);
+  });
 }
 
 TEST(FleetGolden, OneRequestPerPumpMatchesGolden) { expect_pumped_golden(1); }

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,24 +34,25 @@ fleet::FleetEnv make_fleet(const TinyWorld& world, std::size_t nodes,
 
 TEST(Router, RoundRobinCyclesThroughNodes) {
   const TinyWorld world;
-  auto env = make_fleet(world, 3);
+  const fleet::FleetIndex index(3, /*track_warm=*/false);
   fleet::RoundRobinRouter router;
-  router.on_episode_start(env);
+  router.start(index.routable_count());
   const auto inv = TinyWorld::inv(world.fn_py_flask, 0.0);
   for (std::size_t i = 0; i < 7; ++i)
-    EXPECT_EQ(router.route(env, inv), i % 3);
+    EXPECT_EQ(router.pick(index, world.functions, inv), i % 3);
 }
 
 TEST(Router, RandomStaysInRangeAndIsSeedDeterministic) {
   const TinyWorld world;
-  auto env = make_fleet(world, 4);
+  const fleet::FleetIndex index(4, /*track_warm=*/false);
   const auto inv = TinyWorld::inv(world.fn_py_flask, 0.0);
 
   auto sequence = [&](std::uint64_t seed) {
     fleet::RandomRouter router(seed);
-    router.on_episode_start(env);
+    router.start(index.routable_count());
     std::vector<std::size_t> out;
-    for (int i = 0; i < 50; ++i) out.push_back(router.route(env, inv));
+    for (int i = 0; i < 50; ++i)
+      out.push_back(router.pick(index, world.functions, inv));
     return out;
   };
   const auto a = sequence(3);
@@ -86,28 +88,27 @@ TEST(Router, LeastOutstandingPicksIdleNode) {
 
 TEST(Router, ConsistentHashIsStableAndColocatesSharedStacks) {
   const TinyWorld world;
-  auto env = make_fleet(world, 4);
+  const fleet::FleetIndex index(4, /*track_warm=*/false);
   fleet::ConsistentHashRouter router;
-  router.on_episode_start(env);
-
-  const auto flask = TinyWorld::inv(world.fn_py_flask, 0.0);
-  const auto numpy = TinyWorld::inv(world.fn_py_numpy, 0.0);
-  const auto js = TinyWorld::inv(world.fn_js, 0.0);
+  router.start(index.routable_count());
+  const auto node_of = [&](sim::FunctionTypeId fn) {
+    return router.pick(index, world.functions, TinyWorld::inv(fn, 0.0));
+  };
 
   // Same function always maps to the same node.
-  EXPECT_EQ(router.route(env, flask), router.route(env, flask));
+  EXPECT_EQ(node_of(world.fn_py_flask), node_of(world.fn_py_flask));
   // Functions sharing OS + language (L2 pair) colocate: the affinity key
   // excludes the runtime level by design.
-  EXPECT_EQ(router.route(env, flask), router.route(env, numpy));
+  EXPECT_EQ(node_of(world.fn_py_flask), node_of(world.fn_py_numpy));
   // A different language stack is allowed to map elsewhere (not asserted:
   // hashing may collide), but the mapping must be deterministic.
-  EXPECT_EQ(router.route(env, js), router.route(env, js));
+  EXPECT_EQ(node_of(world.fn_js), node_of(world.fn_js));
 }
 
 TEST(Router, ConsistentHashMovesFewKeysWhenFleetGrows) {
   const TinyWorld world;
-  auto env4 = make_fleet(world, 4);
-  auto env5 = make_fleet(world, 5);
+  const fleet::FleetIndex index4(4, /*track_warm=*/false);
+  const fleet::FleetIndex index5(5, /*track_warm=*/false);
   fleet::ConsistentHashRouter router(/*virtual_nodes=*/128);
 
   // With only 4 function types the key space is tiny; use all of them and
@@ -115,14 +116,17 @@ TEST(Router, ConsistentHashMovesFewKeysWhenFleetGrows) {
   // whole point of the ring vs. modulo hashing).
   const std::vector<sim::FunctionTypeId> fns = {
       world.fn_py_flask, world.fn_py_numpy, world.fn_js, world.fn_other_os};
-  router.on_episode_start(env4);
+  router.start(4);
   std::vector<std::size_t> before;
   for (const auto fn : fns)
-    before.push_back(router.route(env4, TinyWorld::inv(fn, 0.0)));
-  router.on_episode_start(env5);
+    before.push_back(
+        router.pick(index4, world.functions, TinyWorld::inv(fn, 0.0)));
+  router.start(5);
   std::size_t moved = 0;
   for (std::size_t i = 0; i < fns.size(); ++i)
-    if (router.route(env5, TinyWorld::inv(fns[i], 0.0)) != before[i]) ++moved;
+    if (router.pick(index5, world.functions, TinyWorld::inv(fns[i], 0.0)) !=
+        before[i])
+      ++moved;
   EXPECT_LE(moved, fns.size() - 1) << "growing 4->5 nodes moved every key";
 }
 
@@ -163,6 +167,31 @@ TEST(Router, IndexRoutersThrowOutsideARun) {
   // After a run the index is gone again.
   (void)env.run(TinyWorld::make_trace({inv}), warm);
   EXPECT_THROW((void)warm.route(env, inv), util::CheckError);
+}
+
+/// A decorator that wraps route() alone still runs inside FleetEnv::run,
+/// but has no rule to host over an index: its pick() throws.
+TEST(Router, RouteOnlyDecoratorsRunButCannotBeHosted) {
+  class RouteOnly final : public fleet::Router {
+   public:
+    [[nodiscard]] std::size_t route(const fleet::FleetEnv& fleet,
+                                    const sim::Invocation& inv) override {
+      return inner_.route(fleet, inv);
+    }
+    [[nodiscard]] std::string name() const override { return "Route-Only"; }
+
+   private:
+    fleet::LeastOutstandingRouter inner_;
+  };
+  const TinyWorld world;
+  auto env = make_fleet(world, 2);
+  const auto inv = TinyWorld::inv(world.fn_py_flask, 0.0);
+  RouteOnly router;
+  EXPECT_EQ(env.run(TinyWorld::make_trace({inv}), router).total.invocations,
+            1U);
+  const fleet::FleetIndex index(2, /*track_warm=*/false);
+  EXPECT_THROW((void)router.pick(index, world.functions, inv),
+               util::CheckError);
 }
 
 /// A fleet whose node 0 is down from t=2 to t=7 (recovery mid-trace), for

@@ -3,8 +3,10 @@
 // decision, two replays must be byte-identical through the whole telemetry
 // plane, the live chaos admin APIs must keep the service accounting exact,
 // and a domain crash racing concurrent dispatch (a node crashing between
-// routing and dispatch fails the request over) must stay data-race-free
-// (the TSan CI job runs this suite).
+// routing and dispatch fails the request over) must stay data-race-free, as
+// must the stateful hosted routers (Random's generator, Health-Aware's
+// EWMAs) picking concurrently while nodes crash (the TSan CI job runs this
+// suite).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -91,12 +93,15 @@ TEST(ServeFaults, CorrelatedReplayMatchesFleetRun) {
   SimClock clock;
   ServeConfig serve_cfg;
   serve_cfg.shards = 3;
-  SchedulerService service(replay_fleet, clock,
-                           std::make_unique<WarmAwarePolicy>(), serve_cfg);
+  SchedulerService service(
+      replay_fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::WarmAwareRouter>()),
+      serve_cfg);
   const ServeSummary replay = service.run_replay(trace);
 
-  // WarmAwarePolicy runs the Warm-Aware router's index code, and both
-  // planes fail over through fleet::fail_over. Fault accounting and every
+  // Both planes run the same Warm-Aware router over their index and fail
+  // over through fleet::fail_over. Fault accounting and every
   // scheduling outcome must agree.
   EXPECT_EQ(replay.fleet.total.invocations, reference.total.invocations);
   EXPECT_EQ(replay.fleet.total.cold_starts, reference.total.cold_starts);
@@ -136,8 +141,11 @@ TEST(ServeFaults, TwoCorrelatedReplaysAreByteIdentical) {
     Telemetry telemetry(tcfg, &tracer);
     ServeConfig serve_cfg;
     serve_cfg.shards = 2;
-    SchedulerService service(fleet, clock,
-                             std::make_unique<WarmAwarePolicy>(), serve_cfg);
+    SchedulerService service(
+        fleet, clock,
+        std::make_unique<RouterPolicy>(
+            std::make_unique<fleet::WarmAwareRouter>()),
+        serve_cfg);
     service.set_telemetry(&telemetry);
     const ServeSummary summary = service.run_replay(trace);
     tracer.close();
@@ -171,9 +179,11 @@ TEST(ServeFaults, AdminApisKeepAccountingAndAdmitSpares) {
   SimClock clock;
   ServeConfig serve_cfg;
   serve_cfg.shards = 2;
-  SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
-                           serve_cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::LeastOutstandingRouter>()),
+      serve_cfg);
   service.begin_episode();
   EXPECT_EQ(fleet.routable_count(), 6U);
 
@@ -216,8 +226,11 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
   serve_cfg.workers = 3;
   serve_cfg.shards = 3;
   serve_cfg.queue_capacity = 4096;
-  SchedulerService service(fleet, clock,
-                           std::make_unique<WarmAwarePolicy>(), serve_cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::WarmAwareRouter>()),
+      serve_cfg);
   service.begin_episode();
   service.start();
 
@@ -269,6 +282,115 @@ TEST(ServeFaults, DomainCrashRacesDispatchWithoutCorruption) {
                 summary.stats.lost);
   EXPECT_GT(summary.fleet.node_crashes, 0U);
   EXPECT_EQ(summary.fleet.spares_activated, 1U);
+}
+
+/// Hosts `inner`, counting its picks and the picks at or beyond the index's
+/// routable count, read under the same shared lock as the pick itself.
+class CountingRouter final : public fleet::Router {
+ public:
+  CountingRouter(std::unique_ptr<fleet::Router> inner,
+                 std::atomic<std::size_t>& picks,
+                 std::atomic<std::size_t>& out_of_range)
+      : inner_(std::move(inner)), picks_(picks), out_of_range_(out_of_range) {}
+
+  void start(std::size_t routable) override { inner_->start(routable); }
+  [[nodiscard]] std::size_t pick(const fleet::FleetIndex& index,
+                                 const sim::FunctionTable& functions,
+                                 const sim::Invocation& inv) override {
+    const std::size_t node = inner_->pick(index, functions, inv);
+    picks_.fetch_add(1, std::memory_order_relaxed);
+    if (node >= index.routable_count())
+      out_of_range_.fetch_add(1, std::memory_order_relaxed);
+    return node;
+  }
+  [[nodiscard]] bool needs_warm_index() const override {
+    return inner_->needs_warm_index();
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<fleet::Router> inner_;
+  std::atomic<std::size_t>& picks_;
+  std::atomic<std::size_t>& out_of_range_;
+};
+
+/// Random and Health-Aware(Random) keep mutable state behind their own
+/// mutex; hosted by the service, two workers pick concurrently while ONE
+/// admin thread crashes and recovers nodes one at a time (the first crash
+/// admits the cold spare). Every accepted request is picked once, every
+/// pick lies inside the routable set it was made over, and the accounting
+/// stays exact.
+TEST(ServeFaults, HostedStatefulRoutersPickConcurrentlyWithLiveCrashes) {
+  const fleet::RouterSpec random{
+      "Random", [] { return std::make_unique<fleet::RandomRouter>(11); }};
+  for (const fleet::RouterSpec& spec :
+       {random, fleet::with_health_aware(random)}) {
+    SCOPED_TRACE(spec.name);
+    TinyWorld world;
+    const sim::StartupCostModel cost = world.cost_model();
+    fleet::FleetConfig cfg = domain_fleet_config();
+    cfg.faults.crashes.clear();
+    fleet::FleetEnv fleet(world.functions, world.catalog, cost, cfg,
+                          fleet::uniform_system(
+                              policies::make_greedy_match_system));
+    std::atomic<std::size_t> picks{0};
+    std::atomic<std::size_t> out_of_range{0};
+    WallClock clock;
+    ServeConfig serve_cfg;
+    serve_cfg.workers = 2;
+    serve_cfg.shards = 3;
+    serve_cfg.queue_capacity = 4096;
+    SchedulerService service(
+        fleet, clock,
+        std::make_unique<RouterPolicy>(std::make_unique<CountingRouter>(
+            spec.make(), picks, out_of_range)),
+        serve_cfg);
+    ASSERT_EQ(service.policy().name(), spec.name);
+    service.begin_episode();
+    service.start();
+
+    constexpr std::size_t kProducers = 2;
+    constexpr std::size_t kPerProducer = 300;
+    const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
+                                       world.fn_js, world.fn_other_os};
+    std::atomic<bool> started{false};
+    std::atomic<bool> stop{false};
+    std::thread admin([&] {
+      started.store(true);
+      std::size_t round = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::size_t node = round % 6;
+        (void)service.apply_crash(node, /*partial=*/round % 2 == 1);
+        std::this_thread::yield();
+        (void)service.apply_recover(node);
+        ++round;
+      }
+    });
+    std::vector<std::thread> producers;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        while (!started.load()) std::this_thread::yield();
+        for (std::size_t i = 0; i < kPerProducer; ++i) {
+          sim::Invocation inv = TinyWorld::inv(
+              fns[(p + i) % 4], 0.001 * static_cast<double>(i), 0.02);
+          inv.seq = p * kPerProducer + i;
+          (void)service.submit(inv);
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+    stop.store(true);
+    admin.join();
+    const ServeSummary summary = service.finish_episode();
+
+    const ServeStats& s = summary.stats;
+    EXPECT_EQ(s.submitted, kProducers * kPerProducer);
+    EXPECT_EQ(s.submitted, s.routed + s.rejected + s.lost);
+    EXPECT_EQ(picks.load(), s.routed + s.lost);
+    EXPECT_EQ(out_of_range.load(), 0U);
+    EXPECT_GT(summary.fleet.node_crashes, 0U);
+    EXPECT_EQ(summary.fleet.spares_activated, 1U);
+  }
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 // single scheduling decision.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "core/mlcr.hpp"
@@ -64,15 +63,8 @@ TEST(ServeReplay, MatchesFleetRunForEveryStandardPolicy) {
   const sim::Trace trace =
       fstartbench::make_overall_workload(bench, 200, trace_rng);
 
-  const auto routers = fleet::standard_routers();
-  for (const PolicySpec& policy_spec : standard_policies()) {
-    SCOPED_TRACE(policy_spec.name);
-    const auto router_spec =
-        std::find_if(routers.begin(), routers.end(),
-                     [&](const fleet::RouterSpec& r) {
-                       return r.name == policy_spec.name;
-                     });
-    ASSERT_NE(router_spec, routers.end());
+  for (const fleet::RouterSpec& spec : fleet::standard_routers()) {
+    SCOPED_TRACE(spec.name);
 
     fleet::FleetConfig cfg;
     cfg.nodes = 4;
@@ -81,7 +73,7 @@ TEST(ServeReplay, MatchesFleetRunForEveryStandardPolicy) {
         bench.functions, bench.catalog, cost, cfg,
         fleet::uniform_system(policies::make_greedy_match_system));
 
-    const auto router = router_spec->make();
+    const auto router = spec.make();
     const fleet::FleetSummary reference = fleet.run(trace, *router);
 
     // Same FleetEnv, fresh episode: the service resets every node itself.
@@ -89,7 +81,8 @@ TEST(ServeReplay, MatchesFleetRunForEveryStandardPolicy) {
     ServeConfig serve_cfg;
     serve_cfg.workers = 2;  // irrelevant: replay is strictly sequential
     serve_cfg.shards = 3;
-    SchedulerService service(fleet, clock, policy_spec.make(), serve_cfg);
+    SchedulerService service(
+        fleet, clock, std::make_unique<RouterPolicy>(spec.make()), serve_cfg);
     const ServeSummary replay = service.run_replay(trace);
 
     expect_summaries_equal(replay.fleet, reference);
@@ -135,9 +128,11 @@ TEST(ServeReplay, MatchesFleetRunOnAnMlcrFleet) {
   SimClock clock;
   ServeConfig serve_cfg;
   serve_cfg.shards = 2;
-  SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
-                           serve_cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::LeastOutstandingRouter>()),
+      serve_cfg);
   const ServeSummary replay = service.run_replay(trace);
   expect_summaries_equal(replay.fleet, reference);
   EXPECT_EQ(replay.fleet.system, "MLCR");

@@ -43,8 +43,11 @@ TEST(ServeService, DeterministicBackpressureAccounting) {
   cfg.queue_capacity = 8;
   cfg.degrade_depth = 4;
   cfg.batch = 8;
-  SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(), cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::LeastOutstandingRouter>()),
+      cfg);
   service.begin_episode();
 
   // 12 submissions into a queue of 8 with degradation from depth 4: the
@@ -85,8 +88,11 @@ TEST(ServeService, PumpIsDeterministicAcrossRuns) {
     cfg.shards = 3;
     cfg.queue_capacity = 64;
     cfg.batch = 4;
-    SchedulerService service(fleet, clock,
-                             std::make_unique<WarmAwarePolicy>(), cfg);
+    SchedulerService service(
+        fleet, clock,
+        std::make_unique<RouterPolicy>(
+            std::make_unique<fleet::WarmAwareRouter>()),
+        cfg);
     service.begin_episode();
     const sim::FunctionTypeId fns[] = {world.fn_py_flask, world.fn_py_numpy,
                                        world.fn_js};
@@ -124,8 +130,11 @@ TEST(ServeService, ConcurrentIngestConservesRequests) {
   cfg.shards = 4;
   cfg.queue_capacity = 4096;
   cfg.batch = 16;
-  SchedulerService service(fleet, clock, std::make_unique<WarmAwarePolicy>(),
-                           cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::WarmAwareRouter>()),
+      cfg);
   service.begin_episode();
   service.start();
 

@@ -47,7 +47,7 @@ TEST(ServeShardedIndex, RandomAndRoundRobinDrawOnlyOverRoutableNodes) {
             }),
             4U);
 
-  RandomPolicy random(3);
+  RouterPolicy random(std::make_unique<fleet::RandomRouter>(3));
   random.on_episode_start(4);
   for (int i = 0; i < 200; ++i)
     EXPECT_LT(random.route(index, world.functions, inv), 4U);
@@ -103,13 +103,15 @@ TEST(ServeShardedIndex, ConcurrentReadersAndWritersAreRaceFree) {
   }
   std::atomic<bool> stop{false};
   std::thread reader([&] {
-    const auto& keys = world.functions.get(world.fn_py_flask).level_keys;
+    const auto inv = TinyWorld::inv(world.fn_py_flask, 0.0);
+    const auto& keys = world.functions.get(inv.function).level_keys;
+    fleet::WarmAwareRouter warm_aware;
     while (!stop.load()) {
       const std::size_t best = index.read([&](const fleet::FleetIndex& f) {
         (void)f.least_outstanding_healthy();
         (void)f.nodes_matching(keys, containers::MatchLevel::kL3);
         (void)fleet::fail_over(f, f.least_outstanding());
-        return fleet::warm_aware_node(f, keys);
+        return warm_aware.pick(f, world.functions, inv);
       });
       EXPECT_LT(best, kNodes);
     }

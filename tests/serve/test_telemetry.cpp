@@ -89,9 +89,11 @@ ReplayArtifacts run_traced_replay(const TinyWorld& world,
   ServeConfig serve_cfg;
   serve_cfg.workers = 2;
   serve_cfg.shards = 3;
-  SchedulerService service(fleet, clock,
-                           std::make_unique<LeastOutstandingPolicy>(),
-                           serve_cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::LeastOutstandingRouter>()),
+      serve_cfg);
   service.set_telemetry(&telemetry);
 
   ReplayArtifacts art;

@@ -125,8 +125,11 @@ TEST(ServeTelemetryRaces, LiveServiceWithTelemetryConservesAccounting) {
   cfg.shards = 4;
   cfg.queue_capacity = 4096;
   cfg.batch = 16;
-  SchedulerService service(fleet, clock, std::make_unique<WarmAwarePolicy>(),
-                           cfg);
+  SchedulerService service(
+      fleet, clock,
+      std::make_unique<RouterPolicy>(
+          std::make_unique<fleet::WarmAwareRouter>()),
+      cfg);
   service.set_telemetry(&telemetry);
   service.begin_episode();
   service.start();

@@ -429,13 +429,14 @@ void check_transitions(const std::vector<std::string>& code,
 
 // --- router-route-check ----------------------------------------------------
 //
-// Every `Router::route()` definition in fleet/router.cpp must validate its
-// inputs (MLCR_CHECK* or assert) before indexing into the fleet: route() is
-// the fleet layer's only request-placement decision point, and an unchecked
-// out-of-range node index corrupts per-node state silently. Unlike
-// missing-transition-check this rule is not table-driven — it discovers every
-// qualified route() definition so new Router implementations are covered the
-// moment they are written.
+// Every `Router::route()` and `Router::pick()` definition in
+// fleet/router.cpp must validate its inputs (MLCR_CHECK* or assert) before
+// returning a node index: they are the fleet's only request-placement
+// decision points (route() in FleetEnv::run, pick() wherever a router is
+// hosted), and an unchecked out-of-range node index corrupts per-node state
+// silently. Unlike missing-transition-check this rule is not table-driven —
+// it discovers every qualified route()/pick() definition so new Router
+// implementations are covered the moment they are written.
 
 constexpr char kRouterId[] = "router-route-check";
 
@@ -443,15 +444,15 @@ void check_router_routes(const std::vector<std::string>& code,
                          const std::string& rel_path,
                          std::vector<Violation>& out) {
   if (!ends_with(rel_path, "fleet/router.cpp")) return;
-  static const std::regex kDef(R"(\b[A-Za-z_]\w*::route\s*\()");
+  static const std::regex kDef(R"(\b[A-Za-z_]\w*::(route|pick)\s*\()");
   for (std::size_t i = 0; i < code.size(); ++i) {
     if (!std::regex_search(code[i], kDef)) continue;
     const Body body = body_from(code, i, {"MLCR_CHECK", "assert("});
     if (body.defined && !body.checked)
       out.push_back({rel_path, i + 1, kRouterId,
-                     "route() places a request without MLCR_CHECK / assert; "
-                     "validate the fleet and any cursor/ring state before "
-                     "returning a node index"});
+                     "route()/pick() places a request without MLCR_CHECK / "
+                     "assert; validate the fleet and any cursor/ring state "
+                     "before returning a node index"});
     i = body.end;  // qualified calls inside the body are not definitions
   }
 }
@@ -513,8 +514,8 @@ const std::vector<RuleInfo>& rules() {
                    "public pool/env state transition without MLCR_CHECK / "
                    "MLCR_AUDIT / assert"});
     out.push_back({kRouterId,
-                   "Router::route() definition in fleet/router.cpp without "
-                   "MLCR_CHECK / assert on its placement inputs"});
+                   "Router::route() / pick() definition in fleet/router.cpp "
+                   "without MLCR_CHECK / assert on its placement inputs"});
     out.push_back({kUnusedSuppressionId,
                    "a simlint:allow(...) comment that no longer suppresses "
                    "any violation (or names an unknown rule)"});
