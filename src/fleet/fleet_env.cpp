@@ -13,22 +13,6 @@
 
 namespace mlcr::fleet {
 
-namespace {
-
-/// Invariant auditor for a finished fleet episode: every node's summary
-/// agrees with its metrics collector.
-[[maybe_unused]] void audit_nodes(
-    const std::vector<NodeObservation>& observations) {
-  for (const NodeObservation& obs : observations) {
-    MLCR_CHECK(obs.metrics != nullptr);
-    obs.metrics->audit();
-    MLCR_CHECK_MSG(obs.summary.invocations == obs.metrics->invocation_count(),
-                   "node summary and metrics disagree on invocation count");
-  }
-}
-
-}  // namespace
-
 NodeSystemFactory uniform_system(std::function<policies::SystemSpec()> make) {
   MLCR_CHECK(make != nullptr);
   return [make = std::move(make)](std::size_t node, util::Rng rng) {
@@ -233,10 +217,9 @@ FleetSummary FleetEnv::finish_episode(std::string router, std::size_t lost,
     node.env->set_fault_injector(nullptr);
     observations.push_back(
         {policies::summarize_env(*node.env, node.spec.scheduler->name()),
-         &node.env->metrics()});
+         node.env->metrics()});
   }
   injectors_.clear();
-  MLCR_AUDIT_POINT(audit_nodes(observations));
   FleetSummary fs =
       aggregate_fleet(std::move(router), system_name_, observations);
   fs.lost = lost;

@@ -10,9 +10,16 @@ namespace mlcr::fleet {
 
 namespace {
 
-/// Per-node metrics must sum to the fleet totals: the merged record stream
-/// carries exactly the invocations the summaries counted, level by level.
-[[maybe_unused]] void audit_aggregation(const FleetSummary& fs) {
+/// Every node's summary agrees with its own metrics, and per-node metrics
+/// sum to the fleet totals: the merged record stream carries exactly the
+/// invocations the summaries counted, level by level.
+[[maybe_unused]] void audit_aggregation(
+    const FleetSummary& fs, const std::vector<NodeObservation>& nodes) {
+  for (const NodeObservation& node : nodes) {
+    node.metrics.audit();
+    MLCR_CHECK_MSG(node.summary.invocations == node.metrics.invocation_count(),
+                   "node summary and metrics disagree on invocation count");
+  }
   fs.merged.audit();
   MLCR_CHECK_MSG(fs.merged.invocation_count() == fs.total.invocations,
                  "merged records disagree with summed node invocations");
@@ -46,7 +53,6 @@ FleetSummary aggregate_fleet(std::string router, std::string system,
   fs.total.scheduler = fs.system;
 
   std::size_t max_invocations = 0;
-  bool all_metrics = true;
   std::vector<const sim::MetricsCollector*> parts;
   parts.reserve(nodes.size());
   for (const NodeObservation& node : nodes) {
@@ -64,10 +70,7 @@ FleetSummary aggregate_fleet(std::string router, std::string system,
     fs.total.failed += s.failed;
     fs.total.retries += s.retries;
     max_invocations = std::max(max_invocations, s.invocations);
-    if (node.metrics != nullptr)
-      parts.push_back(node.metrics);
-    else
-      all_metrics = false;
+    parts.push_back(&node.metrics);
   }
   // One concatenate-and-sort over all nodes.
   fs.merged.merge_many(parts);
@@ -78,7 +81,7 @@ FleetSummary aggregate_fleet(std::string router, std::string system,
         static_cast<double>(max_invocations) * static_cast<double>(fs.nodes) /
         static_cast<double>(fs.total.invocations);
   }
-  if (all_metrics) MLCR_AUDIT_POINT(audit_aggregation(fs));
+  MLCR_AUDIT_POINT(audit_aggregation(fs, nodes));
   return fs;
 }
 

@@ -12,11 +12,11 @@
 
 namespace mlcr::fleet {
 
-/// One node's view after an episode: its summary row and (optionally) its
-/// raw metrics records for fleet-wide series.
+/// One node's view after an episode: its summary row and its raw metrics
+/// records for fleet-wide series.
 struct NodeObservation {
   policies::EpisodeSummary summary;
-  const sim::MetricsCollector* metrics = nullptr;  ///< may be null
+  const sim::MetricsCollector& metrics;
 };
 
 /// Cluster-level episode result.
@@ -64,8 +64,7 @@ struct FleetSummary {
   }
 
   /// All invocation records across nodes, re-ordered by global trace
-  /// sequence (for fleet-wide cumulative series). Populated only when the
-  /// observations carried metrics pointers.
+  /// sequence (for fleet-wide cumulative series). Always populated.
   sim::MetricsCollector merged;
 };
 

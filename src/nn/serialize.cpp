@@ -1,5 +1,7 @@
 #include "nn/serialize.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -78,6 +80,10 @@ void load_parameters(Module& module, std::istream& is) {
     is.read(reinterpret_cast<char*>(p->value.data()),
             static_cast<std::streamsize>(p->value.size() * sizeof(float)));
     MLCR_CHECK_MSG(is.good(), "truncated parameter file at " << name);
+    const float* w = p->value.data();
+    MLCR_CHECK_MSG(std::all_of(w, w + p->value.size(),
+                               [](float v) { return std::isfinite(v); }),
+                   "non-finite weight in parameter " << name);
   }
 }
 

@@ -19,7 +19,8 @@ void save_parameters(Module& module, std::ostream& os);
 void save_parameters(Module& module, const std::string& path);
 
 /// Load parameters into `module`. The module must have the same parameter
-/// names/shapes in the same order; throws CheckError on any mismatch.
+/// names/shapes in the same order; throws CheckError on any mismatch and on
+/// a non-finite weight, naming the parameter.
 void load_parameters(Module& module, std::istream& is);
 void load_parameters(Module& module, const std::string& path);
 

@@ -29,8 +29,23 @@ ClusterEnv::ClusterEnv(const FunctionTable& functions,
   MLCR_CHECK(config_.pool_capacity_mb > 0.0);
 }
 
-void ClusterEnv::reset_common() {
+void ClusterEnv::set_tracer(obs::Tracer* tracer, std::uint32_t track) noexcept {
+  tracer_ = tracer;
+  track_ = track;
+  if (pool_ != nullptr) pool_->set_tracer(tracer, track);
+}
+
+void ClusterEnv::reset(const Trace& trace) {
+  reset_streaming();
+  trace_ = &trace;
+  if (!trace.empty()) intake(trace.at(0));
+}
+
+void ClusterEnv::reset_streaming() {
+  trace_ = nullptr;
+  offered_ = 0;
   next_index_ = 0;
+  now_ = 0.0;
   down_ = false;
   partial_down_ = false;
   pool_ = std::make_unique<containers::WarmPool>(config_.pool_capacity_mb,
@@ -42,32 +57,15 @@ void ClusterEnv::reset_common() {
   metrics_.clear();
 }
 
-void ClusterEnv::set_tracer(obs::Tracer* tracer, std::uint32_t track) noexcept {
-  tracer_ = tracer;
-  track_ = track;
-  if (pool_ != nullptr) pool_->set_tracer(tracer, track);
-}
-
-void ClusterEnv::reset(const Trace& trace) {
-  trace_ = &trace;
-  streaming_ = false;
-  offered_ = 0;
-  now_ = trace.empty() ? 0.0 : trace.at(0).arrival_s;
-  reset_common();
-  episode_finished_ = trace.empty();
-}
-
-void ClusterEnv::reset_streaming() {
-  trace_ = nullptr;
-  streaming_ = true;
-  offered_ = 0;
-  now_ = 0.0;
-  reset_common();
-  episode_finished_ = false;
-}
-
 void ClusterEnv::offer(Invocation inv) {
-  MLCR_CHECK_MSG(streaming_, "offer() requires reset_streaming()");
+  MLCR_CHECK_MSG(pool_ != nullptr && trace_ == nullptr,
+                 "offer() requires reset_streaming(): a reset(trace) "
+                 "episode offers its own invocations");
+  intake(inv);
+  MLCR_AUDIT_POINT(audit());
+}
+
+void ClusterEnv::intake(const Invocation& inv) {
   MLCR_CHECK_MSG(!down_, "offer() to a crashed node (invocation "
                              << offered_ << ", seq " << inv.seq
                              << "): route around it or recover() first");
@@ -85,7 +83,6 @@ void ClusterEnv::offer(Invocation inv) {
   pending_ = inv;
   ++offered_;
   drain_to(inv.arrival_s);
-  MLCR_AUDIT_POINT(audit());
 }
 
 void ClusterEnv::advance_to(double time) {
@@ -117,13 +114,15 @@ std::optional<double> ClusterEnv::next_event_time() const {
 }
 
 void ClusterEnv::finish_streaming() {
-  MLCR_CHECK_MSG(streaming_, "finish_streaming() requires reset_streaming()");
+  MLCR_CHECK_MSG(pool_ != nullptr && trace_ == nullptr,
+                 "finish_streaming() requires reset_streaming()");
   MLCR_CHECK_MSG(done(), "finish_streaming() with a pending invocation");
+  finish_episode();
   // Concurrent ingestion handed this node invocations in dispatch order;
   // restore canonical seq order so cumulative series and the fleet-level
-  // audit see the strict sequential contract.
+  // audit see the strict sequential contract. The drain above left no
+  // completion holding a record index the sort would move.
   metrics_.sort_records_by_seq();
-  finish_episode();
   MLCR_AUDIT_POINT(audit());
 }
 
@@ -138,7 +137,7 @@ void ClusterEnv::crash(double time, bool partial) {
   // latency totals — it was spent).
   std::size_t killed = 0;
   while (!busy_.empty()) {
-    metrics_.mark_failed(busy_.top().seq);
+    metrics_.mark_failed(busy_.top().record);
     busy_.pop();
     ++killed;
   }
@@ -181,21 +180,11 @@ void ClusterEnv::recover(double time) {
   MLCR_AUDIT_POINT(audit());
 }
 
-bool ClusterEnv::done() const noexcept {
-  if (streaming_) return next_index_ >= offered_;
-  return trace_ == nullptr || next_index_ >= trace_->size();
-}
-
-const Invocation& ClusterEnv::at(std::size_t i) const {
-  if (!streaming_) return trace_->at(i);
-  MLCR_CHECK_MSG(i + 1 == offered_, "streaming mode keeps only the pending "
-                                    "invocation, not invocation " << i);
-  return pending_;
-}
+bool ClusterEnv::done() const noexcept { return next_index_ >= offered_; }
 
 const Invocation& ClusterEnv::current() const {
   MLCR_CHECK_MSG(!done(), "no current invocation: episode is done");
-  return at(next_index_);
+  return pending_;
 }
 
 const containers::WarmPool& ClusterEnv::pool() const {
@@ -228,10 +217,8 @@ void ClusterEnv::drain_to(double time) {
 }
 
 void ClusterEnv::finish_episode() {
-  if (episode_finished_) return;
   // Drain outstanding executions so pool peak/eviction stats are complete.
   while (!busy_.empty()) drain_to(busy_.top().time);
-  episode_finished_ = true;
 }
 
 StepResult ClusterEnv::step(const Action& action) {
@@ -411,17 +398,15 @@ StepResult ClusterEnv::step(const Action& action) {
     container.last_startup_cost_s = result.latency_s;
 
     busy_.push(Completion{now_ + result.latency_s + inv.exec_s,
-                          std::move(container), inv.seq});
+                          std::move(container), metrics_.invocation_count()});
   }
 
   InvocationRecord rec;
   rec.seq = inv.seq;
   rec.function = inv.function;
-  rec.arrival_s = inv.arrival_s;
   rec.container = result.container;
   rec.match = result.match;
   rec.cold = result.cold;
-  rec.breakdown = result.breakdown;
   rec.latency_s = result.latency_s;
   rec.failed = result.failed;
   rec.attempts = attempts;
@@ -430,12 +415,14 @@ StepResult ClusterEnv::step(const Action& action) {
   if (traced) trace_step(inv, fn, result);
 
   ++next_index_;
-  if (done()) {
-    // A streaming episode never knows whether more invocations will arrive;
-    // finish_streaming() drains it explicitly.
-    if (!streaming_) finish_episode();
-  } else {
-    drain_to(at(next_index_).arrival_s);
+  // A trace-fed episode offers its own next invocation or, after the last,
+  // finishes; a streaming one never knows whether more will arrive, so
+  // finish_streaming() drains it explicitly.
+  if (trace_ != nullptr) {
+    if (next_index_ < trace_->size())
+      intake(trace_->at(next_index_));
+    else
+      finish_episode();
   }
 
   MLCR_AUDIT_POINT(audit());
@@ -546,10 +533,8 @@ void ClusterEnv::audit() const {
   // Mid-flight streaming records arrive in dispatch order, not seq order;
   // finish_streaming() sorts before the final audit re-imposes the strict
   // ordering contract.
-  metrics_.audit(/*require_seq_order=*/!streaming_);
-  const std::size_t episode_size =
-      streaming_ ? offered_ : (trace_ != nullptr ? trace_->size() : 0);
-  MLCR_CHECK_MSG(next_index_ <= episode_size, "episode index out of range");
+  metrics_.audit(/*require_seq_order=*/trace_ != nullptr);
+  MLCR_CHECK_MSG(next_index_ <= offered_, "episode index out of range");
   MLCR_CHECK_MSG(metrics_.invocation_count() == next_index_,
                  "metrics record count diverged from scheduled invocations");
 

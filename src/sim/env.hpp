@@ -1,7 +1,8 @@
 // ClusterEnv: the discrete-event serverless platform (paper Fig. 4) that the
 // schedulers — and the DRL agent — interact with. It advances simulated time
-// along a trace of invocations, moves containers between "busy on a worker"
-// and the warm pool, applies eviction / TTL expiry, and records metrics.
+// along a sequence of invocations, moves containers between "busy on a
+// worker" and the warm pool, applies eviction / TTL expiry, and records
+// metrics.
 //
 // The interaction protocol is gym-like and identical for heuristic and
 // learned schedulers:
@@ -13,6 +14,12 @@
 //     StepResult r = env.step(a);        // startup latency, match level, ...
 //   }
 //   env.metrics() / env.pool_stats()
+//
+// Every invocation enters a node the same way: it is offered (checked, the
+// clock drained to its arrival) and then stepped. A trace-fed episode
+// (reset(trace)) offers its own next invocation after each step; an open
+// episode (reset_streaming(), used by the fleet) is offered one invocation
+// at a time by its caller through offer().
 //
 // Invalid reuse actions (absent container, no-match image) degrade to a cold
 // start, mirroring the paper's action semantics (Sec. IV-B: "if i is larger
@@ -100,21 +107,22 @@ class ClusterEnv {
              EvictionPolicyFactory eviction_factory);
 
   /// Start a new episode over `trace` (kept by reference; must outlive the
-  /// episode). Rebuilds the pool with a fresh eviction policy.
+  /// episode): reset_streaming(), then the trace feeds itself — its first
+  /// invocation is offered here and each step() offers the next, finishing
+  /// the episode after the last. offer() and finish_streaming() reject a
+  /// trace-fed episode.
   void reset(const Trace& trace);
 
   /// Start an open-ended streaming episode: the trace is not known up front
-  /// and invocations are appended one at a time via offer(). Used by the
-  /// fleet layer, where a front-end router decides online which node sees
-  /// each invocation. The event sequence of offer()+step() is identical to
-  /// the traced protocol, so a streaming episode fed the whole trace
-  /// reproduces reset(trace)+step() bit-for-bit.
+  /// and invocations are appended one at a time via offer(). Rebuilds the
+  /// pool with a fresh eviction policy. Used by the fleet layer, where a
+  /// front-end router decides online which node sees each invocation.
   void reset_streaming();
 
   /// Append the next invocation of a streaming episode and advance simulated
-  /// time to its arrival (so schedulers observe the same pool state as in
-  /// the traced protocol). Requires done() — the previous invocation must
-  /// have been stepped — and a non-decreasing arrival time.
+  /// time to its arrival (so schedulers observe the pool state at that
+  /// instant). Requires done() — the previous invocation must have been
+  /// stepped — a known function and a non-decreasing arrival time.
   void offer(Invocation inv);
 
   /// Streaming event API (DESIGN.md §10): advance to `time`, processing
@@ -135,8 +143,9 @@ class ClusterEnv {
   [[nodiscard]] std::optional<double> next_event_time() const;
 
   /// End a streaming episode: drain outstanding executions so pool
-  /// peak/eviction statistics are complete (the traced protocol does this
-  /// automatically after the last invocation).
+  /// peak/eviction statistics are complete (a trace-fed episode does this
+  /// itself after its last invocation), then restore seq order in the
+  /// records.
   void finish_streaming();
 
   [[nodiscard]] bool done() const noexcept;
@@ -226,7 +235,7 @@ class ClusterEnv {
   struct Completion {
     double time = 0.0;
     containers::Container container;
-    std::uint64_t seq = 0;  ///< trace seq, to fail the record on a crash
+    std::size_t record = 0;  ///< index in metrics_, to fail it on a crash
   };
   struct CompletionOrder {
     bool operator()(const Completion& a, const Completion& b) const noexcept {
@@ -238,8 +247,9 @@ class ClusterEnv {
   /// Process completions up to `time` (inclusive) and TTL expiry.
   void drain_to(double time);
   void finish_episode();
-  void reset_common();
-  [[nodiscard]] const Invocation& at(std::size_t i) const;
+  /// offer() without its trace-fed check and audit: what step() runs to
+  /// take a trace-fed episode's next invocation.
+  void intake(const Invocation& inv);
   /// Emit the lifecycle events for one scheduled invocation (tracer attached
   /// and enabled; all timestamps are simulated time).
   void trace_step(const Invocation& inv, const FunctionType& fn,
@@ -251,11 +261,12 @@ class ClusterEnv {
   EnvConfig config_;
   EvictionPolicyFactory eviction_factory_;
 
+  /// The trace a trace-fed episode feeds itself from; nullptr in a
+  /// streaming episode (and before the first reset).
   const Trace* trace_ = nullptr;
-  bool streaming_ = false;
-  /// Streaming mode: the last offered invocation (the current one until
-  /// step()) and how many were offered this episode. Nothing else of an
-  /// offered invocation is kept.
+  /// The last offered invocation (the current one until step()) and how
+  /// many were offered this episode. Nothing else of an offered invocation
+  /// is kept.
   Invocation pending_;
   std::size_t offered_ = 0;
   std::size_t next_index_ = 0;
@@ -265,7 +276,6 @@ class ClusterEnv {
       busy_;
   containers::ContainerId next_container_id_ = 0;
   MetricsCollector metrics_;
-  bool episode_finished_ = false;
   obs::Tracer* tracer_ = nullptr;
   std::uint32_t track_ = 0;
   faults::FaultInjector* injector_ = nullptr;

@@ -35,11 +35,9 @@ void MetricsCollector::sort_records_by_seq() {
 void MetricsCollector::merge_many(
     const std::vector<const MetricsCollector*>& parts) {
   std::size_t extra = 0;
-  for (const MetricsCollector* part : parts)
-    if (part != nullptr) extra += part->records_.size();
+  for (const MetricsCollector* part : parts) extra += part->records_.size();
   records_.reserve(records_.size() + extra);
   for (const MetricsCollector* part : parts) {
-    if (part == nullptr) continue;
     records_.insert(records_.end(), part->records_.begin(),
                     part->records_.end());
     total_latency_s_ += part->total_latency_s_;
@@ -67,25 +65,17 @@ double MetricsCollector::goodput() const noexcept {
          static_cast<double>(records_.size());
 }
 
-void MetricsCollector::mark_failed(std::uint64_t seq) {
-  auto it = std::lower_bound(
-      records_.begin(), records_.end(), seq,
-      [](const InvocationRecord& r, std::uint64_t s) { return r.seq < s; });
-  if (it == records_.end() || it->seq != seq) {
-    // Streaming episodes append in dispatch order, so the binary search may
-    // miss until sort_records_by_seq() runs; fall back to a linear scan.
-    it = std::find_if(
-        records_.begin(), records_.end(),
-        [seq](const InvocationRecord& r) { return r.seq == seq; });
-  }
-  MLCR_CHECK_MSG(it != records_.end() && it->seq == seq,
-                 "mark_failed: no record with trace seq " << seq);
-  if (it->failed) return;
-  if (it->cold)
+void MetricsCollector::mark_failed(std::size_t index) {
+  MLCR_CHECK_MSG(index < records_.size(),
+                 "mark_failed: no record at index " << index << " of "
+                                                    << records_.size());
+  InvocationRecord& r = records_[index];
+  if (r.failed) return;
+  if (r.cold)
     --cold_starts_;
   else
-    --by_level_[static_cast<std::size_t>(it->match)];
-  it->failed = true;
+    --by_level_[static_cast<std::size_t>(r.match)];
+  r.failed = true;
   ++failed_;
 }
 

@@ -9,27 +9,29 @@
 
 #include "containers/container.hpp"
 #include "containers/matching.hpp"
-#include "sim/cost_model.hpp"
 #include "sim/invocation.hpp"
 
 namespace mlcr::sim {
 
-/// What happened when one invocation was scheduled.
+/// What happened when one invocation was scheduled: exactly the fields the
+/// paper's numbers are computed from (startup latency, cold vs. warm start
+/// and its Table-I level, failures and retries) plus the trace seq that
+/// orders them. The startup breakdown stays on sim::StepResult, where the
+/// tracer and the fault loop read it. Fields are ordered widest first so
+/// the record packs into 40 bytes.
 struct InvocationRecord {
   std::uint64_t seq = 0;
-  FunctionTypeId function = containers::kInvalidFunctionType;
-  double arrival_s = 0.0;
   containers::ContainerId container = containers::kInvalidContainer;
+  double latency_s = 0.0;
+  /// Start attempts made (>= 1); attempts - 1 of them were retried.
+  std::size_t attempts = 1;
+  FunctionTypeId function = containers::kInvalidFunctionType;
   containers::MatchLevel match = containers::MatchLevel::kNoMatch;
   bool cold = true;
-  StartupBreakdown breakdown;
-  double latency_s = 0.0;
   /// The invocation was never served: its start attempts were exhausted
   /// (faults) or its node crashed mid-execution. latency_s then holds the
   /// time the platform *spent* on it (attempts + backoffs), not a startup.
   bool failed = false;
-  /// Start attempts made (>= 1); attempts - 1 of them were retried.
-  std::size_t attempts = 1;
 };
 
 class MetricsCollector {
@@ -40,13 +42,14 @@ class MetricsCollector {
   /// Restore canonical trace-sequence order (stable sort on seq). Streaming
   /// ingestion (the serving front-end) records completions in dispatch
   /// order, not arrival order; sorting at episode end makes the cumulative
-  /// series and the seq-order audit meaningful again.
+  /// series and the seq-order audit meaningful again. Moves records, so
+  /// indices held for mark_failed() are stale afterwards.
   void sort_records_by_seq();
 
   /// Fold other collectors into this one (fleet-wide aggregation across
   /// nodes): one concatenation + one stable sort on trace sequence number,
   /// O(total log total), so cumulative series stay in global arrival order
-  /// (parts in argument order on equal seq). Null entries are skipped.
+  /// (parts in argument order on equal seq).
   void merge_many(const std::vector<const MetricsCollector*>& parts);
 
   [[nodiscard]] const std::vector<InvocationRecord>& records() const noexcept {
@@ -77,11 +80,12 @@ class MetricsCollector {
   /// empty collector (nothing was lost), 0.0 when every record failed.
   [[nodiscard]] double goodput() const noexcept;
 
-  /// Retroactively fail the record with trace sequence `seq` (node crash
-  /// killed its in-flight execution). Its latency stays in the totals (the
-  /// time was spent) but it leaves the cold/warm counts. Requires the
-  /// record to exist; a second call on the same record is a no-op.
-  void mark_failed(std::uint64_t seq);
+  /// Retroactively fail the record at position `index` of records() (node
+  /// crash killed its in-flight execution). Its latency stays in the totals
+  /// (the time was spent) but it leaves the cold/warm counts. Requires
+  /// index < invocation_count(); a second call on the same record is a
+  /// no-op.
+  void mark_failed(std::size_t index);
 
   /// Startup latencies of *served* invocations, in arrival order (for
   /// percentiles / box stats). Failed invocations are excluded: they have

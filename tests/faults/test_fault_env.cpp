@@ -3,6 +3,7 @@
 // crash/recovery, and the hardened offer() diagnostics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "faults/injector.hpp"
@@ -278,6 +279,57 @@ TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
   env.finish_streaming();
   EXPECT_EQ(env.metrics().invocation_count(), 2U);
   EXPECT_DOUBLE_EQ(env.metrics().goodput(), 0.5);
+}
+
+TEST(FaultEnv, CrashFailsExactlyTheInFlightRecordsOfOutOfOrderDispatch) {
+  // Concurrent ingestion hands a streaming node seqs out of order; a crash
+  // must fail the records of exactly the executions it kills, wherever
+  // they sit among the unsorted records.
+  TinyWorld world;
+  auto env = world.make_env();
+  env.reset_streaming();
+  const auto offer = [&](std::uint64_t seq, double arrival, double exec) {
+    sim::Invocation inv = TinyWorld::inv(world.fn_py_flask, arrival, exec);
+    inv.seq = seq;
+    env.offer(inv);
+    (void)env.step(sim::Action::cold());
+  };
+  offer(5, 0.0, 0.5);    // finishes long before the crash
+  offer(2, 60.0, 100.0);
+  offer(9, 61.0, 100.0);
+  ASSERT_EQ(env.busy_count(), 2U);
+
+  env.crash(70.0);
+  EXPECT_EQ(env.metrics().failed_count(), 2U);
+  env.recover(80.0);
+  env.finish_streaming();
+  EXPECT_NO_THROW(env.metrics().audit());
+
+  const auto& records = env.metrics().records();
+  ASSERT_EQ(records.size(), 3U);
+  EXPECT_EQ(records[0].seq, 2U);
+  EXPECT_TRUE(records[0].failed);
+  EXPECT_EQ(records[1].seq, 5U);
+  EXPECT_FALSE(records[1].failed);
+  EXPECT_EQ(records[2].seq, 9U);
+  EXPECT_TRUE(records[2].failed);
+}
+
+TEST(FaultEnv, OfferIntoATraceFedEpisodeThrows) {
+  TinyWorld world;
+  auto env = world.make_env();
+  EXPECT_TRUE(throws_mentioning(
+      [&] { env.offer(TinyWorld::inv(world.fn_py_flask, 0.0)); },
+      "reset_streaming"));
+  const sim::Trace trace =
+      TinyWorld::make_trace({TinyWorld::inv(world.fn_py_flask, 0.0)});
+  env.reset(trace);
+  EXPECT_TRUE(throws_mentioning(
+      [&] { env.offer(TinyWorld::inv(world.fn_py_flask, 1.0)); },
+      "reset_streaming"));
+  (void)env.step(sim::Action::cold());
+  EXPECT_TRUE(env.done());
+  EXPECT_THROW(env.finish_streaming(), util::CheckError);
 }
 
 TEST(FaultEnv, FinishStreamingDrainsOutstandingRetriedStarts) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -129,6 +130,26 @@ TEST(ModelFuzz, MutatedModelFilesLoadOrThrowCheckError) {
   // stale bench caches.
   EXPECT_FALSE(loads(attention, seeds[1]));
   EXPECT_FALSE(loads(mlp, seeds[0]));
+}
+
+TEST(ModelFuzz, NonFiniteWeightIsRejectedAtLoadNamingTheParameter) {
+  QNetworkConfig cfg;
+  cfg.num_slots = 4;
+  util::Rng init(5);
+  QNetwork net(cfg, init);
+  nn::Parameter& poisoned = *net.parameters().back();
+  poisoned.value.data()[0] = std::numeric_limits<float>::quiet_NaN();
+  const std::string file = saved(net);
+
+  QNetwork fresh(cfg, init);
+  std::istringstream is(file);
+  try {
+    nn::load_parameters(fresh, is);
+    ADD_FAILURE() << "a NaN weight loaded";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(poisoned.name), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

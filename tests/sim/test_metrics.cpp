@@ -12,6 +12,11 @@
 namespace mlcr::sim {
 namespace {
 
+// A fleet episode holds every record twice (node collector and the merged
+// fleet copy); the record carries only the fields that are read.
+static_assert(sizeof(InvocationRecord) <= 40,
+              "InvocationRecord grew past its 40-byte packing");
+
 InvocationRecord rec(std::uint64_t seq, double latency, bool cold,
                      containers::MatchLevel match) {
   InvocationRecord r;
@@ -121,15 +126,17 @@ TEST(Metrics, FailedRecordsLeaveEveryBucketAndDriveGoodput) {
 
 TEST(Metrics, MarkFailedRetroactivelyReclassifiesARecord) {
   MetricsCollector m;
-  m.record(rec(0, 2.0, true, containers::MatchLevel::kNoMatch));
-  m.record(rec(1, 1.0, false, containers::MatchLevel::kL3));
-  m.mark_failed(1);
+  m.record(rec(10, 2.0, true, containers::MatchLevel::kNoMatch));
+  m.record(rec(11, 1.0, false, containers::MatchLevel::kL3));
+  m.mark_failed(1);  // by position in records(), not by seq
+  EXPECT_TRUE(m.records()[1].failed);
   EXPECT_EQ(m.failed_count(), 1U);
   EXPECT_EQ(m.warm_starts_at(containers::MatchLevel::kL3), 0U);
   EXPECT_EQ(m.latencies(), (std::vector<double>{2.0}));
   m.mark_failed(1);  // idempotent
   EXPECT_EQ(m.failed_count(), 1U);
-  EXPECT_THROW(m.mark_failed(7), util::CheckError);  // unknown seq
+  EXPECT_THROW(m.mark_failed(2), util::CheckError);  // out of range
+  m.audit();
 }
 
 TEST(Metrics, PercentilesAreZeroWhenNoInvocationWasServed) {
