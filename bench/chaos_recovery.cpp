@@ -27,6 +27,7 @@
 // obsreport can gate goodput / loss rate / retry pressure.
 #include <iostream>
 #include <memory>
+#include <utility>
 
 #include "common.hpp"
 #include "faults/fault_plan.hpp"
@@ -506,6 +507,20 @@ int main(int argc, char** argv) {
                  "than its health-blind twin ("
                      << mlcr_health.dropped << " vs " << mlcr_blind.dropped
                      << ")");
+  // The differential guard: an MLCR cell equal to its Greedy-Match twin on
+  // every column says nothing about the agent, so it fails the run.
+  const auto same_outcome = [](const StudyCell& a, const StudyCell& b) {
+    return a.p99 == b.p99 && a.goodput == b.goodput &&
+           a.dropped == b.dropped && a.lost == b.lost &&
+           a.failed == b.failed && a.rerouted == b.rerouted;
+  };
+  for (const auto& [mlcr, twin] : {std::pair{&mlcr_blind, &blind},
+                                   std::pair{&mlcr_health, &health}})
+    MLCR_CHECK_MSG(!same_outcome(*mlcr, *twin),
+                   "'" << mlcr->name << "' equals its Greedy-Match twin '"
+                       << twin->name
+                       << "' on P99, goodput, dropped, lost, failed and "
+                          "rerouted: the differential shows nothing");
   std::cout << "\nhealth-aware recovery dropped " << health.dropped << " vs "
             << blind.dropped << " blind (Greedy-Match), "
             << mlcr_health.dropped << " vs " << mlcr_blind.dropped

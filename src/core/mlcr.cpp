@@ -55,14 +55,17 @@ sim::Action MlcrScheduler::decide(const sim::ClusterEnv& env,
       agent_->greedy_action(state.tokens, state.mask, ws_);
   obs::Tracer* tracer = env.tracer();
   if (tracer != nullptr && tracer->enabled()) {
-    // Deterministic marker of each forward pass, in simulated time; the
-    // bench layer separately wraps decide() in a wall-time span to measure
-    // the real inference cost.
+    // Deterministic marker of each decision, in simulated time; `forced` is
+    // 1 when the mask allowed one action, so no forward pass ran. The bench
+    // layer separately wraps decide() in a wall-time span to measure the
+    // real inference cost.
+    const bool forced = rl::sole_allowed_action(state.mask).has_value();
     tracer->instant(
         obs::Tracer::kSimPid, env.trace_track(), obs::to_micros(inv.arrival_s),
         "dqn_inference", "rl",
         {obs::narg("action", static_cast<std::int64_t>(action)),
-         obs::narg("seq", static_cast<std::int64_t>(inv.seq))});
+         obs::narg("seq", static_cast<std::int64_t>(inv.seq)),
+         obs::narg("forced", static_cast<std::int64_t>(forced))});
   }
   return encoder_.to_sim_action(state, action);
 }

@@ -109,9 +109,17 @@ void check_event(const JsonValue& e, std::size_t index,
       break;
     }
     case 'i':
-    case 'I':
+    case 'I': {
+      if (name->string == "dqn_inference") {
+        const JsonValue* forced =
+            args != nullptr ? args->find("forced") : nullptr;
+        if (!is_finite_number(forced) ||
+            (forced->number != 0.0 && forced->number != 1.0))
+          add_error(report, index, "dqn_inference needs args.forced 0 or 1");
+      }
       ++report.instant_counts[name->string];
       break;
+    }
     case 's':
     case 't':
     case 'f': {

@@ -16,6 +16,8 @@
 //                    ph M -> "name" in {process_name, thread_name,
 //                            process_labels} and "args" object with "name"
 //                    ph s/t/f -> "id" finite number >= 0 or non-empty string
+//                    ph i/I named dqn_inference -> "args" with "forced"
+//                            0 or 1 (1: the mask allowed one action)
 //                  "args" (when present) must be an object; "cat" a string.
 //
 // Flow pairing (ph s/t/f) is validated separately into `flow_errors`: every

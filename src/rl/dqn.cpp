@@ -37,9 +37,22 @@ std::size_t DqnAgent::select_action(const nn::Tensor& state,
 std::size_t DqnAgent::greedy_action(const nn::Tensor& state,
                                     const ActionMask& mask,
                                     InferWorkspace& ws) const {
-  const auto best = masked_argmax(online_.infer(state, ws), mask);
+  const auto best = online_pick(state, mask, ws);
   MLCR_CHECK_MSG(best.has_value(), "no allowed action in mask");
   return *best;
+}
+
+std::optional<std::size_t> DqnAgent::online_pick(const nn::Tensor& state,
+                                                 const ActionMask& mask,
+                                                 InferWorkspace& ws) const {
+  MLCR_CHECK(mask.size() == online_.num_actions());
+  // A single-action mask decides without the forward pass; the state must
+  // still be one the network takes.
+  if (const auto sole = sole_allowed_action(mask)) {
+    online_.check_tokens(state);
+    return sole;
+  }
+  return masked_argmax(online_.infer(state, ws), mask);
 }
 
 nn::Tensor DqnAgent::q_values(const nn::Tensor& state) const {
@@ -83,8 +96,7 @@ std::optional<float> DqnAgent::train_step(util::Rng& rng) {
     targets[i] = t->reward;
     if (t->terminal) continue;
     // The online network picks a*, the target network values it.
-    const auto a_star =
-        masked_argmax(online_.infer(t->next_state, infer_ws_), t->next_mask);
+    const auto a_star = online_pick(t->next_state, t->next_mask, infer_ws_);
     if (a_star)
       targets[i] +=
           config_.gamma * target_.infer(t->next_state, infer_ws_)(*a_star, 0);

@@ -42,7 +42,9 @@ class DqnAgent {
                                           float epsilon, util::Rng& rng);
 
   /// Greedy (evaluation) action, computed in `ws`. Const: threads sharing
-  /// one agent each pass their own workspace.
+  /// one agent each pass their own workspace. A single-action mask returns
+  /// its action without a forward pass and leaves `ws` untouched; the mask
+  /// size and the state shape are checked either way.
   [[nodiscard]] std::size_t greedy_action(const nn::Tensor& state,
                                           const ActionMask& mask,
                                           InferWorkspace& ws) const;
@@ -90,6 +92,12 @@ class DqnAgent {
   void restore_weights(const std::vector<nn::Tensor>& weights);
 
  private:
+  /// The online network's masked argmax (nullopt if nothing is allowed),
+  /// skipping the forward pass for a single-action mask.
+  [[nodiscard]] std::optional<std::size_t> online_pick(
+      const nn::Tensor& state, const ActionMask& mask,
+      InferWorkspace& ws) const;
+
   DqnConfig config_;
   QNetwork online_;
   QNetwork target_;

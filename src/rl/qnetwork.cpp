@@ -32,12 +32,16 @@ QNetwork::QNetwork(QNetworkConfig config, util::Rng& rng)
   }
 }
 
-nn::Tensor QNetwork::forward(const nn::Tensor& tokens) {
+void QNetwork::check_tokens(const nn::Tensor& tokens) const {
   MLCR_CHECK_MSG(tokens.rows() == num_tokens() &&
                      tokens.cols() == config_.feature_dim,
                  "expected tokens " << num_tokens() << "x"
                                     << config_.feature_dim << ", got "
                                     << tokens.rows() << "x" << tokens.cols());
+}
+
+nn::Tensor QNetwork::forward(const nn::Tensor& tokens) {
+  check_tokens(tokens);
   cached_tokens_ = tokens.rows();
   nn::Tensor h = input_proj_.forward(tokens);
   if (config_.use_attention) {
@@ -57,11 +61,7 @@ nn::Tensor QNetwork::forward(const nn::Tensor& tokens) {
 
 const nn::Tensor& QNetwork::infer(const nn::Tensor& tokens,
                                   InferWorkspace& ws) const {
-  MLCR_CHECK_MSG(tokens.rows() == num_tokens() &&
-                     tokens.cols() == config_.feature_dim,
-                 "expected tokens " << num_tokens() << "x"
-                                    << config_.feature_dim << ", got "
-                                    << tokens.rows() << "x" << tokens.cols());
+  check_tokens(tokens);
   // The layers check the shapes they write; ws.q is filled here.
   MLCR_CHECK_MSG(ws.q.rows() == num_actions(),
                  "workspace sized for another network");
@@ -118,6 +118,16 @@ std::optional<std::size_t> masked_argmax(const nn::Tensor& q,
     if (!best || q(i, 0) > q(*best, 0)) best = i;
   }
   return best;
+}
+
+std::optional<std::size_t> sole_allowed_action(const ActionMask& mask) {
+  std::optional<std::size_t> sole;
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    if (!mask[i]) continue;
+    if (sole) return std::nullopt;
+    sole = i;
+  }
+  return sole;
 }
 
 }  // namespace mlcr::rl

@@ -56,6 +56,10 @@ class QNetwork final : public nn::Module {
   [[nodiscard]] const nn::Tensor& infer(const nn::Tensor& tokens,
                                         InferWorkspace& ws) const;
 
+  /// Throws util::CheckError unless `tokens` is a state this network takes:
+  /// (2 + num_slots) x feature_dim. forward() and infer() begin with it.
+  void check_tokens(const nn::Tensor& tokens) const;
+
   [[nodiscard]] nn::Tensor backward(const nn::Tensor& grad_q) override;
   void collect_parameters(std::vector<nn::Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "QNetwork"; }
@@ -85,5 +89,12 @@ class QNetwork final : public nn::Module {
 /// means allowed). Returns nullopt if nothing is allowed.
 [[nodiscard]] std::optional<std::size_t> masked_argmax(const nn::Tensor& q,
                                                        const ActionMask& mask);
+
+/// The allowed action when `mask` allows exactly one, else nullopt (a
+/// single-action mask). masked_argmax returns that action whatever the
+/// Q-values are, NaN included, so a caller may take it without computing
+/// them.
+[[nodiscard]] std::optional<std::size_t> sole_allowed_action(
+    const ActionMask& mask);
 
 }  // namespace mlcr::rl

@@ -101,8 +101,10 @@ struct ServeStats {
   std::size_t lost = 0;       ///< accepted but no healthy node remained
   std::size_t rerouted = 0;   ///< target node down -> deterministic failover
   std::size_t batches = 0;    ///< consumer drains that served >= 1 request
-  std::size_t inference_calls = 0;  ///< MLCR decide() calls (one per request)
-  /// Requests per MLCR inference call: 1 once any MLCR decision ran, else 0.
+  /// MLCR decide() calls, one per non-degraded request. Not forward passes:
+  /// a decision whose mask allows one action runs none.
+  std::size_t inference_calls = 0;
+  /// Requests per MLCR decide() call: 1 once any MLCR decision ran, else 0.
   std::size_t max_wave = 0;
 };
 

@@ -8,6 +8,8 @@
 #include <string>
 
 #include "core/trainer.hpp"
+#include "obs/sink.hpp"
+#include "obs/tracer.hpp"
 #include "policies/runner.hpp"
 #include "testing/fixtures.hpp"
 #include "util/check.hpp"
@@ -64,6 +66,41 @@ TEST(MlcrScheduler, UntrainedAgentProducesValidEpisodes) {
                                       world.cost_model(), 4096.0, trace);
   EXPECT_EQ(s.invocations, trace.size());
   EXPECT_EQ(s.cold_starts + s.warm_l1 + s.warm_l2 + s.warm_l3, trace.size());
+}
+
+/// Keeps the `forced` arg of every dqn_inference instant.
+class ForcedArgSink final : public obs::TraceSink {
+ public:
+  void write(const obs::TraceEvent& event) override {
+    if (event.name != "dqn_inference") return;
+    for (const obs::TraceArg& arg : event.args)
+      if (arg.key == "forced") forced.push_back(arg.value);
+  }
+  std::vector<std::string> forced;
+};
+
+// The first arrival finds an empty pool, so only cold start is allowed
+// (forced 1); later arrivals find a matching container (forced 0).
+TEST(MlcrScheduler, TraceMarksSingleActionDecisions) {
+  TinyWorld world;
+  const MlcrConfig cfg = tiny_mlcr();
+  auto agent = std::make_shared<rl::DqnAgent>(cfg.dqn, util::Rng(9));
+  auto spec = make_mlcr_system(agent, cfg.encoder);
+  const sim::Trace trace = cycle_trace(world, 4);
+  obs::Tracer tracer;
+  const auto sink = std::make_shared<ForcedArgSink>();
+  tracer.add_sink(sink);
+  (void)policies::run_system(spec, world.functions, world.catalog,
+                             world.cost_model(), 4096.0, trace, 0, &tracer);
+  ASSERT_EQ(sink->forced.size(), trace.size());
+  EXPECT_EQ(sink->forced.front(), "1");
+  std::size_t ones = 0;
+  for (const std::string& v : sink->forced) {
+    EXPECT_TRUE(v == "0" || v == "1") << v;
+    ones += v == "1" ? 1 : 0;
+  }
+  EXPECT_GT(ones, 0U);
+  EXPECT_LT(ones, trace.size());
 }
 
 TEST(MlcrTrainer, ImprovesOverEpisodesOnTinyWorld) {

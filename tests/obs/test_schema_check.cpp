@@ -93,6 +93,22 @@ TEST(SchemaCheck, RejectsContractViolations) {
           .ok());
   // An event must be an object.
   EXPECT_FALSE(check_trace_json(R"([17])").ok());
+  // A dqn_inference instant says whether the mask allowed one action.
+  EXPECT_TRUE(
+      check_trace_json(
+          R"([{"name":"dqn_inference","ph":"i","ts":0,"pid":0,"tid":0,
+               "args":{"action":3,"forced":0}}])")
+          .ok());
+  for (const char* args : {"", R"(,"args":{"action":3})",
+                           R"(,"args":{"forced":2})",
+                           R"(,"args":{"forced":"1"})"})
+    EXPECT_TRUE(any_error_contains(
+        check_trace_json(
+            std::string(
+                R"([{"name":"dqn_inference","ph":"i","ts":0,"pid":0,"tid":0)") +
+            args + "}]"),
+        "forced"))
+        << args;
 }
 
 TEST(SchemaCheck, ErrorCollectionStopsAtTheCap) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "rl/infer_golden.hpp"
 #include "util/check.hpp"
 
 namespace mlcr::rl {
@@ -183,6 +185,79 @@ TEST(DqnAgent, NonFiniteLossThrowsBeforeTheWeightsMove) {
   for (std::size_t i = 0; i < before.size(); ++i)
     EXPECT_TRUE(after[i] == before[i]) << "weight tensor " << i;
   EXPECT_EQ(agent.train_steps(), 0U);
+}
+
+std::vector<nn::Tensor*> workspace_tensors(InferWorkspace& ws) {
+  nn::BlockWorkspace& b = ws.block;
+  return {&ws.h,    &b.norm,   &b.q,   &b.k,      &b.v,       &b.key_t,
+          &b.scores, &b.concat, &b.out, &b.hidden, &ws.values, &ws.q};
+}
+
+// A single-action mask decides without a forward pass, so the workspace a
+// forward pass writes comes back exactly as it went in.
+TEST(DqnAgent, SingleActionMaskRunsNoForwardPass) {
+  constexpr float kSentinel = -12345.0F;
+  DqnAgent agent(tiny_dqn(), util::Rng(13));
+  InferWorkspace ws(agent.config().network);
+  for (nn::Tensor* t : workspace_tensors(ws))
+    for (std::size_t i = 0; i < t->size(); ++i) t->data()[i] = kSentinel;
+  const auto written = [&ws] {
+    std::size_t n = 0;
+    for (nn::Tensor* t : workspace_tensors(ws))
+      for (std::size_t i = 0; i < t->size(); ++i)
+        n += t->data()[i] != kSentinel ? 1 : 0;
+    return n;
+  };
+
+  EXPECT_EQ(agent.greedy_action(bandit_state(), {0, 0, 1}, ws), 2U);
+  EXPECT_EQ(agent.greedy_action(bandit_state(), {1, 0, 0}, ws), 0U);
+  EXPECT_EQ(written(), 0U) << "a single-action mask ran the forward pass";
+  // Two allowed actions need the Q-values.
+  (void)agent.greedy_action(bandit_state(), {0, 1, 1}, ws);
+  EXPECT_GT(written(), 0U);
+}
+
+TEST(DqnAgent, SingleActionMaskKeepsTheForwardPassChecks) {
+  DqnAgent agent(tiny_dqn(), util::Rng(14));
+  InferWorkspace ws(agent.config().network);
+  // The network takes 4 x 4 tokens.
+  EXPECT_THROW((void)agent.greedy_action(nn::Tensor(5, 4), {0, 0, 1}, ws),
+               util::CheckError);
+  EXPECT_THROW((void)agent.greedy_action(nn::Tensor(4, 3), {0, 0, 1}, ws),
+               util::CheckError);
+  // The mask has one entry per action (3).
+  EXPECT_THROW((void)agent.greedy_action(bandit_state(), {0, 1}, ws),
+               util::CheckError);
+  EXPECT_THROW((void)agent.greedy_action(bandit_state(), {0, 0, 0, 1}, ws),
+               util::CheckError);
+  EXPECT_THROW((void)agent.greedy_action(bandit_state(), {0, 0, 0}, ws),
+               util::CheckError);
+  util::Rng rng(15);
+  EXPECT_THROW(
+      (void)agent.select_action(nn::Tensor(5, 4), {0, 1, 0}, 0.0F, rng),
+      util::CheckError);
+}
+
+// Oracle over an FStartBench rollout: on every state the greedy action is
+// the masked argmax of the full Q-values, on single-action masks (no
+// forward pass) and on the rest alike.
+TEST(DqnAgent, GreedyActionMatchesMaskedArgmaxOverAnFStartBenchRollout) {
+  DqnConfig cfg;
+  cfg.network = golden::network_config(true);
+  const DqnAgent agent(cfg, util::Rng(golden::kNetworkSeed));
+  InferWorkspace ws(cfg.network);
+  std::size_t single = 0;
+  std::size_t multi = 0;
+  golden::run_episode([&](const core::EncodedState& state) {
+    const std::size_t action =
+        agent.greedy_action(state.tokens, state.mask, ws);
+    EXPECT_EQ(action, masked_argmax(agent.q_values(state.tokens), state.mask)
+                          .value_or(SIZE_MAX));
+    ++(sole_allowed_action(state.mask) ? single : multi);
+    return action;
+  });
+  EXPECT_GT(single, 0U);
+  EXPECT_GT(multi, 0U);
 }
 
 }  // namespace
