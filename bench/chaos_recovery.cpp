@@ -60,6 +60,27 @@ faults::FaultPlan make_plan(double rate, std::size_t nodes, double span_s,
   return plan;
 }
 
+/// Nearest-rank P99 startup latency over every node's served invocations
+/// of the episode `fleet` last ran. The records stay in their nodes; the
+/// percentile reads their union.
+double fleet_latency_p99(const fleet::FleetEnv& fleet) {
+  std::vector<double> latencies;
+  for (std::size_t i = 0; i < fleet.node_count(); ++i) {
+    const std::vector<double> node = fleet.node(i).metrics().latencies();
+    latencies.insert(latencies.end(), node.begin(), node.end());
+  }
+  return obs::exact_rank_percentile(std::move(latencies), 99.0);
+}
+
+/// Fold one fleet episode into the session's registry, node by node.
+void record_fleet_metrics(benchtools::ObsSession& session,
+                          const std::string& system,
+                          const fleet::FleetEnv& fleet) {
+  for (std::size_t i = 0; i < fleet.node_count(); ++i)
+    benchtools::record_episode_metrics(session, system,
+                                       fleet.node(i).metrics());
+}
+
 // --- Correlated failure domains (DESIGN.md §14) -------------------------
 
 constexpr std::size_t kStudyNodes = 12;   ///< primary routable nodes
@@ -156,6 +177,7 @@ StudyCell run_study_cell(const std::string& name,
   for (std::size_t r = 0; r < options.reps; ++r)
     rep_rngs.push_back(root.split());
   std::vector<fleet::FleetSummary> results(options.reps);
+  std::vector<double> p99s(options.reps);
   const auto run_one = [&](std::size_t r) {
     util::Rng rng = rep_rngs[r];
     const sim::Trace trace = factory(rng);
@@ -172,6 +194,7 @@ StudyCell run_study_cell(const std::string& name,
                         fleet::uniform_system(system));
     const std::unique_ptr<fleet::Router> router = make_router();
     results[r] = env.run(trace, *router);
+    p99s[r] = fleet_latency_p99(env);
   };
   if (options.threads == 1) {
     for (std::size_t r = 0; r < options.reps; ++r) run_one(r);
@@ -183,8 +206,9 @@ StudyCell run_study_cell(const std::string& name,
   StudyCell cell;
   cell.name = name;
   util::RunningStats p99, goodput;
-  for (const auto& fs : results) {
-    p99.add(fs.merged.latency_p99());
+  for (std::size_t r = 0; r < options.reps; ++r) {
+    const fleet::FleetSummary& fs = results[r];
+    p99.add(p99s[r]);
     goodput.add(fs.goodput());
     cell.dropped += fs.lost + fs.total.failed;
     cell.lost += fs.lost;
@@ -243,8 +267,7 @@ void traced_domain_episode(benchtools::ObsSession& session,
                  "traced domain episode must admit the cold spare");
   MLCR_CHECK_MSG(fs.rerouted > 0,
                  "traced domain episode must exercise the reroute path");
-  benchtools::record_episode_metrics(session, "chaos:domain:Greedy-Match",
-                                     fs.merged);
+  record_fleet_metrics(session, "chaos:domain:Greedy-Match", env);
 }
 
 /// Serving-plane replay of the correlated scenario with the full telemetry
@@ -326,8 +349,7 @@ void traced_chaos_episode(benchtools::ObsSession& session,
                  "traced chaos episode must exercise the crash window");
   MLCR_CHECK_MSG(fs.total.retries > 0,
                  "traced chaos episode must exercise the retry path");
-  benchtools::record_episode_metrics(session, "chaos:Greedy-Match",
-                                     fs.merged);
+  record_fleet_metrics(session, "chaos:Greedy-Match", env);
 }
 
 }  // namespace
@@ -377,6 +399,7 @@ int main(int argc, char** argv) {
         for (std::size_t r = 0; r < options.reps; ++r)
           rep_rngs.push_back(root.split());
         std::vector<fleet::FleetSummary> results(options.reps);
+        std::vector<double> p99s(options.reps);
         const auto run_one = [&](std::size_t r) {
           util::Rng rng = rep_rngs[r];
           const sim::Trace trace = factory(rng);
@@ -392,6 +415,7 @@ int main(int argc, char** argv) {
                               fleet::uniform_system(system.make));
           fleet::WarmAwareRouter router;
           results[r] = env.run(trace, router);
+          p99s[r] = fleet_latency_p99(env);
         };
         if (options.threads == 1) {
           for (std::size_t r = 0; r < options.reps; ++r) run_one(r);
@@ -402,13 +426,14 @@ int main(int argc, char** argv) {
 
         util::RunningStats p99, goodput, failed, retries, lost, rerouted,
             latency;
-        for (const auto& fs : results) {
+        for (std::size_t r = 0; r < options.reps; ++r) {
+          const fleet::FleetSummary& fs = results[r];
           // Crash windows never cover the whole fleet (cap = nodes/2) and
           // 1-node sweeps sample none, so with retries on, capacity always
           // remains and nothing may be dropped.
           MLCR_CHECK_MSG(fs.lost == 0,
                          "invocations lost despite surviving capacity");
-          p99.add(fs.merged.latency_p99());
+          p99.add(p99s[r]);
           goodput.add(fs.goodput());
           failed.add(static_cast<double>(fs.total.failed));
           retries.add(static_cast<double>(fs.total.retries));

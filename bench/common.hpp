@@ -22,6 +22,8 @@
 #include "obs/sink.hpp"
 #include "obs/tracer.hpp"
 #include "policies/runner.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -35,9 +37,12 @@ struct Suite {
   sim::StartupCostModel cost{bench.catalog, fstartbench::default_cost_config()};
 };
 
-/// Command-line knobs shared by the figure benches:
-///   --reps N       replications per configuration (default 7; paper: 50)
-///   --episodes N   MLCR training episodes (default 30)
+/// Command-line knobs shared by the figure benches. Counts are whole
+/// non-negative decimals; a malformed count or a missing value throws
+/// util::CheckError naming the flag:
+///   --reps N       replications per configuration (default 7; paper: 50;
+///                  at least 1)
+///   --episodes N   MLCR training episodes (default 30; at least 1)
 ///   --threads N    worker threads for the replication loop (default 1;
 ///                  0 = hardware concurrency). Results are bit-identical
 ///                  for any thread count: every rep owns a split Rng and a
@@ -70,12 +75,12 @@ struct BenchOptions {
     BenchOptions o;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto next = [&]() -> std::size_t {
-        return i + 1 < argc ? static_cast<std::size_t>(std::atoll(argv[++i]))
-                            : 0;
-      };
       auto next_str = [&]() -> std::string {
-        return i + 1 < argc ? std::string(argv[++i]) : std::string();
+        MLCR_CHECK_MSG(i + 1 < argc, arg << " needs a value");
+        return argv[++i];
+      };
+      auto next = [&]() -> std::size_t {
+        return util::parse_count(next_str(), arg);
       };
       if (arg == "--reps")
         o.reps = next();
@@ -98,7 +103,8 @@ struct BenchOptions {
       else
         std::cerr << "ignoring unknown flag: " << arg << "\n";
     }
-    if (o.reps == 0) o.reps = 1;
+    MLCR_CHECK_MSG(o.reps >= 1, "--reps must be at least 1");
+    MLCR_CHECK_MSG(o.episodes >= 1, "--episodes must be at least 1");
     return o;
   }
 };

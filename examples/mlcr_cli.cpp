@@ -19,6 +19,7 @@
 #include "policies/prewarm.hpp"
 #include "policies/runner.hpp"
 #include "sim/trace_io.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -115,13 +116,13 @@ int main(int argc, char** argv) {
     else if (arg == "--systems")
       opt.systems = value();
     else if (arg == "--invocations")
-      opt.invocations = static_cast<std::size_t>(std::stoull(value()));
+      opt.invocations = util::parse_count(value(), arg);
     else if (arg == "--pool")
       opt.pool_fraction = std::stod(value());
     else if (arg == "--reps")
-      opt.reps = static_cast<std::size_t>(std::stoull(value()));
+      opt.reps = util::parse_count(value(), arg);
     else if (arg == "--seed")
-      opt.seed = std::stoull(value());
+      opt.seed = util::parse_count(value(), arg);
     else if (arg == "--csv")
       opt.csv_path = value();
     else if (arg == "--save-trace")

@@ -7,7 +7,6 @@
 //   fstartbench::make_benchmark / make_overall_workload  — workloads
 //   policies::make_*_system / run_system                 — baselines
 //   core::make_default_mlcr_config / train_agent         — the DRL scheduler
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -16,15 +15,20 @@
 #include "fstartbench/benchmark.hpp"
 #include "fstartbench/workloads.hpp"
 #include "policies/runner.hpp"
+#include "util/check.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace mlcr;
 
+  // Whole non-negative decimals; anything else throws util::CheckError.
   const std::size_t invocations =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 400;
+      argc > 1 ? util::parse_count(argv[1], "invocations") : 400;
   const std::size_t episodes =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 24;
+      argc > 2 ? util::parse_count(argv[2], "train_episodes") : 24;
+  MLCR_CHECK_MSG(invocations >= 1 && episodes >= 1,
+                 "invocations and train_episodes must be at least 1");
 
   // 1. The benchmark: 13 functions with three-level package metadata.
   const fstartbench::Benchmark bench = fstartbench::make_benchmark();

@@ -208,20 +208,55 @@ FleetEnv::Transition FleetEnv::fire_fault(const FaultEvent& ev, bool clamp) {
   return out;
 }
 
+namespace {
+
+/// A node's summary agrees with its own records, and those records agree
+/// with the collector's incremental counts.
+[[maybe_unused]] void audit_node(const policies::EpisodeSummary& summary,
+                                 const sim::MetricsCollector& metrics) {
+  metrics.audit();
+  MLCR_CHECK_MSG(summary.invocations == metrics.invocation_count(),
+                 "node summary and metrics disagree on invocation count");
+}
+
+}  // namespace
+
 FleetSummary FleetEnv::finish_episode(std::string router, std::size_t lost,
                                       std::size_t rerouted) {
-  std::vector<NodeObservation> observations;
-  observations.reserve(nodes_.size());
+  FleetSummary fs;
+  fs.router = std::move(router);
+  fs.system = system_name_;
+  fs.nodes = nodes_.size();
+  fs.total.scheduler = system_name_;
+  fs.per_node.reserve(nodes_.size());
+  std::size_t max_invocations = 0;
   for (Node& node : nodes_) {
     node.env->finish_streaming();
     node.env->set_fault_injector(nullptr);
-    observations.push_back(
-        {policies::summarize_env(*node.env, node.spec.scheduler->name()),
-         node.env->metrics()});
+    const policies::EpisodeSummary& s = fs.per_node.emplace_back(
+        policies::summarize_env(*node.env, node.spec.scheduler->name()));
+    MLCR_AUDIT_POINT(audit_node(s, node.env->metrics()));
+    fs.total.invocations += s.invocations;
+    fs.total.total_latency_s += s.total_latency_s;
+    fs.total.cold_starts += s.cold_starts;
+    fs.total.warm_l1 += s.warm_l1;
+    fs.total.warm_l2 += s.warm_l2;
+    fs.total.warm_l3 += s.warm_l3;
+    fs.total.peak_pool_mb += s.peak_pool_mb;
+    fs.total.evictions += s.evictions;
+    fs.total.rejections += s.rejections;
+    fs.total.failed += s.failed;
+    fs.total.retries += s.retries;
+    max_invocations = std::max(max_invocations, s.invocations);
   }
   injectors_.clear();
-  FleetSummary fs =
-      aggregate_fleet(std::move(router), system_name_, observations);
+  if (fs.total.invocations > 0) {
+    fs.total.average_latency_s =
+        fs.total.total_latency_s / static_cast<double>(fs.total.invocations);
+    fs.routing_imbalance =
+        static_cast<double>(max_invocations) * static_cast<double>(fs.nodes) /
+        static_cast<double>(fs.total.invocations);
+  }
   fs.lost = lost;
   fs.rerouted = rerouted;
   fs.node_crashes = fault_counts_.node_crashes;

@@ -136,7 +136,9 @@ class FleetEnv {
   /// nodes only interact through routing, and ClusterEnv::advance_to
   /// composes, so advancing a node event-by-event is state-identical to
   /// advancing it to every arrival. tests/fleet/fleet_golden.txt pins the
-  /// summaries of a fixed router x fault-mode matrix bit for bit.
+  /// summaries of a fixed router x fault-mode matrix bit for bit. Ends
+  /// with finish_episode(), so node(i).metrics() holds node i's records
+  /// until the next episode begins.
   FleetSummary run(const sim::Trace& trace, Router& router);
 
   /// Replace the fault plan (validated against the node count) and rebuild
@@ -239,9 +241,12 @@ class FleetEnv {
   /// transition the node has already made is skipped.
   Transition fire_fault(const FaultEvent& ev, bool clamp);
 
-  /// Close the episode: finish every node's streaming episode, detach the
-  /// injectors and aggregate the summary. `router` names the routing
-  /// policy; `lost` and `rerouted` are its failover accounting.
+  /// Close the episode: finish every node's streaming episode (its records
+  /// sorted by trace seq), detach the injectors and sum the nodes' counts
+  /// into the summary. `router` names the routing policy; `lost` and
+  /// `rerouted` are its failover accounting. Each invocation record lives
+  /// only in its node's collector: node(i).metrics() holds node i's records
+  /// until the next begin_episode() clears them.
   [[nodiscard]] FleetSummary finish_episode(std::string router,
                                             std::size_t lost,
                                             std::size_t rerouted);

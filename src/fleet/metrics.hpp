@@ -1,23 +1,17 @@
-// Fleet-wide metrics: merges per-node MetricsCollector output into one
-// cluster-level summary (total/average startup latency, cold starts, warm
-// starts by Table-I level, aggregate pool memory) plus per-node breakdowns
-// and routing-balance measures.
+// Fleet-wide metrics: the cluster-level summary FleetEnv::finish_episode
+// folds from the nodes' own counts (total/average startup latency, cold
+// starts, warm starts by Table-I level, aggregate pool memory) plus per-node
+// breakdowns and routing-balance measures. The per-invocation records stay
+// in each node's collector (FleetEnv::node(i).metrics()); the fleet keeps no
+// second copy.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "policies/runner.hpp"
-#include "sim/metrics.hpp"
 
 namespace mlcr::fleet {
-
-/// One node's view after an episode: its summary row and its raw metrics
-/// records for fleet-wide series.
-struct NodeObservation {
-  policies::EpisodeSummary summary;
-  const sim::MetricsCollector& metrics;
-};
 
 /// Cluster-level episode result.
 struct FleetSummary {
@@ -62,17 +56,6 @@ struct FleetSummary {
     return static_cast<double>(total.invocations - total.failed) /
            static_cast<double>(offered);
   }
-
-  /// All invocation records across nodes, re-ordered by global trace
-  /// sequence (for fleet-wide cumulative series). Always populated.
-  sim::MetricsCollector merged;
 };
-
-/// Merge per-node observations into a FleetSummary. `system` names the
-/// per-node scheduler family; per-node scheduler names are preserved in
-/// per_node[i].scheduler.
-[[nodiscard]] FleetSummary aggregate_fleet(
-    std::string router, std::string system,
-    const std::vector<NodeObservation>& nodes);
 
 }  // namespace mlcr::fleet

@@ -162,7 +162,9 @@ class SchedulerService {
   /// Close the queues and drain what remains (joining the workers when
   /// start()ed). A pumped episode then fires the rest of the fault plan,
   /// clamped to the node clocks, as FleetEnv::run's tail does. Nodes still
-  /// down recover, and the fleet closes its episode. Ends the episode.
+  /// down recover, and the fleet closes its episode. Ends the episode;
+  /// node i's records stay in fleet.node(i).metrics() until the next
+  /// begin_episode().
   [[nodiscard]] ServeSummary finish_episode();
 
   /// Deterministic replay of `trace`: for each arrival, advance the

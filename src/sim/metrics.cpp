@@ -32,24 +32,6 @@ void MetricsCollector::sort_records_by_seq() {
   std::stable_sort(records_.begin(), records_.end(), seq_less);
 }
 
-void MetricsCollector::merge_many(
-    const std::vector<const MetricsCollector*>& parts) {
-  std::size_t extra = 0;
-  for (const MetricsCollector* part : parts) extra += part->records_.size();
-  records_.reserve(records_.size() + extra);
-  for (const MetricsCollector* part : parts) {
-    records_.insert(records_.end(), part->records_.begin(),
-                    part->records_.end());
-    total_latency_s_ += part->total_latency_s_;
-    cold_starts_ += part->cold_starts_;
-    for (std::size_t i = 0; i < by_level_.size(); ++i)
-      by_level_[i] += part->by_level_[i];
-    failed_ += part->failed_;
-    retries_ += part->retries_;
-  }
-  std::stable_sort(records_.begin(), records_.end(), seq_less);
-}
-
 void MetricsCollector::clear() {
   records_.clear();
   total_latency_s_ = 0.0;
@@ -150,8 +132,9 @@ void MetricsCollector::audit(bool require_seq_order) const {
                          by_level_[3] + by_level_[0] ==
                      records_.size(),
                  "failed + cold + warm does not sum to the record count");
-  // merge_many() re-sorts records, so recomputation may fold in a different
-  // order; allow relative float slack.
+  // sort_records_by_seq() reorders streamed records, so the recomputation
+  // may fold in a different order than record() did; allow relative float
+  // slack.
   MLCR_CHECK_MSG(
       std::abs(total - total_latency_s_) <=
           1e-9 * std::max(1.0, std::abs(total)),

@@ -46,12 +46,6 @@ class MetricsCollector {
   /// indices held for mark_failed() are stale afterwards.
   void sort_records_by_seq();
 
-  /// Fold other collectors into this one (fleet-wide aggregation across
-  /// nodes): one concatenation + one stable sort on trace sequence number,
-  /// O(total log total), so cumulative series stay in global arrival order
-  /// (parts in argument order on equal seq).
-  void merge_many(const std::vector<const MetricsCollector*>& parts);
-
   [[nodiscard]] const std::vector<InvocationRecord>& records() const noexcept {
     return records_;
   }
@@ -95,8 +89,8 @@ class MetricsCollector {
   /// (obs::exact_rank semantics: the sample of rank ceil(p/100 * n); always
   /// an observed value, no interpolation). p in [0, 100]. Contract: 0.0
   /// when no invocation was served (empty or all-failed episode) — never
-  /// UB. Works on fleet-merged collectors unchanged — merge_many() keeps
-  /// every record.
+  /// UB. Nearest-rank is order-free, so a fleet-wide percentile is
+  /// obs::exact_rank_percentile over the union of the nodes' latencies().
   [[nodiscard]] double latency_percentile(double p) const;
   [[nodiscard]] double latency_p50() const { return latency_percentile(50.0); }
   [[nodiscard]] double latency_p95() const { return latency_percentile(95.0); }

@@ -1,0 +1,28 @@
+// Strict parsing of command-line counts.
+#pragma once
+
+#include <charconv>
+#include <cstddef>
+#include <string_view>
+#include <system_error>
+
+#include "util/check.hpp"
+
+namespace mlcr::util {
+
+/// `text` as a non-negative decimal that fits std::size_t: the whole string,
+/// digits only (no sign, no space, no suffix). Throws CheckError naming
+/// `what` (the flag or argument) otherwise, so a typo reads as an error
+/// instead of 0, and "-1" instead of a wrapped 2^64 - 1.
+[[nodiscard]] inline std::size_t parse_count(std::string_view text,
+                                             std::string_view what) {
+  std::size_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  MLCR_CHECK_MSG(!text.empty() && ec == std::errc() && ptr == end,
+                 what << " needs a non-negative integer that fits size_t, got '"
+                      << text << "'");
+  return value;
+}
+
+}  // namespace mlcr::util

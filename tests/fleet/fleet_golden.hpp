@@ -1,9 +1,10 @@
 // The fixed fleet matrix behind tests/fleet/fleet_golden.txt, shared by the
 // file's generator (make_fleet_golden) and the tests that pin FleetEnv::run
 // and SchedulerService::run_replay against it. Uses only the FleetEnv
-// constructor, run(), standard_routers() and with_health_aware(), so the
-// generator builds at any commit that has them and the file pins fleet
-// routing against the commit that produced it, not only against itself.
+// constructor, run(), node(), standard_routers() and with_health_aware(),
+// so the generator builds at any commit that has them and the file pins
+// fleet routing against the commit that produced it, not only against
+// itself.
 //
 // Scenarios: three fault modes crossed with two traces. The modes are a
 // faultless fleet at 1, 3 and 8 nodes; independent crash windows with
@@ -15,6 +16,7 @@
 // router, bare and health-aware: one golden line per (scenario, router).
 #pragma once
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -196,8 +198,26 @@ class Matrix {
   return buf;
 }
 
-/// FNV-1a over the fields of every merged invocation record.
-[[nodiscard]] inline std::uint64_t records_digest(const FleetSummary& fs) {
+/// Every node's invocation records from the episode `fleet` last ran, in
+/// trace order: stable-sorted by seq, node order on equal seq.
+[[nodiscard]] inline std::vector<sim::InvocationRecord> fleet_records(
+    const FleetEnv& fleet) {
+  std::vector<sim::InvocationRecord> out;
+  for (std::size_t i = 0; i < fleet.node_count(); ++i) {
+    const auto& node = fleet.node(i).metrics().records();
+    out.insert(out.end(), node.begin(), node.end());
+  }
+  std::stable_sort(
+      out.begin(), out.end(),
+      [](const sim::InvocationRecord& a, const sim::InvocationRecord& b) {
+        return a.seq < b.seq;
+      });
+  return out;
+}
+
+/// FNV-1a over the fields of every invocation record.
+[[nodiscard]] inline std::uint64_t records_digest(
+    const std::vector<sim::InvocationRecord>& records) {
   std::uint64_t h = 14695981039346656037ULL;
   const auto mix = [&h](std::uint64_t v) {
     for (int b = 0; b < 8; ++b) {
@@ -205,7 +225,7 @@ class Matrix {
       h *= 1099511628211ULL;
     }
   };
-  for (const sim::InvocationRecord& r : fs.merged.records()) {
+  for (const sim::InvocationRecord& r : records) {
     mix(r.seq);
     mix(r.function);
     mix(r.container);
@@ -230,9 +250,12 @@ class Matrix {
          ',' + std::to_string(s.failed) + ',' + std::to_string(s.retries);
 }
 
-/// One golden line: `<label> <router>` then every summary field.
+/// One golden line: `<label> <router>` then every summary field, then the
+/// count and digest of the records `fleet` holds from the episode `fs`
+/// summarises.
 [[nodiscard]] inline std::string line(const std::string& label,
-                                      const FleetSummary& fs) {
+                                      const FleetSummary& fs,
+                                      const FleetEnv& fleet) {
   std::string out = label + ' ' + fs.router + " system=" + fs.system +
                     " nodes=" + std::to_string(fs.nodes) +
                     " total=" + describe(fs.total) +
@@ -246,8 +269,9 @@ class Matrix {
                     " spares=" + std::to_string(fs.spares_activated);
   for (std::size_t i = 0; i < fs.per_node.size(); ++i)
     out += " node" + std::to_string(i) + '=' + describe(fs.per_node[i]);
-  out += " records=" + std::to_string(fs.merged.records().size()) + ':' +
-         hex(records_digest(fs));
+  const std::vector<sim::InvocationRecord> records = fleet_records(fleet);
+  out += " records=" + std::to_string(records.size()) + ':' +
+         hex(records_digest(records));
   return out;
 }
 
@@ -256,7 +280,8 @@ class Matrix {
                                           const RouterSpec& spec) {
   FleetEnv fleet = make_fleet(scenario);
   const std::unique_ptr<Router> router = spec.make();
-  return line(scenario.name, fleet.run(scenario.trace, *router));
+  const FleetSummary fs = fleet.run(scenario.trace, *router);
+  return line(scenario.name, fs, fleet);
 }
 
 }  // namespace mlcr::fleet::golden

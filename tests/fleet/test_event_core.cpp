@@ -87,8 +87,10 @@ TEST(FleetEventCore, SetFaultPlanMatchesConstructionPlan) {
 
   fleet::LeastOutstandingRouter ra;
   fleet::LeastOutstandingRouter rb;
-  EXPECT_EQ(fleet::golden::line("set_fault_plan", constructed.run(trace, ra)),
-            fleet::golden::line("set_fault_plan", updated.run(trace, rb)));
+  const fleet::FleetSummary a = constructed.run(trace, ra);
+  const fleet::FleetSummary b = updated.run(trace, rb);
+  EXPECT_EQ(fleet::golden::line("set_fault_plan", a, constructed),
+            fleet::golden::line("set_fault_plan", b, updated));
 }
 
 }  // namespace

@@ -1,13 +1,22 @@
 // FleetEnv: single-node equivalence with the traced runner, fleet-wide
-// aggregation accounting, determinism under a fixed seed, and the headline
+// aggregation accounting, where each invocation record lives after an
+// episode, determinism under a fixed seed, and the headline
 // property the fleet layer exists for — reuse-aware routing preserves the
 // multi-level reuse that random routing destroys.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "fleet/fleet_env.hpp"
+#include "fleet/fleet_golden.hpp"
 #include "fleet/router.hpp"
 #include "fstartbench/workloads.hpp"
 #include "policies/runner.hpp"
+#include "serve/clock.hpp"
+#include "serve/policy.hpp"
+#include "serve/service.hpp"
 #include "testing/fixtures.hpp"
 
 namespace mlcr {
@@ -54,8 +63,9 @@ TEST(FleetEnv, SingleNodeFleetReproducesRunEpisodeExactly) {
     EXPECT_EQ(fs.total.evictions, reference.evictions);
     EXPECT_EQ(fs.total.rejections, reference.rejections);
     // Per-invocation records agree with the single-node metrics stream.
-    ASSERT_EQ(fs.merged.invocation_count(), reference.invocations);
-    EXPECT_EQ(fs.merged.cumulative_latency(),
+    ASSERT_EQ(one.node(0).metrics().invocation_count(),
+              reference.invocations);
+    EXPECT_EQ(one.node(0).metrics().cumulative_latency(),
               env.metrics().cumulative_latency());
   }
 }
@@ -142,13 +152,85 @@ TEST(FleetEnv, AggregateSumsPerNodeCounts) {
   EXPECT_EQ(fs.total.cold_starts, colds);
   EXPECT_EQ(fs.total.warm_l1 + fs.total.warm_l2 + fs.total.warm_l3, warm);
   EXPECT_DOUBLE_EQ(fs.total.total_latency_s, latency);
-  EXPECT_EQ(fs.merged.invocation_count(), trace.size());
-  // Merged records are in global trace order.
-  const auto& records = fs.merged.records();
-  for (std::size_t i = 0; i < records.size(); ++i)
-    EXPECT_EQ(records[i].seq, i);
   // Round-robin over 3 nodes is perfectly balanced (100 = 34+33+33).
   EXPECT_NEAR(fs.routing_imbalance, 1.0, 0.05);
+}
+
+/// The record contract on the episode `fleet` just closed with summary
+/// `fs` over a `trace_size`-invocation trace: node i's collector holds its
+/// per_node[i].invocations records in ascending seq order, and every seq
+/// not lost at routing sits in exactly one node.
+void expect_records_stay_in_their_nodes(const fleet::FleetEnv& fleet,
+                                        const fleet::FleetSummary& fs,
+                                        std::size_t trace_size) {
+  ASSERT_EQ(fs.per_node.size(), fleet.node_count());
+  std::vector<std::size_t> owners(trace_size, 0);
+  for (std::size_t i = 0; i < fleet.node_count(); ++i) {
+    const auto& records = fleet.node(i).metrics().records();
+    EXPECT_EQ(records.size(), fs.per_node[i].invocations) << "node " << i;
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      ASSERT_LT(records[k].seq, trace_size) << "node " << i;
+      if (k > 0) {
+        EXPECT_LT(records[k - 1].seq, records[k].seq)
+            << "node " << i << " record " << k;
+      }
+      ++owners[records[k].seq];
+    }
+  }
+  std::size_t unowned = 0;
+  for (std::size_t seq = 0; seq < trace_size; ++seq) {
+    EXPECT_LE(owners[seq], 1U) << "seq " << seq;
+    if (owners[seq] == 0) ++unowned;
+  }
+  EXPECT_EQ(unowned, fs.lost);
+}
+
+/// Every node's collector is empty: a new episode began.
+void expect_records_cleared(const fleet::FleetEnv& fleet) {
+  for (std::size_t i = 0; i < fleet.node_count(); ++i)
+    EXPECT_EQ(fleet.node(i).metrics().invocation_count(), 0U) << "node " << i;
+}
+
+/// Each invocation record lives only in its node's collector, so readers
+/// reach a closed episode's records through node(i).metrics(). Checked in
+/// both planes over every golden scenario (faultless, crash windows with
+/// reroutes, correlated domains admitting a spare): the records stay until
+/// the next episode begins, and beginning it clears them.
+TEST(FleetEnv, NodeRecordsStayReadableUntilTheNextEpisode) {
+  const fleet::golden::Matrix matrix;
+  std::size_t rerouted = 0;
+  std::size_t spares = 0;
+  for (const fleet::golden::Scenario& scenario : matrix.scenarios())
+    for (const fleet::RouterSpec& spec : fleet::golden::routers()) {
+      SCOPED_TRACE(scenario.name + ' ' + spec.name);
+      const std::size_t n = scenario.trace.size();
+      fleet::FleetEnv fleet = fleet::golden::make_fleet(scenario);
+      const std::unique_ptr<fleet::Router> router = spec.make();
+      const fleet::FleetSummary run = fleet.run(scenario.trace, *router);
+      expect_records_stay_in_their_nodes(fleet, run, n);
+      rerouted += run.rerouted;
+      spares += run.spares_activated;
+
+      serve::SimClock clock;
+      serve::SchedulerService service(
+          fleet, clock, std::make_unique<serve::RouterPolicy>(spec.make()),
+          serve::ServeConfig{});
+      service.begin_episode();
+      expect_records_cleared(fleet);
+      for (const sim::Invocation& inv : scenario.trace.invocations()) {
+        clock.advance_to(inv.arrival_s);
+        ASSERT_TRUE(service.submit(inv));
+        (void)service.pump_once();
+      }
+      const serve::ServeSummary served = service.finish_episode();
+      expect_records_stay_in_their_nodes(fleet, served.fleet, n);
+      EXPECT_EQ(served.fleet.total.invocations, run.total.invocations);
+
+      fleet.begin_episode();
+      expect_records_cleared(fleet);
+    }
+  EXPECT_GT(rerouted, 0U) << "no cell rerouted an invocation";
+  EXPECT_GT(spares, 0U) << "no cell admitted a spare";
 }
 
 /// The reason this layer exists: on a ≥4-node fleet, reuse-aware routing

@@ -87,8 +87,8 @@ TEST(FleetGolden, ReplayMatchesGolden) {
     serve::SimClock clock;
     serve::SchedulerService service(fleet, clock, hosted(spec),
                                     serve::ServeConfig{});
-    return golden::line(scenario.name,
-                        service.run_replay(scenario.trace).fleet);
+    const serve::ServeSummary summary = service.run_replay(scenario.trace);
+    return golden::line(scenario.name, summary.fleet, fleet);
   });
 }
 
@@ -116,7 +116,8 @@ void expect_pumped_golden(std::size_t per_pump, std::size_t workers = 1) {
         if (!service.submit(invs[k])) return "a submit was rejected";
       if (service.pump_once() != end - i) return "a pump served a part";
     }
-    return golden::line(scenario.name, service.finish_episode().fleet);
+    const serve::ServeSummary summary = service.finish_episode();
+    return golden::line(scenario.name, summary.fleet, fleet);
   });
 }
 

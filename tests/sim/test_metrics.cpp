@@ -7,13 +7,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/metrics_registry.hpp"
 #include "util/check.hpp"
 
 namespace mlcr::sim {
 namespace {
 
-// A fleet episode holds every record twice (node collector and the merged
-// fleet copy); the record carries only the fields that are read.
+// An episode keeps one record per invocation, in its node's collector; the
+// record carries only the fields that are read.
 static_assert(sizeof(InvocationRecord) <= 40,
               "InvocationRecord grew past its 40-byte packing");
 
@@ -159,50 +160,15 @@ TEST(Metrics, PercentilesAreZeroWhenNoInvocationWasServed) {
   EXPECT_DOUBLE_EQ(all_failed.goodput(), 0.0);
 }
 
-TEST(Metrics, MergeCarriesFailedAndRetryCounts) {
-  MetricsCollector a;
-  MetricsCollector b;
-  InvocationRecord f = rec(0, 1.0, true, containers::MatchLevel::kNoMatch);
-  f.failed = true;
-  f.attempts = 2;
-  a.record(std::move(f));
-  b.record(rec(1, 1.0, false, containers::MatchLevel::kL3));
-  MetricsCollector merged;
-  merged.merge_many({&a, &b});
-  EXPECT_EQ(merged.failed_count(), 1U);
-  EXPECT_EQ(merged.retry_count(), 1U);
-  EXPECT_DOUBLE_EQ(merged.goodput(), 0.5);
-  merged.audit();
-}
-
-TEST(Metrics, PercentilesWorkOnFleetMergedCollectors) {
-  // merge_many() keeps every per-invocation record, so percentiles over a
-  // merged collector equal percentiles over the union of the nodes' samples.
-  MetricsCollector a;
-  MetricsCollector b;
-  MetricsCollector merged;
-  for (int i = 0; i < 50; ++i)
-    a.record(rec(i, static_cast<double>(i + 1), false,
-                 containers::MatchLevel::kL3));
-  for (int i = 0; i < 50; ++i)
-    b.record(rec(i, static_cast<double>(i + 51), true,
-                 containers::MatchLevel::kNoMatch));
-  merged.merge_many({&a, &b});
-  ASSERT_EQ(merged.invocation_count(), 100U);
-  EXPECT_DOUBLE_EQ(merged.latency_p50(), 50.0);
-  EXPECT_DOUBLE_EQ(merged.latency_p95(), 95.0);
-  EXPECT_DOUBLE_EQ(merged.latency_p99(), 99.0);
-}
-
 TEST(Metrics, LargeFleetMergePreservesExactRankPercentiles) {
-  // Regression for the serving-scale aggregation path: folding many
-  // per-node collectors through merge_many must leave percentiles equal to
-  // the nearest-rank value over the union of every node's raw latencies —
-  // no re-bucketing, no drift from the merge order.
+  // Regression for the serving-scale aggregation path: a fleet-wide
+  // percentile is the nearest-rank value over the union of every node's
+  // raw latencies, folded in node order. It must equal the value over the
+  // sorted union, and so over the records in trace order — no
+  // re-bucketing, no drift from the fold order.
   constexpr std::size_t kNodes = 64;
   constexpr std::size_t kPerNode = 37;
   std::vector<MetricsCollector> nodes(kNodes);
-  std::vector<const MetricsCollector*> parts;
   std::vector<double> all;
   std::uint64_t seq = 0;
   for (std::size_t n = 0; n < kNodes; ++n) {
@@ -214,12 +180,17 @@ TEST(Metrics, LargeFleetMergePreservesExactRankPercentiles) {
                           containers::MatchLevel::kL3));
       all.push_back(latency);
     }
-    parts.push_back(&nodes[n]);
   }
 
-  MetricsCollector merged;
-  merged.merge_many(parts);
-  ASSERT_EQ(merged.invocation_count(), kNodes * kPerNode);
+  std::vector<double> node_order;
+  std::vector<double> reverse_order;
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    const std::vector<double> fwd = nodes[n].latencies();
+    const std::vector<double> rev = nodes[kNodes - 1 - n].latencies();
+    node_order.insert(node_order.end(), fwd.begin(), fwd.end());
+    reverse_order.insert(reverse_order.end(), rev.begin(), rev.end());
+  }
+  ASSERT_EQ(node_order.size(), kNodes * kPerNode);
 
   std::vector<double> sorted = all;
   std::sort(sorted.begin(), sorted.end());
@@ -230,7 +201,11 @@ TEST(Metrics, LargeFleetMergePreservesExactRankPercentiles) {
         static_cast<std::size_t>(std::ceil(p / 100.0 * n));
     if (rank < 1) rank = 1;
     if (rank > sorted.size()) rank = sorted.size();
-    EXPECT_DOUBLE_EQ(merged.latency_percentile(p), sorted[rank - 1])
+    EXPECT_DOUBLE_EQ(obs::exact_rank_percentile(node_order, p),
+                     sorted[rank - 1])
+        << "p=" << p;
+    EXPECT_DOUBLE_EQ(obs::exact_rank_percentile(reverse_order, p),
+                     sorted[rank - 1])
         << "p=" << p;
   }
 }

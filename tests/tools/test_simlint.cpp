@@ -73,6 +73,7 @@ const FixtureCase kFixtureCases[] = {
     {"banned_random.cpp", "src/sim/banned_random.cpp"},
     {"banned_clock.cpp", "src/sim/banned_clock.cpp"},
     {"banned_getenv.cpp", "src/sim/banned_getenv.cpp"},
+    {"banned_unchecked_number.cpp", "bench/banned_unchecked_number.cpp"},
     {"pointer_key.cpp", "src/sim/pointer_key.cpp"},
     {"unordered_iteration.cpp", "src/sim/unordered_iteration.cpp"},
     {"uninit_member.cpp", "src/containers/uninit_member.cpp"},

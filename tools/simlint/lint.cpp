@@ -167,6 +167,13 @@ const LineRule kLineRules[] = {
      R"((^|[^\w:.])(std\s*::\s*)?getenv\s*\()",
      "configuration must flow through explicit config structs, not the "
      "process environment"},
+    {"banned-unchecked-number",
+     "atoi / atol / atoll / stoul / stoull — a non-numeric value silently "
+     "becomes 0 and a negative one wraps to a huge unsigned count",
+     anywhere,
+     R"((^|[^\w:.>])(std\s*::\s*)?(atoi|atol|atoll|stoul|stoull)\s*\()",
+     "parse counts with util::parse_count (the whole string, non-negative, "
+     "fits size_t), which throws CheckError naming the flag instead"},
     {"pointer-key",
      "pointer-valued keys in (unordered_)map/set — ordering and hashing by "
      "address varies run to run",
