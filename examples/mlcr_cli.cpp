@@ -19,6 +19,7 @@
 #include "policies/prewarm.hpp"
 #include "policies/runner.hpp"
 #include "sim/trace_io.hpp"
+#include "util/check.hpp"
 #include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -46,6 +47,13 @@ void usage() {
       "                [--csv FILE] [--save-trace FILE] [--load-trace FILE]\n"
       "workloads: overall hi-sim lo-sim hi-var lo-var uniform peak random\n"
       "systems:   lru faascache keepalive greedy prewarm random\n";
+}
+
+/// `--pool`: a finite fraction of the Loose capacity, above 0.
+[[nodiscard]] double parse_pool_fraction(const std::string& text) {
+  const double fraction = util::parse_number(text, "--pool");
+  MLCR_CHECK_MSG(fraction > 0.0, "--pool needs a fraction > 0, got " << text);
+  return fraction;
 }
 
 [[nodiscard]] std::vector<std::string> split(const std::string& s, char sep) {
@@ -118,7 +126,7 @@ int main(int argc, char** argv) {
     else if (arg == "--invocations")
       opt.invocations = util::parse_count(value(), arg);
     else if (arg == "--pool")
-      opt.pool_fraction = std::stod(value());
+      opt.pool_fraction = parse_pool_fraction(value());
     else if (arg == "--reps")
       opt.reps = util::parse_count(value(), arg);
     else if (arg == "--seed")

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
 
   sim::EnvConfig env_cfg;
   env_cfg.pool_capacity_mb = pool_mb;
-  env_cfg.max_pool_containers = 0;  // memory is the binding constraint
   sim::ClusterEnv train_env(
       bench.functions, bench.catalog, cost, env_cfg,
       [] { return std::make_unique<containers::LruEviction>(); });

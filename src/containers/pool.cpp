@@ -54,11 +54,8 @@ ContainerId RejectWhenFull::choose_victim(
   return kInvalidContainer;
 }
 
-WarmPool::WarmPool(double capacity_mb, std::unique_ptr<EvictionPolicy> eviction,
-                   std::size_t max_count)
-    : capacity_mb_(capacity_mb),
-      max_count_(max_count),
-      eviction_(std::move(eviction)) {
+WarmPool::WarmPool(double capacity_mb, std::unique_ptr<EvictionPolicy> eviction)
+    : capacity_mb_(capacity_mb), eviction_(std::move(eviction)) {
   MLCR_CHECK_MSG(capacity_mb_ > 0.0, "pool capacity must be positive");
   MLCR_CHECK(eviction_ != nullptr);
 }
@@ -76,8 +73,7 @@ WarmPool::AdmitOutcome WarmPool::admit(Container container, double now) {
     return AdmitOutcome::kRejected;
   }
   auto over_budget = [&] {
-    return used_mb_ + container.memory_mb > capacity_mb_ ||
-           (max_count_ != 0 && by_id_.size() >= max_count_);
+    return used_mb_ + container.memory_mb > capacity_mb_;
   };
   if (over_budget() && eviction_->reject_when_full()) {
     ++rejections_;
@@ -250,9 +246,6 @@ void WarmPool::audit() const {
   MLCR_CHECK_MSG(used_mb_ <= capacity_mb_ + 1e-6,
                  "pool over capacity: " << used_mb_ << " of " << capacity_mb_
                                         << " MB");
-  MLCR_CHECK_MSG(max_count_ == 0 || by_id_.size() <= max_count_,
-                 "pool over container cap: " << by_id_.size() << " of "
-                                             << max_count_);
   MLCR_CHECK_MSG(peak_used_mb_ + 1e-6 >= used_mb_,
                  "peak usage below current usage");
   for (std::size_t l = 0; l < kNumLevels; ++l) {

@@ -102,10 +102,8 @@ struct KeyCount {
 /// eviction counts for the Fig. 10 experiment.
 class WarmPool {
  public:
-  /// `max_count` additionally caps how many containers the pool may hold
-  /// (this is the scheduler's slot count n, paper Sec. IV-B); 0 = unlimited.
-  WarmPool(double capacity_mb, std::unique_ptr<EvictionPolicy> eviction,
-           std::size_t max_count = 0);
+  /// The pool is bounded by memory alone (paper Sec. III).
+  WarmPool(double capacity_mb, std::unique_ptr<EvictionPolicy> eviction);
 
   enum class AdmitOutcome : std::uint8_t {
     kAdmitted,  ///< now idle in the pool (possibly after evictions)
@@ -153,8 +151,6 @@ class WarmPool {
   [[nodiscard]] std::size_t size() const noexcept { return by_id_.size(); }
   [[nodiscard]] bool empty() const noexcept { return by_id_.empty(); }
   [[nodiscard]] double capacity_mb() const noexcept { return capacity_mb_; }
-  /// Container-count cap; 0 means unlimited.
-  [[nodiscard]] std::size_t max_count() const noexcept { return max_count_; }
   [[nodiscard]] double used_mb() const noexcept { return used_mb_; }
   [[nodiscard]] double free_mb() const noexcept {
     return capacity_mb_ - used_mb_;
@@ -168,10 +164,6 @@ class WarmPool {
   }
   [[nodiscard]] double peak_used_mb() const noexcept { return peak_used_mb_; }
 
-  [[nodiscard]] const EvictionPolicy& eviction_policy() const {
-    return *eviction_;
-  }
-
   /// Attach a tracer: admissions/rejections/evictions/expiries become
   /// instants and occupancy becomes counters on (obs::Tracer::kSimPid,
   /// `track`), timestamped with the caller-supplied simulated `now`. The
@@ -182,8 +174,8 @@ class WarmPool {
   }
 
   /// Invariant auditor: byte accounting matches the summed container sizes,
-  /// every pooled container is idle with a consistent id, capacity / count
-  /// caps hold, and the key counts equal a recount of the pool. Throws
+  /// every pooled container is idle with a consistent id, the capacity
+  /// holds, and the key counts equal a recount of the pool. Throws
   /// util::CheckError on violation. Called after every mutation in
   /// audit-enabled builds (see util/audit.hpp); tests call it directly on
   /// corrupted state.
@@ -200,7 +192,6 @@ class WarmPool {
   void trace_occupancy(double now) const;
 
   double capacity_mb_ = 0.0;
-  std::size_t max_count_ = 0;
   std::unique_ptr<EvictionPolicy> eviction_;
   /// Ordered by id: every scan over the pool (idle listing, TTL expiry,
   /// audit) is deterministic by construction. simlint bans iterating

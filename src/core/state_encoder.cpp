@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "containers/matching.hpp"
-#include "faults/injector.hpp"
 #include "util/audit.hpp"
 #include "util/check.hpp"
 
@@ -105,11 +104,12 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
       if (invocations > 0)
         row(kFailedFrac) = static_cast<float>(env.metrics().failed_count()) /
                            static_cast<float>(invocations);
-      if (const faults::FaultInjector* inj = env.fault_injector()) {
+      if (env.fault_injector() != nullptr) {
         if (invocations > 0)
-          row(kRetryPressure) = static_cast<float>(inj->counters().retries) /
-                                static_cast<float>(invocations);
-        row(kCrashes) = static_cast<float>(inj->counters().crashes) / 4.0F;
+          row(kRetryPressure) =
+              static_cast<float>(env.metrics().retry_count()) /
+              static_cast<float>(invocations);
+        row(kCrashes) = static_cast<float>(env.crash_count()) / 4.0F;
       }
     }
   }

@@ -8,19 +8,14 @@ FaultInjector::FaultInjector(FaultPlan plan, util::Rng stream)
 }
 
 bool FaultInjector::draw_startup_failure() noexcept {
-  const bool fail = stream_.bernoulli(plan_.startup_failure_prob);
-  if (fail) ++counters_.startup_failures;
-  return fail;
+  return stream_.bernoulli(plan_.startup_failure_prob);
 }
 
 bool FaultInjector::draw_repack_failure() noexcept {
-  const bool fail = stream_.bernoulli(plan_.repack_failure_prob);
-  if (fail) ++counters_.repack_failures;
-  return fail;
+  return stream_.bernoulli(plan_.repack_failure_prob);
 }
 
 double FaultInjector::draw_backoff(std::size_t failed_attempt) {
-  ++counters_.retries;
   return backoff_s(failed_attempt, stream_.uniform());
 }
 

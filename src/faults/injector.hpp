@@ -4,9 +4,12 @@
 // decision from it in a fixed order, so the stream position — and therefore
 // every injected fault — is a pure function of (plan, stream, episode).
 //
-// The injector is passive: it draws and counts, the ClusterEnv / FleetEnv
-// act (destroy containers, back off, re-route) and trace. It depends only
-// on src/util, so src/faults sits below the simulator in the layer graph.
+// The injector is passive: it only draws. The ClusterEnv / FleetEnv act
+// (destroy containers, back off, re-route), trace and count: retries and
+// failed invocations in sim::MetricsCollector, crashes per episode in
+// ClusterEnv::crash_count(), fleet transitions in FleetEnv::FaultCounts.
+// It depends only on src/util, so src/faults sits below the simulator in
+// the layer graph.
 #pragma once
 
 #include <cstdint>
@@ -16,56 +19,24 @@
 
 namespace mlcr::faults {
 
-/// Everything the injector saw happen, for summaries and audits.
-struct FaultCounters {
-  std::size_t startup_failures = 0;
-  std::size_t repack_failures = 0;
-  std::size_t timeouts = 0;
-  std::size_t retries = 0;             ///< backoffs drawn (attempts - 1 sum)
-  std::size_t failed_invocations = 0;  ///< retries exhausted or crash-killed
-  std::size_t crashes = 0;          ///< all crashes, partial ones included
-  std::size_t partial_crashes = 0;  ///< of crashes: warm pool survived
-  std::size_t recoveries = 0;
-
-  /// Faults injected from the stream or the deadline (not crash bookkeeping).
-  [[nodiscard]] std::size_t injected() const noexcept {
-    return startup_failures + repack_failures + timeouts;
-  }
-};
-
 class FaultInjector {
  public:
   /// `stream` must be split() off the episode seed by the caller.
   FaultInjector(FaultPlan plan, util::Rng stream);
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] const FaultCounters& counters() const noexcept {
-    return counters_;
-  }
 
-  /// Bernoulli draw: does this cold/repack start fail? Counts on true.
+  /// Bernoulli draw: does this cold/repack start fail?
   [[nodiscard]] bool draw_startup_failure() noexcept;
-  /// Bernoulli draw: does this L1/L2 repack fail? Counts on true.
+  /// Bernoulli draw: does this L1/L2 repack fail?
   [[nodiscard]] bool draw_repack_failure() noexcept;
   /// Backoff (simulated seconds) before the retry that follows failed
-  /// attempt `failed_attempt` (1-based); consumes one jitter draw and
-  /// counts a retry.
+  /// attempt `failed_attempt` (1-based); consumes one jitter draw.
   [[nodiscard]] double draw_backoff(std::size_t failed_attempt);
-
-  // Deadline and crash faults are decided by the environment (no
-  // randomness); it reports them here so the counters stay complete.
-  void count_timeout() noexcept { ++counters_.timeouts; }
-  void count_failed_invocation() noexcept { ++counters_.failed_invocations; }
-  void count_crash(bool partial = false) noexcept {
-    ++counters_.crashes;
-    if (partial) ++counters_.partial_crashes;
-  }
-  void count_recovery() noexcept { ++counters_.recoveries; }
 
  private:
   FaultPlan plan_;
   util::Rng stream_;
-  FaultCounters counters_;
 };
 
 }  // namespace mlcr::faults

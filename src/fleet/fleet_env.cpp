@@ -77,12 +77,6 @@ void FleetEnv::rebuild_fault_events() {
   }
 }
 
-void FleetEnv::set_fault_plan(faults::FaultPlan faults) {
-  faults.validate(nodes_.size());
-  config_.faults = std::move(faults);
-  rebuild_fault_events();
-}
-
 bool FleetEnv::node_up(std::size_t i) const {
   MLCR_CHECK(i < nodes_.size());
   return !nodes_[i].env->down();
@@ -161,10 +155,9 @@ void FleetEnv::begin_episode() {
 }
 
 sim::StepResult FleetEnv::dispatch(const sim::Invocation& inv,
-                                   std::size_t target, bool degraded) {
+                                   std::size_t target) {
   Node& node = nodes_[target];
   node.env->offer(inv);
-  if (degraded) return node.env->step(sim::Action::cold());
   const sim::Action action = node.spec.scheduler->decide(*node.env, inv);
   const sim::StepResult result = node.env->step(action);
   node.spec.scheduler->on_step_result(*node.env, result);

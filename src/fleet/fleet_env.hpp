@@ -109,11 +109,6 @@ class FleetEnv {
     return catalog_;
   }
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
-  /// Name of the per-node scheduler system (node 0's; all nodes share it
-  /// when built via uniform_system).
-  [[nodiscard]] const std::string& system_name() const noexcept {
-    return system_name_;
-  }
 
   /// Attach a tracer: each node's lifecycle events go to its own
   /// (obs::Tracer::kSimPid, node-index) track, run() names the tracks and
@@ -141,12 +136,6 @@ class FleetEnv {
   /// until the next episode begins.
   FleetSummary run(const sim::Trace& trace, Router& router);
 
-  /// Replace the fault plan (validated against the node count) and rebuild
-  /// the pre-sorted crash/recover event list. The per-node fault streams
-  /// are unchanged — they were split off the fleet seed at construction —
-  /// so a plan swap never shifts any other stream.
-  void set_fault_plan(faults::FaultPlan faults);
-
   /// The routing index run() keeps current; routers read load and warm
   /// state only through it. Throws CheckError outside run().
   [[nodiscard]] const FleetIndex& index() const;
@@ -160,7 +149,7 @@ class FleetEnv {
                                                    std::size_t node);
 
   /// One crash or recovery transition of the fault plan. The list is built
-  /// and sorted once (construction / set_fault_plan), not per run: at equal
+  /// and sorted once, at construction, not per run: at equal
   /// times recoveries fire before crashes (a node's up_at may equal its
   /// next down_at, and capacity freed by a recovery should be routable
   /// before a concurrent crash removes more), then lowest node first.
@@ -225,10 +214,8 @@ class FleetEnv {
   void begin_episode();
 
   /// Offer `inv` to node `target` and step it: the node's scheduler decides
-  /// and observes the result, or, `degraded`, the invocation is served with
-  /// a forced cold start without consulting the scheduler.
-  sim::StepResult dispatch(const sim::Invocation& inv, std::size_t target,
-                           bool degraded = false);
+  /// and observes the result.
+  sim::StepResult dispatch(const sim::Invocation& inv, std::size_t target);
 
   /// Advance node `node` to time `t` (completions, TTL expiries).
   void advance(std::size_t node, double t) { nodes_[node].env->advance_to(t); }

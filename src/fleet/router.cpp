@@ -14,6 +14,9 @@ namespace mlcr::fleet {
 
 namespace {
 
+/// Ring positions per node of ConsistentHashRouter.
+constexpr std::size_t kVirtualNodes = 64;
+
 /// One splitmix64 pass: a cheap, well-mixed 64-bit hash step.
 [[nodiscard]] std::uint64_t mix(std::uint64_t x) noexcept {
   return util::splitmix64(x);
@@ -129,23 +132,18 @@ std::size_t LeastOutstandingRouter::pick(const FleetIndex& index,
   return index.least_outstanding();
 }
 
-ConsistentHashRouter::ConsistentHashRouter(std::size_t virtual_nodes)
-    : virtual_nodes_(virtual_nodes) {
-  MLCR_CHECK(virtual_nodes_ > 0);
-}
-
 void ConsistentHashRouter::start(std::size_t routable) {
   // The ring covers the episode's initial routable set. Spares admitted
   // mid-episode stay off the ring — affinity keys keep their mapping and
   // spares absorb traffic through the failover path.
   MLCR_CHECK(routable > 0);
   ring_.clear();
-  ring_.reserve(routable * virtual_nodes_);
+  ring_.reserve(routable * kVirtualNodes);
   for (std::size_t node = 0; node < routable; ++node) {
     // Each (node, replica) pair gets a deterministic ring position; the
     // double-mix decorrelates adjacent indices.
     std::uint64_t h = mix(0xF1EE7000ULL + node);
-    for (std::size_t v = 0; v < virtual_nodes_; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       h = mix(h + v + 1);
       ring_.emplace_back(h, node);
     }

@@ -147,8 +147,6 @@ class LeastOutstandingRouter final : public Router {
 /// episode's initial routable set and is read-only between start()s.
 class ConsistentHashRouter final : public Router {
  public:
-  explicit ConsistentHashRouter(std::size_t virtual_nodes = 64);
-
   void start(std::size_t routable) override;
   [[nodiscard]] std::size_t pick(const FleetIndex& index,
                                  const sim::FunctionTable& functions,
@@ -156,7 +154,6 @@ class ConsistentHashRouter final : public Router {
   [[nodiscard]] std::string name() const override { return "Hash-Affinity"; }
 
  private:
-  std::size_t virtual_nodes_;
   /// (hash, node) per virtual node, sorted.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };

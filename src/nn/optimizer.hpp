@@ -1,5 +1,5 @@
-// Optimizers: plain SGD (with momentum) and Adam. Both operate on the
-// Parameter list collected from a Module tree.
+// Adam, the optimizer the DQN trains with. It updates the Parameter list
+// collected from a Module tree.
 #pragma once
 
 #include <vector>
@@ -8,48 +8,21 @@
 
 namespace mlcr::nn {
 
-class Optimizer {
+/// Adam with beta1 0.9, beta2 0.999 and epsilon 1e-8.
+class Adam {
  public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  explicit Adam(std::vector<Parameter*> params, float lr = 1e-3F);
 
   /// Apply one update using the accumulated gradients, then clear them.
-  virtual void step() = 0;
+  void step();
 
   /// Scale gradients so their global L2 norm is at most max_norm. Returns
   /// the norm before clipping.
   float clip_grad_norm(float max_norm);
 
-  [[nodiscard]] const std::vector<Parameter*>& params() const noexcept {
-    return params_;
-  }
-
- protected:
+ private:
   std::vector<Parameter*> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Parameter*> params, float lr, float momentum = 0.0F);
-  void step() override;
-
- private:
   float lr_;
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Parameter*> params, float lr = 1e-3F, float beta1 = 0.9F,
-       float beta2 = 0.999F, float epsilon = 1e-8F);
-  void step() override;
-
-  [[nodiscard]] float learning_rate() const noexcept { return lr_; }
-
- private:
-  float lr_, beta1_, beta2_, epsilon_;
   std::size_t t_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;

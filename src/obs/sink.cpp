@@ -112,57 +112,4 @@ void ChromeTraceSink::close() {
   os_->flush();
 }
 
-// --- CsvTraceSink -----------------------------------------------------------
-
-namespace {
-
-constexpr char kCsvHeader[] = "ph,pid,tid,ts_us,dur_us,cat,name,args";
-
-[[nodiscard]] std::string csv_safe(const std::string& s) {
-  std::string out = s;
-  for (char& c : out)
-    if (c == ',' || c == '|' || c == '\n') c = ';';
-  return out;
-}
-
-}  // namespace
-
-CsvTraceSink::CsvTraceSink(std::ostream& os) : os_(&os) {
-  *os_ << kCsvHeader << '\n';
-}
-
-CsvTraceSink::CsvTraceSink(const std::string& path)
-    : owned_(open_for_write(path)), os_(owned_.get()) {
-  *os_ << kCsvHeader << '\n';
-}
-
-CsvTraceSink::~CsvTraceSink() { close(); }
-
-void CsvTraceSink::write(const TraceEvent& e) {
-  MLCR_CHECK_MSG(!closed_, "write to a closed trace sink");
-  std::ostream& os = *os_;
-  os << static_cast<char>(e.phase) << ',' << e.pid << ',' << e.tid << ','
-     << e.ts << ',' << (e.phase == Phase::kComplete ? e.dur : 0) << ','
-     << csv_safe(e.category) << ',' << csv_safe(e.name) << ',';
-  bool first_arg = true;
-  // The CSV header is frozen (append-only schema): the flow id rides in the
-  // args column instead of adding a new one.
-  if (is_flow_phase(e.phase)) {
-    os << "flow_id=" << e.flow_id;
-    first_arg = false;
-  }
-  for (const TraceArg& arg : e.args) {
-    if (!first_arg) os << '|';
-    first_arg = false;
-    os << csv_safe(arg.key) << '=' << csv_safe(arg.value);
-  }
-  os << '\n';
-}
-
-void CsvTraceSink::close() {
-  if (closed_) return;
-  closed_ = true;
-  os_->flush();
-}
-
 }  // namespace mlcr::obs

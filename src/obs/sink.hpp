@@ -1,7 +1,7 @@
 // Trace sinks: where finalized TraceEvents go. ChromeTraceSink streams the
-// Chrome trace_event JSON object ({"traceEvents":[...]}); CsvTraceSink writes
-// one compact CSV row per event. Both preserve emission order — events are
-// not re-sorted by timestamp, and Perfetto does not require them to be.
+// Chrome trace_event JSON object ({"traceEvents":[...]}) in emission order —
+// events are not re-sorted by timestamp, and Perfetto does not require them
+// to be.
 #pragma once
 
 #include <fstream>
@@ -40,23 +40,6 @@ class ChromeTraceSink final : public TraceSink {
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* os_ = nullptr;
   bool first_ = true;
-  bool closed_ = false;
-};
-
-/// One CSV row per event: ph,pid,tid,ts_us,dur_us,cat,name,args with args
-/// rendered as `k=v|k=v` (commas and pipes in values are replaced by ';').
-class CsvTraceSink final : public TraceSink {
- public:
-  explicit CsvTraceSink(std::ostream& os);
-  explicit CsvTraceSink(const std::string& path);
-  ~CsvTraceSink() override;
-
-  void write(const TraceEvent& event) override;
-  void close() override;
-
- private:
-  std::unique_ptr<std::ofstream> owned_;
-  std::ostream* os_ = nullptr;
   bool closed_ = false;
 };
 

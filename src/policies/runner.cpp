@@ -41,17 +41,13 @@ EpisodeSummary run_system(const SystemSpec& spec,
                           const sim::FunctionTable& functions,
                           const containers::PackageCatalog& catalog,
                           const sim::StartupCostModel& cost_model,
-                          double pool_capacity_mb, const sim::Trace& trace,
-                          std::size_t max_pool_containers, obs::Tracer* tracer,
-                          std::uint32_t track) {
+                          double pool_capacity_mb, const sim::Trace& trace) {
   sim::EnvConfig config;
   config.pool_capacity_mb = pool_capacity_mb;
-  config.max_pool_containers = max_pool_containers;
   config.keep_alive_ttl_s = spec.keep_alive_ttl_s;
   config.reuse_semantics = spec.reuse_semantics;
   sim::ClusterEnv env(functions, catalog, cost_model, config,
                       spec.eviction_factory);
-  env.set_tracer(tracer, track);
   return run_episode(env, *spec.scheduler, trace);
 }
 

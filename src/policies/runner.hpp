@@ -9,10 +9,6 @@
 #include "policies/scheduler.hpp"
 #include "sim/env.hpp"
 
-namespace mlcr::obs {
-class Tracer;
-}
-
 namespace mlcr::policies {
 
 struct EpisodeSummary {
@@ -43,16 +39,11 @@ struct EpisodeSummary {
 EpisodeSummary run_episode(sim::ClusterEnv& env, Scheduler& scheduler,
                            const sim::Trace& trace);
 
-/// Convenience: build an env for `spec` and run it on `trace`. When
-/// `tracer` is non-null the episode's lifecycle events are emitted on
-/// (obs::Tracer::kSimPid, `track`) — see sim::ClusterEnv::set_tracer.
+/// Convenience: build an env for `spec` and run it on `trace`.
 EpisodeSummary run_system(const SystemSpec& spec,
                           const sim::FunctionTable& functions,
                           const containers::PackageCatalog& catalog,
                           const sim::StartupCostModel& cost_model,
-                          double pool_capacity_mb, const sim::Trace& trace,
-                          std::size_t max_pool_containers = 0,
-                          obs::Tracer* tracer = nullptr,
-                          std::uint32_t track = 0);
+                          double pool_capacity_mb, const sim::Trace& trace);
 
 }  // namespace mlcr::policies

@@ -19,10 +19,6 @@ class Clock {
   virtual ~Clock() = default;
 
   [[nodiscard]] virtual double now_s() const = 0;
-
-  /// True when time is simulated (advanced explicitly, never by the OS);
-  /// deterministic replay requires it.
-  [[nodiscard]] virtual bool is_simulated() const noexcept = 0;
 };
 
 /// Simulated clock: time moves only via advance_to(), so a service driven by
@@ -33,7 +29,6 @@ class SimClock final : public Clock {
   explicit SimClock(double start_s = 0.0);
 
   [[nodiscard]] double now_s() const override;
-  [[nodiscard]] bool is_simulated() const noexcept override { return true; }
 
   /// Move time forward to `t` (seconds). Requires t >= now_s().
   void advance_to(double t);
@@ -49,7 +44,6 @@ class WallClock final : public Clock {
   WallClock();
 
   [[nodiscard]] double now_s() const override;
-  [[nodiscard]] bool is_simulated() const noexcept override { return false; }
 
  private:
   std::int64_t epoch_us_;

@@ -1,6 +1,6 @@
 // Bounded MPMC ingestion queue for the scheduler service. Producers
 // try_push and are told immediately when the queue is full (the service
-// layers its reject/degrade backpressure on top); consumers drain in batches
+// rejects the request); consumers drain in batches
 // so one wake-up amortizes over up to B requests.
 #pragma once
 

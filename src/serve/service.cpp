@@ -26,9 +26,6 @@ SchedulerService::SchedulerService(fleet::FleetEnv& fleet, Clock& clock,
                  "the service needs at least one dispatch stripe");
   MLCR_CHECK_MSG(config_.batch > 0, "batch must drain at least one request");
   MLCR_CHECK_MSG(config_.queue_capacity > 0, "queues need room for one item");
-  MLCR_CHECK_MSG(
-      config_.degrade_depth <= config_.queue_capacity,
-      "degrade_depth beyond the queue capacity would never trigger");
 }
 
 SchedulerService::~SchedulerService() {
@@ -77,16 +74,16 @@ void SchedulerService::begin_episode() {
 
   queues_.clear();
   for (std::size_t w = 0; w < config_.workers; ++w)
-    queues_.push_back(
-        std::make_unique<BoundedQueue<Request>>(config_.queue_capacity));
+    queues_.push_back(std::make_unique<BoundedQueue<sim::Invocation>>(
+        config_.queue_capacity));
   shard_mutexes_.clear();
   for (std::size_t s = 0; s < std::min(config_.shards, nodes); ++s)
     shard_mutexes_.push_back(std::make_unique<std::mutex>());
 
   submit_cursor_.store(0, std::memory_order_relaxed);
   janitor_cursor_.store(0, std::memory_order_relaxed);
-  for (auto* counter : {&submitted_, &routed_, &rejected_, &degraded_, &lost_,
-                        &rerouted_, &batches_, &inference_calls_})
+  for (auto* counter : {&submitted_, &routed_, &rejected_, &lost_, &rerouted_,
+                        &batches_, &inference_calls_})
     counter->store(0, std::memory_order_relaxed);
   in_episode_ = true;
   if (telemetry_ != nullptr)
@@ -108,15 +105,12 @@ bool SchedulerService::submit(const sim::Invocation& inv) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t slot =
       submit_cursor_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-  BoundedQueue<Request>& queue = *queues_[slot];
+  BoundedQueue<sim::Invocation>& queue = *queues_[slot];
   const std::size_t depth = queue.size();
-  const bool degraded =
-      config_.degrade_depth > 0 && depth >= config_.degrade_depth;
-  const bool accepted = queue.try_push({inv, degraded});
+  const bool accepted = queue.try_push(inv);
   if (!accepted) rejected_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr)
-    telemetry_->on_submit(inv, slot, depth, degraded, accepted,
-                          clock_.now_s());
+    telemetry_->on_submit(inv, slot, depth, accepted, clock_.now_s());
   return accepted;
 }
 
@@ -124,7 +118,7 @@ std::size_t SchedulerService::pump_once() {
   MLCR_CHECK_MSG(in_episode_, "pump_once() outside an episode");
   MLCR_CHECK_MSG(pool_ == nullptr,
                  "pump_once() is the single-threaded drive path");
-  std::vector<Request> pending;
+  std::vector<sim::Invocation> pending;
   for (auto& queue : queues_)
     (void)queue->drain_nowait(pending, std::numeric_limits<std::size_t>::max());
   // submit() deals requests round-robin over the queues, so with several
@@ -132,19 +126,19 @@ std::size_t SchedulerService::pump_once() {
   // order, as one queue would have.
   if (queues_.size() > 1)
     std::stable_sort(pending.begin(), pending.end(),
-                     [](const Request& a, const Request& b) {
-                       return std::tie(a.inv.arrival_s, a.inv.seq) <
-                              std::tie(b.inv.arrival_s, b.inv.seq);
+                     [](const sim::Invocation& a, const sim::Invocation& b) {
+                       return std::tie(a.arrival_s, a.seq) <
+                              std::tie(b.arrival_s, b.seq);
                      });
-  const std::span<const Request> all(pending);
+  const std::span<const sim::Invocation> all(pending);
   for (std::size_t i = 0; i < all.size(); i += config_.batch)
     process_batch(all.subspan(i, std::min(config_.batch, all.size() - i)));
   return pending.size();
 }
 
 void SchedulerService::worker_loop(std::size_t worker) {
-  BoundedQueue<Request>& queue = *queues_[worker];
-  std::vector<Request> batch;
+  BoundedQueue<sim::Invocation>& queue = *queues_[worker];
+  std::vector<sim::Invocation> batch;
   batch.reserve(config_.batch);
   for (;;) {
     batch.clear();
@@ -207,7 +201,6 @@ ServeStats SchedulerService::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.routed = routed_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_relaxed);
   s.lost = lost_.load(std::memory_order_relaxed);
   s.rerouted = rerouted_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
@@ -332,18 +325,18 @@ fleet::Placement SchedulerService::pick_target(
   });
 }
 
-void SchedulerService::serve_one(const Request& req) {
-  fleet::Placement route = pick_target(req.inv);
+void SchedulerService::serve_one(const sim::Invocation& inv) {
+  fleet::Placement route = pick_target(inv);
   bool rerouted = route.rerouted;
   for (;;) {
     if (route.lost) {
       lost_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_ != nullptr) telemetry_->on_lost(req.inv, clock_.now_s());
+      if (telemetry_ != nullptr) telemetry_->on_lost(inv, clock_.now_s());
       return;
     }
     if (telemetry_ != nullptr)
-      telemetry_->on_route(req.inv, route.node, rerouted, clock_.now_s());
-    if (dispatch_one(req, route.node, rerouted)) {
+      telemetry_->on_route(inv, route.node, rerouted, clock_.now_s());
+    if (dispatch_one(inv, route.node, rerouted)) {
       if (rerouted) rerouted_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
@@ -358,37 +351,35 @@ void SchedulerService::serve_one(const Request& req) {
   }
 }
 
-bool SchedulerService::dispatch_one(const Request& req, std::size_t target,
-                                    bool rerouted) {
+bool SchedulerService::dispatch_one(const sim::Invocation& inv,
+                                    std::size_t target, bool rerouted) {
   const std::size_t stripe = stripe_of(target);
   std::lock_guard lock(*shard_mutexes_[stripe]);
   const util::LockRankScope lock_rank(util::lock_ranks::service_shard(stripe),
                                       "service stripe mutex");
   const sim::ClusterEnv& env = fleet_.node(target);
   if (env.down()) return false;
-  sim::Invocation inv = req.inv;
+  sim::Invocation clamped = inv;
   // Concurrent ingestion can deliver a request after the node's clock moved
   // past its stamped arrival; clamping keeps offer()'s non-decreasing
   // arrival contract. A no-op in ordered single-threaded replay.
-  if (inv.arrival_s < env.now()) inv.arrival_s = env.now();
-  const sim::StepResult result = fleet_.dispatch(inv, target, req.degraded);
-  if (mlcr_mode_ && !req.degraded)
-    inference_calls_.fetch_add(1, std::memory_order_relaxed);
+  if (clamped.arrival_s < env.now()) clamped.arrival_s = env.now();
+  const sim::StepResult result = fleet_.dispatch(clamped, target);
+  if (mlcr_mode_) inference_calls_.fetch_add(1, std::memory_order_relaxed);
   refresh(target);
   routed_.fetch_add(1, std::memory_order_relaxed);
-  if (req.degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr)
-    telemetry_->on_dispatch(req.inv, target, req.degraded, rerouted, result,
-                            clock_.now_s());
+    telemetry_->on_dispatch(inv, target, rerouted, result, clock_.now_s());
   return true;
 }
 
-void SchedulerService::process_batch(std::span<const Request> batch) {
+void SchedulerService::process_batch(
+    std::span<const sim::Invocation> batch) {
   if (batch.empty()) return;
   batches_.fetch_add(1, std::memory_order_relaxed);
-  for (const Request& req : batch) {
-    if (events_ != nullptr) fire_due(req.inv.arrival_s);
-    serve_one(req);
+  for (const sim::Invocation& inv : batch) {
+    if (events_ != nullptr) fire_due(inv.arrival_s);
+    serve_one(inv);
   }
   // The telemetry plane's heartbeat: SLO windows advance on the injected
   // clock, never the OS's.

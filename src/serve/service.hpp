@@ -20,11 +20,8 @@
 //   - lock order is stripe mutex -> index lock, never reversed; no path
 //     holds two stripe mutexes at once.
 //
-// Backpressure: a submit() that finds its queue at/above `degrade_depth` is
-// accepted *degraded* — it will be served with a forced cold start, skipping
-// the scheduler (the serving twin of the faults layer's
-// degrade-rather-than-fail semantics); a submit() that finds the queue full
-// is rejected outright. Always: submitted == routed + rejected + lost.
+// Backpressure: a submit() that finds its queue full is rejected outright.
+// Always: submitted == routed + rejected + lost.
 //
 // Time never comes from the OS directly — an injected serve::Clock drives
 // the janitor (and live arrival stamps), so the same service runs live
@@ -33,7 +30,7 @@
 // Two drive modes, one owner of node state. fleet::FleetEnv's episode steps
 // (begin, dispatch, advance, fire_fault, finish) are the only code that
 // changes a node; the service adds queues, dispatch locks, its index and
-// its own lost/rerouted/degraded accounting around them.
+// its own lost/rerouted accounting around them.
 //   - pump_once() (single-threaded, no workers) is the deterministic drive
 //     FleetEnv::run does: before routing each request it fires every node
 //     event and planned fault due by the request's arrival, from the same
@@ -85,9 +82,6 @@ struct ServeConfig {
   std::size_t shards = 1;
   /// Per-worker queue bound; a push into a full queue is rejected.
   std::size_t queue_capacity = 1024;
-  /// Queue depth at/above which an accepted request is served degraded
-  /// (forced cold start, scheduler bypassed). 0 disables degradation.
-  std::size_t degrade_depth = 0;
   /// Max requests drained per worker wake-up (or per pump_once() step).
   std::size_t batch = 8;
 };
@@ -97,11 +91,10 @@ struct ServeStats {
   std::size_t submitted = 0;  ///< every submit() call
   std::size_t routed = 0;     ///< dispatched to (and executed on) a node
   std::size_t rejected = 0;   ///< dropped at ingestion: queue full
-  std::size_t degraded = 0;   ///< of routed: served with a forced cold start
   std::size_t lost = 0;       ///< accepted but no healthy node remained
   std::size_t rerouted = 0;   ///< target node down -> deterministic failover
   std::size_t batches = 0;    ///< consumer drains that served >= 1 request
-  /// MLCR decide() calls, one per non-degraded request. Not forward passes:
+  /// MLCR decide() calls, one per routed request. Not forward passes:
   /// a decision whose mask allows one action runs none.
   std::size_t inference_calls = 0;
   /// Requests per MLCR decide() call: 1 once any MLCR decision ran, else 0.
@@ -201,21 +194,17 @@ class SchedulerService {
   [[nodiscard]] const ShardedFleetIndex& index() const;
 
  private:
-  struct Request {
-    sim::Invocation inv;
-    bool degraded = false;
-  };
-
   /// The policy's pick, placed by the failover rule over the index.
   [[nodiscard]] fleet::Placement pick_target(const sim::Invocation& inv) const;
 
   /// Route + dispatch one request, or count it lost.
-  void serve_one(const Request& req);
+  void serve_one(const sim::Invocation& inv);
 
   /// FleetEnv::dispatch on `target` under its stripe mutex, then refresh
   /// it. False, with nothing dispatched, when `target` crashed after it was
   /// picked. `rerouted` is routing context forwarded to telemetry.
-  bool dispatch_one(const Request& req, std::size_t target, bool rerouted);
+  bool dispatch_one(const sim::Invocation& inv, std::size_t target,
+                    bool rerouted);
 
   /// Re-read `node` into the index and, in a pumped episode, its event-core
   /// entry. The caller holds the node's stripe mutex.
@@ -235,7 +224,7 @@ class SchedulerService {
   bool apply_live(std::size_t node, bool is_recovery, bool partial,
                   std::optional<std::size_t> lead_domain = std::nullopt);
 
-  void process_batch(std::span<const Request> batch);
+  void process_batch(std::span<const sim::Invocation> batch);
 
   /// Advance one node (round-robin) to the service clock so idle nodes
   /// still see completions and TTL expiry; run by the workers after every
@@ -260,7 +249,7 @@ class SchedulerService {
   /// null once start() hands the episode to the workers.
   std::unique_ptr<fleet::EventCore> events_;
   /// unique_ptr: queues/mutexes are neither movable nor copyable.
-  std::vector<std::unique_ptr<BoundedQueue<Request>>> queues_;
+  std::vector<std::unique_ptr<BoundedQueue<sim::Invocation>>> queues_;
   /// Dispatch stripes: node n's env is guarded by n % size().
   std::vector<std::unique_ptr<std::mutex>> shard_mutexes_;
 
@@ -272,7 +261,6 @@ class SchedulerService {
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> routed_{0};
   std::atomic<std::size_t> rejected_{0};
-  std::atomic<std::size_t> degraded_{0};
   std::atomic<std::size_t> lost_{0};
   std::atomic<std::size_t> rerouted_{0};
   std::atomic<std::size_t> batches_{0};

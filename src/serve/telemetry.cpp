@@ -77,11 +77,10 @@ void Telemetry::end_episode(double now_s) {
 }
 
 void Telemetry::on_submit(const sim::Invocation& inv, std::size_t queue_slot,
-                          std::size_t queue_depth, bool degraded,
-                          bool accepted, double now_s) {
+                          std::size_t queue_depth, bool accepted,
+                          double now_s) {
   registry_.add("serve.submitted");
   if (!accepted) registry_.add("serve.rejected");
-  if (degraded) registry_.add("serve.degrade_marked");
   registry_.record("serve.queue_depth", static_cast<double>(queue_depth));
 
   std::lock_guard<std::mutex> guard(telemetry_mutex_);
@@ -123,10 +122,9 @@ void Telemetry::on_route(const sim::Invocation& inv, std::size_t node,
 }
 
 void Telemetry::on_dispatch(const sim::Invocation& inv, std::size_t node,
-                            bool degraded, bool rerouted,
-                            const sim::StepResult& result, double now_s) {
+                            bool rerouted, const sim::StepResult& result,
+                            double now_s) {
   registry_.add("serve.routed");
-  if (degraded) registry_.add("serve.degraded");
   if (rerouted) registry_.add("serve.rerouted");
   if (result.cold) registry_.add("serve.cold_starts");
   registry_.record("serve.startup_latency_s", result.latency_s);
@@ -150,7 +148,6 @@ void Telemetry::on_dispatch(const sim::Invocation& inv, std::size_t node,
       "serve.dispatch", "serve",
       {obs::narg("seq", inv.seq),
        obs::narg("cold", static_cast<std::int64_t>(result.cold ? 1 : 0)),
-       obs::narg("degraded", static_cast<std::int64_t>(degraded ? 1 : 0)),
        obs::narg("latency_s", result.latency_s)});
   tracer_->flow_end(kPid, track(workers_ + node), ts, inv.seq, "request",
                     "serve",

@@ -71,8 +71,7 @@ class Telemetry {
   /// One submit() call. `accepted` false means backpressure-rejected (no
   /// flow is started); `queue_depth` is the depth seen at ingestion.
   void on_submit(const sim::Invocation& inv, std::size_t queue_slot,
-                 std::size_t queue_depth, bool degraded, bool accepted,
-                 double now_s);
+                 std::size_t queue_depth, bool accepted, double now_s);
 
   /// Routing decision for an accepted request (before dispatch).
   void on_route(const sim::Invocation& inv, std::size_t node, bool rerouted,
@@ -81,8 +80,7 @@ class Telemetry {
   /// Request executed on `node`. Records routing + end-to-end latency and
   /// ends the request's flow.
   void on_dispatch(const sim::Invocation& inv, std::size_t node,
-                   bool degraded, bool rerouted, const sim::StepResult& result,
-                   double now_s);
+                   bool rerouted, const sim::StepResult& result, double now_s);
 
   /// Accepted request dropped: no healthy node. Ends the flow on the lost
   /// track.

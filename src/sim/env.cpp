@@ -48,9 +48,9 @@ void ClusterEnv::reset_streaming() {
   now_ = 0.0;
   down_ = false;
   partial_down_ = false;
+  crashes_ = 0;
   pool_ = std::make_unique<containers::WarmPool>(config_.pool_capacity_mb,
-                                                 eviction_factory_(),
-                                                 config_.max_pool_containers);
+                                                 eviction_factory_());
   pool_->set_tracer(tracer_, track_);
   busy_ = {};
   next_container_id_ = 0;
@@ -146,11 +146,7 @@ void ClusterEnv::crash(double time, bool partial) {
   const std::size_t dropped = partial ? 0 : pool_->invalidate_all(time);
   down_ = true;
   partial_down_ = partial;
-  if (injector_ != nullptr) {
-    injector_->count_crash(partial);
-    for (std::size_t i = 0; i < killed; ++i)
-      injector_->count_failed_invocation();
-  }
+  ++crashes_;
   if (tracer_ != nullptr && tracer_->enabled()) {
     std::vector<obs::TraceArg> args = {
         obs::narg("killed_executions", static_cast<std::int64_t>(killed)),
@@ -173,7 +169,6 @@ void ClusterEnv::recover(double time) {
   drain_to(time);
   down_ = false;
   partial_down_ = false;
-  if (injector_ != nullptr) injector_->count_recovery();
   if (tracer_ != nullptr && tracer_->enabled())
     tracer_->instant(obs::Tracer::kSimPid, track_, obs::to_micros(time),
                      "node_recover", "fault", {});
@@ -339,7 +334,6 @@ StepResult ClusterEnv::step(const Action& action) {
         // killed at the deadline and the attempt costs the full timeout.
         attempt_cost_s = *deadline_s;
         kind = "timeout";
-        injector_->count_timeout();
       }
       if (attempt_cost_s < 0.0) break;
       fault_overhead_s += attempt_cost_s;
@@ -386,7 +380,6 @@ StepResult ClusterEnv::step(const Action& action) {
     result.cold = true;
     result.container = containers::kInvalidContainer;
     result.latency_s = fault_overhead_s;
-    injector_->count_failed_invocation();
   } else {
     result.latency_s = fault_overhead_s + result.breakdown.total();
     result.container = container.id;

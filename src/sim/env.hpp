@@ -13,7 +13,7 @@
 //     Action a = scheduler.decide(env, inv);
 //     StepResult r = env.step(a);        // startup latency, match level, ...
 //   }
-//   env.metrics() / env.pool_stats()
+//   env.metrics() / env.pool()            // records; pool statistics
 //
 // Every invocation enters a node the same way: it is offered (checked, the
 // clock drained to its arrival) and then stepped. A trace-fed episode
@@ -90,10 +90,8 @@ enum class ReuseSemantics : std::uint8_t {
 };
 
 struct EnvConfig {
-  /// Warm pool memory budget, MB.
+  /// Warm pool memory budget, MB: the pool's only bound (paper Sec. III).
   double pool_capacity_mb = 4096.0;
-  /// Warm pool container-count cap == DQN slot count n; 0 = unlimited.
-  std::size_t max_pool_containers = 0;
   /// If set, idle containers expire after this many seconds (KeepAlive).
   std::optional<double> keep_alive_ttl_s;
   ReuseSemantics reuse_semantics = ReuseSemantics::kRepack;
@@ -192,9 +190,11 @@ class ClusterEnv {
 
   /// Attach a fault injector (DESIGN.md §9): step() then draws startup /
   /// repack failures and applies timeouts and retries from the injector's
-  /// stream. The env does not own the injector; nullptr detaches (the
-  /// default — without an injector every path is bit-identical to the
-  /// pre-fault simulator). Survives reset().
+  /// stream. The injector only draws; the env counts what happens (retries
+  /// and failures in metrics(), crashes in crash_count()). The env does not
+  /// own the injector; nullptr detaches (the default — without an injector
+  /// every path is bit-identical to the pre-fault simulator). Survives
+  /// reset().
   void set_fault_injector(faults::FaultInjector* injector) noexcept {
     injector_ = injector;
   }
@@ -219,6 +219,8 @@ class ClusterEnv {
   [[nodiscard]] bool down() const noexcept { return down_; }
   /// True while inside a *partial* crash window (down() is also true).
   [[nodiscard]] bool partial_down() const noexcept { return partial_down_; }
+  /// Crashes this episode, partial ones included.
+  [[nodiscard]] std::size_t crash_count() const noexcept { return crashes_; }
 
   /// Cross-structure invariant auditor: pool byte accounting, busy/pooled
   /// disjointness (no container simultaneously busy and reusable), pooled
@@ -281,6 +283,7 @@ class ClusterEnv {
   faults::FaultInjector* injector_ = nullptr;
   bool down_ = false;
   bool partial_down_ = false;  ///< of down_: warm pool kept (partial crash)
+  std::size_t crashes_ = 0;
 };
 
 }  // namespace mlcr::sim

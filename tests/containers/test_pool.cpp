@@ -20,8 +20,8 @@ Container make_container(ContainerId id, double memory_mb, double idle_at,
   return c;
 }
 
-WarmPool make_lru_pool(double capacity, std::size_t max_count = 0) {
-  return WarmPool(capacity, std::make_unique<LruEviction>(), max_count);
+WarmPool make_lru_pool(double capacity) {
+  return WarmPool(capacity, std::make_unique<LruEviction>());
 }
 
 TEST(WarmPool, AdmitAndTake) {
@@ -84,15 +84,6 @@ TEST(WarmPool, RejectWhenFullPolicyRejectsInsteadOfEvicting) {
   EXPECT_NE(pool.find(1), nullptr);
   EXPECT_EQ(pool.eviction_count(), 0U);
   EXPECT_EQ(pool.rejection_count(), 1U);
-}
-
-TEST(WarmPool, CountCapTriggersEviction) {
-  WarmPool pool = make_lru_pool(10'000.0, /*max_count=*/2);
-  (void)pool.admit(make_container(1, 10.0, 1.0), 1.0);
-  (void)pool.admit(make_container(2, 10.0, 2.0), 2.0);
-  (void)pool.admit(make_container(3, 10.0, 3.0), 3.0);
-  EXPECT_EQ(pool.size(), 2U);
-  EXPECT_EQ(pool.find(1), nullptr);
 }
 
 TEST(WarmPool, DuplicateAdmitIsAnError) {

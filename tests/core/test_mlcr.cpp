@@ -90,8 +90,9 @@ TEST(MlcrScheduler, TraceMarksSingleActionDecisions) {
   obs::Tracer tracer;
   const auto sink = std::make_shared<ForcedArgSink>();
   tracer.add_sink(sink);
-  (void)policies::run_system(spec, world.functions, world.catalog,
-                             world.cost_model(), 4096.0, trace, 0, &tracer);
+  sim::ClusterEnv env = world.make_env();  // MLCR's LRU, 4096 MB
+  env.set_tracer(&tracer);
+  (void)policies::run_episode(env, *spec.scheduler, trace);
   ASSERT_EQ(sink->forced.size(), trace.size());
   EXPECT_EQ(sink->forced.front(), "1");
   std::size_t ones = 0;

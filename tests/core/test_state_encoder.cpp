@@ -183,15 +183,14 @@ TEST_F(EncoderTest, HealthBlockEncodesCrashPartialAndInjectorPressure) {
 
   auto env = world_.make_env();
   faults::FaultPlan plan;
-  plan.retry.max_attempts = 3;
+  plan.startup_failure_prob = 1.0;
+  plan.retry.max_attempts = 2;
   faults::FaultInjector injector(plan, util::Rng(42));
   env.set_fault_injector(&injector);
 
   const sim::Trace trace = TinyWorld::make_trace(
       {TinyWorld::inv(world_.fn_py_flask, 0.0, 0.5)});
   env.reset(trace);
-  (void)env.step(sim::Action::cold());
-  ASSERT_TRUE(env.done());
   const auto probe = TinyWorld::inv(world_.fn_py_flask, 10.0);
 
   // Healthy, no faults seen yet: the whole block is zero.
@@ -199,13 +198,18 @@ TEST_F(EncoderTest, HealthBlockEncodesCrashPartialAndInjectorPressure) {
   for (std::size_t c = 8; c <= 11; ++c)
     EXPECT_FLOAT_EQ(clean.tokens(0, c), 0.0F) << "col " << c;
 
+  // Both attempts fail: one retry, and the invocation fails.
+  const sim::StepResult failed = env.step(sim::Action::cold());
+  ASSERT_TRUE(failed.failed);
+  ASSERT_EQ(failed.attempts, 2U);
+  ASSERT_TRUE(env.done());
+
   // A full crash reads 1.0, a partial crash 0.5, and the crash counter
-  // scales by 1/4; retry pressure is retries over invocations served.
+  // scales by 1/4; failed fraction and retry pressure are over invocations.
   env.crash(env.now());
-  (void)injector.draw_backoff(1);  // one retry observed
   const EncodedState full = health.encode(env, probe, 0.0);
   EXPECT_FLOAT_EQ(full.tokens(0, 8), 1.0F);
-  EXPECT_FLOAT_EQ(full.tokens(0, 9), 0.0F);  // nothing failed
+  EXPECT_FLOAT_EQ(full.tokens(0, 9), 1.0F);   // 1 failed / 1 invocation
   EXPECT_FLOAT_EQ(full.tokens(0, 10), 1.0F);  // 1 retry / 1 invocation
   EXPECT_FLOAT_EQ(full.tokens(0, 11), 0.25F);  // 1 crash / 4
 
@@ -214,6 +218,17 @@ TEST_F(EncoderTest, HealthBlockEncodesCrashPartialAndInjectorPressure) {
   const EncodedState partial = health.encode(env, probe, 0.0);
   EXPECT_FLOAT_EQ(partial.tokens(0, 8), 0.5F);
   EXPECT_FLOAT_EQ(partial.tokens(0, 11), 0.5F);  // 2 crashes / 4
+
+  // Retry pressure and crashes are read only with an injector attached.
+  env.set_fault_injector(nullptr);
+  const EncodedState detached = health.encode(env, probe, 0.0);
+  EXPECT_FLOAT_EQ(detached.tokens(0, 10), 0.0F);
+  EXPECT_FLOAT_EQ(detached.tokens(0, 11), 0.0F);
+
+  // A new episode starts with no crashes.
+  env.set_fault_injector(&injector);
+  env.reset(trace);
+  EXPECT_FLOAT_EQ(health.encode(env, probe, 0.0).tokens(0, 11), 0.0F);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(FaultEnv, FaultlessPlanIsBitIdenticalToNoInjector) {
   EXPECT_EQ(plain_env.metrics().total_latency_s(),
             faulted_env.metrics().total_latency_s());
   EXPECT_EQ(faulted_env.metrics().failed_count(), 0U);
-  EXPECT_EQ(injector.counters().injected(), 0U);
+  EXPECT_EQ(faulted_env.metrics().retry_count(), 0U);
 }
 
 TEST(FaultEnv, StartupFailureExhaustsRetriesAndFailsTheInvocation) {
@@ -106,10 +106,6 @@ TEST(FaultEnv, StartupFailureExhaustsRetriesAndFailsTheInvocation) {
   EXPECT_DOUBLE_EQ(m.latency_p99(), 0.0);
   EXPECT_DOUBLE_EQ(m.goodput(), 0.0);
   EXPECT_TRUE(env.pool().empty());  // nothing ever started
-
-  EXPECT_EQ(injector.counters().startup_failures, 2U);
-  EXPECT_EQ(injector.counters().retries, 1U);
-  EXPECT_EQ(injector.counters().failed_invocations, 1U);
 }
 
 TEST(FaultEnv, RetriedOutcomesMatchAProbeOfTheSameStream) {
@@ -134,6 +130,8 @@ TEST(FaultEnv, RetriedOutcomesMatchAProbeOfTheSameStream) {
           .total();
 
   env.reset(trace);
+  std::size_t expected_retries = 0;
+  std::size_t expected_failures = 0;
   while (!env.done()) {
     // Replay the documented draw order against a probe of an equal stream:
     // one Bernoulli per cold attempt, one jitter draw per backoff.
@@ -157,10 +155,12 @@ TEST(FaultEnv, RetriedOutcomesMatchAProbeOfTheSameStream) {
     EXPECT_EQ(result.failed, expected_failed);
     EXPECT_EQ(result.attempts, expected_attempts);
     EXPECT_DOUBLE_EQ(result.latency_s, expected_latency);
+    expected_retries += expected_attempts - 1;
+    expected_failures += expected_failed ? 1 : 0;
   }
-  EXPECT_EQ(env.metrics().retry_count(), injector.counters().retries);
-  EXPECT_EQ(env.metrics().failed_count(),
-            injector.counters().failed_invocations);
+  EXPECT_GT(expected_retries, 0U);
+  EXPECT_EQ(env.metrics().retry_count(), expected_retries);
+  EXPECT_EQ(env.metrics().failed_count(), expected_failures);
 }
 
 TEST(FaultEnv, TimeoutKillsTheAttemptAtTheDeadline) {
@@ -188,7 +188,6 @@ TEST(FaultEnv, TimeoutKillsTheAttemptAtTheDeadline) {
   EXPECT_TRUE(killed.failed);
   EXPECT_EQ(killed.attempts, 1U);  // default policy: no retries
   EXPECT_DOUBLE_EQ(killed.latency_s, *plan.timeout_s);
-  EXPECT_EQ(injector.counters().timeouts, 1U);
   EXPECT_EQ(env.metrics().failed_count(), 1U);
 }
 
@@ -224,13 +223,15 @@ TEST(FaultEnv, RepackFailureDegradesToColdButL3IsExempt) {
   EXPECT_EQ(degraded.match, containers::MatchLevel::kNoMatch);
   EXPECT_DOUBLE_EQ(degraded.latency_s, swap_s + cold_s);
   EXPECT_EQ(env.pool().find(parked), nullptr);  // candidate destroyed
-  EXPECT_EQ(injector.counters().repack_failures, 1U);
 
-  // L3 reuse swaps no volumes, so it cannot repack-fail even at prob 1.
+  // L3 reuse swaps no volumes, so it cannot repack-fail even at prob 1:
+  // it pays the plain L3 warm start.
   const sim::StepResult l3 = env.step(sim::Action::reuse(degraded.container));
   EXPECT_FALSE(l3.cold);
   EXPECT_EQ(l3.match, containers::MatchLevel::kL3);
-  EXPECT_EQ(injector.counters().repack_failures, 1U);
+  EXPECT_DOUBLE_EQ(
+      l3.latency_s,
+      env.cost_model().warm_start(numpy, containers::MatchLevel::kL3).total());
 }
 
 TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
@@ -255,8 +256,7 @@ TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
   EXPECT_TRUE(env.pool().empty());  // warm pool lost
   EXPECT_EQ(env.metrics().failed_count(), 1U);  // retroactively failed
   EXPECT_TRUE(env.metrics().latencies().empty());
-  EXPECT_EQ(injector.counters().crashes, 1U);
-  EXPECT_EQ(injector.counters().failed_invocations, 1U);
+  EXPECT_EQ(env.crash_count(), 1U);
 
   // Down nodes reject work but their clock still advances across the
   // window (the serving janitor advances idle nodes' clocks).
@@ -268,7 +268,7 @@ TEST(FaultEnv, CrashKillsInFlightWorkAndRecoveryStartsCold) {
 
   env.recover(30.0);
   EXPECT_FALSE(env.down());
-  EXPECT_EQ(injector.counters().recoveries, 1U);
+  EXPECT_EQ(env.crash_count(), 1U);  // a recovery is not a crash
   EXPECT_THROW(env.recover(31.0), util::CheckError);  // already healthy
 
   // The node rejoins with an empty pool: the next start is cold.
@@ -354,7 +354,7 @@ TEST(FaultEnv, FinishStreamingDrainsOutstandingRetriedStarts) {
   const auto& m = env.metrics();
   EXPECT_EQ(m.invocation_count(), 16U);
   EXPECT_EQ(m.latencies().size(), 16U - m.failed_count());
-  EXPECT_EQ(m.retry_count(), injector.counters().retries);
+  EXPECT_GT(m.retry_count(), 0U);  // retried starts were in flight
   EXPECT_NO_THROW(env.audit());
 }
 

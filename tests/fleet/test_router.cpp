@@ -109,7 +109,7 @@ TEST(Router, ConsistentHashMovesFewKeysWhenFleetGrows) {
   const TinyWorld world;
   const fleet::FleetIndex index4(4, /*track_warm=*/false);
   const fleet::FleetIndex index5(5, /*track_warm=*/false);
-  fleet::ConsistentHashRouter router(/*virtual_nodes=*/128);
+  fleet::ConsistentHashRouter router;
 
   // With only 4 function types the key space is tiny; use all of them and
   // check that growing the fleet does not reshuffle every assignment (the

@@ -9,27 +9,6 @@
 namespace mlcr::nn {
 namespace {
 
-TEST(Sgd, PlainStepMovesAgainstGradient) {
-  Parameter p("w", Tensor{{1.0F, 2.0F}});
-  p.grad = Tensor{{0.5F, -0.5F}};
-  Sgd opt({&p}, /*lr=*/0.1F);
-  opt.step();
-  EXPECT_FLOAT_EQ(p.value(0, 0), 0.95F);
-  EXPECT_FLOAT_EQ(p.value(0, 1), 2.05F);
-  EXPECT_FLOAT_EQ(p.grad.max_abs(), 0.0F) << "step must clear gradients";
-}
-
-TEST(Sgd, MomentumAccumulates) {
-  Parameter p("w", Tensor{{0.0F}});
-  Sgd opt({&p}, 0.1F, /*momentum=*/0.9F);
-  p.grad = Tensor{{1.0F}};
-  opt.step();  // v = 1, w = -0.1
-  EXPECT_FLOAT_EQ(p.value(0, 0), -0.1F);
-  p.grad = Tensor{{1.0F}};
-  opt.step();  // v = 1.9, w = -0.1 - 0.19
-  EXPECT_NEAR(p.value(0, 0), -0.29F, 1e-6F);
-}
-
 TEST(Adam, FirstStepHasLearningRateMagnitude) {
   Parameter p("w", Tensor{{1.0F}});
   p.grad = Tensor{{123.0F}};  // magnitude irrelevant on step 1
@@ -70,7 +49,7 @@ TEST(Adam, TrainsLinearRegression) {
 TEST(Optimizer, ClipGradNormScalesDown) {
   Parameter p("w", Tensor{{0.0F, 0.0F}});
   p.grad = Tensor{{3.0F, 4.0F}};  // norm 5
-  Sgd opt({&p}, 0.1F);
+  Adam opt({&p}, 0.1F);
   opt.clip_grad_norm(1.0F);
   EXPECT_NEAR(std::sqrt(p.grad.squared_norm()), 1.0F, 1e-5F);
   EXPECT_NEAR(p.grad(0, 0) / p.grad(0, 1), 0.75F, 1e-5F)
@@ -80,7 +59,7 @@ TEST(Optimizer, ClipGradNormScalesDown) {
 TEST(Optimizer, ClipGradNormNoOpBelowThreshold) {
   Parameter p("w", Tensor{{0.3F}});
   p.grad = Tensor{{0.5F}};
-  Sgd opt({&p}, 0.1F);
+  Adam opt({&p}, 0.1F);
   opt.clip_grad_norm(1.0F);
   EXPECT_FLOAT_EQ(p.grad(0, 0), 0.5F);
 }

@@ -1,4 +1,4 @@
-// SchedulerService: deterministic reject/degrade backpressure on the
+// SchedulerService: deterministic reject backpressure on the
 // single-threaded pump path, request conservation under concurrent
 // ingestion (runs under TSan in CI), and MLCR fleets served one request at
 // a time through the shared agent.
@@ -41,7 +41,6 @@ TEST(ServeService, DeterministicBackpressureAccounting) {
   cfg.workers = 1;
   cfg.shards = 2;
   cfg.queue_capacity = 8;
-  cfg.degrade_depth = 4;
   cfg.batch = 8;
   SchedulerService service(
       fleet, clock,
@@ -50,9 +49,8 @@ TEST(ServeService, DeterministicBackpressureAccounting) {
       cfg);
   service.begin_episode();
 
-  // 12 submissions into a queue of 8 with degradation from depth 4: the
-  // first 4 are accepted normally, the next 4 accepted degraded, the last
-  // 4 rejected — each count is exact because nothing drains in between.
+  // 12 submissions into a queue of 8: the first 8 are accepted, the last 4
+  // rejected — each count is exact because nothing drains in between.
   for (std::size_t i = 0; i < 12; ++i) {
     sim::Invocation inv = TinyWorld::inv(world.fn_py_flask,
                                          0.1 * static_cast<double>(i), 0.3);
@@ -66,13 +64,8 @@ TEST(ServeService, DeterministicBackpressureAccounting) {
   EXPECT_EQ(summary.stats.submitted, 12U);
   EXPECT_EQ(summary.stats.routed, 8U);
   EXPECT_EQ(summary.stats.rejected, 4U);
-  EXPECT_EQ(summary.stats.degraded, 4U);
   EXPECT_EQ(summary.stats.lost, 0U);
   EXPECT_EQ(summary.fleet.total.invocations, 8U);
-  // Degraded requests are forced cold starts; with one function and warm
-  // reuse available, only the degraded tail plus first-touch starts stay
-  // cold.
-  EXPECT_GE(summary.fleet.total.cold_starts, 4U);
   EXPECT_EQ(summary.fleet.system, "Greedy-Match");
   EXPECT_EQ(summary.fleet.router, "Least-Outstanding");
 }
@@ -257,7 +250,7 @@ TEST(ServeService, MlcrPumpRoutesEachRequestOnceInRoundRobinOrder) {
 /// (QNetwork::infer) is const and each scheduler owns its workspace, so
 /// decide() calls on different stripes run concurrently with no lock around
 /// the agent; TSan flags a race if any shared state is written. Every
-/// non-degraded routed request is one decide() call.
+/// routed request is one decide() call.
 TEST(ServeService, LiveMlcrWorkersShareOneAgent) {
   TinyWorld world;
   const sim::StartupCostModel cost = world.cost_model();
@@ -271,7 +264,6 @@ TEST(ServeService, LiveMlcrWorkersShareOneAgent) {
   cfg.workers = 2;
   cfg.shards = 4;
   cfg.queue_capacity = 256;
-  cfg.degrade_depth = 64;
   cfg.batch = 8;
   SchedulerService service(fleet, clock, std::make_unique<RoundRobinPolicy>(),
                            cfg);
@@ -301,7 +293,7 @@ TEST(ServeService, LiveMlcrWorkersShareOneAgent) {
   const ServeStats& s = summary.stats;
   EXPECT_EQ(s.submitted, kProducers * kPerProducer);
   EXPECT_EQ(s.submitted, s.routed + s.rejected + s.lost);
-  EXPECT_EQ(s.inference_calls, s.routed - s.degraded);
+  EXPECT_EQ(s.inference_calls, s.routed);
   EXPECT_EQ(summary.fleet.total.invocations, s.routed);
 }
 

@@ -12,23 +12,14 @@
 // "breaches" arrays (render-only triage of a known-bad run). Exit 0 when
 // the file is schema-valid and nothing breaches, 1 on schema errors or any
 // breach, 2 on usage/IO errors.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 
 #include "obsreport/report.hpp"
-
-namespace {
-
-[[nodiscard]] bool parse_double(const char* text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text, &end);
-  return end != nullptr && *end == '\0';
-}
-
-}  // namespace
+#include "util/check.hpp"
+#include "util/parse.hpp"
 
 int main(int argc, char** argv) {
   std::string path;
@@ -54,8 +45,18 @@ int main(int argc, char** argv) {
       threshold = &options.slo.max_retry_pressure;
 
     if (threshold != nullptr) {
-      if (i + 1 >= argc || !parse_double(argv[++i], *threshold)) {
+      if (i + 1 >= argc) {
         std::cerr << "obsreport: " << arg << " needs a numeric value\n";
+        return 2;
+      }
+      try {
+        *threshold = mlcr::util::parse_number(argv[++i], arg);
+      } catch (const mlcr::util::CheckError& e) {
+        std::cerr << "obsreport: " << e.what() << "\n";
+        return 2;
+      }
+      if (*threshold < 0.0) {
+        std::cerr << "obsreport: " << arg << " needs a value >= 0\n";
         return 2;
       }
     } else if (arg == "--summary") {

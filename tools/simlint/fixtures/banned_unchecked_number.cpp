@@ -17,8 +17,20 @@ unsigned long long bad_strings(const std::string& text) {
   return std::stoull(text) + std::stoul(text);  // VIOLATION banned-unchecked-number
 }
 
+long double bad_fractions(const std::string& text) {
+  return std::stod(text) + std::stof(text) + std::stold(text);  // VIOLATION banned-unchecked-number
+}
+
+double bad_unqualified_fraction(const std::string& text) {
+  return stod(text);  // VIOLATION banned-unchecked-number
+}
+
 std::size_t allowed(const char* text) {
   return static_cast<std::size_t>(std::atoll(text));  // simlint:allow(banned-unchecked-number) fixture suppression
+}
+
+double allowed_fraction(const std::string& text) {
+  return std::stod(text);  // simlint:allow(banned-unchecked-number) fixture suppression
 }
 
 // The checked parser, look-alike names, member calls (Parser is some
@@ -28,8 +40,13 @@ struct Parser;
 std::size_t good(const char* text) {
   return mlcr::util::parse_count(text, "--reps");
 }
-int my_atoi(const char* text);
-int member(const Parser& p, const Parser* q, const char* text) {
-  return p.atoi(text) + q->atoi(text) + my_atoi(text);
+double good_fraction(const char* text) {
+  return mlcr::util::parse_number(text, "--pool");
 }
-const char* kNote = "std::stoull(text) wraps";
+int my_atoi(const char* text);
+double my_stod(const char* text);
+int member(const Parser& p, const Parser* q, const char* text) {
+  return p.atoi(text) + q->atoi(text) + my_atoi(text) +
+         static_cast<int>(p.stod(text) + my_stod(text));
+}
+const char* kNote = "std::stoull(text) wraps, std::stod(text) takes nan";

@@ -168,12 +168,14 @@ const LineRule kLineRules[] = {
      "configuration must flow through explicit config structs, not the "
      "process environment"},
     {"banned-unchecked-number",
-     "atoi / atol / atoll / stoul / stoull — a non-numeric value silently "
-     "becomes 0 and a negative one wraps to a huge unsigned count",
+     "atoi / atol / atoll / stoul / stoull / stod / stof / stold — a "
+     "non-numeric value silently becomes 0, a negative one wraps to a huge "
+     "unsigned count, a suffix is ignored, and nan passes every threshold",
      anywhere,
-     R"((^|[^\w:.>])(std\s*::\s*)?(atoi|atol|atoll|stoul|stoull)\s*\()",
+     R"((^|[^\w:.>])(std\s*::\s*)?(atoi|atol|atoll|stoul|stoull|stod|stof|stold)\s*\()",
      "parse counts with util::parse_count (the whole string, non-negative, "
-     "fits size_t), which throws CheckError naming the flag instead"},
+     "fits size_t) and other numbers with util::parse_number (the whole "
+     "string, finite), which throw CheckError naming the flag instead"},
     {"pointer-key",
      "pointer-valued keys in (unordered_)map/set — ordering and hashing by "
      "address varies run to run",
