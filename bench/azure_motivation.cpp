@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace mlcr;
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
 
   fstartbench::AzureLikeConfig cfg;
   cfg.num_functions = 250;

@@ -355,7 +355,7 @@ void traced_chaos_episode(benchtools::ObsSession& session,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
   benchtools::ObsSession obs_session(options);
 

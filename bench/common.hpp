@@ -39,7 +39,7 @@ struct Suite {
 
 /// Command-line knobs shared by the figure benches. Counts are whole
 /// non-negative decimals; a malformed count or a missing value throws
-/// util::CheckError naming the flag:
+/// util::CheckError naming the flag (parse_or_exit: exits 2 instead):
 ///   --reps N       replications per configuration (default 7; paper: 50;
 ///                  at least 1)
 ///   --episodes N   MLCR training episodes (default 30; at least 1)
@@ -106,6 +106,17 @@ struct BenchOptions {
     MLCR_CHECK_MSG(o.reps >= 1, "--reps must be at least 1");
     MLCR_CHECK_MSG(o.episodes >= 1, "--episodes must be at least 1");
     return o;
+  }
+
+  /// parse() for a bench main: a bad command line prints parse()'s
+  /// CheckError, which names the flag, and exits with status 2.
+  static BenchOptions parse_or_exit(int argc, char** argv) {
+    try {
+      return parse(argc, argv);
+    } catch (const util::CheckError& e) {
+      std::cerr << argv[0] << ": " << e.what() << "\n";
+      std::exit(2);
+    }
   }
 };
 

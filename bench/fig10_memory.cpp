@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace mlcr;
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
 
   const benchtools::TraceFactory factory = [&](util::Rng& rng) {

@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace mlcr;
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
 
   const std::vector<benchtools::WorkloadFamily> families = {

@@ -9,7 +9,8 @@
 
 int main(int argc, char** argv) {
   using namespace mlcr;
-  const auto bench_options = benchtools::BenchOptions::parse(argc, argv);
+  const auto bench_options =
+      benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
   benchtools::ObsSession obs_session(bench_options);
   const auto& bench = suite.bench;

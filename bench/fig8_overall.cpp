@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace mlcr;
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
   benchtools::ObsSession obs_session(options);
 

@@ -41,9 +41,8 @@ int main(int argc, char** argv) {
     else
       args.push_back(argv[i]);
   }
-  const auto options =
-      benchtools::BenchOptions::parse(static_cast<int>(args.size()),
-                                      args.data());
+  const auto options = benchtools::BenchOptions::parse_or_exit(
+      static_cast<int>(args.size()), args.data());
   const benchtools::Suite suite;
 
   // Workload scales with --reps so the tiny CI smoke run stays cheap:

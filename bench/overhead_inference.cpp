@@ -5,6 +5,8 @@
 // gradient step, and raw simulator throughput.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "common.hpp"
 #include "containers/matching.hpp"
 
@@ -20,6 +22,9 @@ struct OverheadFixture {
       std::make_shared<rl::DqnAgent>(cfg.dqn, util::Rng(1));
   sim::Trace trace;
   std::unique_ptr<sim::ClusterEnv> env;
+  /// A pool with at least num_slots idle containers, for the occupancy
+  /// sweep: every invocation cold-starts until that many sit idle.
+  std::unique_ptr<sim::ClusterEnv> full_env;
 
   OverheadFixture() {
     util::Rng rng(7);
@@ -34,6 +39,14 @@ struct OverheadFixture {
     policies::GreedyMatchScheduler greedy;
     for (int i = 0; i < 60 && !env->done(); ++i)
       (void)env->step(greedy.decide(*env, env->current()));
+    env_cfg.pool_capacity_mb = 65536.0;
+    full_env = std::make_unique<sim::ClusterEnv>(
+        suite.bench.functions, suite.bench.catalog, suite.cost, env_cfg,
+        [] { return std::make_unique<containers::LruEviction>(); });
+    full_env->reset(trace);
+    while (!full_env->done() &&
+           full_env->pool().idle_containers().size() < cfg.encoder.num_slots)
+      (void)full_env->step(sim::Action::cold());
   }
 };
 
@@ -42,9 +55,29 @@ OverheadFixture& fixture() {
   return f;
 }
 
+// The forward pass's cost by warm-pool occupancy: the first `occupied` slot
+// rows come from the fixture's full pool, the rest are empty (zero rows, as
+// the encoder leaves them). States are encoded with the action mask off (the
+// Sec. IV-C ablation), so every state allows all actions and each decision
+// runs the network; a single-action mask would be decided without it.
 void BM_DqnInference(benchmark::State& state) {
   auto& f = fixture();
-  const auto encoded = f.encoder.encode(*f.env, f.env->current(), 0.0);
+  const auto occupied = static_cast<std::size_t>(state.range(0));
+  core::StateEncoderConfig unmasked = f.cfg.encoder;
+  unmasked.mask_invalid_actions = false;
+  const sim::ClusterEnv& env = *f.full_env;
+  auto encoded = core::StateEncoder(unmasked).encode(env, env.current(), 0.0);
+  if (env.pool().idle_containers().size() < occupied) {
+    state.SkipWithError("the fixture's pool has too few idle containers");
+    return;
+  }
+  for (std::size_t s = occupied; s < unmasked.num_slots; ++s)
+    std::fill_n(encoded.tokens.row(rl::kFirstSlotTokenRow + s),
+                encoded.tokens.cols(), 0.0F);
+  if (rl::sole_allowed_action(encoded.mask)) {
+    state.SkipWithError("single-action mask: decided without the network");
+    return;
+  }
   // One workspace across calls, as each MLCR scheduler keeps its own.
   rl::InferWorkspace ws(f.cfg.dqn.network);
   for (auto _ : state) {
@@ -52,7 +85,13 @@ void BM_DqnInference(benchmark::State& state) {
         f.agent->greedy_action(encoded.tokens, encoded.mask, ws));
   }
 }
-BENCHMARK(BM_DqnInference)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DqnInference)
+    ->ArgName("occupied")
+    ->Arg(0)
+    ->Arg(4)
+    ->Arg(12)
+    ->Arg(24)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_StateEncode(benchmark::State& state) {
   auto& f = fixture();

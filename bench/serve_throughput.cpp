@@ -142,7 +142,7 @@ void latency_metrics(benchtools::BenchJson& out, const std::string& prefix,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = benchtools::BenchOptions::parse(argc, argv);
+  const auto options = benchtools::BenchOptions::parse_or_exit(argc, argv);
   const benchtools::Suite suite;
 
   // Workload scales with --reps (default 7 -> 280k decisions per policy).

@@ -110,41 +110,47 @@ void usage() {
 
 int main(int argc, char** argv) {
   CliOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
+  // A malformed number throws CheckError naming the flag: a usage error.
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&]() -> std::string {
+        if (i + 1 >= argc) {
+          std::cerr << arg << " needs a value\n";
+          std::exit(2);
+        }
+        return argv[++i];
+      };
+      if (arg == "--workload")
+        opt.workload = value();
+      else if (arg == "--systems")
+        opt.systems = value();
+      else if (arg == "--invocations")
+        opt.invocations = util::parse_count(value(), arg);
+      else if (arg == "--pool")
+        opt.pool_fraction = parse_pool_fraction(value());
+      else if (arg == "--reps")
+        opt.reps = util::parse_count(value(), arg);
+      else if (arg == "--seed")
+        opt.seed = util::parse_count(value(), arg);
+      else if (arg == "--csv")
+        opt.csv_path = value();
+      else if (arg == "--save-trace")
+        opt.save_trace = value();
+      else if (arg == "--load-trace")
+        opt.load_trace = value();
+      else if (arg == "--help" || arg == "-h") {
+        usage();
+        return 0;
+      } else {
+        std::cerr << "unknown flag " << arg << "\n";
+        usage();
+        return 2;
       }
-      return argv[++i];
-    };
-    if (arg == "--workload")
-      opt.workload = value();
-    else if (arg == "--systems")
-      opt.systems = value();
-    else if (arg == "--invocations")
-      opt.invocations = util::parse_count(value(), arg);
-    else if (arg == "--pool")
-      opt.pool_fraction = parse_pool_fraction(value());
-    else if (arg == "--reps")
-      opt.reps = util::parse_count(value(), arg);
-    else if (arg == "--seed")
-      opt.seed = util::parse_count(value(), arg);
-    else if (arg == "--csv")
-      opt.csv_path = value();
-    else if (arg == "--save-trace")
-      opt.save_trace = value();
-    else if (arg == "--load-trace")
-      opt.load_trace = value();
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown flag " << arg << "\n";
-      usage();
-      return 2;
     }
+  } catch (const util::CheckError& e) {
+    std::cerr << "mlcr_cli: " << e.what() << "\n";
+    return 2;
   }
 
   const fstartbench::Benchmark bench = fstartbench::make_benchmark();

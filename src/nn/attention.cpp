@@ -1,6 +1,7 @@
 #include "nn/attention.hpp"
 
 #include <cmath>
+#include <cstring>
 
 #include "util/check.hpp"
 
@@ -29,6 +30,19 @@ void add_col_block(Tensor& dst, std::size_t from, const Tensor& block) {
     const float* in = block.row(r);
     for (std::size_t c = 0; c < block.cols(); ++c) out[c] += in[c];
   }
+}
+
+/// The first `rows` rows of x += those of y (same shape).
+void add_rows(Tensor& x, const Tensor& y, std::size_t rows) {
+  float* out = x.data();
+  const float* in = y.data();
+  for (std::size_t i = 0; i < rows * x.cols(); ++i) out[i] += in[i];
+}
+
+/// Rows [from, t.rows()) of t become copies of row from - 1.
+void repeat_last_row(Tensor& t, std::size_t from) {
+  for (std::size_t r = from; r < t.rows(); ++r)
+    std::memcpy(t.row(r), t.row(from - 1), t.cols() * sizeof(float));
 }
 
 }  // namespace
@@ -82,15 +96,20 @@ Tensor MultiHeadAttention::forward(const Tensor& input) {
   return out_proj_.forward(concat);
 }
 
-void MultiHeadAttention::infer(const Tensor& input, BlockWorkspace& ws) const {
+void MultiHeadAttention::infer(const Tensor& input, std::size_t rows,
+                               BlockWorkspace& ws) const {
   const std::size_t tokens = input.rows();
-  MLCR_CHECK(input.cols() == dim_);
+  MLCR_CHECK(input.cols() == dim_ && rows > 0 && rows <= tokens);
   MLCR_CHECK(ws.key_t.rows() == head_dim_ && ws.key_t.cols() == tokens);
   MLCR_CHECK(ws.scores.rows() == tokens && ws.scores.cols() == tokens);
   MLCR_CHECK(ws.concat.rows() == tokens && ws.concat.cols() == dim_);
-  q_proj_.infer(input, ws.q);
-  k_proj_.infer(input, ws.k);
-  v_proj_.infer(input, ws.v);
+  q_proj_.infer(input, rows, ws.q);
+  k_proj_.infer(input, rows, ws.k);
+  v_proj_.infer(input, rows, ws.v);
+  // Equal input rows project to equal keys and values, so every query
+  // still attends over all T of them.
+  repeat_last_row(ws.k, rows);
+  repeat_last_row(ws.v, rows);
 
   // forward()'s per-head arithmetic on strided views: scores = q_h k_h^T
   // adds every term (matmul_nt), attn . v_h skips zero weights (matmul),
@@ -103,15 +122,16 @@ void MultiHeadAttention::infer(const Tensor& input, BlockWorkspace& ws) const {
       for (std::size_t c = 0; c < head_dim_; ++c)
         ws.key_t(c, r) = ws.k(r, from + c);
     gemm(ws.q.data() + from, dim_, ws.key_t.data(), tokens, nullptr,
-         ws.scores.data(), tokens, tokens, head_dim_, tokens,
+         ws.scores.data(), tokens, rows, head_dim_, tokens,
          /*skip_zero_a=*/false);
-    ws.scores.scale_(scale);
-    softmax_rows_(ws.scores);
+    for (std::size_t i = 0; i < rows * tokens; ++i)
+      ws.scores.data()[i] *= scale;
+    softmax_rows_(ws.scores, rows);
     gemm(ws.scores.data(), tokens, ws.v.data() + from, dim_, nullptr,
-         ws.concat.data() + from, dim_, tokens, tokens, head_dim_,
+         ws.concat.data() + from, dim_, rows, tokens, head_dim_,
          /*skip_zero_a=*/true);
   }
-  out_proj_.infer(ws.concat, ws.out);
+  out_proj_.infer(ws.concat, rows, ws.out);
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_output) {
@@ -169,13 +189,14 @@ Tensor TransformerBlock::forward(const Tensor& input) {
   return y;
 }
 
-void TransformerBlock::infer(Tensor& x, BlockWorkspace& ws) const {
-  ln1_.infer(x, ws.norm);
-  mha_.infer(ws.norm, ws);
-  x.add_(ws.out);
-  ln2_.infer(x, ws.norm);
-  ffn_.infer(ws.norm, ws.hidden, ws.out);
-  x.add_(ws.out);
+void TransformerBlock::infer(Tensor& x, std::size_t rows,
+                             BlockWorkspace& ws) const {
+  ln1_.infer(x, rows, ws.norm);
+  mha_.infer(ws.norm, rows, ws);
+  add_rows(x, ws.out, rows);
+  ln2_.infer(x, rows, ws.norm);
+  ffn_.infer(ws.norm, rows, ws.hidden, ws.out);
+  add_rows(x, ws.out, rows);
 }
 
 Tensor TransformerBlock::backward(const Tensor& grad_output) {

@@ -38,9 +38,11 @@ class MultiHeadAttention final : public Module {
     return "MultiHeadAttention";
   }
 
-  /// forward() without caches: attends over `input` (T x d) into ws.out,
-  /// using ws's q/k/v/key_t/scores/concat. last_attention() is untouched.
-  void infer(const Tensor& input, BlockWorkspace& ws) const;
+  /// forward() without caches for the first `rows` query rows of `input`
+  /// (T x d), into ws.out, using ws's q/k/v/key_t/scores/concat. Rows
+  /// [rows, T) of `input` must repeat row rows - 1: their keys and values
+  /// are copied from it, not computed. last_attention() is untouched.
+  void infer(const Tensor& input, std::size_t rows, BlockWorkspace& ws) const;
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::size_t heads() const noexcept { return heads_; }
@@ -78,9 +80,10 @@ class TransformerBlock final : public Module {
     return "TransformerBlock";
   }
 
-  /// forward() without caches, in place: x (T x d) becomes the block's
-  /// output.
-  void infer(Tensor& x, BlockWorkspace& ws) const;
+  /// forward() without caches, in place on the first `rows` rows of x
+  /// (T x d), which become the block's output; rows [rows, T) must repeat
+  /// row rows - 1 (see MultiHeadAttention::infer) and are left as they were.
+  void infer(Tensor& x, std::size_t rows, BlockWorkspace& ws) const;
 
   [[nodiscard]] MultiHeadAttention& attention() noexcept { return mha_; }
 

@@ -8,8 +8,8 @@ namespace mlcr::nn {
 
 namespace {
 
-void relu_in_place(Tensor& t) {
-  for (std::size_t r = 0; r < t.rows(); ++r) {
+void relu_in_place(Tensor& t, std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r) {
     float* row = t.row(r);
     for (std::size_t c = 0; c < t.cols(); ++c)
       if (row[c] < 0.0F) row[c] = 0.0F;
@@ -46,20 +46,20 @@ void layer_norm_rows(const float* x, std::size_t dim, float epsilon,
   }
 }
 
-/// layer_norm_rows over every row of `input`, eight rows at a time.
-/// `x_hat` (input's shape) and `inv_std` (one per row) may be null.
-void layer_norm(const Tensor& input, float epsilon, const Tensor& gain,
-                const Tensor& bias, float* x_hat, float* inv_std,
-                Tensor& out) {
+/// layer_norm_rows over the first `rows` rows of `input`, eight rows at a
+/// time. `x_hat` (input's shape) and `inv_std` (one per row) may be null.
+void layer_norm(const Tensor& input, std::size_t rows, float epsilon,
+                const Tensor& gain, const Tensor& bias, float* x_hat,
+                float* inv_std, Tensor& out) {
   const std::size_t dim = input.cols();
   const auto at = [](float* p, std::size_t offset) {
     return p == nullptr ? nullptr : p + offset;
   };
   std::size_t r = 0;
-  for (; r + 8 <= input.rows(); r += 8)
+  for (; r + 8 <= rows; r += 8)
     layer_norm_rows<8>(input.row(r), dim, epsilon, gain.data(), bias.data(),
                        at(x_hat, r * dim), at(inv_std, r), out.row(r));
-  for (; r < input.rows(); ++r)
+  for (; r < rows; ++r)
     layer_norm_rows<1>(input.row(r), dim, epsilon, gain.data(), bias.data(),
                        at(x_hat, r * dim), at(inv_std, r), out.row(r));
 }
@@ -83,14 +83,15 @@ Tensor Linear::forward(const Tensor& input) {
   return out;
 }
 
-void Linear::infer(const Tensor& input, Tensor& out) const {
+void Linear::infer(const Tensor& input, std::size_t rows, Tensor& out) const {
   MLCR_CHECK_MSG(input.cols() == in_features(),
                  "Linear expects " << in_features() << " features, got "
                                    << input.cols());
-  MLCR_CHECK(out.rows() == input.rows() && out.cols() == out_features());
+  MLCR_CHECK(out.rows() == input.rows() && out.cols() == out_features() &&
+             rows <= input.rows());
   gemm(input.data(), input.cols(), weight_.value.data(), out_features(),
-       has_bias_ ? bias_.value.data() : nullptr, out.data(), out.cols(),
-       input.rows(), in_features(), out_features(), /*skip_zero_a=*/true);
+       has_bias_ ? bias_.value.data() : nullptr, out.data(), out.cols(), rows,
+       in_features(), out_features(), /*skip_zero_a=*/true);
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
@@ -123,15 +124,18 @@ Tensor LayerNorm::forward(const Tensor& input) {
   cached_norm_ = Tensor(input.rows(), dim);
   cached_inv_std_.assign(input.rows(), 0.0F);
   Tensor out(input.rows(), dim);
-  layer_norm(input, epsilon_, gain_.value, bias_.value, cached_norm_.data(),
-             cached_inv_std_.data(), out);
+  layer_norm(input, input.rows(), epsilon_, gain_.value, bias_.value,
+             cached_norm_.data(), cached_inv_std_.data(), out);
   return out;
 }
 
-void LayerNorm::infer(const Tensor& input, Tensor& out) const {
+void LayerNorm::infer(const Tensor& input, std::size_t rows,
+                      Tensor& out) const {
   const std::size_t dim = gain_.value.cols();
-  MLCR_CHECK(input.cols() == dim && out.same_shape(input));
-  layer_norm(input, epsilon_, gain_.value, bias_.value, nullptr, nullptr, out);
+  MLCR_CHECK(input.cols() == dim && out.same_shape(input) &&
+             rows <= input.rows());
+  layer_norm(input, rows, epsilon_, gain_.value, bias_.value, nullptr, nullptr,
+             out);
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_output) {
@@ -170,7 +174,7 @@ void LayerNorm::collect_parameters(std::vector<Parameter*>& out) {
 Tensor ReLU::forward(const Tensor& input) {
   cached_input_ = input;
   Tensor out = input;
-  relu_in_place(out);
+  relu_in_place(out, out.rows());
   return out;
 }
 
@@ -202,11 +206,11 @@ void FeedForward::collect_parameters(std::vector<Parameter*>& out) {
   down_.collect_parameters(out);
 }
 
-void FeedForward::infer(const Tensor& input, Tensor& hidden,
+void FeedForward::infer(const Tensor& input, std::size_t rows, Tensor& hidden,
                         Tensor& out) const {
-  up_.infer(input, hidden);
-  relu_in_place(hidden);
-  down_.infer(hidden, out);
+  up_.infer(input, rows, hidden);
+  relu_in_place(hidden, rows);
+  down_.infer(hidden, rows, out);
 }
 
 }  // namespace mlcr::nn

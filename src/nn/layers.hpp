@@ -4,7 +4,8 @@
 // policy network's inference path have a const infer() that writes into a
 // caller-sized output and touches no cache, so any number of threads may
 // run it on one layer. infer() runs forward()'s operations in forward()'s
-// order: the outputs are bit-identical.
+// order on the first `rows` rows only: those rows are bit-identical to
+// forward()'s, and the rows past them are left as they were.
 #pragma once
 
 #include <vector>
@@ -23,8 +24,9 @@ class Linear final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
-  /// forward() without caches; `out` is (input.rows() x out_features()).
-  void infer(const Tensor& input, Tensor& out) const;
+  /// forward() without caches on the first `rows` rows; `out` is
+  /// (input.rows() x out_features()).
+  void infer(const Tensor& input, std::size_t rows, Tensor& out) const;
 
   [[nodiscard]] std::size_t in_features() const noexcept {
     return weight_.value.rows();
@@ -54,8 +56,9 @@ class LayerNorm final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "LayerNorm"; }
 
-  /// forward() without caches; `out` has input's shape.
-  void infer(const Tensor& input, Tensor& out) const;
+  /// forward() without caches on the first `rows` rows; `out` has input's
+  /// shape.
+  void infer(const Tensor& input, std::size_t rows, Tensor& out) const;
 
  private:
   Parameter gain_;
@@ -86,9 +89,10 @@ class FeedForward final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "FeedForward"; }
 
-  /// forward() without caches: `hidden` is (rows x hidden) working space,
-  /// `out` is (rows x dim).
-  void infer(const Tensor& input, Tensor& hidden, Tensor& out) const;
+  /// forward() without caches on the first `rows` rows: `hidden` is
+  /// (input.rows() x hidden) working space, `out` has input's shape.
+  void infer(const Tensor& input, std::size_t rows, Tensor& hidden,
+             Tensor& out) const;
 
  private:
   Linear up_;

@@ -144,12 +144,13 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 
 Tensor softmax_rows(const Tensor& logits) {
   Tensor out = logits;
-  softmax_rows_(out);
+  softmax_rows_(out, out.rows());
   return out;
 }
 
-void softmax_rows_(Tensor& t) {
-  for (std::size_t r = 0; r < t.rows(); ++r) {
+void softmax_rows_(Tensor& t, std::size_t rows) {
+  MLCR_CHECK(rows <= t.rows());
+  for (std::size_t r = 0; r < rows; ++r) {
     float* o = t.row(r);
     float max_v = o[0];
     for (std::size_t c = 1; c < t.cols(); ++c) max_v = std::max(max_v, o[c]);

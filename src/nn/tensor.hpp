@@ -107,8 +107,9 @@ void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
 
 /// Row-wise numerically-stable softmax.
 [[nodiscard]] Tensor softmax_rows(const Tensor& logits);
-/// softmax_rows in place: bit-identical to `t = softmax_rows(t)`.
-void softmax_rows_(Tensor& t);
+/// softmax_rows in place on the first `rows` rows of t, each over all of
+/// its columns; the rows are bit-identical to those of softmax_rows(t).
+void softmax_rows_(Tensor& t, std::size_t rows);
 /// Backward of softmax_rows: given y = softmax(x) and dL/dy, return dL/dx.
 [[nodiscard]] Tensor softmax_rows_backward(const Tensor& y,
                                            const Tensor& grad_y);

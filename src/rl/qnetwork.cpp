@@ -1,7 +1,10 @@
 #include "rl/qnetwork.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
+#include "util/audit.hpp"
 #include "util/check.hpp"
 
 namespace mlcr::rl {
@@ -65,21 +68,44 @@ const nn::Tensor& QNetwork::infer(const nn::Tensor& tokens,
   // The layers check the shapes they write; ws.q is filled here.
   MLCR_CHECK_MSG(ws.q.rows() == num_actions(),
                  "workspace sized for another network");
-  input_proj_.infer(tokens, ws.h);
+  // Rows [live, T) repeat row live - 1 bit for bit (memcmp keeps NaN, +0
+  // and -0 apart), so their results are row live - 1's.
+  const std::size_t bytes = tokens.cols() * sizeof(float);
+  std::size_t live = num_tokens();
+  while (live > 1 &&
+         std::memcmp(tokens.row(live - 2), tokens.row(live - 1), bytes) == 0)
+    --live;
+  infer_rows(tokens, live, ws);
+  MLCR_AUDIT_POINT({
+    InferWorkspace every_row(config_);
+    infer_rows(tokens, num_tokens(), every_row);
+    MLCR_CHECK_MSG(std::memcmp(every_row.q.data(), ws.q.data(),
+                               ws.q.size() * sizeof(float)) == 0,
+                   "Q-values over the distinct rows differ from those over "
+                   "every row");
+  });
+  return ws.q;
+}
+
+void QNetwork::infer_rows(const nn::Tensor& tokens, std::size_t live,
+                          InferWorkspace& ws) const {
+  input_proj_.infer(tokens, live, ws.h);
   if (config_.use_attention) {
-    for (const auto& block : blocks_) block->infer(ws.h, ws.block);
+    for (const auto& block : blocks_) block->infer(ws.h, live, ws.block);
   } else {
     for (const auto& layer : mlp_) {
-      layer->infer(ws.h, ws.block.hidden, ws.block.out);
+      layer->infer(ws.h, live, ws.block.hidden, ws.block.out);
       std::swap(ws.h, ws.block.out);
     }
   }
-  final_norm_.infer(ws.h, ws.block.norm);
-  value_head_.infer(ws.block.norm, ws.values);
+  final_norm_.infer(ws.h, live, ws.block.norm);
+  value_head_.infer(ws.block.norm, live, ws.values);
+  const auto value = [&](std::size_t row) {
+    return ws.values(std::min(row, live - 1), 0);
+  };
   for (std::size_t slot = 0; slot < config_.num_slots; ++slot)
-    ws.q(slot, 0) = ws.values(kFirstSlotTokenRow + slot, 0);
-  ws.q(config_.num_slots, 0) = ws.values(kFunctionTokenRow, 0);  // cold
-  return ws.q;
+    ws.q(slot, 0) = value(kFirstSlotTokenRow + slot);
+  ws.q(config_.num_slots, 0) = value(kFunctionTokenRow);  // cold start
 }
 
 nn::Tensor QNetwork::backward(const nn::Tensor& grad_q) {

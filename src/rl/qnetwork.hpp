@@ -53,6 +53,9 @@ class QNetwork final : public nn::Module {
   /// the Q-values are bit-identical to forward()'s, computed in `ws` and
   /// returned as a view of ws.q. Const and cache-free: any number of threads
   /// may call it on one network, each with its own workspace.
+  /// A trailing run of bit-identical token rows (the empty slots) is
+  /// computed once, as its first row: every layer maps equal rows to equal
+  /// rows, and attention still sees all T keys and values.
   [[nodiscard]] const nn::Tensor& infer(const nn::Tensor& tokens,
                                         InferWorkspace& ws) const;
 
@@ -83,6 +86,10 @@ class QNetwork final : public nn::Module {
   nn::LayerNorm final_norm_;
   nn::Linear value_head_;
   std::size_t cached_tokens_ = 0;
+
+  /// infer() with rows [live, T) of `tokens` taken to repeat row live - 1.
+  void infer_rows(const nn::Tensor& tokens, std::size_t live,
+                  InferWorkspace& ws) const;
 };
 
 /// argmax over allowed actions; `mask` has q.rows() entries (mask[i] != 0

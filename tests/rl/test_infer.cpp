@@ -1,12 +1,15 @@
 // QNetwork::infer, the const inference path: bit-identical to forward() at
-// widths that exercise every gemm panel tail, pinned against Q-values
+// widths that exercise every gemm panel tail and on states whose trailing
+// rows repeat (infer computes them once), pinned against Q-values
 // recorded by forward() before infer existed (tests/rl/infer_golden.txt),
 // and safe to call from several threads on one network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -71,6 +74,52 @@ TEST(QNetworkInfer, MatchesForwardBitForBitAcrossPanelTails) {
           // One workspace across several states: nothing may carry over.
           for (const nn::Tensor& s : random_states(cfg, 3, rng))
             expect_same_bits(net.infer(s, ws), net.forward(s));
+        }
+}
+
+// infer computes a trailing run of bit-identical token rows once. States
+// whose rows [T - 1 - c, T) all equal one row, for c = 0 .. T - 1 (c = T - 1:
+// every row equal), must still match forward() bit for bit, whether the
+// repeated row is zeros (empty slots), nonzero, or holds an inf or a NaN.
+// One workspace serves every state, with the distinct-row count falling and
+// then rising, so rows a call skips must not carry over from the last.
+TEST(QNetworkInfer, TrailingRepeatedRowsMatchForward) {
+  util::Rng rng(34);
+  for (const bool attention : {true, false})
+    for (const std::size_t embed : {20, 48})
+      for (const std::size_t ffn : {40, 96})
+        for (const std::size_t slots : {5, 24}) {
+          QNetworkConfig cfg;
+          cfg.feature_dim = 16;
+          cfg.num_slots = slots;
+          cfg.embed_dim = embed;
+          cfg.ffn_dim = ffn;
+          cfg.use_attention = attention;
+          QNetwork net(cfg, rng);
+          InferWorkspace ws(cfg);
+          const std::size_t tokens = net.num_tokens();
+          const std::vector<nn::Tensor> bases = random_states(cfg, 2, rng);
+          nn::Tensor repeated = random_states(cfg, 1, rng).front();
+          repeated.row(1)[3] = std::numeric_limits<float>::infinity();
+          repeated.row(2)[5] = std::numeric_limits<float>::quiet_NaN();
+          const std::vector<std::vector<float>> rows = {
+              std::vector<float>(cfg.feature_dim, 0.0F),
+              {repeated.row(0), repeated.row(0) + cfg.feature_dim},
+              {repeated.row(1), repeated.row(1) + cfg.feature_dim},
+              {repeated.row(2), repeated.row(2) + cfg.feature_dim}};
+          for (std::size_t kind = 0; kind < rows.size(); ++kind)
+            for (std::size_t step = 0; step < 2 * tokens; ++step) {
+              const std::size_t copies =
+                  step < tokens ? step : 2 * tokens - 1 - step;
+              SCOPED_TRACE(::testing::Message()
+                           << (attention ? "attention" : "mlp") << " embed "
+                           << embed << " ffn " << ffn << " slots " << slots
+                           << " row kind " << kind << " copies " << copies);
+              nn::Tensor s = bases[step % 2];
+              for (std::size_t r = tokens - 1 - copies; r < tokens; ++r)
+                std::copy(rows[kind].begin(), rows[kind].end(), s.row(r));
+              expect_same_bits(net.infer(s, ws), net.forward(s));
+            }
         }
 }
 
