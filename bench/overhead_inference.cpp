@@ -1,11 +1,13 @@
 // Sec. VI-D reproduction: the runtime overhead MLCR adds per scheduling
 // decision. The paper reports 3-4 ms per inference on a V100; our scaled-down
 // CPU network must land in the same "negligible against multi-second cold
-// starts" regime. Also measures state encoding, Table-I matching, a DQN
-// gradient step, and raw simulator throughput.
+// starts" regime. Also measures the matrix-product kernel layer by layer,
+// state encoding, Table-I matching, a DQN gradient step, and raw simulator
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common.hpp"
 #include "containers/matching.hpp"
@@ -92,6 +94,44 @@ BENCHMARK(BM_DqnInference)
     ->Arg(12)
     ->Arg(24)
     ->Unit(benchmark::kMicrosecond);
+
+// nn::gemm at the default network's products: (k, n) = input projection
+// 16x48, Q/K/V/out projections 48x48, FFN 48x96 and 96x48, attention
+// scores 24x26 and attention-times-values 26x24. m is the row count: 1-8
+// covers inference's live rows, 26 every token row (training, a full pool).
+// Registered in main() once per gemm body the CPU runs, with and without
+// the zero skip, so a kernel change names the layer and body it moved.
+void BM_Gemm(benchmark::State& state, nn::detail::GemmFn body, std::size_t k,
+             std::size_t n, bool skip_zero_a) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(11);
+  const nn::Tensor a = nn::Tensor::he_uniform(m, k, rng);
+  const nn::Tensor b = nn::Tensor::he_uniform(k, n, rng);
+  nn::Tensor c(m, n);
+  for (auto _ : state) {
+    body(a.data(), k, b.data(), n, nullptr, c.data(), n, m, k, n, skip_zero_a);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+void register_gemm_benches() {
+  const std::size_t shapes[][2] = {{16, 48}, {48, 48}, {48, 96}, {96, 48},
+                                   {24, 26}, {26, 24}};
+  for (const nn::detail::GemmBody& body : nn::detail::gemm_bodies())
+    for (const bool skip : {true, false})
+      for (const auto& kn : shapes) {
+        std::string name = std::string("BM_Gemm/") + body.isa;
+        name += skip ? "/skip" : "/noskip";
+        name += "/k:" + std::to_string(kn[0]) + "/n:" + std::to_string(kn[1]);
+        benchmark::RegisterBenchmark(name.c_str(), BM_Gemm, body.run, kn[0],
+                                     kn[1], skip)
+            ->ArgName("m")
+            ->DenseRange(1, 8)
+            ->Arg(26)
+            ->Unit(benchmark::kNanosecond);
+      }
+}
 
 void BM_StateEncode(benchmark::State& state) {
   auto& f = fixture();
@@ -211,4 +251,11 @@ BENCHMARK(BM_SimulatorEpisodeTraced)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  register_gemm_benches();
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -107,8 +107,9 @@ void MultiHeadAttention::infer(const Tensor& input, std::size_t rows,
   k_proj_.infer(input, rows, ws.k);
   v_proj_.infer(input, rows, ws.v);
   // Equal input rows project to equal keys and values, so every query
-  // still attends over all T of them.
-  repeat_last_row(ws.k, rows);
+  // still attends over all T of them: the values are copied out to T rows,
+  // and score columns [rows, tokens) would repeat column rows - 1, so only
+  // the first `rows` are computed and softmax_rows_ fills in the rest.
   repeat_last_row(ws.v, rows);
 
   // forward()'s per-head arithmetic on strided views: scores = q_h k_h^T
@@ -118,15 +119,15 @@ void MultiHeadAttention::infer(const Tensor& input, std::size_t rows,
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
   for (std::size_t h = 0; h < heads_; ++h) {
     const std::size_t from = h * head_dim_;
-    for (std::size_t r = 0; r < tokens; ++r)
+    for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t c = 0; c < head_dim_; ++c)
         ws.key_t(c, r) = ws.k(r, from + c);
     gemm(ws.q.data() + from, dim_, ws.key_t.data(), tokens, nullptr,
-         ws.scores.data(), tokens, rows, head_dim_, tokens,
+         ws.scores.data(), tokens, rows, head_dim_, rows,
          /*skip_zero_a=*/false);
-    for (std::size_t i = 0; i < rows * tokens; ++i)
-      ws.scores.data()[i] *= scale;
-    softmax_rows_(ws.scores, rows);
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t j = 0; j < rows; ++j) ws.scores(i, j) *= scale;
+    softmax_rows_(ws.scores, rows, rows);
     gemm(ws.scores.data(), tokens, ws.v.data() + from, dim_, nullptr,
          ws.concat.data() + from, dim_, rows, tokens, head_dim_,
          /*skip_zero_a=*/true);

@@ -112,54 +112,41 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 Tensor matmul_tn(const Tensor& a, const Tensor& b) {
   MLCR_CHECK_MSG(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  Tensor out(a.cols(), b.cols());
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const float* arow = a.row(k);
-    const float* brow = b.row(k);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0F) continue;
-      float* orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
-    }
-  }
-  return out;
+  return matmul(a.transposed(), b);
 }
 
 Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   MLCR_CHECK_MSG(a.cols() == b.cols(), "matmul_nt shape mismatch");
+  const Tensor b_t = b.transposed();
   Tensor out(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const float* brow = b.row(j);
-      float dot = 0.0F;
-      for (std::size_t k = 0; k < a.cols(); ++k) dot += arow[k] * brow[k];
-      orow[j] = dot;
-    }
-  }
+  gemm(a.data(), a.cols(), b_t.data(), b_t.cols(), nullptr, out.data(),
+       out.cols(), a.rows(), a.cols(), b_t.cols(), /*skip_zero_a=*/false);
   return out;
 }
 
 Tensor softmax_rows(const Tensor& logits) {
   Tensor out = logits;
-  softmax_rows_(out, out.rows());
+  softmax_rows_(out, out.rows(), out.cols());
   return out;
 }
 
-void softmax_rows_(Tensor& t, std::size_t rows) {
-  MLCR_CHECK(rows <= t.rows());
+void softmax_rows_(Tensor& t, std::size_t rows, std::size_t distinct) {
+  MLCR_CHECK(rows <= t.rows() && distinct <= t.cols());
+  MLCR_CHECK(rows == 0 || distinct > 0);
   for (std::size_t r = 0; r < rows; ++r) {
     float* o = t.row(r);
     float max_v = o[0];
-    for (std::size_t c = 1; c < t.cols(); ++c) max_v = std::max(max_v, o[c]);
+    for (std::size_t c = 1; c < distinct; ++c) max_v = std::max(max_v, o[c]);
     float denom = 0.0F;
-    for (std::size_t c = 0; c < t.cols(); ++c) {
+    for (std::size_t c = 0; c < distinct; ++c) {
       o[c] = std::exp(o[c] - max_v);
       denom += o[c];
     }
-    for (std::size_t c = 0; c < t.cols(); ++c) o[c] /= denom;
+    const float repeated = o[distinct - 1];
+    for (std::size_t c = distinct; c < t.cols(); ++c) denom += repeated;
+    for (std::size_t c = 0; c < distinct; ++c) o[c] /= denom;
+    const float repeated_out = repeated / denom;
+    for (std::size_t c = distinct; c < t.cols(); ++c) o[c] = repeated_out;
   }
 }
 

@@ -4,10 +4,11 @@
 // 16-128 columns). At that size a scalar loop is bound by one add chain at
 // a time, so matrix products go through one register-blocked kernel (gemm):
 // a tile of rows by a SIMD vector of columns stays in accumulators across
-// the whole inner loop, compiled per ISA level by GCC target_clones. Its
-// summation order is the plain i-k-j loop's, so the result bits do not
-// depend on the clone the CPU picks (the library builds with
-// -ffp-contract=off, so no clone fuses a multiply into an add).
+// the whole inner loop, with one body per ISA level at that level's native
+// vector width, picked once at load time. Its summation order is the plain
+// i-k-j loop's, so the result bits do not depend on the body the CPU picks
+// (the library builds with -ffp-contract=off, so no body fuses a multiply
+// into an add).
 #pragma once
 
 #include <cstddef>
@@ -88,28 +89,51 @@ class Tensor {
 
 /// The one matrix-product kernel, on row-major strided views: c = a . b,
 /// plus `bias` (n floats) on every row unless it is null. a is (m x k) with
-/// row stride lda, b (k x n) with stride ldb, c (m x n) with stride ldc; c
-/// must not overlap a or b. Each c(i, j) starts at 0.0F and adds a(i, p) *
-/// b(p, j) for p ascending, a separate multiply then add, then the bias.
-/// With `skip_zero_a`, terms whose a(i, p) == 0 are skipped (matmul's
-/// rule); without it every term is added (a dot product's rule).
+/// row stride lda, b (k x n) with stride ldb, c (m x n) with stride ldc. The
+/// span of c, its first entry to its last, must not overlap a's or b's
+/// (checked: the kernel may write c twice). Each c(i, j) starts at 0.0F and
+/// adds a(i, p) * b(p, j) for p ascending, a separate multiply then add,
+/// then the bias. With `skip_zero_a`, terms whose a(i, p) == 0 are skipped
+/// (matmul's rule); without it every term is added (a dot product's rule).
 void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           const float* bias, float* c, std::size_t ldc, std::size_t m,
           std::size_t k, std::size_t n, bool skip_zero_a);
 
+namespace detail {
+
+using GemmFn = void (*)(const float*, std::size_t, const float*, std::size_t,
+                        const float*, float*, std::size_t, std::size_t,
+                        std::size_t, std::size_t, bool);
+struct GemmBody {
+  const char* isa;  ///< "avx512f", "avx2" or "baseline"
+  GemmFn run;
+};
+/// The gemm bodies this CPU runs, widest first; gemm is bound to the first.
+/// For tests and benches that must reach every body, not only that one.
+[[nodiscard]] std::vector<GemmBody> gemm_bodies();
+
+}  // namespace detail
+
 /// out = a * b; shapes (m x k) . (k x n) -> (m x n). Through gemm, skipping
 /// zero entries of a.
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-/// out = a^T * b; shapes (k x m) . (k x n) -> (m x n).
+/// out = a^T * b; shapes (k x m) . (k x n) -> (m x n). gemm on a's
+/// transpose, skipping zero entries of a.
 [[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// out = a * b^T; shapes (m x k) . (n x k) -> (m x n).
+/// out = a * b^T; shapes (m x k) . (n x k) -> (m x n). gemm on b's
+/// transpose, adding every term (a dot product per entry).
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Row-wise numerically-stable softmax.
 [[nodiscard]] Tensor softmax_rows(const Tensor& logits);
 /// softmax_rows in place on the first `rows` rows of t, each over all of
-/// its columns; the rows are bit-identical to those of softmax_rows(t).
-void softmax_rows_(Tensor& t, std::size_t rows);
+/// its columns, where columns [distinct, cols) stand for copies of column
+/// distinct - 1. Only the first `distinct` columns are read: the max and
+/// the exp run over them, and the others are written with column
+/// distinct - 1's result. The denominator still adds all cols() terms in
+/// ascending order, so each row is bit-identical to softmax_rows of the row
+/// with the copies in place. softmax_rows passes distinct = cols().
+void softmax_rows_(Tensor& t, std::size_t rows, std::size_t distinct);
 /// Backward of softmax_rows: given y = softmax(x) and dL/dy, return dL/dx.
 [[nodiscard]] Tensor softmax_rows_backward(const Tensor& y,
                                            const Tensor& grad_y);
