@@ -12,10 +12,10 @@
 // spares, domain crash windows sampled with high correlation, per-function
 // SLO deadlines derived from each function's cold-start ceiling, and the
 // health-aware router measured against the health-blind failover baseline
-// at equal capacity — on both the Greedy-Match and the MLCR (DQN) system,
-// the latter with and without the encoder's node-health block. The bench
-// asserts the health-aware variants drop strictly fewer invocations and
-// records the study in BENCH_chaos_recovery.json (--json) for benchdiff.
+// at equal capacity — on both the Greedy-Match and the MLCR (DQN) system.
+// The bench asserts the health-aware variants drop strictly fewer
+// invocations and records the study in BENCH_chaos_recovery.json (--json)
+// for benchdiff.
 //
 // With --trace, two additional traced episodes run: the 2-node retry
 // episode below, and a 6-node rack-failure episode with hand-placed domain
@@ -369,9 +369,11 @@ int main(int argc, char** argv) {
   const double cluster_mb = fstartbench::paper_pool_sizes(loose).moderate_mb;
   const double span_s = reference.span_s();
 
+  // Trained on the Moderate pool only, so its cache is its own: the
+  // figure benches train bench_overall on all three pool sizes.
   const core::MlcrConfig cfg = core::make_default_mlcr_config();
   const auto agent = benchtools::trained_agent(
-      suite, "bench_overall", factory, {cluster_mb}, cfg, options);
+      suite, "bench_chaos_recovery", factory, {cluster_mb}, cfg, options);
   const auto systems = benchtools::paper_systems(agent, &cfg.encoder);
 
   const std::vector<std::size_t> node_counts = {1, 8};
@@ -472,8 +474,6 @@ int main(int argc, char** argv) {
             << util::Table::num(kStudyCorrelation, 2) << ", SLO deadlines x"
             << util::Table::num(kSloFactor, 1) << " ===\n";
 
-  core::StateEncoderConfig health_encoder = cfg.encoder;
-  health_encoder.encode_health = true;
   const auto blind_router = [] {
     return std::unique_ptr<fleet::Router>(
         std::make_unique<fleet::WarmAwareRouter>());
@@ -500,8 +500,8 @@ int main(int argc, char** argv) {
       benchtools::mlcr_system_factory(agent, cfg.encoder), blind_router,
       suite, factory, options, cluster_mb, span_s);
   const StudyCell mlcr_health = run_study_cell(
-      "MLCR[health] + Health-Aware",
-      benchtools::mlcr_system_factory(agent, health_encoder), health_router,
+      "MLCR + Health-Aware",
+      benchtools::mlcr_system_factory(agent, cfg.encoder), health_router,
       suite, factory, options, cluster_mb, span_s);
   const std::int64_t study_t1 = util::wall_now_us();
 
@@ -528,7 +528,7 @@ int main(int argc, char** argv) {
                  "than blind failover ("
                      << health.dropped << " vs " << blind.dropped << ")");
   MLCR_CHECK_MSG(mlcr_health.dropped < mlcr_blind.dropped,
-                 "health-encoded MLCR must drop strictly fewer invocations "
+                 "health-aware MLCR must drop strictly fewer invocations "
                  "than its health-blind twin ("
                      << mlcr_health.dropped << " vs " << mlcr_blind.dropped
                      << ")");

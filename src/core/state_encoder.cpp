@@ -20,12 +20,6 @@ constexpr std::size_t kFreeFrac = 4;
 constexpr std::size_t kUsedFrac = 5;
 constexpr std::size_t kBusyFrac = 6;
 constexpr std::size_t kCapacity = 7;
-// Cluster-token health block (columns past the load block are unused by the
-// other cluster features), written only under config.encode_health.
-constexpr std::size_t kNodeDown = 8;  // 1 fully down, 0.5 partial, 0 up
-constexpr std::size_t kFailedFrac = 9;
-constexpr std::size_t kRetryPressure = 10;
-constexpr std::size_t kCrashes = 11;
 // Function and slot tokens share the package-identity block.
 constexpr std::size_t kOsId = 3;
 constexpr std::size_t kLangId = 4;
@@ -98,20 +92,6 @@ EncodedState StateEncoder::encode(const sim::ClusterEnv& env,
     row(kBusyFrac) = static_cast<float>(env.busy_count()) /
                      static_cast<float>(config_.num_slots);
     row(kCapacity) = static_cast<float>(pool.capacity_mb()) / size_scale;
-    if (config_.encode_health) {
-      row(kNodeDown) = env.down() ? (env.partial_down() ? 0.5F : 1.0F) : 0.0F;
-      const std::size_t invocations = env.metrics().invocation_count();
-      if (invocations > 0)
-        row(kFailedFrac) = static_cast<float>(env.metrics().failed_count()) /
-                           static_cast<float>(invocations);
-      if (env.fault_injector() != nullptr) {
-        if (invocations > 0)
-          row(kRetryPressure) =
-              static_cast<float>(env.metrics().retry_count()) /
-              static_cast<float>(invocations);
-        row(kCrashes) = static_cast<float>(env.crash_count()) / 4.0F;
-      }
-    }
   }
 
   // --- Function token.

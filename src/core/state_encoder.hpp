@@ -24,12 +24,6 @@ struct StateEncoderConfig {
   /// When false, the Sec. IV-C action mask is disabled (ablation): every
   /// action is allowed and invalid ones degrade to cold starts at runtime.
   bool mask_invalid_actions = true;
-  /// Write the cluster token's node-health block (DESIGN.md §14): down
-  /// state, failed-invocation fraction, retry pressure and crash count from
-  /// the node's fault injector. All-zero on a healthy faultless node, so
-  /// the encoding is unchanged wherever faults never fire; off by default
-  /// to keep existing trained policies' inputs bit-identical.
-  bool encode_health = false;
 };
 
 /// The encoded state: tokens, action mask, and the slot -> container mapping

@@ -74,80 +74,82 @@ MultiHeadAttention::MultiHeadAttention(std::size_t dim, std::size_t heads,
                  "dim " << dim << " must be divisible by heads " << heads);
 }
 
-Tensor MultiHeadAttention::forward(const Tensor& input) {
-  MLCR_CHECK(input.cols() == dim_);
-  q_ = q_proj_.forward(input);
-  k_ = k_proj_.forward(input);
-  v_ = v_proj_.forward(input);
-
-  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
-  attn_.assign(heads_, Tensor());
-  Tensor concat(input.rows(), dim_);
-  for (std::size_t h = 0; h < heads_; ++h) {
-    const std::size_t from = h * head_dim_;
-    const Tensor qh = col_block(q_, from, head_dim_);
-    const Tensor kh = col_block(k_, from, head_dim_);
-    const Tensor vh = col_block(v_, from, head_dim_);
-    Tensor scores = matmul_nt(qh, kh);
-    scores.scale_(scale);
-    attn_[h] = softmax_rows(scores);
-    add_col_block(concat, from, matmul(attn_[h], vh));
-  }
-  return out_proj_.forward(concat);
-}
-
-void MultiHeadAttention::infer(const Tensor& input, std::size_t rows,
-                               BlockWorkspace& ws) const {
+template <class Self>
+void MultiHeadAttention::run(Self& self, const Tensor& input,
+                             std::size_t rows, BlockWorkspace& ws) {
   const std::size_t tokens = input.rows();
-  MLCR_CHECK(input.cols() == dim_ && rows > 0 && rows <= tokens);
-  MLCR_CHECK(ws.key_t.rows() == head_dim_ && ws.key_t.cols() == tokens);
-  MLCR_CHECK(ws.scores.rows() == tokens && ws.scores.cols() == tokens);
-  MLCR_CHECK(ws.concat.rows() == tokens && ws.concat.cols() == dim_);
-  q_proj_.infer(input, rows, ws.q);
-  k_proj_.infer(input, rows, ws.k);
-  v_proj_.infer(input, rows, ws.v);
+  const std::size_t dim = self.dim_;
+  const std::size_t head_dim = self.head_dim_;
+  MLCR_CHECK(input.cols() == dim && rows > 0 && rows <= tokens);
+  BlockWorkspace* w = &ws;
+  if constexpr (kTraining<Self>) {
+    MLCR_CHECK(rows == tokens);
+    if (!self.cache_.q.same_shape(input)) {
+      self.cache_ = BlockWorkspace(tokens, dim, self.heads_, 0);
+      self.attn_.assign(self.heads_, Tensor(tokens, tokens));
+    }
+    w = &self.cache_;
+  }
+  MLCR_CHECK(w->key_t.rows() == head_dim && w->key_t.cols() == tokens);
+  MLCR_CHECK(w->scores.rows() == tokens && w->scores.cols() == tokens);
+  MLCR_CHECK(w->concat.rows() == tokens && w->concat.cols() == dim);
+  Linear::run(self.q_proj_, input, rows, w->q);
+  Linear::run(self.k_proj_, input, rows, w->k);
+  Linear::run(self.v_proj_, input, rows, w->v);
   // Equal input rows project to equal keys and values, so every query
   // still attends over all T of them: the values are copied out to T rows,
   // and score columns [rows, tokens) would repeat column rows - 1, so only
   // the first `rows` are computed and softmax_rows_ fills in the rest.
-  repeat_last_row(ws.v, rows);
+  repeat_last_row(w->v, rows);
 
-  // forward()'s per-head arithmetic on strided views: scores = q_h k_h^T
-  // adds every term (matmul_nt), attn . v_h skips zero weights (matmul),
-  // and each head's output lands in its concat columns directly (forward()
-  // adds it to zeros: 0 + x == x, as gemm never yields -0).
-  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
-  for (std::size_t h = 0; h < heads_; ++h) {
-    const std::size_t from = h * head_dim_;
+  // Per head, on strided views: scores = q_h k_h^T adds every term (a dot
+  // product), attn . v_h skips zero weights, and each head's output lands
+  // in its concat columns.
+  const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
+  for (std::size_t h = 0; h < self.heads_; ++h) {
+    Tensor* scores = &w->scores;
+    if constexpr (kTraining<Self>) scores = &self.attn_[h];
+    const std::size_t from = h * head_dim;
     for (std::size_t r = 0; r < rows; ++r)
-      for (std::size_t c = 0; c < head_dim_; ++c)
-        ws.key_t(c, r) = ws.k(r, from + c);
-    gemm(ws.q.data() + from, dim_, ws.key_t.data(), tokens, nullptr,
-         ws.scores.data(), tokens, rows, head_dim_, rows,
+      for (std::size_t c = 0; c < head_dim; ++c)
+        w->key_t(c, r) = w->k(r, from + c);
+    gemm(w->q.data() + from, dim, w->key_t.data(), tokens, nullptr,
+         scores->data(), tokens, rows, head_dim, rows,
          /*skip_zero_a=*/false);
     for (std::size_t i = 0; i < rows; ++i)
-      for (std::size_t j = 0; j < rows; ++j) ws.scores(i, j) *= scale;
-    softmax_rows_(ws.scores, rows, rows);
-    gemm(ws.scores.data(), tokens, ws.v.data() + from, dim_, nullptr,
-         ws.concat.data() + from, dim_, rows, tokens, head_dim_,
+      for (std::size_t j = 0; j < rows; ++j) (*scores)(i, j) *= scale;
+    softmax_rows_(*scores, rows, rows);
+    gemm(scores->data(), tokens, w->v.data() + from, dim, nullptr,
+         w->concat.data() + from, dim, rows, tokens, head_dim,
          /*skip_zero_a=*/true);
   }
-  out_proj_.infer(ws.concat, rows, ws.out);
+  Linear::run(self.out_proj_, w->concat, rows, ws.out);
+}
+template void MultiHeadAttention::run(MultiHeadAttention&, const Tensor&,
+                                      std::size_t, BlockWorkspace&);
+template void MultiHeadAttention::run(const MultiHeadAttention&,
+                                      const Tensor&, std::size_t,
+                                      BlockWorkspace&);
+
+Tensor MultiHeadAttention::forward(const Tensor& input) {
+  // The training pass sizes cache_ and computes in it, ws.out included.
+  run(*this, input, input.rows(), cache_);
+  return cache_.out;
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& grad_output) {
   const Tensor grad_concat = out_proj_.backward(grad_output);
 
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim_));
-  Tensor grad_q(q_.rows(), dim_);
-  Tensor grad_k(k_.rows(), dim_);
-  Tensor grad_v(v_.rows(), dim_);
+  Tensor grad_q(cache_.q.rows(), dim_);
+  Tensor grad_k(cache_.k.rows(), dim_);
+  Tensor grad_v(cache_.v.rows(), dim_);
 
   for (std::size_t h = 0; h < heads_; ++h) {
     const std::size_t from = h * head_dim_;
-    const Tensor qh = col_block(q_, from, head_dim_);
-    const Tensor kh = col_block(k_, from, head_dim_);
-    const Tensor vh = col_block(v_, from, head_dim_);
+    const Tensor qh = col_block(cache_.q, from, head_dim_);
+    const Tensor kh = col_block(cache_.k, from, head_dim_);
+    const Tensor vh = col_block(cache_.v, from, head_dim_);
     const Tensor grad_oh = col_block(grad_concat, from, head_dim_);
 
     const Tensor grad_attn = matmul_nt(grad_oh, vh);        // (T x T)
@@ -182,22 +184,26 @@ TransformerBlock::TransformerBlock(std::size_t dim, std::size_t heads,
       ln2_(dim),
       ffn_(dim, ffn_dim, rng) {}
 
-Tensor TransformerBlock::forward(const Tensor& input) {
-  Tensor h = input;
-  h.add_(mha_.forward(ln1_.forward(input)));
-  Tensor y = h;
-  y.add_(ffn_.forward(ln2_.forward(h)));
-  return y;
+template <class Self>
+void TransformerBlock::run(Self& self, Tensor& x, std::size_t rows,
+                           BlockWorkspace& ws) {
+  LayerNorm::run(self.ln1_, x, rows, ws.norm);
+  MultiHeadAttention::run(self.mha_, ws.norm, rows, ws);
+  add_rows(x, ws.out, rows);
+  LayerNorm::run(self.ln2_, x, rows, ws.norm);
+  FeedForward::run(self.ffn_, ws.norm, rows, ws.hidden, ws.out);
+  add_rows(x, ws.out, rows);
 }
+template void TransformerBlock::run(TransformerBlock&, Tensor&, std::size_t,
+                                    BlockWorkspace&);
+template void TransformerBlock::run(const TransformerBlock&, Tensor&,
+                                    std::size_t, BlockWorkspace&);
 
-void TransformerBlock::infer(Tensor& x, std::size_t rows,
-                             BlockWorkspace& ws) const {
-  ln1_.infer(x, rows, ws.norm);
-  mha_.infer(ws.norm, rows, ws);
-  add_rows(x, ws.out, rows);
-  ln2_.infer(x, rows, ws.norm);
-  ffn_.infer(ws.norm, rows, ws.hidden, ws.out);
-  add_rows(x, ws.out, rows);
+Tensor TransformerBlock::forward(const Tensor& input) {
+  Tensor x = input;
+  BlockWorkspace ws(x.rows(), mha_.dim(), mha_.heads(), ffn_.hidden_dim());
+  run(*this, x, x.rows(), ws);
+  return x;
 }
 
 Tensor TransformerBlock::backward(const Tensor& grad_output) {

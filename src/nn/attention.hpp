@@ -10,10 +10,11 @@
 
 namespace mlcr::nn {
 
-/// Caller-owned activations for one TransformerBlock::infer (or
-/// MultiHeadAttention::infer) pass over `tokens` rows, sized once and reused
-/// by every call. One per thread: infer writes only here.
+/// Caller-owned activations for one TransformerBlock::run (or
+/// MultiHeadAttention::run) pass over `tokens` rows, sized once and reused
+/// by every call. One per thread: inference writes only here.
 struct BlockWorkspace {
+  BlockWorkspace() = default;  ///< empty: sized before first use
   BlockWorkspace(std::size_t tokens, std::size_t dim, std::size_t heads,
                  std::size_t ffn_dim);
 
@@ -38,16 +39,20 @@ class MultiHeadAttention final : public Module {
     return "MultiHeadAttention";
   }
 
-  /// forward() without caches for the first `rows` query rows of `input`
-  /// (T x d), into ws.out, using ws's q/k/v/key_t/scores/concat. Rows
-  /// [rows, T) of `input` must repeat row rows - 1: their keys and values
-  /// are copied from it, not computed. last_attention() is untouched.
-  void infer(const Tensor& input, std::size_t rows, BlockWorkspace& ws) const;
+  /// The forward body: the first `rows` query rows of `input` (T x d) into
+  /// ws.out. Rows [rows, T) of `input` must repeat row rows - 1: their keys
+  /// and values are copied from it, not computed. Inference works in ws's
+  /// q/k/v/key_t/scores/concat. The training pass (rows == T) works in the
+  /// layer's own cache instead, sized once per T, and leaves each head's
+  /// weights in last_attention(); backward() reads both.
+  template <class Self>
+  static void run(Self& self, const Tensor& input, std::size_t rows,
+                  BlockWorkspace& ws);
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] std::size_t heads() const noexcept { return heads_; }
 
-  /// Attention weights of the last forward pass, one (T x T) matrix per
+  /// Attention weights of the last training pass, one (T x T) matrix per
   /// head. Useful for interpretability tests and examples.
   [[nodiscard]] const std::vector<Tensor>& last_attention() const noexcept {
     return attn_;
@@ -61,8 +66,8 @@ class MultiHeadAttention final : public Module {
   Linear k_proj_;
   Linear v_proj_;
   Linear out_proj_;
-  // Forward caches.
-  Tensor q_, k_, v_;
+  // Training caches.
+  BlockWorkspace cache_;
   std::vector<Tensor> attn_;
 };
 
@@ -80,10 +85,12 @@ class TransformerBlock final : public Module {
     return "TransformerBlock";
   }
 
-  /// forward() without caches, in place on the first `rows` rows of x
-  /// (T x d), which become the block's output; rows [rows, T) must repeat
-  /// row rows - 1 (see MultiHeadAttention::infer) and are left as they were.
-  void infer(Tensor& x, std::size_t rows, BlockWorkspace& ws) const;
+  /// The forward body, in place on the first `rows` rows of x (T x d),
+  /// which become the block's output; rows [rows, T) must repeat row
+  /// rows - 1 (see MultiHeadAttention::run) and are left as they were.
+  template <class Self>
+  static void run(Self& self, Tensor& x, std::size_t rows,
+                  BlockWorkspace& ws);
 
   [[nodiscard]] MultiHeadAttention& attention() noexcept { return mha_; }
 

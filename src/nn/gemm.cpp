@@ -203,8 +203,11 @@ std::vector<GemmBody> gemm_bodies() {
 
 // The resolver runs while the dynamic loader relocates the program, before
 // any constructor, so it calls nothing outside this file but the builtins.
+// Nor may AddressSanitizer instrument it: its runtime is not up yet, and an
+// instrumented resolver crashes the binary at load.
 extern "C" {
-static detail::GemmFn mlcr_resolve_gemm() {
+__attribute__((no_sanitize_address)) static detail::GemmFn
+mlcr_resolve_gemm() {
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f")) return gemm_avx512f;
   if (__builtin_cpu_supports("avx2")) return gemm_avx2;

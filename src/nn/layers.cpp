@@ -8,14 +8,6 @@ namespace mlcr::nn {
 
 namespace {
 
-void relu_in_place(Tensor& t, std::size_t rows) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    float* row = t.row(r);
-    for (std::size_t c = 0; c < t.cols(); ++c)
-      if (row[c] < 0.0F) row[c] = 0.0F;
-  }
-}
-
 /// LayerNorm of Rows consecutive rows of `dim` features into `out`; also
 /// stores x_hat and each row's 1 / std unless `x_hat` / `inv_std` is null.
 /// Each row's mean and variance are sequential sums over its columns; the
@@ -46,24 +38,6 @@ void layer_norm_rows(const float* x, std::size_t dim, float epsilon,
   }
 }
 
-/// layer_norm_rows over the first `rows` rows of `input`, eight rows at a
-/// time. `x_hat` (input's shape) and `inv_std` (one per row) may be null.
-void layer_norm(const Tensor& input, std::size_t rows, float epsilon,
-                const Tensor& gain, const Tensor& bias, float* x_hat,
-                float* inv_std, Tensor& out) {
-  const std::size_t dim = input.cols();
-  const auto at = [](float* p, std::size_t offset) {
-    return p == nullptr ? nullptr : p + offset;
-  };
-  std::size_t r = 0;
-  for (; r + 8 <= rows; r += 8)
-    layer_norm_rows<8>(input.row(r), dim, epsilon, gain.data(), bias.data(),
-                       at(x_hat, r * dim), at(inv_std, r), out.row(r));
-  for (; r < rows; ++r)
-    layer_norm_rows<1>(input.row(r), dim, epsilon, gain.data(), bias.data(),
-                       at(x_hat, r * dim), at(inv_std, r), out.row(r));
-}
-
 }  // namespace
 
 Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng, bool bias)
@@ -73,25 +47,31 @@ Linear::Linear(std::size_t in, std::size_t out, util::Rng& rng, bool bias)
   MLCR_CHECK(in > 0 && out > 0);
 }
 
-Tensor Linear::forward(const Tensor& input) {
-  MLCR_CHECK_MSG(input.cols() == in_features(),
-                 "Linear expects " << in_features() << " features, got "
+template <class Self>
+void Linear::run(Self& self, const Tensor& input, std::size_t rows,
+                 Tensor& out) {
+  MLCR_CHECK_MSG(input.cols() == self.in_features(),
+                 "Linear expects " << self.in_features() << " features, got "
                                    << input.cols());
-  cached_input_ = input;
-  Tensor out = matmul(input, weight_.value);
-  if (has_bias_) out.add_row_broadcast_(bias_.value);
-  return out;
+  MLCR_CHECK(out.rows() == input.rows() &&
+             out.cols() == self.out_features() && rows <= input.rows());
+  if constexpr (kTraining<Self>) {
+    MLCR_CHECK(rows == input.rows());
+    self.cached_input_ = input;
+  }
+  gemm(input.data(), input.cols(), self.weight_.value.data(),
+       self.out_features(),
+       self.has_bias_ ? self.bias_.value.data() : nullptr, out.data(),
+       out.cols(), rows, self.in_features(), self.out_features(),
+       /*skip_zero_a=*/true);
 }
+template void Linear::run(Linear&, const Tensor&, std::size_t, Tensor&);
+template void Linear::run(const Linear&, const Tensor&, std::size_t, Tensor&);
 
-void Linear::infer(const Tensor& input, std::size_t rows, Tensor& out) const {
-  MLCR_CHECK_MSG(input.cols() == in_features(),
-                 "Linear expects " << in_features() << " features, got "
-                                   << input.cols());
-  MLCR_CHECK(out.rows() == input.rows() && out.cols() == out_features() &&
-             rows <= input.rows());
-  gemm(input.data(), input.cols(), weight_.value.data(), out_features(),
-       has_bias_ ? bias_.value.data() : nullptr, out.data(), out.cols(), rows,
-       in_features(), out_features(), /*skip_zero_a=*/true);
+Tensor Linear::forward(const Tensor& input) {
+  Tensor out(input.rows(), out_features());
+  run(*this, input, input.rows(), out);
+  return out;
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
@@ -118,24 +98,44 @@ LayerNorm::LayerNorm(std::size_t dim, float epsilon)
   MLCR_CHECK(dim > 0);
 }
 
-Tensor LayerNorm::forward(const Tensor& input) {
-  const std::size_t dim = gain_.value.cols();
-  MLCR_CHECK(input.cols() == dim);
-  cached_norm_ = Tensor(input.rows(), dim);
-  cached_inv_std_.assign(input.rows(), 0.0F);
-  Tensor out(input.rows(), dim);
-  layer_norm(input, input.rows(), epsilon_, gain_.value, bias_.value,
-             cached_norm_.data(), cached_inv_std_.data(), out);
-  return out;
-}
-
-void LayerNorm::infer(const Tensor& input, std::size_t rows,
-                      Tensor& out) const {
-  const std::size_t dim = gain_.value.cols();
+template <class Self>
+void LayerNorm::run(Self& self, const Tensor& input, std::size_t rows,
+                    Tensor& out) {
+  const std::size_t dim = self.gain_.value.cols();
   MLCR_CHECK(input.cols() == dim && out.same_shape(input) &&
              rows <= input.rows());
-  layer_norm(input, rows, epsilon_, gain_.value, bias_.value, nullptr, nullptr,
-             out);
+  float* x_hat = nullptr;
+  float* inv_std = nullptr;
+  if constexpr (kTraining<Self>) {
+    MLCR_CHECK(rows == input.rows());
+    if (!self.cached_norm_.same_shape(input))
+      self.cached_norm_ = Tensor(rows, dim);
+    self.cached_inv_std_.resize(rows);
+    x_hat = self.cached_norm_.data();
+    inv_std = self.cached_inv_std_.data();
+  }
+  // Eight rows at a time, then one at a time.
+  const float* gain = self.gain_.value.data();
+  const float* bias = self.bias_.value.data();
+  const auto at = [](float* p, std::size_t offset) {
+    return p == nullptr ? nullptr : p + offset;
+  };
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8)
+    layer_norm_rows<8>(input.row(r), dim, self.epsilon_, gain, bias,
+                       at(x_hat, r * dim), at(inv_std, r), out.row(r));
+  for (; r < rows; ++r)
+    layer_norm_rows<1>(input.row(r), dim, self.epsilon_, gain, bias,
+                       at(x_hat, r * dim), at(inv_std, r), out.row(r));
+}
+template void LayerNorm::run(LayerNorm&, const Tensor&, std::size_t, Tensor&);
+template void LayerNorm::run(const LayerNorm&, const Tensor&, std::size_t,
+                             Tensor&);
+
+Tensor LayerNorm::forward(const Tensor& input) {
+  Tensor out(input.rows(), input.cols());
+  run(*this, input, input.rows(), out);
+  return out;
 }
 
 Tensor LayerNorm::backward(const Tensor& grad_output) {
@@ -171,46 +171,45 @@ void LayerNorm::collect_parameters(std::vector<Parameter*>& out) {
   out.push_back(&bias_);
 }
 
-Tensor ReLU::forward(const Tensor& input) {
-  cached_input_ = input;
-  Tensor out = input;
-  relu_in_place(out, out.rows());
-  return out;
-}
-
-Tensor ReLU::backward(const Tensor& grad_output) {
-  MLCR_CHECK(grad_output.same_shape(cached_input_));
-  Tensor grad_in = grad_output;
-  for (std::size_t r = 0; r < grad_in.rows(); ++r) {
-    float* g = grad_in.row(r);
-    const float* x = cached_input_.row(r);
-    for (std::size_t c = 0; c < grad_in.cols(); ++c)
-      if (x[c] <= 0.0F) g[c] = 0.0F;
-  }
-  return grad_in;
-}
-
 FeedForward::FeedForward(std::size_t dim, std::size_t hidden, util::Rng& rng)
     : up_(dim, hidden, rng), down_(hidden, dim, rng) {}
 
+template <class Self>
+void FeedForward::run(Self& self, const Tensor& input, std::size_t rows,
+                      Tensor& hidden, Tensor& out) {
+  Linear::run(self.up_, input, rows, hidden);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = hidden.row(r);
+    for (std::size_t c = 0; c < hidden.cols(); ++c)
+      if (row[c] < 0.0F) row[c] = 0.0F;
+  }
+  Linear::run(self.down_, hidden, rows, out);
+}
+template void FeedForward::run(FeedForward&, const Tensor&, std::size_t,
+                               Tensor&, Tensor&);
+template void FeedForward::run(const FeedForward&, const Tensor&, std::size_t,
+                               Tensor&, Tensor&);
+
 Tensor FeedForward::forward(const Tensor& input) {
-  return down_.forward(relu_.forward(up_.forward(input)));
+  Tensor hidden(input.rows(), hidden_dim());
+  Tensor out(input.rows(), input.cols());
+  run(*this, input, input.rows(), hidden, out);
+  return out;
 }
 
 Tensor FeedForward::backward(const Tensor& grad_output) {
-  return up_.backward(relu_.backward(down_.backward(grad_output)));
+  Tensor grad = down_.backward(grad_output);
+  // down_ kept y = relu(x), and y <= 0 exactly when x <= 0 (-0 and NaN
+  // included), so y masks the ReLU's gradient as x would.
+  const Tensor& y = down_.kept_input();
+  for (std::size_t i = 0; i < grad.size(); ++i)
+    if (y.data()[i] <= 0.0F) grad.data()[i] = 0.0F;
+  return up_.backward(grad);
 }
 
 void FeedForward::collect_parameters(std::vector<Parameter*>& out) {
   up_.collect_parameters(out);
   down_.collect_parameters(out);
-}
-
-void FeedForward::infer(const Tensor& input, std::size_t rows, Tensor& hidden,
-                        Tensor& out) const {
-  up_.infer(input, rows, hidden);
-  relu_in_place(hidden, rows);
-  down_.infer(hidden, rows, out);
 }
 
 }  // namespace mlcr::nn

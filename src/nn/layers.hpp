@@ -1,11 +1,8 @@
-// Basic layers: Linear, LayerNorm, ReLU, FeedForward.
+// Basic layers: Linear, LayerNorm, FeedForward.
 //
-// Besides the cached forward()/backward() pair, the layers that sit on the
-// policy network's inference path have a const infer() that writes into a
-// caller-sized output and touches no cache, so any number of threads may
-// run it on one layer. infer() runs forward()'s operations in forward()'s
-// order on the first `rows` rows only: those rows are bit-identical to
-// forward()'s, and the rows past them are left as they were.
+// Each has one forward body, run() (see module.hpp), which writes the first
+// `rows` rows of a caller-sized output and leaves the rows past them as they
+// were. forward() runs it on every row and keeps what backward() reads.
 #pragma once
 
 #include <vector>
@@ -24,9 +21,11 @@ class Linear final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "Linear"; }
 
-  /// forward() without caches on the first `rows` rows; `out` is
-  /// (input.rows() x out_features()).
-  void infer(const Tensor& input, std::size_t rows, Tensor& out) const;
+  /// The forward body: one gemm with the bias; `out` is (input.rows() x
+  /// out_features()). The training pass first keeps the input.
+  template <class Self>
+  static void run(Self& self, const Tensor& input, std::size_t rows,
+                  Tensor& out);
 
   [[nodiscard]] std::size_t in_features() const noexcept {
     return weight_.value.rows();
@@ -37,6 +36,10 @@ class Linear final : public Module {
   [[nodiscard]] Parameter& weight() noexcept { return weight_; }
   [[nodiscard]] Parameter* bias() noexcept {
     return has_bias_ ? &bias_ : nullptr;
+  }
+  /// The input of the last training pass, which backward() reads.
+  [[nodiscard]] const Tensor& kept_input() const noexcept {
+    return cached_input_;
   }
 
  private:
@@ -56,9 +59,11 @@ class LayerNorm final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "LayerNorm"; }
 
-  /// forward() without caches on the first `rows` rows; `out` has input's
-  /// shape.
-  void infer(const Tensor& input, std::size_t rows, Tensor& out) const;
+  /// The forward body; `out` has input's shape. The training pass also
+  /// keeps x_hat and each row's 1 / std.
+  template <class Self>
+  static void run(Self& self, const Tensor& input, std::size_t rows,
+                  Tensor& out);
 
  private:
   Parameter gain_;
@@ -66,16 +71,6 @@ class LayerNorm final : public Module {
   float epsilon_;
   Tensor cached_norm_;        // x_hat
   std::vector<float> cached_inv_std_;
-};
-
-class ReLU final : public Module {
- public:
-  [[nodiscard]] Tensor forward(const Tensor& input) override;
-  [[nodiscard]] Tensor backward(const Tensor& grad_output) override;
-  [[nodiscard]] std::string name() const override { return "ReLU"; }
-
- private:
-  Tensor cached_input_;
 };
 
 /// y = W2 relu(W1 x + b1) + b2, row by row: the transformer block's
@@ -89,14 +84,19 @@ class FeedForward final : public Module {
   void collect_parameters(std::vector<Parameter*>& out) override;
   [[nodiscard]] std::string name() const override { return "FeedForward"; }
 
-  /// forward() without caches on the first `rows` rows: `hidden` is
-  /// (input.rows() x hidden) working space, `out` has input's shape.
-  void infer(const Tensor& input, std::size_t rows, Tensor& hidden,
-             Tensor& out) const;
+  /// The forward body: `hidden` is (input.rows() x hidden_dim()) working
+  /// space, `out` has input's shape. down_ keeps relu(W1 x + b1), which
+  /// is also the mask backward() needs.
+  template <class Self>
+  static void run(Self& self, const Tensor& input, std::size_t rows,
+                  Tensor& hidden, Tensor& out);
+
+  [[nodiscard]] std::size_t hidden_dim() const noexcept {
+    return up_.out_features();
+  }
 
  private:
   Linear up_;
-  ReLU relu_;
   Linear down_;
 };
 

@@ -4,15 +4,28 @@
 // backward() per forward(); batching loops over samples and lets the
 // gradients accumulate — at the policy network's sizes (tens of tokens,
 // d=64..128) this is faster and far simpler than a general autograd tape.
+//
+// The layers on the policy network's path write their forward arithmetic
+// once, as a static `template <class Self> run(Self& self, ...)` over the
+// first `rows` rows of the input. Self's constness picks the pass. On a
+// const layer it is inference: it keeps nothing, so any number of threads
+// may run it. On a mutable one it is forward()'s training pass, over every
+// row, keeping what backward() reads in caches sized once per token count.
+// A composite's run() calls its sublayers' run(), so the pass propagates.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/tensor.hpp"
 
 namespace mlcr::nn {
+
+/// True when a layer's run() is the training pass (Self is mutable).
+template <class Self>
+inline constexpr bool kTraining = !std::is_const_v<Self>;
 
 /// A learnable tensor and its gradient accumulator.
 struct Parameter {

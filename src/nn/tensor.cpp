@@ -66,14 +66,6 @@ void Tensor::scale_(float alpha) noexcept {
   for (float& v : data_) v *= alpha;
 }
 
-void Tensor::add_row_broadcast_(const Tensor& bias) {
-  MLCR_CHECK(bias.rows_ == 1 && bias.cols_ == cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    float* out = row(r);
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += bias.data_[c];
-  }
-}
-
 Tensor Tensor::transposed() const {
   Tensor t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
@@ -121,12 +113,6 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
   Tensor out(a.rows(), b.rows());
   gemm(a.data(), a.cols(), b_t.data(), b_t.cols(), nullptr, out.data(),
        out.cols(), a.rows(), a.cols(), b_t.cols(), /*skip_zero_a=*/false);
-  return out;
-}
-
-Tensor softmax_rows(const Tensor& logits) {
-  Tensor out = logits;
-  softmax_rows_(out, out.rows(), out.cols());
   return out;
 }
 

@@ -62,8 +62,6 @@ class Tensor {
   void axpy_(float alpha, const Tensor& other);
   /// this *= alpha.
   void scale_(float alpha) noexcept;
-  /// Adds `bias` (1 x cols) to every row.
-  void add_row_broadcast_(const Tensor& bias);
 
   [[nodiscard]] Tensor transposed() const;
   /// Sum of all elements.
@@ -124,17 +122,15 @@ struct GemmBody {
 /// transpose, adding every term (a dot product per entry).
 [[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
-/// Row-wise numerically-stable softmax.
-[[nodiscard]] Tensor softmax_rows(const Tensor& logits);
-/// softmax_rows in place on the first `rows` rows of t, each over all of
-/// its columns, where columns [distinct, cols) stand for copies of column
-/// distinct - 1. Only the first `distinct` columns are read: the max and
-/// the exp run over them, and the others are written with column
-/// distinct - 1's result. The denominator still adds all cols() terms in
-/// ascending order, so each row is bit-identical to softmax_rows of the row
-/// with the copies in place. softmax_rows passes distinct = cols().
+/// Row-wise numerically-stable softmax, in place on the first `rows` rows
+/// of t, each over all of its columns, where columns [distinct, cols) stand
+/// for copies of column distinct - 1. Only the first `distinct` columns are
+/// read: the max and the exp run over them, and the others are written with
+/// column distinct - 1's result. The denominator still adds all cols()
+/// terms in ascending order, so each row is bit-identical to the softmax of
+/// the row with the copies in place (distinct = cols()).
 void softmax_rows_(Tensor& t, std::size_t rows, std::size_t distinct);
-/// Backward of softmax_rows: given y = softmax(x) and dL/dy, return dL/dx.
+/// Backward of softmax_rows_: given y = softmax(x) and dL/dy, return dL/dx.
 [[nodiscard]] Tensor softmax_rows_backward(const Tensor& y,
                                            const Tensor& grad_y);
 

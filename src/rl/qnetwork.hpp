@@ -6,7 +6,6 @@
 // (paper Sec. IV-B). A mask filters manifestly wrong actions (Sec. IV-C).
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "nn/attention.hpp"
@@ -32,7 +31,8 @@ inline constexpr std::size_t kFirstSlotTokenRow = 2;
 
 /// Caller-owned activations for QNetwork::infer, sized once from the
 /// network's config; infer allocates nothing and writes only here. One per
-/// thread (or per scheduler) — never shared by concurrent calls.
+/// thread (or per scheduler) — never shared by concurrent calls. forward()
+/// runs in one of its own.
 struct InferWorkspace {
   explicit InferWorkspace(const QNetworkConfig& config);
 
@@ -47,12 +47,12 @@ class QNetwork final : public nn::Module {
   QNetwork(QNetworkConfig config, util::Rng& rng);
 
   /// tokens: ((2 + num_slots) x feature_dim) -> Q: ((num_slots + 1) x 1).
+  /// The training pass of run() over every row.
   [[nodiscard]] nn::Tensor forward(const nn::Tensor& tokens) override;
 
-  /// The inference path: forward()'s operations in forward()'s order, so
-  /// the Q-values are bit-identical to forward()'s, computed in `ws` and
-  /// returned as a view of ws.q. Const and cache-free: any number of threads
-  /// may call it on one network, each with its own workspace.
+  /// The inference path: run() on a const network, computed in `ws` and
+  /// returned as a view of ws.q. It keeps nothing, so any number of
+  /// threads may call it on one network, each with its own workspace.
   /// A trailing run of bit-identical token rows (the empty slots) is
   /// computed once, as its first row: every layer maps equal rows to equal
   /// rows, and attention still sees all T keys and values.
@@ -80,16 +80,18 @@ class QNetwork final : public nn::Module {
  private:
   QNetworkConfig config_;
   nn::Linear input_proj_;
-  std::vector<std::unique_ptr<nn::TransformerBlock>> blocks_;
+  std::vector<nn::TransformerBlock> blocks_;
   /// MLP path for the no-attention ablation.
-  std::vector<std::unique_ptr<nn::FeedForward>> mlp_;
+  std::vector<nn::FeedForward> mlp_;
   nn::LayerNorm final_norm_;
   nn::Linear value_head_;
-  std::size_t cached_tokens_ = 0;
+  InferWorkspace train_ws_;  ///< forward()'s activations
 
-  /// infer() with rows [live, T) of `tokens` taken to repeat row live - 1.
-  void infer_rows(const nn::Tensor& tokens, std::size_t live,
-                  InferWorkspace& ws) const;
+  /// The forward body, into ws.q, with rows [live, T) of `tokens` taken to
+  /// repeat row live - 1 (see nn::MultiHeadAttention::run).
+  template <class Self>
+  static void run(Self& self, const nn::Tensor& tokens, std::size_t live,
+                  InferWorkspace& ws);
 };
 
 /// argmax over allowed actions; `mask` has q.rows() entries (mask[i] != 0

@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "faults/fault_plan.hpp"
-#include "faults/injector.hpp"
 #include "testing/fixtures.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace mlcr::core {
 namespace {
@@ -142,93 +139,6 @@ TEST_F(EncoderTest, RejectsTooSmallFeatureDim) {
   StateEncoderConfig bad;
   bad.feature_dim = 8;
   EXPECT_THROW(StateEncoder{bad}, util::CheckError);
-}
-
-// --- Node-health features (DESIGN.md §14). Cluster-token columns 8..11
-// carry down-state, failed fraction, retry pressure and crash count — but
-// only when StateEncoderConfig::encode_health is set, so existing trained
-// agents keep a bit-identical observation.
-
-TEST_F(EncoderTest, HealthColumnsStayZeroUnlessOptedIn) {
-  auto env = world_.make_env();
-  const sim::Trace trace = TinyWorld::make_trace(
-      {TinyWorld::inv(world_.fn_py_flask, 0.0, 0.5)});
-  env.reset(trace);
-  (void)env.step(sim::Action::cold());
-  ASSERT_TRUE(env.done());
-
-  // A healthy env encodes bit-identically with and without the flag.
-  StateEncoderConfig hcfg = config_;
-  hcfg.encode_health = true;
-  const StateEncoder health(hcfg);
-  const auto probe = TinyWorld::inv(world_.fn_py_flask, 10.0);
-  const EncodedState plain = encoder_.encode(env, probe, 0.0);
-  const EncodedState aware = health.encode(env, probe, 0.0);
-  for (std::size_t r = 0; r < encoder_.num_tokens(); ++r)
-    for (std::size_t c = 0; c < config_.feature_dim; ++c)
-      EXPECT_FLOAT_EQ(plain.tokens(r, c), aware.tokens(r, c))
-          << "row " << r << " col " << c;
-
-  // Even on a crashed node the legacy encoder writes nothing there.
-  env.crash(env.now());
-  const EncodedState down = encoder_.encode(env, probe, 0.0);
-  for (std::size_t c = 8; c <= 11; ++c)
-    EXPECT_FLOAT_EQ(down.tokens(0, c), 0.0F) << "col " << c;
-}
-
-TEST_F(EncoderTest, HealthBlockEncodesCrashPartialAndInjectorPressure) {
-  StateEncoderConfig hcfg = config_;
-  hcfg.encode_health = true;
-  const StateEncoder health(hcfg);
-
-  auto env = world_.make_env();
-  faults::FaultPlan plan;
-  plan.startup_failure_prob = 1.0;
-  plan.retry.max_attempts = 2;
-  faults::FaultInjector injector(plan, util::Rng(42));
-  env.set_fault_injector(&injector);
-
-  const sim::Trace trace = TinyWorld::make_trace(
-      {TinyWorld::inv(world_.fn_py_flask, 0.0, 0.5)});
-  env.reset(trace);
-  const auto probe = TinyWorld::inv(world_.fn_py_flask, 10.0);
-
-  // Healthy, no faults seen yet: the whole block is zero.
-  const EncodedState clean = health.encode(env, probe, 0.0);
-  for (std::size_t c = 8; c <= 11; ++c)
-    EXPECT_FLOAT_EQ(clean.tokens(0, c), 0.0F) << "col " << c;
-
-  // Both attempts fail: one retry, and the invocation fails.
-  const sim::StepResult failed = env.step(sim::Action::cold());
-  ASSERT_TRUE(failed.failed);
-  ASSERT_EQ(failed.attempts, 2U);
-  ASSERT_TRUE(env.done());
-
-  // A full crash reads 1.0, a partial crash 0.5, and the crash counter
-  // scales by 1/4; failed fraction and retry pressure are over invocations.
-  env.crash(env.now());
-  const EncodedState full = health.encode(env, probe, 0.0);
-  EXPECT_FLOAT_EQ(full.tokens(0, 8), 1.0F);
-  EXPECT_FLOAT_EQ(full.tokens(0, 9), 1.0F);   // 1 failed / 1 invocation
-  EXPECT_FLOAT_EQ(full.tokens(0, 10), 1.0F);  // 1 retry / 1 invocation
-  EXPECT_FLOAT_EQ(full.tokens(0, 11), 0.25F);  // 1 crash / 4
-
-  env.recover(env.now());
-  env.crash(env.now(), /*partial=*/true);
-  const EncodedState partial = health.encode(env, probe, 0.0);
-  EXPECT_FLOAT_EQ(partial.tokens(0, 8), 0.5F);
-  EXPECT_FLOAT_EQ(partial.tokens(0, 11), 0.5F);  // 2 crashes / 4
-
-  // Retry pressure and crashes are read only with an injector attached.
-  env.set_fault_injector(nullptr);
-  const EncodedState detached = health.encode(env, probe, 0.0);
-  EXPECT_FLOAT_EQ(detached.tokens(0, 10), 0.0F);
-  EXPECT_FLOAT_EQ(detached.tokens(0, 11), 0.0F);
-
-  // A new episode starts with no crashes.
-  env.set_fault_injector(&injector);
-  env.reset(trace);
-  EXPECT_FLOAT_EQ(health.encode(env, probe, 0.0).tokens(0, 11), 0.0F);
 }
 
 }  // namespace

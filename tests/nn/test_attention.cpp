@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "nn/gradcheck.hpp"
 #include "util/check.hpp"
 
@@ -85,6 +88,42 @@ TEST(MultiHeadAttention, KeyBiasGradientIsZero) {
   const auto params = mha.parameters();
   ASSERT_EQ(params[3]->name, "bias");
   EXPECT_LT(params[3]->grad.max_abs(), 1e-5F);
+}
+
+void expect_same_bits(const Tensor& a, const Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+// forward() sizes its training cache once per token count and writes all
+// of it, so a forward() on another input leaves nothing behind: forward(A),
+// forward(B), backward must equal a fresh layer's forward(B) + backward bit
+// for bit, with B longer than A, shorter, or as long. B ends in repeated
+// rows, as a state's empty slots do.
+TEST(MultiHeadAttention, ReusedTrainingCacheCarriesNothingOver) {
+  for (const auto& [a_tokens, b_tokens] :
+       {std::pair<std::size_t, std::size_t>{5, 3}, {3, 5}, {5, 5}}) {
+    SCOPED_TRACE(::testing::Message() << a_tokens << " then " << b_tokens);
+    util::Rng data(9);
+    const Tensor a = Tensor::he_uniform(a_tokens, 6, data);
+    Tensor b = Tensor::he_uniform(b_tokens, 6, data);
+    std::memcpy(b.row(b_tokens - 1), b.row(b_tokens - 2), 6 * sizeof(float));
+    const Tensor seed = Tensor::he_uniform(b_tokens, 6, data);
+    util::Rng reused_rng(10);
+    util::Rng fresh_rng(10);
+    MultiHeadAttention reused(6, 2, reused_rng);
+    MultiHeadAttention fresh(6, 2, fresh_rng);
+
+    (void)reused.forward(a);
+    expect_same_bits(reused.forward(b), fresh.forward(b));
+    expect_same_bits(reused.backward(seed), fresh.backward(seed));
+    const auto reused_params = reused.parameters();
+    const auto fresh_params = fresh.parameters();
+    for (std::size_t i = 0; i < reused_params.size(); ++i)
+      expect_same_bits(reused_params[i]->grad, fresh_params[i]->grad);
+    for (std::size_t h = 0; h < 2; ++h)
+      expect_same_bits(reused.last_attention()[h], fresh.last_attention()[h]);
+  }
 }
 
 TEST(TransformerBlock, PreservesShape) {

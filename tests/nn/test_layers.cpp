@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "nn/gradcheck.hpp"
 #include "util/check.hpp"
 
@@ -82,20 +84,39 @@ TEST(LayerNorm, GradCheck) {
   EXPECT_LT(check_parameter_gradients(ln, x, seed).max_rel_error, 3e-2F);
 }
 
+/// A FeedForward whose two Linears are identities, so it computes relu(x)
+/// and its backward() is the ReLU's mask.
+FeedForward identity_relu(std::size_t dim) {
+  util::Rng rng(1);
+  FeedForward ff(dim, dim, rng);
+  const auto params = ff.parameters();  // up (weight, bias), down (same)
+  for (Parameter* p : params) p->value.fill(0.0F);
+  for (std::size_t i = 0; i < dim; ++i) {
+    params[0]->value(i, i) = 1.0F;
+    params[2]->value(i, i) = 1.0F;
+  }
+  return ff;
+}
+
 TEST(ReLU, ForwardClampsNegatives) {
-  ReLU relu;
+  FeedForward relu = identity_relu(3);
   const Tensor y = relu.forward(Tensor{{-1.0F, 0.0F, 2.0F}});
   EXPECT_FLOAT_EQ(y(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(y(0, 1), 0.0F);
   EXPECT_FLOAT_EQ(y(0, 2), 2.0F);
 }
 
+// The mask comes from the kept relu(x), and relu(x) <= 0 exactly when
+// x <= 0: a NaN (a NaN input makes its whole hidden row NaN) passes the
+// gradient like a positive.
 TEST(ReLU, BackwardMasksNegatives) {
-  ReLU relu;
-  (void)relu.forward(Tensor{{-1.0F, 2.0F}});
-  const Tensor g = relu.backward(Tensor{{5.0F, 5.0F}});
-  EXPECT_FLOAT_EQ(g(0, 0), 0.0F);
-  EXPECT_FLOAT_EQ(g(0, 1), 5.0F);
+  FeedForward relu = identity_relu(4);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  (void)relu.forward(Tensor{{-1.0F, 2.0F, 0.0F, 3.0F}, {nan, nan, nan, nan}});
+  const Tensor g = relu.backward(Tensor(2, 4, 5.0F));
+  const Tensor want = {{0.0F, 5.0F, 0.0F, 5.0F}, {5.0F, 5.0F, 5.0F, 5.0F}};
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_FLOAT_EQ(g.data()[i], want.data()[i]) << "entry " << i;
 }
 
 TEST(FeedForward, GradCheck) {

@@ -52,14 +52,6 @@ TEST(Tensor, ShapeMismatchThrows) {
   EXPECT_THROW(a.add_(b), util::CheckError);
 }
 
-TEST(Tensor, RowBroadcast) {
-  Tensor a = {{1.0F, 2.0F}, {3.0F, 4.0F}};
-  a.add_row_broadcast_(Tensor{{10.0F, 20.0F}});
-  EXPECT_FLOAT_EQ(a(0, 0), 11.0F);
-  EXPECT_FLOAT_EQ(a(1, 1), 24.0F);
-  EXPECT_THROW(a.add_row_broadcast_(Tensor{{1.0F}}), util::CheckError);
-}
-
 TEST(Tensor, Transpose) {
   const Tensor a = {{1.0F, 2.0F, 3.0F}, {4.0F, 5.0F, 6.0F}};
   const Tensor t = a.transposed();
@@ -344,6 +336,13 @@ TEST(Matmul, TransposedProductsMatchTheirOldLoopsBitForBit) {
     }
 }
 
+/// softmax_rows_ of every row over all its columns, on a copy.
+Tensor softmax_rows(const Tensor& logits) {
+  Tensor out = logits;
+  softmax_rows_(out, out.rows(), out.cols());
+  return out;
+}
+
 TEST(Softmax, RowsSumToOneAndOrderPreserved) {
   const Tensor logits = {{1.0F, 2.0F, 3.0F}, {-1.0F, -1.0F, -1.0F}};
   const Tensor y = softmax_rows(logits);
@@ -365,7 +364,7 @@ TEST(Softmax, StableForLargeLogits) {
 
 // softmax_rows_ with `distinct` < cols reads only the first `distinct`
 // columns, the others standing for copies of column distinct - 1, as
-// attention's score columns do when keys repeat. It must be softmax_rows of
+// attention's score columns do when keys repeat. It must be the softmax of
 // the row with the copies in place, bit for bit, repeated infs and NaNs
 // included.
 TEST(Softmax, DistinctColumnsMatchTheFullRowBitForBit) {

@@ -1,8 +1,10 @@
-// QNetwork::infer, the const inference path: bit-identical to forward() at
-// widths that exercise every gemm panel tail and on states whose trailing
-// rows repeat (infer computes them once), pinned against Q-values
-// recorded by forward() before infer existed (tests/rl/infer_golden.txt),
-// and safe to call from several threads on one network.
+// QNetwork::infer, the const inference path, and forward(), the training
+// pass of the same body: both bit-identical to the allocating forward pass
+// the network had before that body (reference_forward.hpp) at widths that
+// exercise every gemm panel tail and on states whose trailing rows repeat
+// (infer computes them once), pinned against Q-values recorded by forward()
+// before infer existed (tests/rl/infer_golden.txt), and infer safe to call
+// from several threads on one network.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 
 #include "rl/infer_golden.hpp"
 #include "rl/qnetwork.hpp"
+#include "rl/reference_forward.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -70,16 +73,20 @@ TEST(QNetworkInfer, MatchesForwardBitForBitAcrossPanelTails) {
           cfg.ffn_dim = ffn;
           cfg.use_attention = attention;
           QNetwork net(cfg, rng);
+          reference::Forward reference(net);
           InferWorkspace ws(cfg);
           // One workspace across several states: nothing may carry over.
-          for (const nn::Tensor& s : random_states(cfg, 3, rng))
-            expect_same_bits(net.infer(s, ws), net.forward(s));
+          for (const nn::Tensor& s : random_states(cfg, 3, rng)) {
+            const nn::Tensor want = reference(s);
+            expect_same_bits(net.infer(s, ws), want);
+            expect_same_bits(net.forward(s), want);
+          }
         }
 }
 
 // infer computes a trailing run of bit-identical token rows once. States
 // whose rows [T - 1 - c, T) all equal one row, for c = 0 .. T - 1 (c = T - 1:
-// every row equal), must still match forward() bit for bit, whether the
+// every row equal), must still match the reference bit for bit, whether the
 // repeated row is zeros (empty slots), nonzero, or holds an inf or a NaN.
 // One workspace serves every state, with the distinct-row count falling and
 // then rising, so rows a call skips must not carry over from the last.
@@ -96,6 +103,7 @@ TEST(QNetworkInfer, TrailingRepeatedRowsMatchForward) {
           cfg.ffn_dim = ffn;
           cfg.use_attention = attention;
           QNetwork net(cfg, rng);
+          reference::Forward reference(net);
           InferWorkspace ws(cfg);
           const std::size_t tokens = net.num_tokens();
           const std::vector<nn::Tensor> bases = random_states(cfg, 2, rng);
@@ -118,7 +126,7 @@ TEST(QNetworkInfer, TrailingRepeatedRowsMatchForward) {
               nn::Tensor s = bases[step % 2];
               for (std::size_t r = tokens - 1 - copies; r < tokens; ++r)
                 std::copy(rows[kind].begin(), rows[kind].end(), s.row(r));
-              expect_same_bits(net.infer(s, ws), net.forward(s));
+              expect_same_bits(net.infer(s, ws), reference(s));
             }
         }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "nn/gradcheck.hpp"
 #include "rl/schedule.hpp"
 #include "util/check.hpp"
@@ -70,6 +73,40 @@ TEST(QNetwork, AttentionVariantSeesOtherTokens) {
   const nn::Tensor q_m2 = mlp.forward(x);
   EXPECT_NE(q_a1(0, 0), q_a2(0, 0));
   EXPECT_FLOAT_EQ(q_m1(0, 0), q_m2(0, 0));
+}
+
+void expect_same_bits(const nn::Tensor& a, const nn::Tensor& b) {
+  ASSERT_TRUE(a.same_shape(b));
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+}
+
+// forward() runs every row into caches it reuses, so nothing of one state
+// may reach the next one's gradients: forward(A), forward(B), backward must
+// equal a fresh network's forward(B) + backward bit for bit. A's rows all
+// differ; B ends in empty (all-zero) slots, which infer would compute once,
+// so a training pass over the distinct rows only would leave A's rows in
+// the caches.
+TEST(QNetwork, ReusedTrainingCacheCarriesNothingOver) {
+  for (const bool attention : {true, false}) {
+    SCOPED_TRACE(attention ? "attention" : "mlp");
+    util::Rng data(5);
+    const nn::Tensor a = nn::Tensor::he_uniform(6, 6, data);
+    nn::Tensor b = nn::Tensor::he_uniform(6, 6, data);
+    std::fill(b.row(3), b.row(3) + 3 * 6, 0.0F);
+    const nn::Tensor seed = nn::Tensor::he_uniform(5, 1, data);
+    util::Rng reused_rng(6);
+    util::Rng fresh_rng(6);
+    QNetwork reused(tiny_config(attention), reused_rng);
+    QNetwork fresh(tiny_config(attention), fresh_rng);
+
+    (void)reused.forward(a);
+    expect_same_bits(reused.forward(b), fresh.forward(b));
+    expect_same_bits(reused.backward(seed), fresh.backward(seed));
+    const auto reused_params = reused.parameters();
+    const auto fresh_params = fresh.parameters();
+    for (std::size_t i = 0; i < reused_params.size(); ++i)
+      expect_same_bits(reused_params[i]->grad, fresh_params[i]->grad);
+  }
 }
 
 TEST(MaskedArgmax, PicksBestAllowed) {
