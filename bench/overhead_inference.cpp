@@ -97,8 +97,10 @@ BENCHMARK(BM_DqnInference)
 
 // nn::gemm at the default network's products: (k, n) = input projection
 // 16x48, Q/K/V/out projections 48x48, FFN 48x96 and 96x48, attention
-// scores 24x26 and attention-times-values 26x24. m is the row count: 1-8
-// covers inference's live rows, 26 every token row (training, a full pool).
+// scores 24x8 (inference's 1-8 live keys, padded to one 8-float panel) and
+// 24x26 (training's, every key), attention-times-values 26x24 and the value
+// head 48x1. m is the row count: 1-8 covers inference's live rows, 26 every
+// token row (training, a full pool).
 // Registered in main() once per gemm body the CPU runs, with and without
 // the zero skip, so a kernel change names the layer and body it moved.
 void BM_Gemm(benchmark::State& state, nn::detail::GemmFn body, std::size_t k,
@@ -116,8 +118,8 @@ void BM_Gemm(benchmark::State& state, nn::detail::GemmFn body, std::size_t k,
 }
 
 void register_gemm_benches() {
-  const std::size_t shapes[][2] = {{16, 48}, {48, 48}, {48, 96}, {96, 48},
-                                   {24, 26}, {26, 24}};
+  const std::size_t shapes[][2] = {{16, 48}, {48, 48}, {48, 96}, {24, 8},
+                                   {96, 48}, {24, 26}, {26, 24}, {48, 1}};
   for (const nn::detail::GemmBody& body : nn::detail::gemm_bodies())
     for (const bool skip : {true, false})
       for (const auto& kn : shapes) {

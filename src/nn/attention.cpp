@@ -1,5 +1,6 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -99,8 +100,12 @@ void MultiHeadAttention::run(Self& self, const Tensor& input,
   // Equal input rows project to equal keys and values, so every query
   // still attends over all T of them: the values are copied out to T rows,
   // and score columns [rows, tokens) would repeat column rows - 1, so only
-  // the first `rows` are computed and softmax_rows_ fills in the rest.
+  // the first `rows` are used and softmax_rows_ fills in the rest. The
+  // product still runs over `cols`, `rows` rounded up to a full 8-float
+  // panel (gemm runs a narrower remainder a column at a time), with key
+  // rows - 1 repeated in key_t's padding columns.
   repeat_last_row(w->v, rows);
+  const std::size_t cols = std::min(tokens, (rows + 7) / 8 * 8);
 
   // Per head, on strided views: scores = q_h k_h^T adds every term (a dot
   // product), attn . v_h skips zero weights, and each head's output lands
@@ -110,11 +115,11 @@ void MultiHeadAttention::run(Self& self, const Tensor& input,
     Tensor* scores = &w->scores;
     if constexpr (kTraining<Self>) scores = &self.attn_[h];
     const std::size_t from = h * head_dim;
-    for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t r = 0; r < cols; ++r)
       for (std::size_t c = 0; c < head_dim; ++c)
-        w->key_t(c, r) = w->k(r, from + c);
+        w->key_t(c, r) = w->k(std::min(r, rows - 1), from + c);
     gemm(w->q.data() + from, dim, w->key_t.data(), tokens, nullptr,
-         scores->data(), tokens, rows, head_dim, rows,
+         scores->data(), tokens, rows, head_dim, cols,
          /*skip_zero_a=*/false);
     for (std::size_t i = 0; i < rows; ++i)
       for (std::size_t j = 0; j < rows; ++j) (*scores)(i, j) *= scale;

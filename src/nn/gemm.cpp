@@ -16,6 +16,13 @@
 // With -ffp-contract=off each row is an add chain of its own, so a 1- or
 // 2-row tile waits on add latency, and every tile streams all of b.
 //
+// Columns run in full panels, then one half panel (AVX-512 and AVX2), then
+// one at a time: each column past the last half panel is a scalar tile of
+// its own. So narrow products are dear: on AVX-512 every n < 8 runs
+// entirely scalar (m = 5, k = 24 on a Xeon VM: 445 ns for n = 5, 61 ns for
+// n = 8). A caller with n < 8 whose b and c rows are wider should pad n to
+// 8 and ignore the extra columns, as attention's score product does.
+//
 // Skipping a zero a(i, p) only changes c(i, j) when b(p, j) is an inf or
 // NaN: then the branch-free term is 0 * inf or 0 * NaN, a NaN, and c(i, j)
 // is NaN. Otherwise the term adds +-0 to a sum that is never -0 (it starts

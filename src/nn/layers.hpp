@@ -65,6 +65,15 @@ class LayerNorm final : public Module {
   static void run(Self& self, const Tensor& input, std::size_t rows,
                   Tensor& out);
 
+  /// x_hat and each row's 1 / std from the last training pass, which
+  /// backward() reads.
+  [[nodiscard]] const Tensor& kept_norm() const noexcept {
+    return cached_norm_;
+  }
+  [[nodiscard]] const std::vector<float>& kept_inv_std() const noexcept {
+    return cached_inv_std_;
+  }
+
  private:
   Parameter gain_;
   Parameter bias_;

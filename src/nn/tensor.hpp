@@ -93,6 +93,11 @@ class Tensor {
 /// adds a(i, p) * b(p, j) for p ascending, a separate multiply then add,
 /// then the bias. With `skip_zero_a`, terms whose a(i, p) == 0 are skipped
 /// (matmul's rule); without it every term is added (a dot product's rule).
+/// Cost: columns past the last full or half vector panel (8 floats on
+/// AVX-512, 4 below it) run one at a time, so on AVX-512 any n < 8 is all
+/// scalar. A caller with n < 8 whose b and c rows are wider should pad n to
+/// 8 and ignore the extra columns (keep b's finite: a non-finite c makes a
+/// zero-skipping product run twice).
 void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           const float* bias, float* c, std::size_t ldc, std::size_t m,
           std::size_t k, std::size_t n, bool skip_zero_a);
