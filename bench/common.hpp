@@ -335,10 +335,11 @@ inline std::shared_ptr<rl::DqnAgent> trained_agent(
   return agent;
 }
 
-/// Builds a fresh, fully independent SystemSpec. Replications call this once
-/// per rep so no mutable scheduler state (Rngs, DQN caches) is shared across
-/// reps — the requirement for running reps on the thread pool and for
-/// bit-identical results regardless of execution order.
+/// Builds a fresh SystemSpec. Replications call this once per rep so no
+/// mutable scheduler state (Rngs, inference workspaces, a training agent) is
+/// shared across reps — the requirement for running reps on the thread pool
+/// and for bit-identical results regardless of execution order. A frozen
+/// agent, which decisions only read, may be shared.
 using SystemFactory = std::function<policies::SystemSpec()>;
 
 struct NamedSystem {
@@ -346,28 +347,15 @@ struct NamedSystem {
   SystemFactory make;
 };
 
-/// Snapshot a trained agent's weights and return a factory that builds a
-/// fresh agent carrying those weights. Inference is identical to sharing the
-/// original agent (greedy actions depend only on the weights), but every
-/// caller gets its own network buffers, so factories built on top of this
-/// are safe to invoke from the replication thread pool.
-inline std::function<std::shared_ptr<rl::DqnAgent>()> agent_cloner(
-    const std::shared_ptr<rl::DqnAgent>& trained) {
-  const auto weights = trained->snapshot_weights();
-  const rl::DqnConfig cfg = trained->config();
-  return [weights, cfg] {
-    auto agent = std::make_shared<rl::DqnAgent>(cfg, util::Rng(0));
-    agent->restore_weights(weights);
-    return agent;
-  };
-}
-
-/// SystemFactory for MLCR backed by a trained agent (cloned per rep).
+/// SystemFactory for MLCR backed by a trained agent. Every system shares the
+/// agent itself: a decision only reads it, through its MlcrScheduler's own
+/// workspace (DqnAgent::greedy_action is const), so reps and fleet nodes may
+/// decide on the replication thread pool concurrently.
 inline SystemFactory mlcr_system_factory(
     const std::shared_ptr<rl::DqnAgent>& trained,
     const core::StateEncoderConfig& encoder) {
-  return [clone = agent_cloner(trained), encoder] {
-    return core::make_mlcr_system(clone(), encoder);
+  return [trained, encoder] {
+    return core::make_mlcr_system(trained, encoder);
   };
 }
 

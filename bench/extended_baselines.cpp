@@ -46,7 +46,10 @@ int main(int argc, char** argv) {
         suite, family.tag, family.factory,
         {pools.tight_mb, pools.moderate_mb, pools.loose_mb}, cfg, options);
 
-    const auto clone = benchtools::agent_cloner(agent);
+    // The online arm trains its agent, so each rep fine-tunes its own copy
+    // of the trained weights.
+    const auto weights = agent->snapshot_weights();
+    const rl::DqnConfig dqn = agent->config();
     std::vector<benchtools::NamedSystem> systems;
     systems.push_back({"LRU", [] { return policies::make_lru_system(); }});
     systems.push_back(
@@ -57,9 +60,12 @@ int main(int argc, char** argv) {
         {"Greedy-Match", [] { return policies::make_greedy_match_system(); }});
     systems.push_back({"MLCR", benchtools::mlcr_system_factory(agent,
                                                                cfg.encoder)});
-    systems.push_back({"MLCR-online", [clone, &cfg] {
+    systems.push_back({"MLCR-online", [weights, dqn, &cfg] {
+                         auto online =
+                             std::make_shared<rl::DqnAgent>(dqn, util::Rng(0));
+                         online->restore_weights(weights);
                          return core::make_online_mlcr_system(
-                             clone(), cfg.encoder, cfg.reward_scale_s);
+                             online, cfg.encoder, cfg.reward_scale_s);
                        }});
 
     util::Table table({"system", "Tight total (s)", "Tight cold",

@@ -101,17 +101,17 @@ BENCHMARK(BM_DqnInference)
 // 24x26 (training's, every key), attention-times-values 26x24 and the value
 // head 48x1. m is the row count: 1-8 covers inference's live rows, 26 every
 // token row (training, a full pool).
-// Registered in main() once per gemm body the CPU runs, with and without
-// the zero skip, so a kernel change names the layer and body it moved.
+// Registered in main() once per shape and gemm body the CPU runs, so a
+// kernel change names the layer and body it moved.
 void BM_Gemm(benchmark::State& state, nn::detail::GemmFn body, std::size_t k,
-             std::size_t n, bool skip_zero_a) {
+             std::size_t n) {
   const auto m = static_cast<std::size_t>(state.range(0));
   util::Rng rng(11);
   const nn::Tensor a = nn::Tensor::he_uniform(m, k, rng);
   const nn::Tensor b = nn::Tensor::he_uniform(k, n, rng);
   nn::Tensor c(m, n);
   for (auto _ : state) {
-    body(a.data(), k, b.data(), n, nullptr, c.data(), n, m, k, n, skip_zero_a);
+    body(a.data(), k, b.data(), n, nullptr, c.data(), n, m, k, n);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -121,18 +121,17 @@ void register_gemm_benches() {
   const std::size_t shapes[][2] = {{16, 48}, {48, 48}, {48, 96}, {24, 8},
                                    {96, 48}, {24, 26}, {26, 24}, {48, 1}};
   for (const nn::detail::GemmBody& body : nn::detail::gemm_bodies())
-    for (const bool skip : {true, false})
-      for (const auto& kn : shapes) {
-        std::string name = std::string("BM_Gemm/") + body.isa;
-        name += skip ? "/skip" : "/noskip";
-        name += "/k:" + std::to_string(kn[0]) + "/n:" + std::to_string(kn[1]);
-        benchmark::RegisterBenchmark(name.c_str(), BM_Gemm, body.run, kn[0],
-                                     kn[1], skip)
-            ->ArgName("m")
-            ->DenseRange(1, 8)
-            ->Arg(26)
-            ->Unit(benchmark::kNanosecond);
-      }
+    for (const auto& kn : shapes) {
+      const std::string name = std::string("BM_Gemm/") + body.isa + "/k:" +
+                               std::to_string(kn[0]) + "/n:" +
+                               std::to_string(kn[1]);
+      benchmark::RegisterBenchmark(name.c_str(), BM_Gemm, body.run, kn[0],
+                                   kn[1])
+          ->ArgName("m")
+          ->DenseRange(1, 8)
+          ->Arg(26)
+          ->Unit(benchmark::kNanosecond);
+    }
 }
 
 void BM_StateEncode(benchmark::State& state) {

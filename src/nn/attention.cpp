@@ -107,9 +107,8 @@ void MultiHeadAttention::run(Self& self, const Tensor& input,
   repeat_last_row(w->v, rows);
   const std::size_t cols = std::min(tokens, (rows + 7) / 8 * 8);
 
-  // Per head, on strided views: scores = q_h k_h^T adds every term (a dot
-  // product), attn . v_h skips zero weights, and each head's output lands
-  // in its concat columns.
+  // Per head, on strided views: scores = q_h k_h^T, then attn . v_h, whose
+  // output lands in the head's concat columns.
   const float scale = 1.0F / std::sqrt(static_cast<float>(head_dim));
   for (std::size_t h = 0; h < self.heads_; ++h) {
     Tensor* scores = &w->scores;
@@ -119,14 +118,12 @@ void MultiHeadAttention::run(Self& self, const Tensor& input,
       for (std::size_t c = 0; c < head_dim; ++c)
         w->key_t(c, r) = w->k(std::min(r, rows - 1), from + c);
     gemm(w->q.data() + from, dim, w->key_t.data(), tokens, nullptr,
-         scores->data(), tokens, rows, head_dim, cols,
-         /*skip_zero_a=*/false);
+         scores->data(), tokens, rows, head_dim, cols);
     for (std::size_t i = 0; i < rows; ++i)
       for (std::size_t j = 0; j < rows; ++j) (*scores)(i, j) *= scale;
     softmax_rows_(*scores, rows, rows);
     gemm(scores->data(), tokens, w->v.data() + from, dim, nullptr,
-         w->concat.data() + from, dim, rows, tokens, head_dim,
-         /*skip_zero_a=*/true);
+         w->concat.data() + from, dim, rows, tokens, head_dim);
   }
   Linear::run(self.out_proj_, w->concat, rows, ws.out);
 }
@@ -157,12 +154,12 @@ Tensor MultiHeadAttention::backward(const Tensor& grad_output) {
     const Tensor vh = col_block(cache_.v, from, head_dim_);
     const Tensor grad_oh = col_block(grad_concat, from, head_dim_);
 
-    const Tensor grad_attn = matmul_nt(grad_oh, vh);        // (T x T)
-    const Tensor grad_vh = matmul_tn(attn_[h], grad_oh);    // (T x dh)
+    const Tensor grad_attn = matmul(grad_oh, vh.transposed());      // (T x T)
+    const Tensor grad_vh = matmul(attn_[h].transposed(), grad_oh);  // (T x dh)
     Tensor grad_scores = softmax_rows_backward(attn_[h], grad_attn);
     grad_scores.scale_(scale);
-    const Tensor grad_qh = matmul(grad_scores, kh);          // (T x dh)
-    const Tensor grad_kh = matmul_tn(grad_scores, qh);       // (T x dh)
+    const Tensor grad_qh = matmul(grad_scores, kh);                 // (T x dh)
+    const Tensor grad_kh = matmul(grad_scores.transposed(), qh);    // (T x dh)
 
     add_col_block(grad_q, from, grad_qh);
     add_col_block(grad_k, from, grad_kh);

@@ -2,6 +2,12 @@
 // its own so a ThreadSanitizer build can leave it uninstrumented (see
 // CMakeLists.txt).
 //
+// One rule: every c(i, j) starts at +0 and adds every a(i, p) * b(p, j) for
+// p ascending, a separate multiply then add, then the bias. No term is
+// skipped, so a tile's inner loop has no branch, and a zero a(i, p) against
+// an inf or NaN b(p, j) adds 0 * inf or 0 * NaN, a NaN, as IEEE arithmetic
+// gives it.
+//
 // One body per ISA level, each built from the same templates with the
 // widest vector its registers hold: 16 floats for AVX-512, 8 for AVX2 and 4
 // for the x86-64 baseline (SSE2). A panel wider than the registers costs
@@ -22,14 +28,6 @@
 // entirely scalar (m = 5, k = 24 on a Xeon VM: 445 ns for n = 5, 61 ns for
 // n = 8). A caller with n < 8 whose b and c rows are wider should pad n to
 // 8 and ignore the extra columns, as attention's score product does.
-//
-// Skipping a zero a(i, p) only changes c(i, j) when b(p, j) is an inf or
-// NaN: then the branch-free term is 0 * inf or 0 * NaN, a NaN, and c(i, j)
-// is NaN. Otherwise the term adds +-0 to a sum that is never -0 (it starts
-// at +0, and a round-to-nearest sum is -0 only when both addends are), which
-// changes nothing. So the branch-free tiles always run first, and the
-// zero-skipping ones redo the product only when it asks for the skip and an
-// entry of c is not finite (an inf there costs a redundant recompute).
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -49,18 +47,6 @@ struct Lanes {
 template <std::size_t W>
 using Vec = typename Lanes<W>::type;
 
-/// True when every entry of the (m x n) view c is finite.
-[[gnu::always_inline]] inline bool all_finite(const float* c, std::size_t ldc,
-                                              std::size_t m, std::size_t n) {
-  std::size_t bad = 0;
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      const float v = c[i * ldc + j];
-      bad += v - v == 0.0F ? 0 : 1;  // inf - inf and NaN - NaN are NaN
-    }
-  return bad == 0;
-}
-
 /// True when the spans of two (rows x cols) views, first entry to last,
 /// share an address.
 bool spans_overlap(const float* x, std::size_t ldx, std::size_t x_rows,
@@ -78,7 +64,7 @@ bool spans_overlap(const float* x, std::size_t ldx, std::size_t x_rows,
 /// column). The Rows x V accumulators stay in registers over the whole k
 /// loop, Rows independent add chains per column, and each b vector loaded
 /// serves every row.
-template <std::size_t Rows, typename V, bool SkipZeros>
+template <std::size_t Rows, typename V>
 [[gnu::always_inline]] inline void gemm_tile(const float* a, std::size_t lda,
                                              const float* b, std::size_t ldb,
                                              const float* bias, float* c,
@@ -87,11 +73,7 @@ template <std::size_t Rows, typename V, bool SkipZeros>
   for (std::size_t p = 0; p < k; ++p) {
     V bv;
     std::memcpy(&bv, b + p * ldb, sizeof(V));
-    for (std::size_t r = 0; r < Rows; ++r) {
-      const float arp = a[r * lda + p];
-      if (SkipZeros && arp == 0.0F) continue;
-      acc[r] += arp * bv;
-    }
+    for (std::size_t r = 0; r < Rows; ++r) acc[r] += a[r * lda + p] * bv;
   }
   for (std::size_t r = 0; r < Rows; ++r) {
     if (bias != nullptr) {
@@ -105,7 +87,7 @@ template <std::size_t Rows, typename V, bool SkipZeros>
 
 /// Rows rows of c, in column panels of W floats, then one of W / 2 (when
 /// that is a vector), then single columns.
-template <std::size_t Rows, std::size_t W, bool SkipZeros>
+template <std::size_t Rows, std::size_t W>
 [[gnu::always_inline]] inline void gemm_rows(const float* a, std::size_t lda,
                                              const float* b, std::size_t ldb,
                                              const float* bias, float* c,
@@ -116,80 +98,68 @@ template <std::size_t Rows, std::size_t W, bool SkipZeros>
   };
   std::size_t j = 0;
   for (; j + W <= n; j += W)
-    gemm_tile<Rows, Vec<W>, SkipZeros>(a, lda, b + j, ldb, bias_at(j), c + j,
-                                       ldc, k);
+    gemm_tile<Rows, Vec<W>>(a, lda, b + j, ldb, bias_at(j), c + j, ldc, k);
   if constexpr (W >= 8) {
     if (j + W / 2 <= n) {
-      gemm_tile<Rows, Vec<W / 2>, SkipZeros>(a, lda, b + j, ldb, bias_at(j),
-                                             c + j, ldc, k);
+      gemm_tile<Rows, Vec<W / 2>>(a, lda, b + j, ldb, bias_at(j), c + j, ldc,
+                                  k);
       j += W / 2;
     }
   }
   for (; j < n; ++j)
-    gemm_tile<Rows, float, SkipZeros>(a, lda, b + j, ldb, bias_at(j), c + j,
-                                      ldc, k);
+    gemm_tile<Rows, float>(a, lda, b + j, ldb, bias_at(j), c + j, ldc, k);
 }
 
 /// The `rows` rows of c left over, 1 <= rows <= Rows, in one tile of
 /// exactly that many.
-template <std::size_t Rows, std::size_t W, bool SkipZeros>
+template <std::size_t Rows, std::size_t W>
 [[gnu::always_inline]] inline void gemm_leftover(
     std::size_t rows, const float* a, std::size_t lda, const float* b,
     std::size_t ldb, const float* bias, float* c, std::size_t ldc,
     std::size_t k, std::size_t n) {
   if (rows == Rows)
-    gemm_rows<Rows, W, SkipZeros>(a, lda, b, ldb, bias, c, ldc, k, n);
+    gemm_rows<Rows, W>(a, lda, b, ldb, bias, c, ldc, k, n);
   else if constexpr (Rows > 1)
-    gemm_leftover<Rows - 1, W, SkipZeros>(rows, a, lda, b, ldb, bias, c, ldc, k,
-                                          n);
+    gemm_leftover<Rows - 1, W>(rows, a, lda, b, ldb, bias, c, ldc, k, n);
 }
 
-/// 4-row tiles while 8 or more rows remain, then one tile of the 1-7 left.
-template <std::size_t W, bool SkipZeros>
-[[gnu::always_inline]] inline void gemm_blocks(
-    const float* a, std::size_t lda, const float* b, std::size_t ldb,
-    const float* bias, float* c, std::size_t ldc, std::size_t m,
-    std::size_t k, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 4)
-    gemm_rows<4, W, SkipZeros>(a + i * lda, lda, b, ldb, bias, c + i * ldc, ldc,
-                               k, n);
-  if (i < m)
-    gemm_leftover<7, W, SkipZeros>(m - i, a + i * lda, lda, b, ldb, bias,
-                                   c + i * ldc, ldc, k, n);
-}
-
+/// c must not overlap a or b: a tile reads rows of a, and all of b, after
+/// earlier tiles wrote rows of c. Then 4-row tiles while 8 or more rows
+/// remain, and one tile of the 1-7 left.
 template <std::size_t W>
 [[gnu::always_inline]] inline void gemm_kernel(
     const float* a, std::size_t lda, const float* b, std::size_t ldb,
     const float* bias, float* c, std::size_t ldc, std::size_t m,
-    std::size_t k, std::size_t n, bool skip_zero_a) {
+    std::size_t k, std::size_t n) {
   MLCR_CHECK(!spans_overlap(c, ldc, m, n, a, lda, m, k) &&
              !spans_overlap(c, ldc, m, n, b, ldb, k, n));
-  gemm_blocks<W, false>(a, lda, b, ldb, bias, c, ldc, m, k, n);
-  if (skip_zero_a && !all_finite(c, ldc, m, n))
-    gemm_blocks<W, true>(a, lda, b, ldb, bias, c, ldc, m, k, n);
+  std::size_t i = 0;
+  for (; i + 8 <= m; i += 4)
+    gemm_rows<4, W>(a + i * lda, lda, b, ldb, bias, c + i * ldc, ldc, k, n);
+  if (i < m)
+    gemm_leftover<7, W>(m - i, a + i * lda, lda, b, ldb, bias, c + i * ldc,
+                        ldc, k, n);
 }
 
 __attribute__((target("avx512f"))) void gemm_avx512f(
     const float* a, std::size_t lda, const float* b, std::size_t ldb,
     const float* bias, float* c, std::size_t ldc, std::size_t m,
-    std::size_t k, std::size_t n, bool skip_zero_a) {
-  gemm_kernel<16>(a, lda, b, ldb, bias, c, ldc, m, k, n, skip_zero_a);
+    std::size_t k, std::size_t n) {
+  gemm_kernel<16>(a, lda, b, ldb, bias, c, ldc, m, k, n);
 }
 
 __attribute__((target("avx2"))) void gemm_avx2(
     const float* a, std::size_t lda, const float* b, std::size_t ldb,
     const float* bias, float* c, std::size_t ldc, std::size_t m,
-    std::size_t k, std::size_t n, bool skip_zero_a) {
-  gemm_kernel<8>(a, lda, b, ldb, bias, c, ldc, m, k, n, skip_zero_a);
+    std::size_t k, std::size_t n) {
+  gemm_kernel<8>(a, lda, b, ldb, bias, c, ldc, m, k, n);
 }
 
 void gemm_baseline(const float* a, std::size_t lda, const float* b,
                    std::size_t ldb, const float* bias, float* c,
                    std::size_t ldc, std::size_t m, std::size_t k,
-                   std::size_t n, bool skip_zero_a) {
-  gemm_kernel<4>(a, lda, b, ldb, bias, c, ldc, m, k, n, skip_zero_a);
+                   std::size_t n) {
+  gemm_kernel<4>(a, lda, b, ldb, bias, c, ldc, m, k, n);
 }
 
 }  // namespace
@@ -225,6 +195,6 @@ mlcr_resolve_gemm() {
 __attribute__((ifunc("mlcr_resolve_gemm"))) void gemm(
     const float* a, std::size_t lda, const float* b, std::size_t ldb,
     const float* bias, float* c, std::size_t ldc, std::size_t m,
-    std::size_t k, std::size_t n, bool skip_zero_a);
+    std::size_t k, std::size_t n);
 
 }  // namespace mlcr::nn

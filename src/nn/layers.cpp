@@ -77,8 +77,7 @@ void Linear::run(Self& self, const Tensor& input, std::size_t rows,
   gemm(input.data(), input.cols(), self.weight_.value.data(),
        self.out_features(),
        self.has_bias_ ? self.bias_.value.data() : nullptr, out.data(),
-       out.cols(), rows, self.in_features(), self.out_features(),
-       /*skip_zero_a=*/true);
+       out.cols(), rows, self.in_features(), self.out_features());
 }
 template void Linear::run(Linear&, const Tensor&, std::size_t, Tensor&);
 template void Linear::run(const Linear&, const Tensor&, std::size_t, Tensor&);
@@ -92,13 +91,13 @@ Tensor Linear::forward(const Tensor& input) {
 Tensor Linear::backward(const Tensor& grad_output) {
   MLCR_CHECK(grad_output.rows() == cached_input_.rows());
   MLCR_CHECK(grad_output.cols() == out_features());
-  weight_.grad.add_(matmul_tn(cached_input_, grad_output));
+  weight_.grad.add_(matmul(cached_input_.transposed(), grad_output));
   if (has_bias_) {
     for (std::size_t r = 0; r < grad_output.rows(); ++r)
       for (std::size_t c = 0; c < grad_output.cols(); ++c)
         bias_.grad(0, c) += grad_output(r, c);
   }
-  return matmul_nt(grad_output, weight_.value);
+  return matmul(grad_output, weight_.value.transposed());
 }
 
 void Linear::collect_parameters(std::vector<Parameter*>& out) {

@@ -98,21 +98,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                                            << b.cols());
   Tensor out(a.rows(), b.cols());
   gemm(a.data(), a.cols(), b.data(), b.cols(), nullptr, out.data(),
-       out.cols(), a.rows(), a.cols(), b.cols(), /*skip_zero_a=*/true);
-  return out;
-}
-
-Tensor matmul_tn(const Tensor& a, const Tensor& b) {
-  MLCR_CHECK_MSG(a.rows() == b.rows(), "matmul_tn shape mismatch");
-  return matmul(a.transposed(), b);
-}
-
-Tensor matmul_nt(const Tensor& a, const Tensor& b) {
-  MLCR_CHECK_MSG(a.cols() == b.cols(), "matmul_nt shape mismatch");
-  const Tensor b_t = b.transposed();
-  Tensor out(a.rows(), b.rows());
-  gemm(a.data(), a.cols(), b_t.data(), b_t.cols(), nullptr, out.data(),
-       out.cols(), a.rows(), a.cols(), b_t.cols(), /*skip_zero_a=*/false);
+       out.cols(), a.rows(), a.cols(), b.cols());
   return out;
 }
 

@@ -5,10 +5,10 @@
 // a time, so matrix products go through one register-blocked kernel (gemm):
 // a tile of rows by a SIMD vector of columns stays in accumulators across
 // the whole inner loop, with one body per ISA level at that level's native
-// vector width, picked once at load time. Its summation order is the plain
-// i-k-j loop's, so the result bits do not depend on the body the CPU picks
-// (the library builds with -ffp-contract=off, so no body fuses a multiply
-// into an add).
+// vector width, picked once at load time. Each output adds every term in
+// ascending order from +0, as a plain dot product does, so the result bits
+// do not depend on the body the CPU picks (the library builds with
+// -ffp-contract=off, so no body fuses a multiply into an add).
 #pragma once
 
 #include <cstddef>
@@ -87,26 +87,25 @@ class Tensor {
 
 /// The one matrix-product kernel, on row-major strided views: c = a . b,
 /// plus `bias` (n floats) on every row unless it is null. a is (m x k) with
-/// row stride lda, b (k x n) with stride ldb, c (m x n) with stride ldc. The
-/// span of c, its first entry to its last, must not overlap a's or b's
-/// (checked: the kernel may write c twice). Each c(i, j) starts at 0.0F and
-/// adds a(i, p) * b(p, j) for p ascending, a separate multiply then add,
-/// then the bias. With `skip_zero_a`, terms whose a(i, p) == 0 are skipped
-/// (matmul's rule); without it every term is added (a dot product's rule).
+/// row stride lda, b (k x n) with stride ldb, c (m x n) with stride ldc. Each
+/// c(i, j) starts at +0 and adds every a(i, p) * b(p, j) for p ascending, a
+/// separate multiply then add, then the bias; a zero a(i, p) against an inf
+/// or NaN b(p, j) makes c(i, j) NaN. The span of c, its first entry to its
+/// last, must not overlap a's or b's (checked: a tile reads rows of a, and
+/// all of b, after earlier tiles wrote rows of c).
 /// Cost: columns past the last full or half vector panel (8 floats on
 /// AVX-512, 4 below it) run one at a time, so on AVX-512 any n < 8 is all
 /// scalar. A caller with n < 8 whose b and c rows are wider should pad n to
-/// 8 and ignore the extra columns (keep b's finite: a non-finite c makes a
-/// zero-skipping product run twice).
+/// 8 and ignore the extra columns.
 void gemm(const float* a, std::size_t lda, const float* b, std::size_t ldb,
           const float* bias, float* c, std::size_t ldc, std::size_t m,
-          std::size_t k, std::size_t n, bool skip_zero_a);
+          std::size_t k, std::size_t n);
 
 namespace detail {
 
 using GemmFn = void (*)(const float*, std::size_t, const float*, std::size_t,
                         const float*, float*, std::size_t, std::size_t,
-                        std::size_t, std::size_t, bool);
+                        std::size_t, std::size_t);
 struct GemmBody {
   const char* isa;  ///< "avx512f", "avx2" or "baseline"
   GemmFn run;
@@ -117,15 +116,9 @@ struct GemmBody {
 
 }  // namespace detail
 
-/// out = a * b; shapes (m x k) . (k x n) -> (m x n). Through gemm, skipping
-/// zero entries of a.
+/// out = a * b; shapes (m x k) . (k x n) -> (m x n). Through gemm; a
+/// product with a transposed operand passes an explicit .transposed().
 [[nodiscard]] Tensor matmul(const Tensor& a, const Tensor& b);
-/// out = a^T * b; shapes (k x m) . (k x n) -> (m x n). gemm on a's
-/// transpose, skipping zero entries of a.
-[[nodiscard]] Tensor matmul_tn(const Tensor& a, const Tensor& b);
-/// out = a * b^T; shapes (m x k) . (n x k) -> (m x n). gemm on b's
-/// transpose, adding every term (a dot product per entry).
-[[nodiscard]] Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Row-wise numerically-stable softmax, in place on the first `rows` rows
 /// of t, each over all of its columns, where columns [distinct, cols) stand

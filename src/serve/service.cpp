@@ -83,7 +83,7 @@ void SchedulerService::begin_episode() {
   submit_cursor_.store(0, std::memory_order_relaxed);
   janitor_cursor_.store(0, std::memory_order_relaxed);
   for (auto* counter : {&submitted_, &routed_, &rejected_, &lost_, &rerouted_,
-                        &batches_, &inference_calls_})
+                        &batches_})
     counter->store(0, std::memory_order_relaxed);
   in_episode_ = true;
   if (telemetry_ != nullptr)
@@ -204,7 +204,7 @@ ServeStats SchedulerService::stats() const {
   s.lost = lost_.load(std::memory_order_relaxed);
   s.rerouted = rerouted_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
-  s.inference_calls = inference_calls_.load(std::memory_order_relaxed);
+  s.inference_calls = mlcr_mode_ ? s.routed : 0;
   s.max_wave = s.inference_calls > 0 ? 1 : 0;
   return s;
 }
@@ -365,7 +365,6 @@ bool SchedulerService::dispatch_one(const sim::Invocation& inv,
   // arrival contract. A no-op in ordered single-threaded replay.
   if (clamped.arrival_s < env.now()) clamped.arrival_s = env.now();
   const sim::StepResult result = fleet_.dispatch(clamped, target);
-  if (mlcr_mode_) inference_calls_.fetch_add(1, std::memory_order_relaxed);
   refresh(target);
   routed_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_ != nullptr)

@@ -94,8 +94,9 @@ struct ServeStats {
   std::size_t lost = 0;       ///< accepted but no healthy node remained
   std::size_t rerouted = 0;   ///< target node down -> deterministic failover
   std::size_t batches = 0;    ///< consumer drains that served >= 1 request
-  /// MLCR decide() calls, one per routed request. Not forward passes:
-  /// a decision whose mask allows one action runs none.
+  /// MLCR decide() calls: one per routed request on an MLCR fleet, so
+  /// `routed` there and 0 otherwise. Not forward passes: a decision whose
+  /// mask allows one action runs none.
   std::size_t inference_calls = 0;
   /// Requests per MLCR decide() call: 1 once any MLCR decision ran, else 0.
   std::size_t max_wave = 0;
@@ -264,7 +265,6 @@ class SchedulerService {
   std::atomic<std::size_t> lost_{0};
   std::atomic<std::size_t> rerouted_{0};
   std::atomic<std::size_t> batches_{0};
-  std::atomic<std::size_t> inference_calls_{0};
 };
 
 }  // namespace mlcr::serve

@@ -216,6 +216,19 @@ void ClusterEnv::finish_episode() {
   while (!busy_.empty()) drain_to(busy_.top().time);
 }
 
+Container ClusterEnv::start_cold(const FunctionType& fn,
+                                 StepResult& result) {
+  Container c;
+  c.id = next_container_id_++;
+  c.image = fn.image;
+  c.level_keys = fn.level_keys;
+  c.created_at = now_;
+  c.refresh_memory(catalog_);
+  result.breakdown = cost_model_.cold_start(fn);
+  result.cold = true;
+  return c;
+}
+
 StepResult ClusterEnv::step(const Action& action) {
   MLCR_CHECK_MSG(!down_, "step() on a crashed node");
   const Invocation inv = current();
@@ -293,13 +306,7 @@ StepResult ClusterEnv::step(const Action& action) {
     }
     result.cold = false;
   } else {
-    container.id = next_container_id_++;
-    container.image = fn.image;
-    container.level_keys = fn.level_keys;
-    container.created_at = now_;
-    container.refresh_memory(catalog_);
-    result.breakdown = cost_model_.cold_start(fn);
-    result.cold = true;
+    container = start_cold(fn, result);
     level = MatchLevel::kNoMatch;
   }
 
@@ -360,14 +367,7 @@ StepResult ClusterEnv::step(const Action& action) {
              obs::narg("backoff_s", backoff_s)});
       // The failed attempt's container is destroyed; any warm candidate was
       // consumed by the first attempt, so every retry is a fresh cold start.
-      container = Container{};
-      container.id = next_container_id_++;
-      container.image = fn.image;
-      container.level_keys = fn.level_keys;
-      container.created_at = now_;
-      container.refresh_memory(catalog_);
-      result.breakdown = cost_model_.cold_start(fn);
-      result.cold = true;
+      container = start_cold(fn, result);
       level = MatchLevel::kNoMatch;
       is_repack_start = false;
     }

@@ -252,6 +252,10 @@ class ClusterEnv {
   /// offer() without its trace-fed check and audit: what step() runs to
   /// take a trace-fed episode's next invocation.
   void intake(const Invocation& inv);
+  /// A fresh container with fn's image, created now; sets `result` to a
+  /// cold start of fn.
+  [[nodiscard]] containers::Container start_cold(const FunctionType& fn,
+                                                 StepResult& result);
   /// Emit the lifecycle events for one scheduled invocation (tracer attached
   /// and enabled; all timestamps are simulated time).
   void trace_step(const Invocation& inv, const FunctionType& fn,

@@ -82,60 +82,38 @@ TEST(Matmul, ShapeMismatchThrows) {
   EXPECT_THROW((void)matmul(Tensor(2, 3), Tensor(2, 3)), util::CheckError);
 }
 
-TEST(Matmul, VariantsAgreeWithExplicitTranspose) {
-  util::Rng rng(3);
-  const Tensor a = Tensor::he_uniform(4, 6, rng);
-  const Tensor b = Tensor::he_uniform(4, 5, rng);
-  const Tensor c = Tensor::he_uniform(5, 6, rng);
-
-  const Tensor tn = matmul_tn(a, b);           // a^T b: (6x5)
-  const Tensor tn_ref = matmul(a.transposed(), b);
-  ASSERT_TRUE(tn.same_shape(tn_ref));
-  for (std::size_t i = 0; i < tn.size(); ++i)
-    EXPECT_NEAR(tn.data()[i], tn_ref.data()[i], 1e-5F);
-
-  const Tensor nt = matmul_nt(a, c);           // a c^T: (4x5)
-  const Tensor nt_ref = matmul(a, c.transposed());
-  ASSERT_TRUE(nt.same_shape(nt_ref));
-  for (std::size_t i = 0; i < nt.size(); ++i)
-    EXPECT_NEAR(nt.data()[i], nt_ref.data()[i], 1e-5F);
-}
-
-/// The plain i-k-j product, the op order gemm must keep, plus `bias` (one
-/// row) on every row when it is given.
+/// The plain i-k-j product, the op order gemm must keep: every term, in
+/// ascending k from +0, plus `bias` (one row) on every row when it is given.
 Tensor ikj_product(const Tensor& a, const Tensor& b,
                    const Tensor* bias = nullptr) {
   Tensor out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = a(i, k);
-      if (aik == 0.0F) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
-    }
+    for (std::size_t k = 0; k < a.cols(); ++k)
+      for (std::size_t j = 0; j < b.cols(); ++j)
+        out(i, j) += a(i, k) * b(k, j);
     if (bias != nullptr)
       for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += (*bias)(0, j);
   }
   return out;
 }
 
-/// matmul_tn's loop before it went through gemm: a^T b, skipping zero a.
+/// Training's a^T b loop from before it went through gemm, k outermost,
+/// every term added.
 Tensor tn_reference(const Tensor& a, const Tensor& b) {
   Tensor out(a.cols(), b.cols());
   for (std::size_t k = 0; k < a.rows(); ++k) {
     const float* arow = a.row(k);
     const float* brow = b.row(k);
     for (std::size_t i = 0; i < a.cols(); ++i) {
-      const float aki = arow[i];
-      if (aki == 0.0F) continue;
       float* orow = out.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += aki * brow[j];
+      for (std::size_t j = 0; j < b.cols(); ++j) orow[j] += arow[i] * brow[j];
     }
   }
   return out;
 }
 
-/// matmul_nt's loop before it went through gemm: a b^T, one dot product per
-/// entry, every term added.
+/// Training's a b^T loop from before it went through gemm: one dot product
+/// per entry.
 Tensor nt_reference(const Tensor& a, const Tensor& b) {
   Tensor out(a.rows(), b.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -167,14 +145,33 @@ void expect_same_bits(const Tensor& a, const Tensor& b) {
         << "element " << i << ": " << a.data()[i] << " vs " << b.data()[i];
 }
 
+// A product with a transposed operand is matmul on an explicit
+// .transposed(): a^T b and a c^T take the transposed shapes and keep the
+// bits of the loops that index the operands directly.
+TEST(Matmul, VariantsAgreeWithExplicitTranspose) {
+  util::Rng rng(3);
+  const Tensor a = Tensor::he_uniform(4, 6, rng);
+  const Tensor b = Tensor::he_uniform(4, 5, rng);
+  const Tensor c = Tensor::he_uniform(5, 6, rng);
+
+  const Tensor tn = matmul(a.transposed(), b);  // a^T b: (6x5)
+  EXPECT_EQ(tn.rows(), 6U);
+  EXPECT_EQ(tn.cols(), 5U);
+  expect_same_bits(tn, tn_reference(a, b));
+
+  const Tensor nt = matmul(a, c.transposed());  // a c^T: (4x5)
+  EXPECT_EQ(nt.rows(), 4U);
+  EXPECT_EQ(nt.cols(), 5U);
+  expect_same_bits(nt, nt_reference(a, c));
+}
+
 /// a . b (+ bias) through one gemm body.
 Tensor product_on(const detail::GemmBody& body, const Tensor& a,
-                  const Tensor& b, bool skip_zero_a,
-                  const Tensor* bias = nullptr) {
+                  const Tensor& b, const Tensor* bias = nullptr) {
   Tensor out(a.rows(), b.cols());
   body.run(a.data(), a.cols(), b.data(), b.cols(),
            bias == nullptr ? nullptr : bias->data(), out.data(), out.cols(),
-           a.rows(), a.cols(), b.cols(), skip_zero_a);
+           a.rows(), a.cols(), b.cols());
   return out;
 }
 
@@ -206,9 +203,8 @@ TEST(Matmul, MatchesTheIkjLoopBitForBit) {
     for (const detail::GemmBody& body : detail::gemm_bodies()) {
       SCOPED_TRACE(::testing::Message()
                    << body.isa << ": " << m << "x" << k << "x" << n);
-      expect_same_bits(product_on(body, a, b, true), ref);
-      expect_same_bits(product_on(body, a, b, false), ref);
-      expect_same_bits(product_on(body, a, b, true, &bias), ref_bias);
+      expect_same_bits(product_on(body, a, b), ref);
+      expect_same_bits(product_on(body, a, b, &bias), ref_bias);
     }
     expect_same_bits(matmul(a, b), ref);
   };
@@ -222,12 +218,11 @@ TEST(Matmul, MatchesTheIkjLoopBitForBit) {
     for (const auto& kn : net_kn) check(m, kn[0], kn[1]);
 }
 
-// A zero a(i, p) against an inf or NaN b(p, j) is where the zero-skip shows:
-// skipped, the row stays finite; added, it turns NaN. The kernel adds every
-// term first and redoes the product with the skip when an output is not
-// finite, so a non-finite entry in a, in b or in the bias must each leave
-// the skipping loop's bits, at every leftover-row count and in every body.
-TEST(Matmul, ZeroSkipHoldsAgainstNonFiniteEntries) {
+// One rule: every term is added. A zero a(i, p) against an inf or NaN
+// b(p, j) adds 0 * inf or 0 * NaN, so c(i, j) is NaN, at every leftover-row
+// count and in every body; so is an inf in a against a zero in b, and an inf
+// or NaN in the bias lands in its column.
+TEST(Matmul, EveryTermIsAddedAgainstNonFiniteEntries) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
   util::Rng rng(7);
@@ -236,7 +231,7 @@ TEST(Matmul, ZeroSkipHoldsAgainstNonFiniteEntries) {
       for (const std::size_t n : {24, 26, 48, 96}) {
         SCOPED_TRACE(::testing::Message()
                      << body.isa << ": m " << m << ", n " << n);
-        // The last row skips a zero against an inf and one against a NaN;
+        // The last row has a zero against an inf and one against a NaN;
         // row 0, when it is another row, adds 0.5 * inf.
         Tensor a = sparse_uniform(m, 20, rng);
         Tensor b = sparse_uniform(20, n, rng);
@@ -247,42 +242,46 @@ TEST(Matmul, ZeroSkipHoldsAgainstNonFiniteEntries) {
         a(last, 4) = 0.0F;
         b(3, 5) = inf;
         b(4, 17) = nan;
-        Tensor out = product_on(body, a, b, true);
-        EXPECT_TRUE(std::isfinite(out(last, 5)));
-        EXPECT_TRUE(std::isfinite(out(last, 17)));
+        Tensor out = product_on(body, a, b);
+        EXPECT_TRUE(std::isnan(out(last, 5)));
+        EXPECT_TRUE(std::isnan(out(last, 17)));
         EXPECT_TRUE(m == 1 || std::isinf(out(0, 5)));
         expect_same_bits(out, ikj_product(a, b));
-        expect_same_bits(product_on(body, a, b, true, &bias),
+        expect_same_bits(product_on(body, a, b, &bias),
                          ikj_product(a, b, &bias));
+        expect_same_bits(matmul(a, b), ikj_product(a, b));
 
-        // Finite b, an inf in a's last row and a NaN in row 0 instead (one
-        // kind per row: two NaNs with different bits could meet in either
-        // order).
+        // Finite b, an inf in a's last row against a zero in b, and a NaN
+        // in row 0 (one kind per row: two NaNs with different bits could
+        // meet in either order).
         b(3, 5) = 1.0F;
         b(4, 17) = 0.0F;
-        a(last, 7) = inf;
+        a(last, 4) = inf;
         if (m > 1) a(0, 9) = nan;
-        expect_same_bits(product_on(body, a, b, true), ikj_product(a, b));
+        out = product_on(body, a, b);
+        EXPECT_TRUE(std::isnan(out(last, 17)));
+        expect_same_bits(out, ikj_product(a, b));
 
         // And in the bias alone.
-        a(last, 7) = 1.0F;
+        a(last, 4) = 1.0F;
         a(0, 9) = 0.0F;
         Tensor bad_bias = bias;
         bad_bias(0, n - 1) = inf;
         bad_bias(0, 0) = nan;
-        out = product_on(body, a, b, true, &bad_bias);
+        out = product_on(body, a, b, &bad_bias);
         EXPECT_TRUE(std::isinf(out(last, n - 1)));
+        EXPECT_TRUE(std::isnan(out(last, 0)));
         expect_same_bits(out, ikj_product(a, b, &bad_bias));
       }
 }
 
-// c is written before the kernel knows whether to redo it, so it must not
-// share memory with an operand.
+// A tile reads rows of a, and all of b, after earlier tiles wrote rows of
+// c, so c must not share memory with an operand.
 TEST(Matmul, GemmRejectsAnOutputOverlappingAnOperand) {
   Tensor a(4, 8, 1.0F);
   Tensor b(8, 8, 1.0F);
   const auto product = [&a, &b](float* c, std::size_t m, std::size_t n) {
-    gemm(a.data(), 8, b.data(), 8, nullptr, c, 8, m, 8, n, true);
+    gemm(a.data(), 8, b.data(), 8, nullptr, c, 8, m, 8, n);
   };
   EXPECT_THROW(product(a.data() + 4, 4, 4), util::CheckError);
   EXPECT_THROW(product(b.data() + 56, 1, 8), util::CheckError);
@@ -291,24 +290,24 @@ TEST(Matmul, GemmRejectsAnOutputOverlappingAnOperand) {
   EXPECT_FLOAT_EQ(c(3, 7), 8.0F);
 }
 
-// Without the zero skip, every body is matmul_nt's old dot product, term
-// for term, against a transposed operand.
+// gemm adds every term, so every body, and matmul, on a transposed operand
+// is the old a b^T dot product, term for term.
 TEST(Matmul, GemmWithoutSkipMatchesMatmulNt) {
   util::Rng rng(6);
   const Tensor a = sparse_uniform(26, 24, rng);
   const Tensor c = sparse_uniform(26, 24, rng);
   for (const detail::GemmBody& body : detail::gemm_bodies()) {
     SCOPED_TRACE(body.isa);
-    expect_same_bits(product_on(body, a, c.transposed(), false),
-                     nt_reference(a, c));
+    expect_same_bits(product_on(body, a, c.transposed()), nt_reference(a, c));
   }
-  expect_same_bits(matmul_nt(a, c), nt_reference(a, c));
+  expect_same_bits(matmul(a, c.transposed()), nt_reference(a, c));
 }
 
-// matmul_tn and matmul_nt go through gemm on a transposed operand; they
-// keep their old loops' bits at every leftover-row count, with an inf or a
-// NaN in either operand (one per product, so each output sees at most one
-// kind of non-finite term).
+// Training multiplies by a transposed operand through matmul on an explicit
+// .transposed(); every body keeps the bits of training's old a^T b and
+// a b^T loops at every leftover-row count, with an inf or a NaN in either
+// operand (one per product, so each output sees at most one kind of
+// non-finite term).
 TEST(Matmul, TransposedProductsMatchTheirOldLoopsBitForBit) {
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -330,8 +329,15 @@ TEST(Matmul, TransposedProductsMatchTheirOldLoopsBitForBit) {
           tn_b(6, n - 1) = bad;
           nt_b(n - 1, 6) = bad;
         }
-        expect_same_bits(matmul_tn(tn_a, tn_b), tn_reference(tn_a, tn_b));
-        expect_same_bits(matmul_nt(nt_a, nt_b), nt_reference(nt_a, nt_b));
+        const Tensor tn_ref = tn_reference(tn_a, tn_b);
+        const Tensor nt_ref = nt_reference(nt_a, nt_b);
+        expect_same_bits(matmul(tn_a.transposed(), tn_b), tn_ref);
+        expect_same_bits(matmul(nt_a, nt_b.transposed()), nt_ref);
+        for (const detail::GemmBody& body : detail::gemm_bodies()) {
+          SCOPED_TRACE(body.isa);
+          expect_same_bits(product_on(body, tn_a.transposed(), tn_b), tn_ref);
+          expect_same_bits(product_on(body, nt_a, nt_b.transposed()), nt_ref);
+        }
       }
     }
 }

@@ -1,9 +1,9 @@
 // QNetwork's forward pass as it ran before the layers shared one body with
 // infer: every layer on whole, freshly allocated tensors, attention one head
-// at a time through column copies, matmul_nt, a softmax and matmul, each
-// head's output added into zeros. It reads the network's parameters and
-// nothing else of it, so it is an independent reference for both
-// QNetwork::forward and QNetwork::infer, bit for bit.
+// at a time through column copies, matmul on the transposed keys, a softmax
+// and matmul, each head's output added into zeros. It reads the network's
+// parameters and nothing else of it, so it is an independent reference for
+// both QNetwork::forward and QNetwork::infer, bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -114,8 +114,9 @@ class Forward {
     nn::Tensor concat(x.rows(), dim);
     for (std::size_t h = 0; h < config_.heads; ++h) {
       const std::size_t from = h * head_dim;
-      nn::Tensor scores = nn::matmul_nt(col_block(q, from, head_dim),
-                                        col_block(k, from, head_dim));
+      nn::Tensor scores =
+          nn::matmul(col_block(q, from, head_dim),
+                     col_block(k, from, head_dim).transposed());
       scores.scale_(scale);
       softmax(scores);
       const nn::Tensor out =

@@ -40,7 +40,7 @@ void expect_same_bits(const nn::Tensor& a, const nn::Tensor& b) {
 }
 
 /// Token matrices with about a quarter of the features exactly zero, as
-/// encoded states have, so the zero-skip path runs.
+/// encoded states have.
 std::vector<nn::Tensor> random_states(const QNetworkConfig& cfg,
                                       std::size_t count, util::Rng& rng) {
   std::vector<nn::Tensor> states;
